@@ -175,6 +175,7 @@ def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     stream.write(f"# d={md['d']} p={md['p']} L={md['L']} seed={md['seed']}\n")
     stream.write(f"# degrees={md['degrees']}\n")
     stream.write(f"# grid={grid_string}\n")
+    stream.write(f"# profile_error_bound={_fmt(md['profile_error_bound'])}\n")
     for line in extra_lines:
         stream.write(line + "\n")
     p = realization.values.shape[1]

@@ -86,6 +86,25 @@ def gegenbauer_eval_table(lam: float, max_degree: int, r):
     return out[:, 0] if scalar else out
 
 
+def _weighted_pair(lam: float, n: int, r: np.ndarray, weight):
+    """(weight * G_{n-1}^lam(r), weight * G_n^lam(r)) by the weight-folded
+    recurrence, with G_{-1} = 0.  r must be a checked 1-D array."""
+    if n == 0:
+        return np.zeros_like(r), np.full_like(r, weight)
+    g0 = np.full_like(r, weight)
+    g1 = (2.0 * lam * weight) * r
+    tmp = np.empty_like(r)
+    for k in range(2, n + 1):
+        a = 2.0 * (k + lam - 1.0) / k
+        b = (k + 2.0 * lam - 2.0) / k
+        np.multiply(r, g1, out=tmp)
+        tmp *= a
+        g0 *= b
+        np.subtract(tmp, g0, out=g0)
+        g0, g1 = g1, g0
+    return g0, g1
+
+
 def gegenbauer_eval_weighted(lam: float, n: int, r, weight):
     """weight * G_n^lam(r) with the weight folded into the recurrence seeds.
 
@@ -98,24 +117,7 @@ def gegenbauer_eval_weighted(lam: float, n: int, r, weight):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if n == 0:
-        out = np.full_like(r, weight)
-    elif n == 1:
-        out = (2.0 * lam * weight) * r
-    else:
-        g0 = np.full_like(r, weight)
-        g1 = (2.0 * lam * weight) * r
-        tmp = np.empty_like(r)
-        for k in range(2, n + 1):
-            a = 2.0 * (k + lam - 1.0) / k
-            b = (k + 2.0 * lam - 2.0) / k
-            np.multiply(r, g1, out=tmp)
-            tmp *= a
-            g0 *= b
-            np.subtract(tmp, g0, out=g0)
-            g0, g1 = g1, g0
-        out = g1
+    out = _weighted_pair(lam, n, np.atleast_1d(r), weight)[1]
     return float(out[0]) if scalar else out
 
 

@@ -145,6 +145,9 @@ def _read_point_list(path: str, d: int | None) -> np.ndarray:
             f"{path}: rows have {len(rows[0][1])} coordinates, expected {d + 1}"
         )
     points = np.array([row for _, row in rows])
+    bad = np.nonzero(~np.all(np.isfinite(points), axis=1))[0]
+    if bad.size:
+        raise GridError(f"{path}:{rows[bad[0]][0]}: non-finite coordinate")
     norms = np.linalg.norm(points, axis=1)
     off = np.nonzero(np.abs(norms - 1.0) > 1e-6)[0]
     if off.size:

@@ -15,12 +15,13 @@ bit-identical values.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .covariance import factor_schoenberg_matrix, require_valid
 from .degree_sampling import support_covers
-from .gegenbauer import gegenbauer_eval_weighted
+from .gegenbauer import _weighted_pair, gegenbauer_eval_weighted
 
 __all__ = [
     "SimulationError",
@@ -41,6 +42,16 @@ __all__ = [
 POINT_BLOCK = 16384   # points per recurrence block (keeps the rolling arrays hot)
 WAVE_GROUP = 64       # waves per accumulator group; fixed so that threaded and
                       # sequential runs share the same summation tree
+NODES_PER_DEGREE = 16 # tabulated profiles: uniform theta intervals per unit of degree
+# cost model of the tabulated path, in units of one recurrence step at one
+# point (~1.4 ns on a 2-vCPU x86 host): interpolating one point costs ~8 steps,
+# and each recurrence step over the table carries ~2-3k points' worth of
+# fixed ufunc overhead; the measured break-even degree is ~12
+INTERP_STEPS = 10
+TABLE_STEP_COST = 2500
+# |tabulated - exact profile| / (|w| G_n(1)): quintic Hermite remainder
+# h^6 / (6! 2^6) |f^(6)| with h = pi / (16 n) and Bernstein's |f^(6)| <= n^6 |w| G_n(1)
+PROFILE_ERROR_BOUND = (np.pi / NODES_PER_DEGREE) ** 6 / 46080.0
 SUPPORT_CHECK_MAX = 10_000
 
 
@@ -123,6 +134,8 @@ def check_points(points, d: int) -> np.ndarray:
             f"points must have {d + 1} coordinates for the {d}-sphere, "
             f"got {points.shape[1]}"
         )
+    if not np.all(np.isfinite(points)):
+        raise SimulationError("points must have finite coordinates")
     norms = np.linalg.norm(points, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-12:
         raise SimulationError("points must have unit norm within 1e-12")
@@ -173,14 +186,94 @@ def draw_wave(config: SimulationConfig, rng) -> WaveParams:
     return WaveParams(epsilon=epsilon, pole=pole, degree=degree, component=component)
 
 
+def _tabulate_pays(degree: int, npts: int) -> bool:
+    """Cost model: a table run (16n+1 nodes, n steps) plus one interpolation
+    per point is cheaper than n recurrence steps per point."""
+    steps = degree + 1
+    table = steps * (NODES_PER_DEGREE * degree + TABLE_STEP_COST)
+    return table + INTERP_STEPS * npts < steps * npts
+
+
+def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f(theta) = weight * G_degree(cos theta) and its first two theta
+    derivatives at the nodes theta (in [0, pi], poles given exactly).
+
+    Values come from the exact weighted recurrence, which also yields
+    weight * G_{n-1}; then (1-t^2) G_n' = -n t G_n + (n+2lam-1) G_{n-1} gives
+    f', and the Gegenbauer ODE f'' = -n(n+2lam) f - 2lam cot(theta) f' gives
+    f''.  At theta in {0, pi}, f' = 0 and f'' = -n(n+2lam) f / (1+2lam).
+    """
+    n = degree
+    t = np.cos(theta)
+    f, prev = np.empty_like(t), np.empty_like(t)
+    for s in range(0, t.size, POINT_BLOCK):
+        prev[s : s + POINT_BLOCK], f[s : s + POINT_BLOCK] = _weighted_pair(
+            lam, n, t[s : s + POINT_BLOCK], weight
+        )
+    eig = n * (n + 2.0 * lam)
+    pole = (theta == 0.0) | (theta == np.pi)
+    inner = ~pole
+    sin = np.sin(theta[inner])
+    d1 = np.zeros_like(t)
+    d2 = np.empty_like(t)
+    d1[inner] = (n * t[inner] * f[inner] - (n + 2.0 * lam - 1.0) * prev[inner]) / sin
+    d2[inner] = -eig * f[inner] - (2.0 * lam) * (t[inner] / sin) * d1[inner]
+    d2[pole] = -eig * f[pole] / (1.0 + 2.0 * lam)
+    return f, d1, d2
+
+
+def _profile_table(lam: float, degree: int, weight: float) -> np.ndarray:
+    """Quintic Hermite coefficients of weight * G_degree(cos theta) on 16n
+    uniform intervals of [0, pi], shape (6, 16n + 1), lowest power first in
+    the local coordinate u in [0, 1).  The last column is the constant
+    f(pi), so theta = pi needs no clamp."""
+    m = NODES_PER_DEGREE * degree
+    h = np.pi / m
+    f, d1, d2 = _profile_nodes(lam, degree, weight, np.linspace(0.0, np.pi, m + 1))
+    f0, f1 = f[:-1], f[1:]
+    D0, D1 = h * d1[:-1], h * d1[1:]
+    E0, E1 = (h * h) * d2[:-1], (h * h) * d2[1:]
+    c = np.zeros((6, m + 1))
+    c[0] = f
+    c[1, :m] = D0
+    c[2, :m] = 0.5 * E0
+    c[3, :m] = 10.0 * (f1 - f0) - 6.0 * D0 - 4.0 * D1 - 1.5 * E0 + 0.5 * E1
+    c[4, :m] = 15.0 * (f0 - f1) + 8.0 * D0 + 7.0 * D1 + 1.5 * E0 - E1
+    c[5, :m] = 6.0 * (f1 - f0) - 3.0 * (D0 + D1) - 0.5 * (E0 - E1)
+    return c
+
+
+def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Evaluate a _profile_table at theta = arccos(t) by Horner's rule.
+    Interval indices of t in [-1, 1] lie in [0, 16n]; clip mode only skips
+    the bounds check."""
+    u = np.arccos(t)
+    u *= (table.shape[1] - 1) / np.pi
+    j = u.astype(np.intp)
+    u -= j
+    out = table[5].take(j, mode="clip")
+    for row in table[4::-1]:
+        out *= u
+        out += row.take(j, mode="clip")
+    return out
+
+
 def _gegenbauer_blocked(lam: float, degree: int, t: np.ndarray, weight: float) -> np.ndarray:
     """weight * G_degree(t) in cache-sized blocks; the weight rides in the
-    recurrence seeds so intermediates never exceed the final amplitude."""
+    recurrence seeds so intermediates never exceed the final amplitude.
+
+    Where _tabulate_pays, the profile is tabulated once and interpolated
+    at the points, within PROFILE_ERROR_BOUND of the wave amplitude;
+    otherwise every point runs the exact recurrence.
+    """
+    if _tabulate_pays(degree, t.size):
+        kernel = partial(_interpolate, _profile_table(lam, degree, weight))
+    else:
+        kernel = partial(gegenbauer_eval_weighted, lam, degree, weight=weight)
     out = np.empty_like(t)
     for s in range(0, t.size, POINT_BLOCK):
-        out[s : s + POINT_BLOCK] = gegenbauer_eval_weighted(
-            lam, degree, t[s : s + POINT_BLOCK], weight
-        )
+        out[s : s + POINT_BLOCK] = kernel(t[s : s + POINT_BLOCK])
     return out
 
 
@@ -190,23 +283,36 @@ def _log_pmf_checked(config: SimulationConfig, degree: int) -> float:
     return float(config.degrees.log_pmf(degree))
 
 
-def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
-    """Values of one scalar wave at the given points."""
-    if config.p != 1:
-        raise SimulationError("scalar wave evaluation requires a univariate model")
-    points = check_points(points, config.d)
-    d, kappa = config.d, wave.degree
+def _wave_profile(wave: WaveParams, config: SimulationConfig, points: np.ndarray) -> np.ndarray:
+    """Signed, weighted profile of one wave at checked points, shape (npts,).
+    For multivariate models the factor column is applied by the caller."""
+    d, p, kappa = config.d, config.p, wave.degree
     log_a = _log_pmf_checked(config, kappa)
-    log_b = float(config.model.log_schoenberg_coeff(kappa))
+    log_lead = float(config.model.log_schoenberg_coeff(kappa)) if p == 1 else np.log(p)
     t = points @ wave.pole
     np.clip(t, -1.0, 1.0, out=t)
     if d == 1:
         c = 1.0 if kappa == 0 else 2.0
-        weight = np.exp(0.5 * (np.log(c) + log_b - log_a))
+        weight = np.exp(0.5 * (np.log(c) + log_lead - log_a))
         return wave.epsilon * weight * np.cos(kappa * np.arccos(t))
-    log_w2 = log_b + np.log(2.0 * kappa + d - 1.0) - log_a - np.log(d - 1.0)
+    log_w2 = log_lead + np.log(2.0 * kappa + d - 1.0) - log_a - np.log(d - 1.0)
     weight = np.exp(0.5 * log_w2)
     return _gegenbauer_blocked(0.5 * (d - 1), kappa, t, wave.epsilon * weight)
+
+
+def _wave_values(wave: WaveParams, config: SimulationConfig, points: np.ndarray) -> np.ndarray:
+    """Values of one wave at checked points, shape (npts, p)."""
+    profile = _wave_profile(wave, config, points)
+    if config.p == 1:
+        return profile[:, None]
+    return np.outer(profile, config.factor_columns(wave.degree)[:, wave.component])
+
+
+def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
+    """Values of one scalar wave at the given points."""
+    if config.p != 1:
+        raise SimulationError("scalar wave evaluation requires a univariate model")
+    return _wave_profile(wave, config, check_points(points, config.d))
 
 
 def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -216,28 +322,7 @@ def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.n
         raise SimulationError("vector wave evaluation requires a multivariate model")
     if wave.component is None or not 0 <= wave.component < p:
         raise SimulationError("wave component index out of range")
-    points = check_points(points, config.d)
-    d, kappa = config.d, wave.degree
-    log_a = _log_pmf_checked(config, kappa)
-    gamma = config.factor_columns(kappa)[:, wave.component]
-    t = points @ wave.pole
-    np.clip(t, -1.0, 1.0, out=t)
-    if d == 1:
-        c = 1.0 if kappa == 0 else 2.0
-        weight = np.exp(0.5 * (np.log(c * p) - log_a))
-        profile = wave.epsilon * weight * np.cos(kappa * np.arccos(t))
-    else:
-        weight = np.exp(
-            0.5 * (np.log(p) + np.log(2.0 * kappa + d - 1.0) - log_a - np.log(d - 1.0))
-        )
-        profile = _gegenbauer_blocked(0.5 * (d - 1), kappa, t, wave.epsilon * weight)
-    return np.outer(profile, gamma)
-
-
-def _wave_values(wave: WaveParams, config: SimulationConfig, points: np.ndarray) -> np.ndarray:
-    if config.p == 1:
-        return wave_eval_scalar(wave, config, points)[:, None]
-    return wave_eval_vector(wave, config, points)
+    return _wave_values(wave, config, check_points(points, config.d))
 
 
 def _kahan_add(acc: np.ndarray, carry: np.ndarray, vals: np.ndarray) -> None:
@@ -289,7 +374,8 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None,
         else:
             values += part
     values *= 1.0 / np.sqrt(L)
-    return Realization(points=points, values=values, metadata=config.metadata())
+    metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND}
+    return Realization(points=points, values=values, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from turnarcs.grids import (
     build_grid,
     parse_grid,
 )
-from turnarcs.simulator import SimulationConfig, simulate
+from turnarcs.simulator import PROFILE_ERROR_BOUND, SimulationConfig, simulate
 
 
 # ---------------------------------------------------------------------- grids
@@ -65,6 +65,14 @@ def test_point_list_norm_check(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("1,0,0\n2,0,0\n")
     with pytest.raises(GridError, match=":2"):
+        build_grid(PointListGrid(str(path)))
+
+
+@pytest.mark.parametrize("row", ["nan,0,0", "0,inf,0", "0 0 -inf"])
+def test_point_list_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"1,0,0\n{row}\n")
+    with pytest.raises(GridError, match=":2: non-finite"):
         build_grid(PointListGrid(str(path)))
 
 
@@ -120,6 +128,13 @@ def test_simulate_csv_round_trip(tmp_path):
     # 17-significant-digit decimals round-trip doubles exactly
     assert_array_equal(data[:, 2], expected.values[:, 0])
     assert_array_equal(data[:, :2], grid.coords)
+
+
+def test_simulate_header_records_profile_error_bound(tmp_path):
+    out = tmp_path / "r.csv"
+    assert main(SIM_ARGS + ["--out", str(out)]) == 0
+    header, _, _ = read_realization_csv(str(out))
+    assert float(header["profile_error_bound"]) == PROFILE_ERROR_BOUND
 
 
 def test_simulate_auto_degree_header(tmp_path):

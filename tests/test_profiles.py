@@ -1,0 +1,180 @@
+"""Tabulated wave profiles: quintic Hermite interpolation of weight *
+G_n(cos theta) on 16n uniform theta intervals, checked against the exact
+weighted recurrence and scipy.special.eval_gegenbauer.
+
+Errors are relative to the wave amplitude |w| G_n(1).  The interpolation
+error is at most PROFILE_ERROR_BOUND; on top of it comes the rounding of
+evaluating G_n at a rounded argument, eps * n(n+2lam)/(1+2lam) near t = +-1
+(the polynomial's condition number there), which the exact path shares.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+from scipy.special import eval_gegenbauer
+
+from turnarcs.covariance import Chentsov, GeneralizedF, NegativeBinomial
+from turnarcs.degree_sampling import GeometricDegrees, OddShiftedZeta, ShiftedZeta
+from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
+from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
+from turnarcs.simulator import (
+    NODES_PER_DEGREE,
+    PROFILE_ERROR_BOUND,
+    SimulationConfig,
+    _gegenbauer_blocked,
+    _interpolate,
+    _profile_nodes,
+    _profile_table,
+    _tabulate_pays,
+    draw_wave,
+    simulate,
+    wave_rng,
+)
+
+EPS = np.finfo(float).eps
+
+
+def tolerance(lam, n):
+    """Allowed |profile - reference| relative to the wave amplitude."""
+    return PROFILE_ERROR_BOUND + 2.0 * EPS * n * (n + 2.0 * lam) / (1.0 + 2.0 * lam)
+
+
+def probe_points(n, extra):
+    """Arguments t: the poles, points just off them (inside the first and
+    last table interval and deeper), the equator, and drawn values."""
+    h = np.pi / (NODES_PER_DEGREE * n)
+    near = np.array([1e-12, 1e-6, 0.25 * h, 0.5 * h, h, 1.5 * h])
+    return np.concatenate([[1.0, -1.0, 0.0], np.cos(near), -np.cos(near), extra])
+
+
+def wave_weight(config, degree):
+    """Scalar-model wave weight sqrt(b (2n+d-1) / (a (d-1))), written out
+    independently of the simulator."""
+    d = config.d
+    log_w2 = (config.model.log_schoenberg_coeff(degree) + np.log(2.0 * degree + d - 1.0)
+              - config.degrees.log_pmf(degree) - np.log(d - 1.0))
+    return float(np.exp(0.5 * log_w2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lam=st.floats(0.5, 20.0),
+    n=st.integers(1, 3000),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    extra=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50),
+)
+@example(lam=0.5, n=3000, log_amp=0.0, sign=1.0, extra=[0.3])
+@example(lam=20.0, n=3000, log_amp=2.0, sign=-1.0, extra=[-0.7])
+@example(lam=1.0, n=1, log_amp=0.0, sign=1.0, extra=[0.5])
+def test_tabulated_profile_within_bound(lam, n, log_amp, sign, extra):
+    amp = 10.0**log_amp
+    weight = sign * amp * np.exp(-gegenbauer_log_at_one(lam, n))
+    t = probe_points(n, extra)
+    got = _interpolate(_profile_table(lam, n, weight), t)
+    tol = tolerance(lam, n) * amp
+    exact = gegenbauer_eval_weighted(lam, n, t, weight)
+    assert np.max(np.abs(got - exact)) <= tol
+    scipy_ref = weight * eval_gegenbauer(n, lam, t)
+    assert np.max(np.abs(got - scipy_ref)) <= tol
+
+
+def test_bound_is_sharp_at_degree_one():
+    # f = 2 lam w cos(theta) has |f^(6)| = |f|, so the Hermite remainder
+    # reaches the bound mid-interval next to the poles
+    t = np.cos(np.linspace(0.0, np.pi, 100_001))
+    got = _interpolate(_profile_table(1.0, 1, 0.5), t)
+    err = np.max(np.abs(got - t))
+    assert 0.9 * PROFILE_ERROR_BOUND < err <= PROFILE_ERROR_BOUND
+
+
+def test_huge_degree_tiny_weight_nodes_stay_finite():
+    # degree 48,937 on the 128-sphere: G_n(1) ~ 1e380 overflows, the wave
+    # weight ~ 1e-188 folds into the recurrence and the amplitude ~ 1e192
+    # is representable.  The full table (783k nodes) is too slow for a unit
+    # test; the node values and derivatives are checked where they are
+    # largest, at and next to the poles, and at the equator.
+    d, n = 128, 48_937
+    lam = 0.5 * (d - 1)
+    config = SimulationConfig(Chentsov(d=d), OddShiftedZeta(2.0), L=1, seed=0)
+    weight = wave_weight(config, n)
+    log_amp = np.log(weight) + gegenbauer_log_at_one(lam, n)
+    assert weight < 1e-150 and np.isfinite(np.exp(log_amp))
+    amp = np.exp(log_amp)
+    h = np.pi / (NODES_PER_DEGREE * n)
+    theta = np.array([0.0, h, 2 * h, 0.5 * np.pi, np.pi - h, np.pi])
+    f, d1, d2 = _profile_nodes(lam, n, weight, theta)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+    assert f[0] == pytest.approx(amp, rel=1e-9)
+    assert f[-1] == pytest.approx(-amp, rel=1e-9)          # odd degree
+    assert d1[0] == 0.0 and d1[-1] == 0.0
+    # Bernstein: |f'| <= n amp, |f''| <= n^2 amp for a degree-n cosine polynomial
+    assert np.all(np.abs(d1) <= n * amp * (1 + 1e-9))
+    assert np.all(np.abs(d2) <= n * n * amp * (1 + 1e-9))
+    exact = gegenbauer_eval_weighted(lam, n, np.cos(theta), weight)
+    assert np.max(np.abs(f - exact)) <= 1e-12 * amp
+
+
+def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
+    # degree 2001 on the 256-sphere: G_n(1) ~ 1e338 overflows doubles
+    d, n = 256, 2001
+    lam = 0.5 * (d - 1)
+    config = SimulationConfig(Chentsov(d=d), OddShiftedZeta(2.0), L=1, seed=0)
+    weight = -wave_weight(config, n)
+    amp = np.exp(np.log(-weight) + gegenbauer_log_at_one(lam, n))
+    t = np.cos(np.linspace(0.0, np.pi, 40_000) ** 2 / np.pi)   # dense near the pole
+    assert _tabulate_pays(n, t.size)
+    got = _gegenbauer_blocked(lam, n, t, weight)
+    assert np.all(np.isfinite(got))
+    sample = slice(0, None, 97)
+    exact = gegenbauer_eval_weighted(lam, n, t[sample], weight)
+    assert np.max(np.abs(got[sample] - exact)) <= tolerance(lam, n) * amp
+
+
+def test_small_inputs_keep_the_exact_recurrence():
+    rng = np.random.default_rng(5)
+    for n, npts in ((3, 100_000), (40, 200), (500, 8_000), (20_000, 300_000)):
+        assert not _tabulate_pays(n, npts)
+    t = rng.uniform(-1.0, 1.0, 200)
+    assert_array_equal(_gegenbauer_blocked(1.5, 40, t, 0.3),
+                       gegenbauer_eval_weighted(1.5, 40, t, 0.3))
+
+
+def test_large_inputs_take_the_tabulated_path():
+    for n, npts in ((20, 100_000), (100, 10_000), (1000, 250_000)):
+        assert _tabulate_pays(n, npts)
+
+
+CASES = {
+    "nb d=2": (NegativeBinomial(0.5, d=2), GeometricDegrees(0.01), LatLonGrid(100, 100)),
+    "f d=3": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), Slice3Grid(0.25, 100, 100)),
+}
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=st.sampled_from(sorted(CASES)), seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_scipy_sum_within_bound(case, seed):
+    model, degrees, grid_spec = CASES[case]
+    points = build_grid(grid_spec).points
+    npts = points.shape[0]
+    config = SimulationConfig(model, degrees, L=8, seed=seed)
+    values = simulate(config, points).values[:, 0]
+    lam = 0.5 * (config.d - 1)
+    reference = np.zeros(npts)
+    allowed = 1e-14
+    tabulated = 0
+    for i in range(config.L):
+        wave = draw_wave(config, wave_rng(seed, i))
+        n = wave.degree
+        weight = wave.epsilon * wave_weight(config, n)
+        t = np.clip(points @ wave.pole, -1.0, 1.0)
+        reference += weight * eval_gegenbauer(n, lam, t)
+        allowed += tolerance(lam, n) * abs(weight) * np.exp(gegenbauer_log_at_one(lam, n))
+        tabulated += _tabulate_pays(n, npts)
+    reference /= np.sqrt(config.L)
+    allowed /= np.sqrt(config.L)
+    assert np.max(np.abs(values - reference)) <= allowed
+    if case == "nb d=2":          # mean degree 99: nearly every wave is tabulated
+        assert tabulated > 0

@@ -14,7 +14,9 @@ from turnarcs.degree_sampling import (
     OddShiftedZeta,
 )
 from turnarcs.gegenbauer import gegenbauer_eval
+from turnarcs import simulator
 from turnarcs.simulator import (
+    PROFILE_ERROR_BOUND,
     Realization,
     SimulationConfig,
     SimulationError,
@@ -225,6 +227,46 @@ def test_points_must_be_unit_norm():
     config = scalar_config()
     with pytest.raises(SimulationError):
         simulate(config, np.array([[1.0, 1.0, 0.0]]))
+
+
+def test_simulate_metadata_records_profile_error_bound():
+    out = simulate(scalar_config(L=3, seed=5), meridian_points(2, [0.2]))
+    assert out.metadata["profile_error_bound"] == PROFILE_ERROR_BOUND
+    assert 1e-9 < PROFILE_ERROR_BOUND < 1.3e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_points_must_be_finite(bad):
+    # a NaN norm compares False against any tolerance; every entry point
+    # must reject it before any point work, not return NaN values
+    config = scalar_config(L=4)
+    points = meridian_points(2, [0.2, 1.0])
+    points[1, 2] = bad
+    wave = WaveParams(epsilon=1, pole=np.array([0.0, 0.0, 1.0]), degree=0)
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: simulate(config, points),
+        lambda: wave_eval_scalar(wave, config, points),
+        lambda: single_wave_values(config, points, 10, rng),
+        lambda: simulate_ensemble(config, points, 3, rng),
+    ]
+    for call in calls:
+        with pytest.raises(SimulationError, match="finite coordinates"):
+            call()
+
+
+def test_simulate_checks_points_once(monkeypatch):
+    calls = []
+    real = simulator.check_points
+
+    def counting(points, d):
+        calls.append(d)
+        return real(points, d)
+
+    monkeypatch.setattr(simulator, "check_points", counting)
+    config = scalar_config(L=70, seed=2)
+    simulate(config, meridian_points(2, [0.1, 2.0]), n_threads=2)
+    assert calls == [2]
 
 
 def test_simulate_odd_degree_model_end_to_end():
