@@ -14,7 +14,8 @@ turnarcs simulate --model nb --p 2 --d 2 \
 # The printed parameters violate the documented sufficient cross condition
 # (nu12 >= (nu11+nu22)/2), which --allow-unverified-cross waives; the
 # resulting Schoenberg matrices are indefinite from degree 2 on, so this
-# invocation stops with a model error once such a degree is drawn.
+# invocation stops with a model error (exit 1) when the drawn wave plan is
+# checked, before any wave is evaluated.
 turnarcs simulate --model sm --p 2 --d 2 \
     --alpha 1 --nu 2,0.75,0.75 --rho -0.6 --allow-unverified-cross \
     --degree-dist zeta:2 \

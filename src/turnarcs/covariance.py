@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, gammaln
 
 from .gegenbauer import (
+    _recurrence,
     gegenbauer_eval,
     gegenbauer_log_at_one,
     gegenbauer_norm_sq,
@@ -109,44 +110,16 @@ def _check_theta(theta):
     return theta
 
 
-def _cos_series(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_n c_n cos(n*theta) by the cosine three-term recurrence."""
-    acc = np.full_like(theta, coeffs[0])
-    if len(coeffs) == 1:
-        return acc
-    c0 = np.ones_like(theta)
-    c1 = np.cos(theta)
-    acc += coeffs[1] * c1
-    two_cos = 2.0 * c1
-    for n in range(2, len(coeffs)):
-        c0 = two_cos * c1 - c0
-        c0, c1 = c1, c0
-        acc += coeffs[n] * c1
-    return acc
-
-
 def _gegenbauer_series(coeffs: np.ndarray, d: int, theta: np.ndarray) -> np.ndarray:
-    """sum_n c_n G_n^((d-1)/2)(cos theta), rolling recurrence, O(1) memory in n."""
+    """sum_n c_n G_n^((d-1)/2)(cos theta), or sum_n c_n cos(n theta) on the
+    circle; one term at a time, O(1) memory in n."""
     if d == 1:
-        return _cos_series(coeffs, theta)
-    lam = _lam(d)
-    r = np.cos(theta)
-    g0 = np.ones_like(r)
-    acc = coeffs[0] * g0
-    if len(coeffs) == 1:
-        return acc
-    g1 = 2.0 * lam * r
-    acc += coeffs[1] * g1
-    tmp = np.empty_like(r)
-    for n in range(2, len(coeffs)):
-        a = 2.0 * (n + lam - 1.0) / n
-        b = (n + 2.0 * lam - 2.0) / n
-        np.multiply(r, g1, out=tmp)
-        tmp *= a
-        g0 *= b
-        np.subtract(tmp, g0, out=g0)
-        g0, g1 = g1, g0
-        acc += coeffs[n] * g1
+        terms = (np.cos(n * theta) for n in range(len(coeffs)))
+    else:
+        terms = _recurrence(_lam(d), np.cos(theta))
+    acc = np.zeros_like(theta)
+    for c, g in zip(coeffs, terms):
+        acc += c * g
     return acc
 
 

@@ -6,6 +6,8 @@ at the right endpoint and the norms go through log-gamma so that degrees up to
 1e6 and lambda up to ~130 do not overflow intermediate gamma factors.
 """
 
+from itertools import islice
+
 import numpy as np
 from scipy.special import gammaln
 
@@ -28,6 +30,42 @@ def _check_args(lam: float, r) -> np.ndarray:
     return r
 
 
+def _recurrence(lam: float, r: np.ndarray, weight=1.0, active=None):
+    """Yield weight * G_k^lam(r) for k = 0, 1, 2, ...: the package's one
+    three-term recurrence; the caller decides where to stop.
+
+    weight is a scalar, or for 2-D r a column of per-row scales.  It rides
+    in the seeds: the recurrence is linear, so this is exact up to rounding,
+    and intermediates stay within |weight| * G_k(1), which keeps huge-degree
+    low-coefficient waves inside double range where the plain product would
+    overflow.  active[k], when given, is the number of leading rows of r
+    still needed at degree k >= 2 (non-increasing); rows past it go stale.
+    Each yielded array is a working buffer that the step two degrees later
+    overwrites.
+    """
+    g0 = np.full_like(r, weight)
+    yield g0
+    g1 = (2.0 * lam * weight) * r
+    yield g1
+    tmp = np.empty_like(r)
+    k = 2
+    while True:
+        a = 2.0 * (k + lam - 1.0) / k
+        b = (k + 2.0 * lam - 2.0) / k
+        if active is None:
+            x, g, h, w = r, g1, g0, tmp
+        else:
+            m = active[k]
+            x, g, h, w = r[:m], g1[:m], g0[:m], tmp[:m]
+        np.multiply(x, g, out=w)
+        w *= a
+        h *= b
+        np.subtract(w, h, out=h)
+        g0, g1 = g1, g0
+        yield g1
+        k += 1
+
+
 def gegenbauer_eval(lam: float, n: int, r):
     """Evaluate the degree-n Gegenbauer polynomial with parameter lam at r.
 
@@ -35,29 +73,7 @@ def gegenbauer_eval(lam: float, n: int, r):
     lam = 0 limit used on the circle is handled by cosine formulas in the
     simulator, never here).
     """
-    r = _check_args(lam, r)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if n == 0:
-        out = np.ones_like(r)
-    elif n == 1:
-        out = 2.0 * lam * r
-    else:
-        g0 = np.ones_like(r)
-        g1 = 2.0 * lam * r
-        tmp = np.empty_like(r)
-        for k in range(2, n + 1):
-            a = 2.0 * (k + lam - 1.0) / k
-            b = (k + 2.0 * lam - 2.0) / k
-            np.multiply(r, g1, out=tmp)
-            tmp *= a
-            g0 *= b
-            np.subtract(tmp, g0, out=g0)
-            g0, g1 = g1, g0
-        out = g1
-    return float(out[0]) if scalar else out
+    return gegenbauer_eval_weighted(lam, n, r, 1.0)
 
 
 def gegenbauer_eval_table(lam: float, max_degree: int, r):
@@ -72,52 +88,21 @@ def gegenbauer_eval_table(lam: float, max_degree: int, r):
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     out = np.empty((max_degree + 1, r.size))
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = 2.0 * lam * r
-    tmp = np.empty_like(r)
-    for k in range(2, max_degree + 1):
-        a = 2.0 * (k + lam - 1.0) / k
-        b = (k + 2.0 * lam - 2.0) / k
-        np.multiply(r, out[k - 1], out=tmp)
-        tmp *= a
-        g0 = out[k - 2] * b
-        np.subtract(tmp, g0, out=out[k])
+    for k, g in enumerate(islice(_recurrence(lam, r), max_degree + 1)):
+        out[k] = g
     return out[:, 0] if scalar else out
 
 
-def _weighted_pair(lam: float, n: int, r: np.ndarray, weight):
-    """(weight * G_{n-1}^lam(r), weight * G_n^lam(r)) by the weight-folded
-    recurrence, with G_{-1} = 0.  r must be a checked 1-D array."""
-    if n == 0:
-        return np.zeros_like(r), np.full_like(r, weight)
-    g0 = np.full_like(r, weight)
-    g1 = (2.0 * lam * weight) * r
-    tmp = np.empty_like(r)
-    for k in range(2, n + 1):
-        a = 2.0 * (k + lam - 1.0) / k
-        b = (k + 2.0 * lam - 2.0) / k
-        np.multiply(r, g1, out=tmp)
-        tmp *= a
-        g0 *= b
-        np.subtract(tmp, g0, out=g0)
-        g0, g1 = g1, g0
-    return g0, g1
-
-
 def gegenbauer_eval_weighted(lam: float, n: int, r, weight):
-    """weight * G_n^lam(r) with the weight folded into the recurrence seeds.
-
-    The recurrence is linear, so seeding with the weight is exact up to
-    rounding; intermediates then stay within |weight| * G_m(1) <= the final
-    wave amplitude, which keeps huge-degree low-coefficient waves inside
-    double range where the plain product would overflow.
-    """
+    """weight * G_n^lam(r) with the weight folded into the recurrence seeds
+    (see _recurrence: exact up to rounding, and free of the overflow of the
+    plain product)."""
     r = _check_args(lam, r)
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scalar = r.ndim == 0
-    out = _weighted_pair(lam, n, np.atleast_1d(r), weight)[1]
+    for out in islice(_recurrence(lam, np.atleast_1d(r), weight), n + 1):
+        pass
     return float(out[0]) if scalar else out
 
 

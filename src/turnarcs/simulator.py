@@ -13,15 +13,17 @@ bit-identical values.
 """
 
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .covariance import factor_schoenberg_matrix, require_valid
 from .degree_sampling import support_covers
-from .gegenbauer import _weighted_pair, gegenbauer_eval_weighted
+from .gegenbauer import _recurrence, gegenbauer_eval_weighted
 
 __all__ = [
     "SimulationError",
@@ -134,6 +136,8 @@ def check_points(points, d: int) -> np.ndarray:
             f"points must have {d + 1} coordinates for the {d}-sphere, "
             f"got {points.shape[1]}"
         )
+    if points.shape[0] == 0:
+        raise SimulationError("at least one point is required")
     if not np.all(np.isfinite(points)):
         raise SimulationError("points must have finite coordinates")
     norms = np.linalg.norm(points, axis=1)
@@ -199,18 +203,18 @@ def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
     """f(theta) = weight * G_degree(cos theta) and its first two theta
     derivatives at the nodes theta (in [0, pi], poles given exactly).
 
-    Values come from the exact weighted recurrence, which also yields
-    weight * G_{n-1}; then (1-t^2) G_n' = -n t G_n + (n+2lam-1) G_{n-1} gives
-    f', and the Gegenbauer ODE f'' = -n(n+2lam) f - 2lam cot(theta) f' gives
-    f''.  At theta in {0, pi}, f' = 0 and f'' = -n(n+2lam) f / (1+2lam).
+    Values come from the last two rows of the exact weighted recurrence,
+    weight * G_{n-1} and weight * G_n; then
+    (1-t^2) G_n' = -n t G_n + (n+2lam-1) G_{n-1} gives f', and the
+    Gegenbauer ODE f'' = -n(n+2lam) f - 2lam cot(theta) f' gives f''.  At theta in {0, pi}, f' = 0 and f'' = -n(n+2lam) f / (1+2lam).
     """
     n = degree
     t = np.cos(theta)
     f, prev = np.empty_like(t), np.empty_like(t)
     for s in range(0, t.size, POINT_BLOCK):
-        prev[s : s + POINT_BLOCK], f[s : s + POINT_BLOCK] = _weighted_pair(
-            lam, n, t[s : s + POINT_BLOCK], weight
-        )
+        block = slice(s, s + POINT_BLOCK)
+        prev[block], f[block] = deque(islice(_recurrence(lam, t[block], weight), n + 1),
+                                      maxlen=2)
     eig = n * (n + 2.0 * lam)
     pole = (theta == 0.0) | (theta == np.pi)
     inner = ~pole
@@ -277,32 +281,43 @@ def _gegenbauer_blocked(lam: float, degree: int, t: np.ndarray, weight: float) -
     return out
 
 
-def _log_pmf_checked(config: SimulationConfig, degree: int) -> float:
-    if not config.degrees.in_support(degree):
-        raise SimulationError(f"degree {degree} has zero probability under the degree law")
-    return float(config.degrees.log_pmf(degree))
+def _wave_weights(config: SimulationConfig, degrees) -> np.ndarray:
+    """Weights of waves of the given degrees, vectorized:
+    sqrt(b_k (2k+d-1) / (a_k (d-1))) on d >= 2 and sqrt(c_k b_k / a_k) on the
+    circle (c_0 = 1, c_k = 2), where a_k is the degree law's mass and b_k the
+    Schoenberg coefficient, or p for multivariate models (whose factor
+    column is applied by the caller).  Computed in log space; a degree of
+    zero probability is rejected."""
+    kappas = np.asarray(degrees, dtype=np.int64)
+    outside = ~np.asarray(config.degrees.in_support(kappas), dtype=bool)
+    if outside.any():
+        raise SimulationError(
+            f"degree {kappas[outside][0]} has zero probability under the degree law")
+    d, p = config.d, config.p
+    log_a = config.degrees.log_pmf(kappas)
+    log_b = config.model.log_schoenberg_coeff(kappas) if p == 1 else np.log(p)
+    if d == 1:
+        log_c = np.where(kappas == 0, 0.0, np.log(2.0))
+        return np.exp(0.5 * (log_c + log_b - log_a))
+    log_w2 = log_b + np.log(2.0 * kappas + d - 1.0) - log_a - np.log(d - 1.0)
+    return np.exp(0.5 * log_w2)
 
 
-def _wave_profile(wave: WaveParams, config: SimulationConfig, points: np.ndarray) -> np.ndarray:
+def _wave_profile(wave: WaveParams, weight: float, d: int, points: np.ndarray) -> np.ndarray:
     """Signed, weighted profile of one wave at checked points, shape (npts,).
     For multivariate models the factor column is applied by the caller."""
-    d, p, kappa = config.d, config.p, wave.degree
-    log_a = _log_pmf_checked(config, kappa)
-    log_lead = float(config.model.log_schoenberg_coeff(kappa)) if p == 1 else np.log(p)
     t = points @ wave.pole
     np.clip(t, -1.0, 1.0, out=t)
+    signed = wave.epsilon * weight
     if d == 1:
-        c = 1.0 if kappa == 0 else 2.0
-        weight = np.exp(0.5 * (np.log(c) + log_lead - log_a))
-        return wave.epsilon * weight * np.cos(kappa * np.arccos(t))
-    log_w2 = log_lead + np.log(2.0 * kappa + d - 1.0) - log_a - np.log(d - 1.0)
-    weight = np.exp(0.5 * log_w2)
-    return _gegenbauer_blocked(0.5 * (d - 1), kappa, t, wave.epsilon * weight)
+        return signed * np.cos(wave.degree * np.arccos(t))
+    return _gegenbauer_blocked(0.5 * (d - 1), wave.degree, t, signed)
 
 
-def _wave_values(wave: WaveParams, config: SimulationConfig, points: np.ndarray) -> np.ndarray:
+def _wave_values(wave: WaveParams, weight: float, config: SimulationConfig,
+                 points: np.ndarray) -> np.ndarray:
     """Values of one wave at checked points, shape (npts, p)."""
-    profile = _wave_profile(wave, config, points)
+    profile = _wave_profile(wave, weight, config.d, points)
     if config.p == 1:
         return profile[:, None]
     return np.outer(profile, config.factor_columns(wave.degree)[:, wave.component])
@@ -312,7 +327,8 @@ def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.n
     """Values of one scalar wave at the given points."""
     if config.p != 1:
         raise SimulationError("scalar wave evaluation requires a univariate model")
-    return _wave_profile(wave, config, check_points(points, config.d))
+    points = check_points(points, config.d)
+    return _wave_profile(wave, _wave_weights(config, [wave.degree])[0], config.d, points)
 
 
 def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -322,41 +338,35 @@ def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.n
         raise SimulationError("vector wave evaluation requires a multivariate model")
     if wave.component is None or not 0 <= wave.component < p:
         raise SimulationError("wave component index out of range")
-    return _wave_values(wave, config, check_points(points, config.d))
+    points = check_points(points, config.d)
+    return _wave_values(wave, _wave_weights(config, [wave.degree])[0], config, points)
 
 
-def _kahan_add(acc: np.ndarray, carry: np.ndarray, vals: np.ndarray) -> None:
-    y = vals - carry
-    t = acc + y
-    carry[...] = (t - acc) - y
-    acc[...] = t
-
-
-def simulate(config: SimulationConfig, points, n_threads: int | None = None,
-             compensated: bool = False) -> Realization:
+def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> Realization:
     """Central-limit ensemble of config.L waves at the given points.
 
-    Pure function of (config, points, compensated): rerunning with the same
-    seed gives byte-identical values whether n_threads is None or any worker
-    count.  Compensated (Kahan) accumulation is off by default: up to ~1e5
-    waves the plain summation error is far below the statistical error.
+    Pure function of (config, points): rerunning with the same seed gives
+    byte-identical values whether n_threads is None or any worker count.
+    The whole wave plan (draws, weights, support and Schoenberg factor
+    checks) comes first, so an invalid model fails before any point work.
     """
     points = check_points(points, config.d)
     L = config.L
+    plan = [draw_wave(config, wave_rng(config.seed, idx)) for idx in range(L)]
+    degrees = [wave.degree for wave in plan]
+    weights = _wave_weights(config, degrees)
+    if config.p > 1:
+        for degree in dict.fromkeys(degrees):
+            config.factor_columns(degree)
 
     def group_partial(bounds):
         lo, hi = bounds
         part = np.zeros((points.shape[0], config.p))
-        carry = np.zeros_like(part) if compensated else None
         for idx in range(lo, hi):
-            wave = draw_wave(config, wave_rng(config.seed, idx))
-            vals = _wave_values(wave, config, points)
+            vals = _wave_values(plan[idx], weights[idx], config, points)
             if not np.all(np.isfinite(vals)):
                 raise SimulationError(f"non-finite wave values at wave index {idx}")
-            if compensated:
-                _kahan_add(part, carry, vals)
-            else:
-                part += vals
+            part += vals
         return part
 
     groups = [(lo, min(lo + WAVE_GROUP, L)) for lo in range(0, L, WAVE_GROUP)]
@@ -367,12 +377,8 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None,
         partials = [group_partial(g) for g in groups]
 
     values = np.zeros((points.shape[0], config.p))
-    carry = np.zeros_like(values) if compensated else None
     for part in partials:
-        if compensated:
-            _kahan_add(values, carry, part)
-        else:
-            values += part
+        values += part
     values *= 1.0 / np.sqrt(L)
     metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND}
     return Realization(points=points, values=values, metadata=metadata)
@@ -403,58 +409,18 @@ def _profiles_batch(d: int, kappas: np.ndarray, t: np.ndarray,
         scale = np.ones(m)
     if d == 1:
         return scale[:, None] * np.cos(kappas[:, None] * np.arccos(np.clip(t, -1.0, 1.0)))
-    lam = 0.5 * (d - 1)
     order = np.argsort(-kappas, kind="stable")
-    t_s = np.clip(t[order], -1.0, 1.0)
     k_s = kappas[order]
-    s_s = np.asarray(scale, dtype=float)[order]
+    counts = _counts_at_least(k_s, int(k_s[0]) if m else 0)
+    rows = _recurrence(0.5 * (d - 1), np.clip(t[order], -1.0, 1.0),
+                       np.asarray(scale, dtype=float)[order, None], counts)
     out = np.empty((m, npts))
-    k_max = int(k_s[0]) if m else 0
-    counts = _counts_at_least(k_s, k_max)
-    # degree 0: trailing rows
-    out[counts[1]:] = s_s[counts[1]:, None]
-    if k_max >= 1:
-        c1 = counts[1]
-        g0 = np.repeat(s_s[:c1, None], npts, axis=1)
-        g1 = (2.0 * lam) * s_s[:c1, None] * t_s[:c1]
-        out[counts[2] : c1] = g1[counts[2] : c1]
-        tmp = np.empty_like(g1)
-        for n in range(2, k_max + 1):
-            act = counts[n]
-            a = 2.0 * (n + lam - 1.0) / n
-            b = (n + 2.0 * lam - 2.0) / n
-            np.multiply(t_s[:act], g1[:act], out=tmp[:act])
-            tmp[:act] *= a
-            g0[:act] *= b
-            np.subtract(tmp[:act], g0[:act], out=g0[:act])
-            g0, g1 = g1, g0
-            out[counts[n + 1] : act] = g1[counts[n + 1] : act]
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(m)
-    return out[inverse]
-
-
-def _batch_weights(config: SimulationConfig, kappas: np.ndarray) -> np.ndarray:
-    """Scalar-model wave weights sqrt(b (2k+d-1) / (a (d-1))) in log space."""
-    d = config.d
-    log_a = config.degrees.log_pmf(kappas)
-    log_b = config.model.log_schoenberg_coeff(kappas)
-    if d == 1:
-        log_c = np.where(kappas == 0, 0.0, np.log(2.0))
-        return np.exp(0.5 * (log_c + log_b - log_a))
-    with np.errstate(invalid="ignore"):
-        log_w2 = log_b + np.log(2.0 * kappas + d - 1.0) - log_a - np.log(d - 1.0)
-    return np.exp(0.5 * log_w2)
-
-
-def _batch_weights_vector(config: SimulationConfig, kappas: np.ndarray) -> np.ndarray:
-    d, p = config.d, config.p
-    log_a = config.degrees.log_pmf(kappas)
-    if d == 1:
-        log_c = np.where(kappas == 0, 0.0, np.log(2.0))
-        return np.exp(0.5 * (log_c + np.log(p) - log_a))
-    log_w2 = np.log(p) + np.log(2.0 * kappas + d - 1.0) - log_a - np.log(d - 1.0)
-    return np.exp(0.5 * log_w2)
+    for n, g in enumerate(rows):
+        done = slice(counts[n + 1], counts[n])      # sorted rows of degree n
+        out[order[done]] = g[done]
+        if counts[n + 1] == 0:
+            break
+    return out
 
 
 def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
@@ -464,18 +430,17 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     meant for moment checks, where the caller owns the stream.
     """
     points = check_points(points, config.d)
-    npts = points.shape[0]
     p = config.p
     eps = rng.integers(0, 2, size=M) * 2 - 1
     poles = sample_pole(config.d, rng, size=M)
     kappas = np.asarray(config.degrees.sample(rng, size=M), dtype=np.int64)
-    t = poles @ points.T
+    # one matrix-vector product per wave, as points @ pole in simulate, so a
+    # row equals wave_eval_* of the same wave bit for bit
+    t = np.matmul(points, poles[:, :, None])[:, :, 0]
+    profiles = _profiles_batch(config.d, kappas, t, eps * _wave_weights(config, kappas))
     if p == 1:
-        scale = eps * _batch_weights(config, kappas)
-        return _profiles_batch(config.d, kappas, t, scale)[:, :, None]
+        return profiles[:, :, None]
     iotas = rng.integers(0, p, size=M)
-    scale = eps * _batch_weights_vector(config, kappas)
-    profiles = _profiles_batch(config.d, kappas, t, scale)
     gamma = np.empty((M, p))
     for degree in np.unique(kappas):
         rows = kappas == degree

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import eval_chebyt, eval_gegenbauer
 
+from turnarcs.covariance import SequenceCovariance
 from turnarcs.gegenbauer import (
     gegenbauer_at_one,
     gegenbauer_eval,
     gegenbauer_eval_table,
+    gegenbauer_eval_weighted,
     gegenbauer_log_at_one,
     gegenbauer_norm_sq,
 )
+from turnarcs.simulator import _profiles_batch
+
+EPS = np.finfo(float).eps
 
 
 def theta_quadrature(f, d, nodes=400):
@@ -164,3 +172,90 @@ def test_chebyshev_u_special_case():
         ours = gegenbauer_eval(1.0, n, np.cos(phi))
         ref = np.sin((n + 1) * phi) / np.sin(phi)
         assert_allclose(ours, ref, atol=1e-12)
+
+
+# ------------------------------------------------- the one recurrence kernel
+# Every consumer of gegenbauer._recurrence is checked against scipy's
+# eval_gegenbauer (eval_chebyt on the circle).  The two algorithms round
+# differently and both errors grow like n^2 eps of the amplitude G_n(1); a
+# wrong coefficient or a lost row is off by O(1) of it.
+
+def kernel_tolerance(n):
+    """Allowed |kernel - scipy| relative to the amplitude G_n(1)."""
+    return 8.0 * EPS * (n + 1) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=st.floats(0.5, 127.5),
+    n=st.integers(0, 200),
+    weight=st.floats(-1e3, 1e3).filter(lambda w: abs(w) > 1e-3),
+    r=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+)
+@example(lam=127.5, n=200, weight=1.0, r=[1.0, -1.0, 0.0])
+@example(lam=0.5, n=0, weight=-2.0, r=[0.3])
+@example(lam=3.0, n=1, weight=0.5, r=[-1.0, 1.0])
+def test_scalar_kernel_matches_scipy(lam, n, weight, r):
+    r = np.array(r)
+    ref = eval_gegenbauer(n, lam, r)
+    tol = kernel_tolerance(n) * gegenbauer_at_one(lam, n)
+    assert np.max(np.abs(gegenbauer_eval(lam, n, r) - ref)) <= tol
+    got = gegenbauer_eval_weighted(lam, n, r, weight)
+    assert np.max(np.abs(got - weight * ref)) <= tol * abs(weight)
+    table = gegenbauer_eval_table(lam, n, r)
+    assert table.shape == (n + 1, r.size)
+    for k in range(n + 1):
+        err = np.max(np.abs(table[k] - eval_gegenbauer(k, lam, r)))
+        assert err <= kernel_tolerance(k) * gegenbauer_at_one(lam, k)
+    assert_array_equal(table[n], gegenbauer_eval(lam, n, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 256),
+    kappas=st.lists(st.integers(0, 120), min_size=1, max_size=12),
+    npts=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, kappas=[0, 0, 0], npts=4, seed=1)          # all rows degree 0
+@example(d=256, kappas=[77], npts=3, seed=2)             # a single row
+@example(d=3, kappas=[5, 0, 120, 1, 5, 2], npts=5, seed=3)
+def test_shrinking_batch_matches_scipy(d, kappas, npts, seed):
+    rng = np.random.default_rng(seed)
+    k = np.array(kappas, dtype=np.int64)
+    t = rng.uniform(-1.0, 1.0, size=(k.size, npts))
+    scale = rng.normal(size=k.size)
+    got = _profiles_batch(d, k, t, scale)
+    lam = 0.5 * (d - 1)
+    for i, n in enumerate(kappas):
+        ref = scale[i] * eval_gegenbauer(n, lam, t[i])
+        tol = kernel_tolerance(n) * abs(scale[i]) * gegenbauer_at_one(lam, n)
+        assert np.max(np.abs(got[i] - ref)) <= tol
+        # the batch runs the scalar path's steps row by row: same rounding
+        assert_array_equal(got[i], gegenbauer_eval_weighted(lam, n, t[i], scale[i]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 256),
+    coeffs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60).filter(
+        lambda c: max(c) > 0.0),
+    theta=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=20),
+)
+@example(d=1, coeffs=[0.0, 0.0, 1.0], theta=[0.0, np.pi, 1.0])
+@example(d=256, coeffs=[0.5] * 60, theta=[0.0, 0.5 * np.pi, np.pi])
+def test_series_matches_scipy_sum(d, coeffs, theta):
+    theta = np.array(theta)
+    x = np.cos(theta)
+    got = SequenceCovariance(coeffs, d).covariance(theta)
+    ref = np.zeros_like(x)
+    tol = 0.0
+    for n, c in enumerate(coeffs):
+        if d == 1:
+            ref += c * eval_chebyt(n, x)
+            amp = 1.0
+        else:
+            ref += c * eval_gegenbauer(n, 0.5 * (d - 1), x)
+            amp = gegenbauer_at_one(0.5 * (d - 1), n)
+        tol += c * amp * kernel_tolerance(len(coeffs))
+    assert np.max(np.abs(got - ref)) <= tol

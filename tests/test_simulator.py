@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from turnarcs.covariance import (
     BivariateNegativeBinomial,
+    BivariateSpectralMatern,
+    GeneralizedF,
+    ModelError,
     NegativeBinomial,
     SequenceCovariance,
     SequenceMultiCovariance,
@@ -12,6 +15,7 @@ from turnarcs.degree_sampling import (
     FiniteDegrees,
     GeometricDegrees,
     OddShiftedZeta,
+    ShiftedZeta,
 )
 from turnarcs.gegenbauer import gegenbauer_eval
 from turnarcs import simulator
@@ -203,17 +207,6 @@ def test_simulate_threads_match_sequential_bivariate():
     assert seq.values.shape == (9, 2)
 
 
-def test_simulate_compensated_mode():
-    config = scalar_config(L=200, seed=31)
-    points = meridian_points(2, np.linspace(0.0, np.pi, 7))
-    plain = simulate(config, points)
-    kahan = simulate(config, points, compensated=True)
-    # same waves, different accumulation rounding only
-    assert_allclose(kahan.values, plain.values, rtol=0, atol=1e-12)
-    again = simulate(config, points, n_threads=2, compensated=True)
-    assert_array_equal(kahan.values, again.values)
-
-
 def test_simulate_metadata():
     config = scalar_config(L=3, seed=5)
     out = simulate(config, meridian_points(2, [0.2]))
@@ -267,6 +260,39 @@ def test_simulate_checks_points_once(monkeypatch):
     config = scalar_config(L=70, seed=2)
     simulate(config, meridian_points(2, [0.1, 2.0]), n_threads=2)
     assert calls == [2]
+
+
+def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
+    # example 2 as printed: indefinite Schoenberg matrices from degree 2 on;
+    # the wave plan is drawn and factored first, so no wave is evaluated
+    calls = []
+    real = simulator._wave_profile
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "_wave_profile", counting)
+    model = BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6,
+                                    allow_unverified_cross=True)
+    config = SimulationConfig(model, ShiftedZeta(2.0), L=1500, seed=2)
+    with pytest.raises(ModelError, match="not positive semidefinite"):
+        simulate(config, meridian_points(2, [0.1, 2.0]))
+    assert calls == []
+
+
+def test_empty_point_set_fails_cleanly():
+    config = scalar_config(L=4)
+    empty = np.empty((0, 3))
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: simulator.check_points(empty, 2),
+        lambda: simulate(config, empty),
+        lambda: single_wave_values(config, empty, 5, rng),
+    ]
+    for call in calls:
+        with pytest.raises(SimulationError, match="at least one point"):
+            call()
 
 
 def test_simulate_odd_degree_model_end_to_end():
@@ -332,6 +358,41 @@ def test_profiles_batch_matches_direct_eval():
                 gegenbauer_eval(lam, int(kappas[i]), t[i]),
                 rtol=1e-12, atol=1e-12,
             )
+
+
+SAME_WAVE_CASES = {
+    "nb d=2": lambda: SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=1, seed=0),
+    "circle": lambda: SimulationConfig(SequenceCovariance([0.5, 0.3, 0.2], d=1),
+                                       FiniteDegrees([0.4, 0.3, 0.3]), L=1, seed=0),
+    "f d=3": lambda: SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), L=1, seed=0),
+    "bivariate nb d=2": lambda: SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                                                 GeometricDegrees(0.05), L=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_WAVE_CASES))
+def test_single_wave_rows_equal_wave_eval_bitwise(case):
+    # the batched path and the per-wave path share the projection, the
+    # weights and the recurrence: replaying the batch's (epsilon, pole,
+    # kappa, iota) through wave_eval_* must give the same doubles
+    config = SAME_WAVE_CASES[case]()
+    d, p, M = config.d, config.p, 60
+    rng = np.random.default_rng(11)
+    points = np.vstack([meridian_points(d, np.linspace(0.0, np.pi, 5)),
+                        sample_pole(d, rng, size=4)])
+    waves = single_wave_values(config, points, M, np.random.default_rng(3))
+    replay = np.random.default_rng(3)
+    eps = replay.integers(0, 2, size=M) * 2 - 1
+    poles = sample_pole(d, replay, size=M)
+    kappas = config.degrees.sample(replay, size=M)
+    iotas = replay.integers(0, p, size=M) if p > 1 else [None] * M
+    assert len(set(kappas.tolist())) > 1
+    for i in range(M):
+        wave = WaveParams(int(eps[i]), poles[i], int(kappas[i]), iotas[i])
+        if p == 1:
+            assert_array_equal(waves[i, :, 0], wave_eval_scalar(wave, config, points))
+        else:
+            assert_array_equal(waves[i], wave_eval_vector(wave, config, points))
 
 
 def test_single_wave_zero_mean():
