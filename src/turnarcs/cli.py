@@ -182,8 +182,7 @@ def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     names = list(grid.coord_names) + [f"z{i + 1}" for i in range(p)]
     stream.write(",".join(names) + "\n")
     table = np.column_stack([grid.coords, realization.values])
-    for row in table:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(stream, table, fmt="%.17g", delimiter=",")
 
 
 def read_realization_csv(path):
@@ -269,7 +268,7 @@ def cmd_validate(args) -> int:
     points = grid.points
     npts = points.shape[0]
 
-    pairs = np.array([(i, j) for i in range(npts) for j in range(i, npts)])
+    pairs = np.column_stack(np.triu_indices(npts))
     if pairs.shape[0] > args.max_pairs:
         keep = np.random.default_rng(args.seed).choice(
             pairs.shape[0], size=args.max_pairs, replace=False

@@ -39,30 +39,27 @@ def _recurrence(lam: float, r: np.ndarray, weight=1.0, active=None):
     and intermediates stay within |weight| * G_k(1), which keeps huge-degree
     low-coefficient waves inside double range where the plain product would
     overflow.  active[k], when given, is the number of leading rows of r
-    still needed at degree k >= 2 (non-increasing); rows past it go stale.
-    Each yielded array is a working buffer that the step two degrees later
-    overwrites.
+    still needed at degree k >= 2 (non-increasing); from degree 2 on, the
+    yielded arrays hold only those rows.  Each yielded array is a working
+    buffer that the step two degrees later overwrites.
     """
     g0 = np.full_like(r, weight)
     yield g0
     g1 = (2.0 * lam * weight) * r
     yield g1
-    tmp = np.empty_like(r)
+    x, g, h, w = r, g1, g0, np.empty_like(r)
+    rows = None
     k = 2
     while True:
-        a = 2.0 * (k + lam - 1.0) / k
-        b = (k + 2.0 * lam - 2.0) / k
-        if active is None:
-            x, g, h, w = r, g1, g0, tmp
-        else:
-            m = active[k]
-            x, g, h, w = r[:m], g1[:m], g0[:m], tmp[:m]
+        if active is not None and active[k] != rows:
+            rows = active[k]
+            x, g, h, w = x[:rows], g[:rows], h[:rows], w[:rows]
         np.multiply(x, g, out=w)
-        w *= a
-        h *= b
+        w *= 2.0 * (k + lam - 1.0) / k
+        h *= (k + 2.0 * lam - 2.0) / k
         np.subtract(w, h, out=h)
-        g0, g1 = g1, g0
-        yield g1
+        g, h = h, g
+        yield g
         k += 1
 
 

@@ -6,6 +6,9 @@ the parallels orthogonal to it (a cosine of the geodesic angle on the
 circle).  Averaging L independent waves scaled by 1/sqrt(L) yields a field
 with the exact target covariance and an approximately Gaussian law.
 
+simulate, wave_eval_* and single_wave_values evaluate waves through one
+function, _wave_profiles, so a wave gets the same doubles from each of them.
+
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
 merged in ascending order, so threaded and sequential runs produce
@@ -16,14 +19,13 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
 from .covariance import factor_schoenberg_matrix, require_valid
 from .degree_sampling import support_covers
-from .gegenbauer import _recurrence, gegenbauer_eval_weighted
+from .gegenbauer import _recurrence
 
 __all__ = [
     "SimulationError",
@@ -54,7 +56,9 @@ TABLE_STEP_COST = 2500
 # |tabulated - exact profile| / (|w| G_n(1)): quintic Hermite remainder
 # h^6 / (6! 2^6) |f^(6)| with h = pi / (16 n) and Bernstein's |f^(6)| <= n^6 |w| G_n(1)
 PROFILE_ERROR_BOUND = (np.pi / NODES_PER_DEGREE) ** 6 / 46080.0
-SUPPORT_CHECK_MAX = 10_000
+SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
+ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
+ENSEMBLE_WAVE_CAP = 2_000_000     # simulate_ensemble: simultaneous waves per chunk
 
 
 class SimulationError(RuntimeError):
@@ -82,12 +86,11 @@ class Realization:
 class SimulationConfig:
     """Validated bundle of model, degree law, wave count and master seed."""
 
-    def __init__(self, model, degrees, L: int, seed: int,
-                 support_check_max: int = SUPPORT_CHECK_MAX):
+    def __init__(self, model, degrees, L: int, seed: int):
         require_valid(model)
         if L < 1:
             raise SimulationError(f"wave count must be >= 1, got {L}")
-        uncovered = support_covers(degrees, model, support_check_max)
+        uncovered = support_covers(degrees, model, SUPPORT_CHECK_MAX)
         if uncovered is not None:
             raise SimulationError(
                 f"degree law assigns no mass to degree {uncovered}, which the "
@@ -190,12 +193,15 @@ def draw_wave(config: SimulationConfig, rng) -> WaveParams:
     return WaveParams(epsilon=epsilon, pole=pole, degree=degree, component=component)
 
 
-def _tabulate_pays(degree: int, npts: int) -> bool:
+def _tabulate_pays(degrees, npts: int):
     """Cost model: a table run (16n+1 nodes, n steps) plus one interpolation
-    per point is cheaper than n recurrence steps per point."""
-    steps = degree + 1
-    table = steps * (NODES_PER_DEGREE * degree + TABLE_STEP_COST)
-    return table + INTERP_STEPS * npts < steps * npts
+    per point is cheaper than n recurrence steps per point,
+    (n+1)(16n + 2500) + 10 npts < (n+1) npts, i.e. with s = n+1,
+    (s - c)^2 < c^2 - 10 npts / 16 for c = (npts - 2484) / 32.  Vectorized,
+    in float64 so that zeta-tail degrees cannot overflow; every term is a
+    multiple of 1/1024, so the decision is exact for npts below 9e7."""
+    c = (npts - TABLE_STEP_COST + NODES_PER_DEGREE) / (2 * NODES_PER_DEGREE)
+    return np.square(np.add(degrees, 1.0 - c)) < c * c - INTERP_STEPS * npts / NODES_PER_DEGREE
 
 
 def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
@@ -263,24 +269,6 @@ def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gegenbauer_blocked(lam: float, degree: int, t: np.ndarray, weight: float) -> np.ndarray:
-    """weight * G_degree(t) in cache-sized blocks; the weight rides in the
-    recurrence seeds so intermediates never exceed the final amplitude.
-
-    Where _tabulate_pays, the profile is tabulated once and interpolated
-    at the points, within PROFILE_ERROR_BOUND of the wave amplitude;
-    otherwise every point runs the exact recurrence.
-    """
-    if _tabulate_pays(degree, t.size):
-        kernel = partial(_interpolate, _profile_table(lam, degree, weight))
-    else:
-        kernel = partial(gegenbauer_eval_weighted, lam, degree, weight=weight)
-    out = np.empty_like(t)
-    for s in range(0, t.size, POINT_BLOCK):
-        out[s : s + POINT_BLOCK] = kernel(t[s : s + POINT_BLOCK])
-    return out
-
-
 def _wave_weights(config: SimulationConfig, degrees) -> np.ndarray:
     """Weights of waves of the given degrees, vectorized:
     sqrt(b_k (2k+d-1) / (a_k (d-1))) on d >= 2 and sqrt(c_k b_k / a_k) on the
@@ -303,32 +291,78 @@ def _wave_weights(config: SimulationConfig, degrees) -> np.ndarray:
     return np.exp(0.5 * log_w2)
 
 
-def _wave_profile(wave: WaveParams, weight: float, d: int, points: np.ndarray) -> np.ndarray:
-    """Signed, weighted profile of one wave at checked points, shape (npts,).
-    For multivariate models the factor column is applied by the caller."""
-    t = points @ wave.pole
-    np.clip(t, -1.0, 1.0, out=t)
-    signed = wave.epsilon * weight
+def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i) of clipped
+    projections t, shape (m, npts); scale_i * cos(degrees_i arccos t_i) on
+    the circle.  Rows where _tabulate_pays are tabulated and interpolated,
+    within PROFILE_ERROR_BOUND of the wave amplitude; the others share one
+    exact recurrence sweep over the degree-sorted rows in POINT_BLOCK column
+    blocks, each row dropping out at its degree (sum of degrees work), with
+    the signed weights in the seeds.  A row's doubles do not depend on the
+    other rows."""
+    m, npts = t.shape
     if d == 1:
-        return signed * np.cos(wave.degree * np.arccos(t))
-    return _gegenbauer_blocked(0.5 * (d - 1), wave.degree, t, signed)
+        return scale[:, None] * np.cos(degrees[:, None] * np.arccos(t))
+    lam = 0.5 * (d - 1)
+    out = np.empty((m, npts))
+    # sort key: the degree, or -1 for a tabulated row, so that in descending
+    # key order the exact rows come first, by degree, and the tabulated last
+    key = np.where(_tabulate_pays(degrees, npts), -1, degrees)
+    order = key.argsort()[::-1]
+    counts = np.bincount(key + 1, minlength=1)
+    exact = m - int(counts[0])
+    for i in order[exact:]:
+        table = _profile_table(lam, int(degrees[i]), scale[i])
+        for s in range(0, npts, POINT_BLOCK):
+            out[i, s : s + POINT_BLOCK] = _interpolate(table, t[i, s : s + POINT_BLOCK])
+    if exact == 0:
+        return out
+    rows = order[:exact]
+    sweep_rows = slice(None) if m == 1 else rows     # a single row is not copied
+    seeds = scale[sweep_rows, None]
+    # active[n]: number of exact rows of degree >= n, for n = 0 .. top + 1
+    active = counts[:0:-1].cumsum()[::-1].tolist() + [0]
+    for s in range(0, npts, POINT_BLOCK):
+        cols = slice(s, s + POINT_BLOCK)
+        sweep = _recurrence(lam, t[sweep_rows, cols], seeds, active)
+        for (hi, lo), g in zip(pairwise(active), sweep):
+            if lo < hi:                         # rows[lo:hi] end at this degree
+                out[rows[lo:hi], cols] = g[lo:hi]
+    return out
 
 
-def _wave_values(wave: WaveParams, weight: float, config: SimulationConfig,
-                 points: np.ndarray) -> np.ndarray:
-    """Values of one wave at checked points, shape (npts, p)."""
-    profile = _wave_profile(wave, weight, config.d, points)
+def _wave_values(config: SimulationConfig, t: np.ndarray, degrees: np.ndarray,
+                 signed: np.ndarray, components) -> np.ndarray:
+    """Values of m waves, shape (m, npts, p), given the projections
+    t = points . pole of checked points, shape (m, npts), which are clipped
+    in place, and the waves' degrees, signed weights and, for multivariate
+    models, component indices (each of length m).  Each profile row is
+    multiplied by its wave's factor column."""
+    np.clip(t, -1.0, 1.0, out=t)
+    profiles = _wave_profiles(config.d, degrees, t, signed)
     if config.p == 1:
-        return profile[:, None]
-    return np.outer(profile, config.factor_columns(wave.degree)[:, wave.component])
+        return profiles[:, :, None]
+    gamma = np.empty((degrees.size, config.p))
+    for degree in np.unique(degrees):
+        rows = degrees == degree
+        gamma[rows] = config.factor_columns(int(degree)).T[components[rows]]
+    return profiles[:, :, None] * gamma[:, None, :]
+
+
+def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
+    """Values of one wave at unchecked points, shape (npts, p)."""
+    points = check_points(points, config.d)
+    degree = np.array([wave.degree])
+    signed = wave.epsilon * _wave_weights(config, degree)
+    t = (points @ wave.pole)[None, :]
+    return _wave_values(config, t, degree, signed, np.array([wave.component]))[0]
 
 
 def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
     """Values of one scalar wave at the given points."""
     if config.p != 1:
         raise SimulationError("scalar wave evaluation requires a univariate model")
-    points = check_points(points, config.d)
-    return _wave_profile(wave, _wave_weights(config, [wave.degree])[0], config.d, points)
+    return _one_wave(wave, config, points)[:, 0]
 
 
 def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -338,8 +372,7 @@ def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.n
         raise SimulationError("vector wave evaluation requires a multivariate model")
     if wave.component is None or not 0 <= wave.component < p:
         raise SimulationError("wave component index out of range")
-    points = check_points(points, config.d)
-    return _wave_values(wave, _wave_weights(config, [wave.degree])[0], config, points)
+    return _one_wave(wave, config, points)
 
 
 def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> Realization:
@@ -353,18 +386,21 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     points = check_points(points, config.d)
     L = config.L
     plan = [draw_wave(config, wave_rng(config.seed, idx)) for idx in range(L)]
-    degrees = [wave.degree for wave in plan]
-    weights = _wave_weights(config, degrees)
+    degrees = np.array([wave.degree for wave in plan])
+    signed = np.array([wave.epsilon for wave in plan]) * _wave_weights(config, degrees)
+    components = np.array([wave.component for wave in plan])
     if config.p > 1:
-        for degree in dict.fromkeys(degrees):
+        for degree in dict.fromkeys(degrees.tolist()):
             config.factor_columns(degree)
 
     def group_partial(bounds):
         lo, hi = bounds
         part = np.zeros((points.shape[0], config.p))
         for idx in range(lo, hi):
-            vals = _wave_values(plan[idx], weights[idx], config, points)
-            if not np.all(np.isfinite(vals)):
+            one = slice(idx, idx + 1)
+            t = (points @ plan[idx].pole)[None, :]
+            vals = _wave_values(config, t, degrees[one], signed[one], components[one])[0]
+            if not np.isfinite(vals).all():
                 raise SimulationError(f"non-finite wave values at wave index {idx}")
             part += vals
         return part
@@ -385,43 +421,8 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# batched single-wave paths (Monte Carlo validation machinery)
+# many single waves at once (Monte Carlo validation machinery)
 # ---------------------------------------------------------------------------
-
-def _counts_at_least(kappas_sorted_desc: np.ndarray, k_max: int) -> np.ndarray:
-    """counts[n] = number of waves with degree >= n, for n = 0..k_max+1."""
-    cnt = np.bincount(kappas_sorted_desc, minlength=k_max + 2)
-    return np.concatenate([np.cumsum(cnt[::-1])[::-1], [0]])[: k_max + 2]
-
-
-def _profiles_batch(d: int, kappas: np.ndarray, t: np.ndarray,
-                    scale: np.ndarray | None = None) -> np.ndarray:
-    """Rows of scale_i * G_{kappa_i}^((d-1)/2)(t_i, :) (cosines on the circle).
-
-    One shared recurrence sweep over the degree-sorted rows; the active set
-    shrinks as degrees are passed, so total work is sum(kappa_i) row-updates.
-    Per-row scales (e.g. signed wave weights) ride in the recurrence seeds,
-    which keeps the intermediates of huge-degree tiny-coefficient waves
-    inside double range.
-    """
-    m, npts = t.shape
-    if scale is None:
-        scale = np.ones(m)
-    if d == 1:
-        return scale[:, None] * np.cos(kappas[:, None] * np.arccos(np.clip(t, -1.0, 1.0)))
-    order = np.argsort(-kappas, kind="stable")
-    k_s = kappas[order]
-    counts = _counts_at_least(k_s, int(k_s[0]) if m else 0)
-    rows = _recurrence(0.5 * (d - 1), np.clip(t[order], -1.0, 1.0),
-                       np.asarray(scale, dtype=float)[order, None], counts)
-    out = np.empty((m, npts))
-    for n, g in enumerate(rows):
-        done = slice(counts[n + 1], counts[n])      # sorted rows of degree n
-        out[order[done]] = g[done]
-        if counts[n + 1] == 0:
-            break
-    return out
-
 
 def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
     """M independent single waves evaluated at the points, shape (M, npts, p).
@@ -434,33 +435,24 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     eps = rng.integers(0, 2, size=M) * 2 - 1
     poles = sample_pole(config.d, rng, size=M)
     kappas = np.asarray(config.degrees.sample(rng, size=M), dtype=np.int64)
+    iotas = rng.integers(0, p, size=M) if p > 1 else None
     # one matrix-vector product per wave, as points @ pole in simulate, so a
     # row equals wave_eval_* of the same wave bit for bit
     t = np.matmul(points, poles[:, :, None])[:, :, 0]
-    profiles = _profiles_batch(config.d, kappas, t, eps * _wave_weights(config, kappas))
-    if p == 1:
-        return profiles[:, :, None]
-    iotas = rng.integers(0, p, size=M)
-    gamma = np.empty((M, p))
-    for degree in np.unique(kappas):
-        rows = kappas == degree
-        cols = config.factor_columns(int(degree))
-        gamma[rows] = cols.T[iotas[rows]]
-    return profiles[:, :, None] * gamma[:, None, :]
+    return _wave_values(config, t, kappas, eps * _wave_weights(config, kappas), iotas)
 
 
-def simulate_ensemble(config: SimulationConfig, points, M: int, rng,
-                      budget: int = 24_000_000, wave_cap: int = 2_000_000) -> np.ndarray:
+def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
     """M independent realizations of the L-wave ensemble, shape (M, npts, p).
 
     Statistically identical to M calls of simulate with fresh seeds, built on
-    the batched wave path; per-chunk memory is capped by `budget` value
-    doubles and `wave_cap` simultaneous waves.
+    single_wave_values; per-chunk memory is capped by ENSEMBLE_BUDGET value
+    doubles and ENSEMBLE_WAVE_CAP simultaneous waves.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
     L = config.L
-    chunk = max(1, min(budget // max(1, L * npts * config.p), wave_cap // L))
+    chunk = max(1, min(ENSEMBLE_BUDGET // max(1, L * npts * config.p), ENSEMBLE_WAVE_CAP // L))
     out = np.empty((M, npts, config.p))
     done = 0
     while done < M:

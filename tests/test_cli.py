@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from turnarcs import cli
 from turnarcs.cli import main, read_realization_csv
 from turnarcs.covariance import NegativeBinomial
 from turnarcs.degree_sampling import GeometricDegrees
@@ -257,6 +260,23 @@ def test_validate_passes_and_reports(tmp_path, capsys):
     assert "wall-time-seconds" in out
     text = report_path.read_text()
     assert "bin,center,count,i,j,estimate,theoretical,se,ok" in text
+
+
+def test_validate_failure_exits_two(monkeypatch, capsys):
+    # a model off by 1.0 everywhere puts every bin far outside 4 SE
+    real = cli._theory_by_bin
+    monkeypatch.setattr(cli, "_theory_by_bin", lambda *args: real(*args) + 1.0)
+    code = main([
+        "validate", "--model", "nb", "--delta", "0.5",
+        "--degree-dist", "geometric:0.2", "--L", "40", "--M", "200",
+        "--grid", "latlon:4x8", "--bins", "10", "--seed", "11",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    failures = int(re.search(r"failures = (\d+)$", captured.out, re.M).group(1))
+    assert failures > 0
+    assert captured.err == (f"validation failed: {failures} bin/component cells "
+                            "beyond 4 standard errors\n")
 
 
 def test_validate_bivariate_model(tmp_path, capsys):

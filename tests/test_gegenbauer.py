@@ -15,7 +15,7 @@ from turnarcs.gegenbauer import (
     gegenbauer_log_at_one,
     gegenbauer_norm_sq,
 )
-from turnarcs.simulator import _profiles_batch
+from turnarcs.simulator import _wave_profiles
 
 EPS = np.finfo(float).eps
 
@@ -225,7 +225,7 @@ def test_shrinking_batch_matches_scipy(d, kappas, npts, seed):
     k = np.array(kappas, dtype=np.int64)
     t = rng.uniform(-1.0, 1.0, size=(k.size, npts))
     scale = rng.normal(size=k.size)
-    got = _profiles_batch(d, k, t, scale)
+    got = _wave_profiles(d, k, t, scale)
     lam = 0.5 * (d - 1)
     for i, n in enumerate(kappas):
         ref = scale[i] * eval_gegenbauer(n, lam, t[i])

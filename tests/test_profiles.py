@@ -20,14 +20,16 @@ from turnarcs.degree_sampling import GeometricDegrees, OddShiftedZeta, ShiftedZe
 from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
 from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
 from turnarcs.simulator import (
+    INTERP_STEPS,
     NODES_PER_DEGREE,
     PROFILE_ERROR_BOUND,
+    TABLE_STEP_COST,
     SimulationConfig,
-    _gegenbauer_blocked,
     _interpolate,
     _profile_nodes,
     _profile_table,
     _tabulate_pays,
+    _wave_profiles,
     draw_wave,
     simulate,
     wave_rng,
@@ -126,7 +128,7 @@ def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
     amp = np.exp(np.log(-weight) + gegenbauer_log_at_one(lam, n))
     t = np.cos(np.linspace(0.0, np.pi, 40_000) ** 2 / np.pi)   # dense near the pole
     assert _tabulate_pays(n, t.size)
-    got = _gegenbauer_blocked(lam, n, t, weight)
+    got = _wave_profiles(d, np.array([n]), t[None, :], np.array([weight]))[0]
     assert np.all(np.isfinite(got))
     sample = slice(0, None, 97)
     exact = gegenbauer_eval_weighted(lam, n, t[sample], weight)
@@ -137,9 +139,26 @@ def test_small_inputs_keep_the_exact_recurrence():
     rng = np.random.default_rng(5)
     for n, npts in ((3, 100_000), (40, 200), (500, 8_000), (20_000, 300_000)):
         assert not _tabulate_pays(n, npts)
+    # zeta-tail degrees: the cost model must not overflow int64
+    assert not np.any(_tabulate_pays(np.array([10**12, 2**62]), 300_000))
     t = rng.uniform(-1.0, 1.0, 200)
-    assert_array_equal(_gegenbauer_blocked(1.5, 40, t, 0.3),
+    assert_array_equal(_wave_profiles(4, np.array([40]), t[None, :], np.array([0.3]))[0],
                        gegenbauer_eval_weighted(1.5, 40, t, 0.3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(npts=st.integers(1, 89_999_999))
+@example(npts=10_000)
+@example(npts=89_999_999)
+def test_cost_model_matches_integer_form(npts):
+    # the float64 form decides exactly as the cost model in integers around
+    # both ends of the range of degrees where tabulating pays (it cannot pay
+    # from degree npts / 16 on)
+    top = npts // NODES_PER_DEGREE
+    n = np.concatenate([np.arange(200), np.arange(max(0, top - 2000), top + 2)])
+    integer_form = ((n + 1) * (NODES_PER_DEGREE * n + TABLE_STEP_COST) + INTERP_STEPS * npts
+                    < (n + 1) * npts)
+    assert_array_equal(_tabulate_pays(n, npts), integer_form)
 
 
 def test_large_inputs_take_the_tabulated_path():

@@ -18,6 +18,7 @@ from turnarcs.degree_sampling import (
     ShiftedZeta,
 )
 from turnarcs.gegenbauer import gegenbauer_eval
+from turnarcs.grids import LatLonGrid, build_grid
 from turnarcs import simulator
 from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
@@ -25,7 +26,8 @@ from turnarcs.simulator import (
     SimulationConfig,
     SimulationError,
     WaveParams,
-    _profiles_batch,
+    _tabulate_pays,
+    _wave_profiles,
     clt_marginal_samples,
     draw_wave,
     geodesic,
@@ -266,13 +268,13 @@ def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
     # example 2 as printed: indefinite Schoenberg matrices from degree 2 on;
     # the wave plan is drawn and factored first, so no wave is evaluated
     calls = []
-    real = simulator._wave_profile
+    real = simulator._wave_profiles
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(simulator, "_wave_profile", counting)
+    monkeypatch.setattr(simulator, "_wave_profiles", counting)
     model = BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6,
                                     allow_unverified_cross=True)
     config = SimulationConfig(model, ShiftedZeta(2.0), L=1500, seed=2)
@@ -330,8 +332,8 @@ def test_profiles_batch_scaled_matches_plain():
     kappas = rng.integers(0, 30, size=100).astype(np.int64)
     t = rng.uniform(-1, 1, size=(100, 4))
     scale = rng.normal(size=100)
-    scaled = _profiles_batch(3, kappas, t, scale)
-    plain = _profiles_batch(3, kappas, t)
+    scaled = _wave_profiles(3, kappas, t, scale)
+    plain = _wave_profiles(3, kappas, t, np.ones(100))
     assert_allclose(scaled, scale[:, None] * plain, rtol=1e-12, atol=1e-12)
 
 
@@ -350,7 +352,7 @@ def test_profiles_batch_matches_direct_eval():
     kappas = rng.integers(0, 40, size=200).astype(np.int64)
     t = rng.uniform(-1.0, 1.0, size=(200, 5))
     for d in (2, 3, 5):
-        profiles = _profiles_batch(d, kappas, t)
+        profiles = _wave_profiles(d, kappas, t, np.ones(200))
         lam = 0.5 * (d - 1)
         for i in (0, 3, 57, 199):
             assert_allclose(
@@ -360,26 +362,39 @@ def test_profiles_batch_matches_direct_eval():
             )
 
 
+def few_points(d):
+    return np.vstack([meridian_points(d, np.linspace(0.0, np.pi, 5)),
+                      sample_pole(d, np.random.default_rng(11), size=4)])
+
+
+def nb_d2_config(rate):
+    return SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(rate), L=1, seed=0)
+
+
+# case: (config, points, number of waves)
 SAME_WAVE_CASES = {
-    "nb d=2": lambda: SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=1, seed=0),
-    "circle": lambda: SimulationConfig(SequenceCovariance([0.5, 0.3, 0.2], d=1),
-                                       FiniteDegrees([0.4, 0.3, 0.3]), L=1, seed=0),
-    "f d=3": lambda: SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), L=1, seed=0),
-    "bivariate nb d=2": lambda: SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
-                                                 GeometricDegrees(0.05), L=1, seed=0),
+    "nb d=2": lambda: (nb_d2_config(0.05), few_points(2), 60),
+    "circle": lambda: (SimulationConfig(SequenceCovariance([0.5, 0.3, 0.2], d=1),
+                                        FiniteDegrees([0.4, 0.3, 0.3]), L=1, seed=0),
+                       few_points(1), 60),
+    "f d=3": lambda: (SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0),
+                                       L=1, seed=0), few_points(3), 60),
+    "bivariate nb d=2": lambda: (SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                                                  GeometricDegrees(0.05), L=1, seed=0),
+                                 few_points(2), 60),
+    # large enough that most drawn degrees are tabulated
+    "nb d=2 latlon:200x300": lambda: (nb_d2_config(0.02),
+                                      build_grid(LatLonGrid(200, 300)).points, 6),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SAME_WAVE_CASES))
 def test_single_wave_rows_equal_wave_eval_bitwise(case):
     # the batched path and the per-wave path share the projection, the
-    # weights and the recurrence: replaying the batch's (epsilon, pole,
-    # kappa, iota) through wave_eval_* must give the same doubles
-    config = SAME_WAVE_CASES[case]()
-    d, p, M = config.d, config.p, 60
-    rng = np.random.default_rng(11)
-    points = np.vstack([meridian_points(d, np.linspace(0.0, np.pi, 5)),
-                        sample_pole(d, rng, size=4)])
+    # weights and the profile function: replaying the batch's (epsilon,
+    # pole, kappa, iota) through wave_eval_* must give the same doubles
+    config, points, M = SAME_WAVE_CASES[case]()
+    d, p = config.d, config.p
     waves = single_wave_values(config, points, M, np.random.default_rng(3))
     replay = np.random.default_rng(3)
     eps = replay.integers(0, 2, size=M) * 2 - 1
@@ -387,6 +402,8 @@ def test_single_wave_rows_equal_wave_eval_bitwise(case):
     kappas = config.degrees.sample(replay, size=M)
     iotas = replay.integers(0, p, size=M) if p > 1 else [None] * M
     assert len(set(kappas.tolist())) > 1
+    if points.shape[0] > 10_000:
+        assert np.any(_tabulate_pays(kappas, points.shape[0]))
     for i in range(M):
         wave = WaveParams(int(eps[i]), poles[i], int(kappas[i]), iotas[i])
         if p == 1:
