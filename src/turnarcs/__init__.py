@@ -26,6 +26,7 @@ from .degree_sampling import (
     OddShiftedZeta,
     Recommendation,
     ShiftedZeta,
+    mu3_converges,
     recommend_distribution,
     support_covers,
     theta_prime_max,

@@ -60,6 +60,15 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    return integer
+
+
 def _float_list(text: str):
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -228,7 +237,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_coeffs(args) -> int:
     model = parse_model(args)
-    if getattr(model, "p", 1) != 1:
+    if model.p != 1:
         raise UsageError("coefficient dumps are defined for univariate models")
     table = model.coeff_table(args.n_max)
     lines = ["n,b_n"] + [f"{n},{_fmt(b)}" for n, b in enumerate(table)]
@@ -280,12 +289,9 @@ def cmd_validate(args) -> int:
     est = empirical_covariance(values, pairs, bins=args.bins, points=points)
     elapsed = time.perf_counter() - started
 
-    dots = np.clip(np.sum(points[pairs[:, 0]] * points[pairs[:, 1]], axis=1), -1, 1)
-    lags = np.arccos(dots)
     nbins = est.bin_centers.size
-    idx = np.clip(np.searchsorted(est.bin_edges, lags, side="right") - 1, 0, nbins - 1)
     p = config.p
-    theory = _theory_by_bin(model, p, lags, idx, nbins)
+    theory = _theory_by_bin(model, p, est.lags, est.pair_bins, nbins)
 
     lines = [
         f"# validation report: model={model.describe()} degrees={degrees.spec_string()}",
@@ -329,7 +335,7 @@ def cmd_validate(args) -> int:
 def cmd_mu3(args) -> int:
     model = parse_model(args)
     degrees, _ = resolve_degrees(args, model)
-    components = [model] if getattr(model, "p", 1) == 1 else [
+    components = [model] if model.p == 1 else [
         model.component(i) for i in range(model.p)
     ]
     for i, spec in enumerate(components):
@@ -414,7 +420,7 @@ def build_parser() -> _Parser:
 
     coeffs = commands.add_parser("coeffs", help="dump Schoenberg coefficients as CSV")
     _add_model_flags(coeffs)
-    coeffs.add_argument("--n-max", type=int, required=True)
+    coeffs.add_argument("--n-max", type=_at_least(0), required=True)
     coeffs.add_argument("--out", default=None)
     coeffs.set_defaults(func=cmd_coeffs)
 
@@ -432,8 +438,8 @@ def build_parser() -> _Parser:
     val.add_argument("--L", type=int, default=100)
     val.add_argument("--M", type=int, default=200, help="independent realizations")
     val.add_argument("--grid", default="latlon:8x16")
-    val.add_argument("--bins", type=int, default=20)
-    val.add_argument("--max-pairs", type=int, default=20_000)
+    val.add_argument("--bins", type=_at_least(1), default=20)
+    val.add_argument("--max-pairs", type=_at_least(1), default=20_000)
     val.add_argument("--seed", type=int, default=0)
     val.add_argument("--out", default=None, help="also write the report here")
     val.set_defaults(func=cmd_validate)
@@ -442,7 +448,7 @@ def build_parser() -> _Parser:
     _add_model_flags(mu3)
     _add_degree_flags(mu3)
     mu3.add_argument("--L", type=int, default=1500)
-    mu3.add_argument("--n-max", type=int, default=None)
+    mu3.add_argument("--n-max", type=_at_least(0), default=None)
     mu3.set_defaults(func=cmd_mu3)
 
     rec = commands.add_parser("recommend", help="degree-law selection for a model")

@@ -87,6 +87,10 @@ class Covariance:
     def coeff_table(self, n_max: int) -> np.ndarray:
         return np.exp(self.log_schoenberg_coeff(np.arange(n_max + 1)))
 
+    def magnitude_table(self, n_max: int) -> np.ndarray:
+        """|b_n| per degree (support bookkeeping); the coefficients themselves."""
+        return self.coeff_table(n_max)
+
     def covariance(self, theta):
         raise NotImplementedError
 
@@ -645,10 +649,38 @@ def _check_psd(B: np.ndarray, context: str) -> None:
         )
 
 
-class BivariateNegativeBinomial(MultiCovariance):
-    """Two coupled geometric-sequence components with a scaled cross sequence."""
+class _BivariateFromScalars(MultiCovariance):
+    """Bivariate model assembled from three scalar models: the two
+    components and a cross model whose coefficients and covariance are
+    scaled by rho.  Subclasses name the three models in _models()."""
 
     p = 2
+
+    def _models(self) -> tuple:
+        """The scalar models of entries 11, 12 and 22."""
+        raise NotImplementedError
+
+    def component(self, i: int) -> Covariance:
+        return self._models()[2 * i]
+
+    def _matrix(self, n: int) -> np.ndarray:
+        m11, m12, m22 = self._models()
+        b12 = self.rho * m12.schoenberg_coeff(n)
+        return np.array([[m11.schoenberg_coeff(n), b12], [b12, m22.schoenberg_coeff(n)]])
+
+    def covariance(self, theta):
+        m11, m12, m22 = self._models()
+        k12 = self.rho * m12.covariance(theta)
+        return np.array([[m11.covariance(theta), k12], [k12, m22.covariance(theta)]])
+
+    def magnitude_table(self, n_max: int) -> np.ndarray:
+        m11, m12, m22 = self._models()
+        return np.max([m11.coeff_table(n_max), m22.coeff_table(n_max),
+                       abs(self.rho) * m12.coeff_table(n_max)], axis=0)
+
+
+class BivariateNegativeBinomial(_BivariateFromScalars):
+    """Two coupled geometric-sequence components with a scaled cross sequence."""
 
     def __init__(self, delta11: float, delta12: float, delta22: float, rho: float,
                  d: int = 2):
@@ -681,28 +713,9 @@ class BivariateNegativeBinomial(MultiCovariance):
             )
         return out
 
-    def component(self, i: int) -> NegativeBinomial:
-        return NegativeBinomial([self.delta11, self.delta22][i], d=self.d)
-
-    def _matrix(self, n: int) -> np.ndarray:
-        b11 = NegativeBinomial(self.delta11, self.d).schoenberg_coeff(n)
-        b22 = NegativeBinomial(self.delta22, self.d).schoenberg_coeff(n)
-        b12 = self.rho * NegativeBinomial(self.delta12, self.d).schoenberg_coeff(n)
-        return np.array([[b11, b12], [b12, b22]])
-
-    def covariance(self, theta):
-        k11 = NegativeBinomial(self.delta11, self.d).covariance(theta)
-        k22 = NegativeBinomial(self.delta22, self.d).covariance(theta)
-        k12 = self.rho * NegativeBinomial(self.delta12, self.d).covariance(theta)
-        return np.array([[k11, k12], [k12, k22]])
-
-    def magnitude_table(self, n_max: int) -> np.ndarray:
-        tables = [
-            NegativeBinomial(self.delta11, self.d).coeff_table(n_max),
-            NegativeBinomial(self.delta22, self.d).coeff_table(n_max),
-            abs(self.rho) * NegativeBinomial(self.delta12, self.d).coeff_table(n_max),
-        ]
-        return np.max(tables, axis=0)
+    def _models(self):
+        return tuple(NegativeBinomial(delta, self.d)
+                     for delta in (self.delta11, self.delta12, self.delta22))
 
     def describe(self) -> str:
         return (f"nb2(delta11={self.delta11:g}, delta12={self.delta12:g}, "
@@ -712,7 +725,7 @@ class BivariateNegativeBinomial(MultiCovariance):
         return ("geometric", max(self.delta11, self.delta22))
 
 
-class BivariateSpectralMatern(MultiCovariance):
+class BivariateSpectralMatern(_BivariateFromScalars):
     """Two coupled power-law components; cross sequence scaled by rho.
 
     The documented sufficient validity condition can be waived with
@@ -721,7 +734,6 @@ class BivariateSpectralMatern(MultiCovariance):
     way and will reject degrees where the waived parameters break down.
     """
 
-    p = 2
     closed_form_covariance = False
 
     def __init__(self, alpha: float, nu11: float, nu12: float, nu22: float,
@@ -759,28 +771,9 @@ class BivariateSpectralMatern(MultiCovariance):
             )
         return out
 
-    def component(self, i: int) -> SpectralMatern:
-        return SpectralMatern(self.alpha, [self.nu11, self.nu22][i], d=self.d)
-
-    def _matrix(self, n: int) -> np.ndarray:
-        b11 = SpectralMatern(self.alpha, self.nu11, self.d).schoenberg_coeff(n)
-        b22 = SpectralMatern(self.alpha, self.nu22, self.d).schoenberg_coeff(n)
-        b12 = self.rho * SpectralMatern(self.alpha, self.nu12, self.d).schoenberg_coeff(n)
-        return np.array([[b11, b12], [b12, b22]])
-
-    def covariance(self, theta):
-        k11 = SpectralMatern(self.alpha, self.nu11, self.d).covariance(theta)
-        k22 = SpectralMatern(self.alpha, self.nu22, self.d).covariance(theta)
-        k12 = self.rho * SpectralMatern(self.alpha, self.nu12, self.d).covariance(theta)
-        return np.array([[k11, k12], [k12, k22]])
-
-    def magnitude_table(self, n_max: int) -> np.ndarray:
-        tables = [
-            SpectralMatern(self.alpha, self.nu11, self.d).coeff_table(n_max),
-            SpectralMatern(self.alpha, self.nu22, self.d).coeff_table(n_max),
-            abs(self.rho) * SpectralMatern(self.alpha, self.nu12, self.d).coeff_table(n_max),
-        ]
-        return np.max(tables, axis=0)
+    def _models(self):
+        return tuple(SpectralMatern(self.alpha, nu, self.d)
+                     for nu in (self.nu11, self.nu12, self.nu22))
 
     def describe(self) -> str:
         return (f"sm2(alpha={self.alpha:g}, nu11={self.nu11:g}, nu12={self.nu12:g}, "

@@ -4,7 +4,9 @@ A degree law is admissible for a covariance model when its support contains
 the support of the model's Schoenberg sequence.  Beyond admissibility, the
 tail of the law controls whether the third absolute moment of a single wave
 is finite, hence whether the normal-approximation error of the wave ensemble
-decays like 1/sqrt(L); recommend_distribution encodes those criteria.
+decays like 1/sqrt(L).  mu3_converges is that criterion; the moment series
+(diagnostics.mu3_wave) is screened by it and recommend_distribution chooses
+inside it.
 """
 
 from dataclasses import dataclass
@@ -23,12 +25,14 @@ __all__ = [
     "Recommendation",
     "recommend_distribution",
     "theta_prime_max",
+    "mu3_converges",
     "support_covers",
 ]
 
 
 class DegreeDistribution:
-    """Common interface: pmf/log_pmf, exact sampling, support membership."""
+    """Common interface: pmf/log_pmf, exact sampling, support membership and
+    the tail class."""
 
     def pmf(self, n):
         raise NotImplementedError
@@ -42,6 +46,11 @@ class DegreeDistribution:
         raise NotImplementedError
 
     def in_support(self, n):
+        raise NotImplementedError
+
+    def tail(self):
+        """('finite', last atom), ('geometric', 1-p) or ('zeta', theta):
+        the pmf's decay, which mu3_converges weighs against the model's."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -83,6 +92,9 @@ class FiniteDegrees(DegreeDistribution):
         out[inside] = self.probs[n_arr[inside]] > 0.0
         return bool(out[0]) if np.ndim(n) == 0 else out
 
+    def tail(self):
+        return ("finite", int(np.flatnonzero(self.probs)[-1]))
+
     def spec_string(self):
         return "finite:" + ",".join(f"{p:.17g}" for p in self.probs)
 
@@ -113,6 +125,9 @@ class GeometricDegrees(DegreeDistribution):
         n_arr = np.asarray(n)
         out = n_arr >= 0
         return bool(out) if np.ndim(n) == 0 else np.atleast_1d(out)
+
+    def tail(self):
+        return ("geometric", 1.0 - self.p)
 
     def spec_string(self):
         return f"geometric:{self.p:g}"
@@ -145,13 +160,8 @@ def _devroye_zeta(theta: float, rng, count: int) -> np.ndarray:
     return out
 
 
-class ShiftedZeta(DegreeDistribution):
-    """a_n = (n+1)^(-theta) / zeta(theta) on n >= 0.
-
-    The classical zeta law lives on {1, 2, ...}; shifting it down by one keeps
-    the polynomial tail needed by the convergence criterion while covering
-    degree 0, which every catalog model except the odd-degree one loads.
-    """
+class _ZetaLaw(DegreeDistribution):
+    """Exponent theta > 1 and the polynomial tail shared by the zeta laws."""
 
     def __init__(self, theta: float):
         if not theta > 1.0:
@@ -161,6 +171,18 @@ class ShiftedZeta(DegreeDistribution):
 
     def pmf(self, n):
         return np.exp(self.log_pmf(n))
+
+    def tail(self):
+        return ("zeta", self.theta)
+
+
+class ShiftedZeta(_ZetaLaw):
+    """a_n = (n+1)^(-theta) / zeta(theta) on n >= 0.
+
+    The classical zeta law lives on {1, 2, ...}; shifting it down by one keeps
+    the polynomial tail needed by the convergence criterion while covering
+    degree 0, which every catalog model except the odd-degree one loads.
+    """
 
     def log_pmf(self, n):
         n_arr = np.atleast_1d(np.asarray(n, dtype=float))
@@ -183,17 +205,8 @@ class ShiftedZeta(DegreeDistribution):
         return f"zeta:{self.theta:g}"
 
 
-class OddShiftedZeta(DegreeDistribution):
+class OddShiftedZeta(_ZetaLaw):
     """Mass (m+1)^(-theta)/zeta(theta) on the odd degrees 2m+1, m >= 0."""
-
-    def __init__(self, theta: float):
-        if not theta > 1.0:
-            raise ValueError(f"zeta exponent must exceed 1, got {theta}")
-        self.theta = float(theta)
-        self._zeta = float(riemann_zeta(self.theta))
-
-    def pmf(self, n):
-        return np.exp(self.log_pmf(n))
 
     def log_pmf(self, n):
         n_arr = np.atleast_1d(np.asarray(n, dtype=float))
@@ -232,6 +245,24 @@ def theta_prime_max(theta: float, d: int) -> float:
     return 3.0 * theta - 5.0 - 6.0 * ((d - 1) // 2)
 
 
+def mu3_converges(decay, tail, d: int) -> bool:
+    """Whether the third absolute moment of one wave, the series of
+    a_n |w_n|^3 mu3_gegenbauer(n, d), is finite for coefficient decay
+    `decay` (model.decay()) under a degree law of tail `tail` (law.tail()).
+
+    A finite model or law gives a finite sum.  Geometric coefficients with
+    root r need a zeta law or a geometric one with 1-p > r^3; polynomial
+    coefficients n^-theta need a zeta law with exponent below
+    theta_prime_max(theta, d)."""
+    bkind, bval = decay
+    akind, aval = tail
+    if bkind == "finite" or akind == "finite":
+        return True
+    if bkind == "geometric":
+        return akind == "zeta" or bval**3 < aval
+    return akind == "zeta" and aval < theta_prime_max(bval, d)
+
+
 @dataclass
 class Recommendation:
     distribution: DegreeDistribution
@@ -245,13 +276,17 @@ def recommend_distribution(spec) -> Recommendation:
 
     Case 1: finitely supported coefficients -> matching finite pmf weighted
     by the wave energy b_n G_n(1).  Case 2: geometric decay with root r ->
-    geometric law with 1-p >= r^3.  Case 3: polynomial decay n^-theta ->
-    (odd-)shifted zeta with exponent inside (1, theta_prime_max); when that
-    interval is empty the default exponent 2 is returned together with a
-    warning that the normal-approximation bound is not guaranteed finite.
+    geometric law with p = min(0.01, (1 - r^3)/2), so 1-p > r^3 strictly.
+    Case 3: polynomial decay n^-theta -> (odd-)shifted zeta with exponent at
+    the midpoint of (1, theta_prime_max), at most 2; when that interval is
+    empty the default exponent 2 is returned.  A law outside mu3_converges
+    carries a warning that the normal-approximation bound is not guaranteed
+    finite.
     """
-    kind, value = spec.decay()
+    decay = spec.decay()
+    kind, value = decay
     d = spec.d
+    interval = None
     if kind == "finite":
         n_last = int(value)
         degrees = np.arange(n_last + 1)
@@ -260,39 +295,24 @@ def recommend_distribution(spec) -> Recommendation:
         finite = np.isfinite(log_w)
         w = np.zeros(n_last + 1)
         w[finite] = np.exp(log_w[finite] - log_w[finite].max())
-        return Recommendation(FiniteDegrees(w / w.sum()), case=1)
-    if kind == "geometric":
-        r = float(value)
-        p = min(0.01, 1.0 - r**3)
-        return Recommendation(GeometricDegrees(p), case=2)
-    theta = float(value)
-    tp_max = theta_prime_max(theta, d)
-    interval = (1.0, tp_max)
-    make = OddShiftedZeta if spec.odd_support else ShiftedZeta
-    if tp_max <= 1.0:
-        return Recommendation(
-            make(2.0),
-            case=3,
-            interval=interval,
-            warning="Berry-Esseen bound not guaranteed finite",
-        )
-    tp = min(2.0, 0.5 * (1.0 + tp_max))
-    return Recommendation(make(tp), case=3, interval=interval)
+        law, case = FiniteDegrees(w / w.sum()), 1
+    elif kind == "geometric":
+        law, case = GeometricDegrees(min(0.01, 0.5 * (1.0 - value**3))), 2
+    else:
+        tp_max = theta_prime_max(value, d)
+        interval = (1.0, tp_max)
+        make = OddShiftedZeta if spec.odd_support else ShiftedZeta
+        law, case = make(min(2.0, 0.5 * (1.0 + tp_max)) if tp_max > 1.0 else 2.0), 3
+    warning = (None if mu3_converges(decay, law.tail(), d)
+               else "Berry-Esseen bound not guaranteed finite")
+    return Recommendation(law, case=case, interval=interval, warning=warning)
 
 
 def _scalar_log_coeffs(spec, n_max: int) -> np.ndarray:
     if hasattr(spec, "log_schoenberg_coeff"):
         return np.atleast_1d(spec.log_schoenberg_coeff(np.arange(n_max + 1)))
     with np.errstate(divide="ignore"):
-        return np.log(_magnitude_table(spec, n_max))
-
-
-def _magnitude_table(spec, n_max: int) -> np.ndarray:
-    """Per-degree coefficient magnitude: |b_n| for scalar models, the largest
-    matrix entry in absolute value for multivariate ones."""
-    if getattr(spec, "p", 1) == 1:
-        return spec.coeff_table(n_max)
-    return spec.magnitude_table(n_max)
+        return np.log(spec.magnitude_table(n_max))
 
 
 def support_covers(dist: DegreeDistribution, spec, n_max: int):
@@ -300,7 +320,7 @@ def support_covers(dist: DegreeDistribution, spec, n_max: int):
     otherwise the first uncovered degree."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    magnitude = _magnitude_table(spec, n_max)
+    magnitude = spec.magnitude_table(n_max)
     needed = np.nonzero(magnitude > NUMERIC_ZERO)[0]
     if needed.size == 0:
         return None

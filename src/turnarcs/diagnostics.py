@@ -15,8 +15,9 @@ import numpy as np
 from scipy.special import gammaln, ndtr, roots_gegenbauer
 
 from .covariance import QuadratureError
+from .degree_sampling import mu3_converges, theta_prime_max
 from .gegenbauer import gegenbauer_eval
-from .simulator import Realization, sample_pole
+from .simulator import Realization, _wave_weights, sample_pole
 
 __all__ = [
     "XI",
@@ -51,6 +52,8 @@ class CovarianceEstimate:
     estimate: np.ndarray
     se: np.ndarray
     empty_bins: list
+    lags: np.ndarray            # geodesic lag of each pair
+    pair_bins: np.ndarray       # bin index of each pair, -1 outside the edges
 
 
 def _stack_realizations(realizations, points):
@@ -76,7 +79,9 @@ def empirical_covariance(realizations, pairs, bins=20, points=None) -> Covarianc
 
     realizations: sequence of Realization sharing one point set, or an
     (M, npts, p) array together with `points`.  pairs: (npairs, 2) point
-    indices.  bins: a count (equal-width on [0, pi]) or explicit edges.
+    indices.  bins: a count (equal-width on [0, pi]) or explicit strictly
+    increasing edges within [0, pi]; bins are half-open except the last,
+    which holds its upper edge, and pairs outside the edges count in no bin.
     Standard errors come from the spread of per-realization bin means, so at
     least two realizations are required.
     """
@@ -88,14 +93,23 @@ def empirical_covariance(realizations, pairs, bins=20, points=None) -> Covarianc
     if pairs.shape[1] != 2 or np.any(pairs < 0) or np.any(pairs >= npts):
         raise ValueError("pairs must be valid point-index pairs")
 
+    if np.isscalar(bins):
+        if bins < 1:
+            raise ValueError(f"need at least one lag bin, got {bins}")
+        edges = np.linspace(0.0, np.pi, bins + 1)
+    else:
+        edges = np.asarray(bins, dtype=float)
+        if (edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0)
+                or not 0.0 <= edges[0] <= edges[-1] <= np.pi):
+            raise ValueError("bin edges must be strictly increasing within [0, pi]")
+    nbins = edges.size - 1
     dots = np.clip(np.sum(pts[pairs[:, 0]] * pts[pairs[:, 1]], axis=1), -1.0, 1.0)
     lags = np.arccos(dots)
-    edges = (np.linspace(0.0, np.pi, bins + 1) if np.isscalar(bins)
-             else np.asarray(bins, dtype=float))
-    nbins = edges.size - 1
-    idx = np.clip(np.searchsorted(edges, lags, side="right") - 1, 0, nbins - 1)
+    idx = np.searchsorted(edges, lags, side="right") - 1
+    idx[lags == edges[-1]] = nbins - 1
+    idx[idx >= nbins] = -1
 
-    counts = np.bincount(idx, minlength=nbins)
+    counts = np.bincount(idx[idx >= 0], minlength=nbins)
     per_real = np.full((M, nbins, p, p), np.nan)
     for b in range(nbins):
         rows = np.nonzero(idx == b)[0]
@@ -111,7 +125,7 @@ def empirical_covariance(realizations, pairs, bins=20, points=None) -> Covarianc
     centers = 0.5 * (edges[:-1] + edges[1:])
     return CovarianceEstimate(
         bin_edges=edges, bin_centers=centers, counts=counts,
-        estimate=estimate, se=se, empty_bins=empty,
+        estimate=estimate, se=se, empty_bins=empty, lags=lags, pair_bins=idx,
     )
 
 
@@ -192,43 +206,18 @@ class Mu3Result:
         return self.tail_bound / self.value if self.value > 0 else 0.0
 
 
-def _mu3_poly_exponent(theta: float, theta_prime: float, d: int) -> float:
-    """Decay exponent s of the series terms for coefficient decay n^-theta
-    under a zeta degree law; the series converges iff s > 1."""
-    s = 0.5 * (3.0 * theta - theta_prime)
-    if d == 3:
-        s -= 1.5
-    elif d >= 4:
-        s -= 1.5 + 3.0 * ((d - 1) // 2)
-    return s
-
-
-def _dist_tail(dist):
-    """('finite', None) | ('geometric', 1-p) | ('zeta', theta_prime)"""
-    from .degree_sampling import (FiniteDegrees, GeometricDegrees,
-                                  OddShiftedZeta, ShiftedZeta)
-
-    if isinstance(dist, FiniteDegrees):
-        return ("finite", None)
-    if isinstance(dist, GeometricDegrees):
-        return ("geometric", 1.0 - dist.p)
-    if isinstance(dist, (ShiftedZeta, OddShiftedZeta)):
-        return ("zeta", dist.theta)
-    raise TypeError(f"unsupported degree law {type(dist).__name__}")
-
-
-def _term(spec, dist, d: int, n: int) -> float:
-    log_b = float(spec.log_schoenberg_coeff(n))
-    if log_b == -np.inf:
-        return 0.0
-    log_a = float(dist.log_pmf(n))
-    log_t = (
-        1.5 * log_b
-        + 1.5 * np.log(2.0 * n + d - 1.0)
-        - 0.5 * log_a
-        - 1.5 * np.log(d - 1.0)
-    )
-    return float(np.exp(log_t)) * mu3_gegenbauer(n, d)
+def _mu3_series(spec, dist, n_last: int):
+    """Degrees 0..n_last in the law's support and their moment terms
+    a_n |w_n|^3 mu3_gegenbauer(n, d), with w_n the simulator's wave weight;
+    a degree whose model coefficient vanishes contributes a zero term.  The
+    cube is taken of a_n^(1/3) w_n: w_n^3 alone carries a_n^(-3/2) and can
+    overflow on a light atom whose term is finite."""
+    degrees = np.arange(n_last + 1)
+    degrees = degrees[dist.in_support(degrees)]
+    terms = (np.cbrt(dist.pmf(degrees)) * _wave_weights(spec, dist, degrees)) ** 3
+    for i in np.flatnonzero(terms):
+        terms[i] *= mu3_gegenbauer(int(degrees[i]), spec.d)
+    return degrees, terms
 
 
 def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = 1e-4) -> Mu3Result:
@@ -236,39 +225,26 @@ def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = 1e-4) -> Mu3
 
     Sums the exact terms up to a truncation degree and reports an analytic
     envelope bound on the dropped tail.  When the degree law's tail is too
-    light for the coefficient decay the series diverges and the result is
-    flagged infinite instead of fabricating a number.
+    light for the coefficient decay (degree_sampling.mu3_converges fails)
+    the series diverges and the result is flagged infinite instead of
+    fabricating a number.
     """
     d = spec.d
     if d < 2:
         raise ValueError("the wave moment series is defined for d >= 2")
     bkind, bval = spec.decay()
-    akind, aval = _dist_tail(dist)
-
-    if bkind == "finite":
-        degrees = [n for n in range(int(bval) + 1) if dist.in_support(n)]
-        total = sum(_term(spec, dist, d, n) for n in degrees)
-        return Mu3Result(value=float(total), tail_bound=0.0, n_max=int(bval), finite=True)
-    if akind == "finite":
-        degrees = np.nonzero(dist.probs > 0.0)[0]
-        total = sum(_term(spec, dist, d, int(n)) for n in degrees)
-        return Mu3Result(value=float(total), tail_bound=0.0, n_max=int(degrees[-1]), finite=True)
-
-    # divergence screening
-    if bkind == "geometric" and akind == "geometric" and bval**3 >= aval:
+    akind, aval = dist.tail()
+    if not mu3_converges((bkind, bval), (akind, aval), d):
         return Mu3Result(value=np.inf, tail_bound=np.inf, n_max=0, finite=False)
-    if bkind == "poly":
-        if akind == "geometric":
-            return Mu3Result(value=np.inf, tail_bound=np.inf, n_max=0, finite=False)
-        if _mu3_poly_exponent(bval, aval, d) <= 1.0:
-            return Mu3Result(value=np.inf, tail_bound=np.inf, n_max=0, finite=False)
+    if "finite" in (bkind, akind):
+        n_last = int(bval if bkind == "finite" else aval)
+        _, terms = _mu3_series(spec, dist, n_last)
+        return Mu3Result(value=float(np.sum(terms)), tail_bound=0.0, n_max=n_last, finite=True)
 
     # polynomial growth of everything except b^(3/2)/sqrt(a) in the terms
     growth = 1.5 + (3.0 * ((d - 1) // 2) if d >= 4 else 0.0)
 
     def tail_bound(n_trunc: int, last_term: float) -> float:
-        if last_term == 0.0:
-            return 0.0
         if bkind == "geometric":
             ratio = bval**1.5 / (np.sqrt(aval) if akind == "geometric" else 1.0)
             step = 2.0 if spec.odd_support else 1.0
@@ -277,7 +253,8 @@ def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = 1e-4) -> Mu3
             if rho >= 1.0:
                 return np.inf
             return 1.5 * last_term * rho / (1.0 - rho)
-        s = _mu3_poly_exponent(bval, aval, d)
+        # the terms decay like n^-s (times log n on d=3), s > 1 by the screen
+        s = 1.0 + 0.5 * (theta_prime_max(bval, d) - aval)
         scale = 1.5 * last_term * float(n_trunc) ** s
         if d == 3:
             # integral of x^-s log x from n_trunc
@@ -290,16 +267,16 @@ def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = 1e-4) -> Mu3
     auto = n_max is None
     n_trunc = 64 if auto else int(n_max)
     while True:
-        terms = [(n, _term(spec, dist, d, n))
-                 for n in range(n_trunc + 1) if dist.in_support(n)]
-        total = sum(t for _, t in terms)
+        degrees, terms = _mu3_series(spec, dist, n_trunc)
+        total = float(np.sum(terms))
         # anchor the envelope on the last nonzero term: the law may load
         # degrees where the model coefficient vanishes (e.g. even degrees of
         # an odd-only model), and those say nothing about the tail
-        nonzero = [(n, t) for n, t in terms if t > 0.0]
-        bound = tail_bound(*nonzero[-1]) if nonzero else 0.0
+        nonzero = np.flatnonzero(terms)
+        bound = (tail_bound(int(degrees[nonzero[-1]]), float(terms[nonzero[-1]]))
+                 if nonzero.size else 0.0)
         if not auto or bound <= rel_tol * total or n_trunc >= 1024:
-            return Mu3Result(value=float(total), tail_bound=float(bound),
+            return Mu3Result(value=total, tail_bound=float(bound),
                              n_max=n_trunc, finite=True)
         n_trunc *= 2
 

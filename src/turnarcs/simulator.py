@@ -109,7 +109,7 @@ class SimulationConfig:
 
     @property
     def p(self) -> int:
-        return getattr(self.model, "p", 1)
+        return self.model.p
 
     def factor_columns(self, degree: int) -> np.ndarray:
         """Square-root factor of the Schoenberg matrix at one degree, cached."""
@@ -269,21 +269,21 @@ def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wave_weights(config: SimulationConfig, degrees) -> np.ndarray:
-    """Weights of waves of the given degrees, vectorized:
-    sqrt(b_k (2k+d-1) / (a_k (d-1))) on d >= 2 and sqrt(c_k b_k / a_k) on the
-    circle (c_0 = 1, c_k = 2), where a_k is the degree law's mass and b_k the
-    Schoenberg coefficient, or p for multivariate models (whose factor
-    column is applied by the caller).  Computed in log space; a degree of
-    zero probability is rejected."""
+def _wave_weights(model, law, degrees) -> np.ndarray:
+    """Weights of waves of the given degrees under a model and a degree law,
+    vectorized: sqrt(b_k (2k+d-1) / (a_k (d-1))) on d >= 2 and
+    sqrt(c_k b_k / a_k) on the circle (c_0 = 1, c_k = 2), where a_k is the
+    law's mass and b_k the Schoenberg coefficient, or p for multivariate
+    models (whose factor column is applied by the caller).  Computed in log
+    space; a degree of zero probability is rejected."""
     kappas = np.asarray(degrees, dtype=np.int64)
-    outside = ~np.asarray(config.degrees.in_support(kappas), dtype=bool)
+    outside = ~np.asarray(law.in_support(kappas), dtype=bool)
     if outside.any():
         raise SimulationError(
             f"degree {kappas[outside][0]} has zero probability under the degree law")
-    d, p = config.d, config.p
-    log_a = config.degrees.log_pmf(kappas)
-    log_b = config.model.log_schoenberg_coeff(kappas) if p == 1 else np.log(p)
+    d, p = model.d, model.p
+    log_a = law.log_pmf(kappas)
+    log_b = model.log_schoenberg_coeff(kappas) if p == 1 else np.log(p)
     if d == 1:
         log_c = np.where(kappas == 0, 0.0, np.log(2.0))
         return np.exp(0.5 * (log_c + log_b - log_a))
@@ -353,7 +353,7 @@ def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
     """Values of one wave at unchecked points, shape (npts, p)."""
     points = check_points(points, config.d)
     degree = np.array([wave.degree])
-    signed = wave.epsilon * _wave_weights(config, degree)
+    signed = wave.epsilon * _wave_weights(config.model, config.degrees, degree)
     t = (points @ wave.pole)[None, :]
     return _wave_values(config, t, degree, signed, np.array([wave.component]))[0]
 
@@ -387,7 +387,8 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     L = config.L
     plan = [draw_wave(config, wave_rng(config.seed, idx)) for idx in range(L)]
     degrees = np.array([wave.degree for wave in plan])
-    signed = np.array([wave.epsilon for wave in plan]) * _wave_weights(config, degrees)
+    signed = (np.array([wave.epsilon for wave in plan])
+              * _wave_weights(config.model, config.degrees, degrees))
     components = np.array([wave.component for wave in plan])
     if config.p > 1:
         for degree in dict.fromkeys(degrees.tolist()):
@@ -439,7 +440,8 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     # one matrix-vector product per wave, as points @ pole in simulate, so a
     # row equals wave_eval_* of the same wave bit for bit
     t = np.matmul(points, poles[:, :, None])[:, :, 0]
-    return _wave_values(config, t, kappas, eps * _wave_weights(config, kappas), iotas)
+    signed = eps * _wave_weights(config.model, config.degrees, kappas)
+    return _wave_values(config, t, kappas, signed, iotas)
 
 
 def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:

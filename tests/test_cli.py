@@ -339,6 +339,19 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
     assert "(0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["validate", "--model", "nb", "--delta", "0.5", "--max-pairs", "0"], "--max-pairs"),
+    (["validate", "--model", "nb", "--delta", "0.5", "--bins", "0"], "--bins"),
+    (["coeffs", "--model", "nb", "--delta", "0.5", "--n-max", "-1"], "--n-max"),
+    (["mu3", "--model", "nb", "--delta", "0.5", "--n-max", "-2"], "--n-max"),
+])
+def test_out_of_range_count_flag_exits_one(argv, flag, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
+
+
 def test_grid_model_dimension_mismatch(tmp_path):
     code = main([
         "simulate", "--model", "nb", "--d", "3", "--delta", "0.5",

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as hurwitz_zeta
 from scipy.stats import chi2
 
 from turnarcs.covariance import (
+    BivariateNegativeBinomial,
+    BivariateSpectralMatern,
     Chentsov,
     Exponential,
     GeneralizedF,
@@ -16,10 +20,12 @@ from turnarcs.degree_sampling import (
     GeometricDegrees,
     OddShiftedZeta,
     ShiftedZeta,
+    mu3_converges,
     recommend_distribution,
     support_covers,
     theta_prime_max,
 )
+from turnarcs.diagnostics import mu3_wave
 
 
 def gof_pvalue(dist, draws, cells=50):
@@ -189,8 +195,96 @@ def test_recommend_finite_sequence():
 @pytest.mark.parametrize("delta", [0.1, 0.5, 0.9, 0.999])
 def test_case2_criterion_symbolic(delta):
     rec = recommend_distribution(NegativeBinomial(delta, d=2))
-    # the n-th root of the geometric pmf tends to 1-p, which must be >= delta^3
-    assert 1.0 - rec.distribution.p >= delta**3
+    # the n-th root of the geometric pmf tends to 1-p, which must exceed delta^3
+    assert 1.0 - rec.distribution.p > delta**3
+
+
+@pytest.mark.parametrize(
+    "dist, tail",
+    [
+        (FiniteDegrees([0.2, 0.3, 0.5, 0.0]), ("finite", 2)),
+        (GeometricDegrees(0.25), ("geometric", 0.75)),
+        (ShiftedZeta(2.5), ("zeta", 2.5)),
+        (OddShiftedZeta(1.5), ("zeta", 1.5)),
+    ],
+)
+def test_tail_of_each_law(dist, tail):
+    assert dist.tail() == tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(0.5, 20.0), d=st.integers(1, 40))
+@example(theta=2.0, d=2)        # Chentsov on the 2-sphere: interval (1, 4)
+@example(theta=8.0, d=8)        # Chentsov on the 8-sphere: empty interval
+def test_convergence_test_matches_theta_prime_max_at_both_ends(theta, d):
+    # zeta exponents are > 1, so the interval is (1, theta_prime_max)
+    decay = ("poly", theta)
+    tp_max = theta_prime_max(theta, d)
+    below_top = np.nextafter(tp_max, -np.inf)
+    above_one = np.nextafter(1.0, np.inf)
+    assert not mu3_converges(decay, ("zeta", tp_max), d)
+    if below_top > 1.0:
+        assert mu3_converges(decay, ("zeta", below_top), d)
+    assert mu3_converges(decay, ("zeta", above_one), d) == (above_one < tp_max)
+    assert not mu3_converges(decay, ("geometric", 0.5), d)
+    assert mu3_converges(decay, ("finite", 3), d)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.999])
+def test_convergence_test_geometric_boundary_is_strict(r):
+    decay = ("geometric", r)
+    assert not mu3_converges(decay, ("geometric", r**3), 2)
+    assert mu3_converges(decay, ("geometric", np.nextafter(r**3, 2.0)), 2)
+    assert mu3_converges(decay, ("zeta", 1.5), 5)
+
+
+D = st.integers(2, 10)
+UNIT = st.floats(0.01, 0.99)
+NB_DELTA = st.one_of(UNIT, st.floats(0.99, 1.0, exclude_min=True, exclude_max=True))
+POSITIVE = st.floats(0.05, 5.0)
+
+
+@st.composite
+def bivariate_nb(draw):
+    d11, d22, u, v = draw(NB_DELTA), draw(NB_DELTA), draw(UNIT), draw(UNIT)
+    d12 = u * min(d11, d22)
+    bound = np.sqrt((1.0 - d11) * (1.0 - d22)) / (1.0 - d12)
+    return BivariateNegativeBinomial(d11, d12, d22, rho=v * bound, d=draw(D))
+
+
+@st.composite
+def bivariate_sm(draw):
+    alpha, nu11, nu22 = draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)
+    nu12 = 0.5 * (nu11 + nu22) + draw(UNIT)
+    bound = min(1.0, alpha ** (2.0 * nu12 - nu11 - nu22))
+    return BivariateSpectralMatern(alpha, nu11, nu12, nu22, rho=draw(UNIT) * bound, d=draw(D))
+
+
+CATALOG = st.one_of(
+    st.builds(NegativeBinomial, NB_DELTA, d=D),
+    st.builds(SpectralMatern, POSITIVE, POSITIVE, d=D),
+    D.flatmap(lambda d: st.builds(GeneralizedF, POSITIVE, st.floats(d - 1.95, d + 3.0),
+                                  POSITIVE, d=st.just(d))),
+    st.builds(Chentsov, d=D),
+    st.builds(Exponential, POSITIVE, d=D),
+    st.builds(SequenceCovariance,
+              st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any), d=D),
+    bivariate_nb(),
+    bivariate_sm(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=CATALOG)
+@example(model=NegativeBinomial(0.999, d=2))
+@example(model=Chentsov(d=8))
+def test_recommended_law_has_finite_mu3_unless_warned(model):
+    # the finite flag is settled before any term is summed, so a short
+    # truncation keeps the check cheap
+    rec = recommend_distribution(model)
+    components = [model] if model.p == 1 else [model.component(i) for i in range(model.p)]
+    finite = all(mu3_wave(c, rec.distribution, n_max=8).finite for c in components)
+    assert finite == (rec.warning is None)
 
 
 def test_theta_prime_max_branches():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from turnarcs.covariance import (
@@ -118,6 +120,43 @@ def test_mu3_wave_divergence_flag():
     out = mu3_wave(Chentsov(d=8), OddShiftedZeta(2.0))
     assert not out.finite
     assert np.isinf(out.value)
+
+
+def _log_space_mu3(spec, dist, degrees):
+    """The moment series written term by term in log space,
+    b^1.5 (2n+d-1)^1.5 a^-0.5 (d-1)^-1.5 mu3_gegenbauer(n), independently of
+    the simulator's wave weights."""
+    d, total = spec.d, 0.0
+    for n in degrees:
+        log_b, log_a = float(spec.log_schoenberg_coeff(n)), float(dist.log_pmf(n))
+        if log_b == -np.inf or log_a == -np.inf:
+            continue
+        log_t = (1.5 * log_b + 1.5 * np.log(2.0 * n + d - 1.0) - 0.5 * log_a
+                 - 1.5 * np.log(d - 1.0))
+        total += np.exp(log_t) * mu3_gegenbauer(n, d)
+    return total
+
+
+FINITE_PMF = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=FINITE_PMF,
+    weights=FINITE_PMF,
+    d=st.integers(2, 6),
+    pairing=st.sampled_from(["both finite", "finite model", "finite law"]),
+)
+def test_mu3_wave_matches_log_space_terms(coeffs, weights, d, pairing):
+    spec = (NegativeBinomial(0.4, d=d) if pairing == "finite law"
+            else SequenceCovariance(coeffs, d=d))
+    dist = (ShiftedZeta(2.0) if pairing == "finite model"
+            else FiniteDegrees(np.array(weights) / np.sum(weights)))
+    n_last = len(coeffs) - 1 if pairing != "finite law" else len(weights) - 1
+    out = mu3_wave(spec, dist)
+    expected = _log_space_mu3(spec, dist, range(n_last + 1))
+    assert out.finite and out.tail_bound == 0.0
+    assert out.value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_mu3_wave_rejects_circle():
@@ -275,6 +314,46 @@ def test_empirical_covariance_explicit_edges():
                                points=points)
     assert est.bin_centers.size == 3
     assert est.counts.sum() == 3
+
+
+def test_empirical_covariance_leaves_pairs_outside_the_edges_out():
+    rng = np.random.default_rng(7)
+    points = meridian_points(2, [0.0, 0.3, 1.8])
+    values = rng.normal(size=(20, 3, 1))
+    est = empirical_covariance(values, [(0, 1), (0, 2)], bins=[0.0, 0.5, 1.0],
+                               points=points)
+    # the pair at lag 1.8 lies beyond the last edge and counts in no bin
+    assert est.counts.tolist() == [1, 0]
+    assert est.empty_bins == [1]
+    assert est.pair_bins.tolist() == [0, -1]
+    np.testing.assert_allclose(est.lags, [0.3, 1.8], rtol=1e-14)
+    only = empirical_covariance(values, [(0, 1)], bins=[0.0, 0.5, 1.0], points=points)
+    np.testing.assert_array_equal(est.estimate[0], only.estimate[0])
+
+
+def test_empirical_covariance_last_edge_closes_the_last_bin():
+    points = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    values = np.random.default_rng(8).normal(size=(10, 3, 1))
+    est = empirical_covariance(values, [(0, 1), (0, 2)], bins=[0.0, 1.0, np.pi],
+                               points=points)
+    assert est.lags[0] == np.pi
+    assert est.pair_bins.tolist() == [1, 1]
+    assert est.counts.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("bins", [
+    0,
+    [0.0, 1.0, 0.5],            # decreasing
+    [0.0, 1.0, 1.0, 2.0],       # repeated edge
+    [-0.1, 1.0],                # below 0
+    [0.0, 1.0, 3.5],            # beyond pi
+    [1.0],                      # no bin
+    [0.0, np.nan, 1.0],
+])
+def test_empirical_covariance_rejects_bad_bins(bins):
+    points = meridian_points(2, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        empirical_covariance(np.zeros((3, 2, 1)), [(0, 1)], bins=bins, points=points)
 
 
 def test_empirical_covariance_needs_two_realizations():
