@@ -351,7 +351,8 @@ def cmd_mu3(args) -> int:
         )
         sys.stdout.write(prefix + f"sigma = {report.sigma!r}\n")
         sys.stdout.write(prefix + f"L = {report.L}\n")
-        sys.stdout.write(prefix + f"ks-bound = {report.bound!r}\n")
+        bound = "not established" if np.isinf(report.bound) else repr(report.bound)
+        sys.stdout.write(prefix + f"ks-bound = {bound}\n")
     return EXIT_OK
 
 

@@ -8,13 +8,12 @@ is done in log space so that high sphere dimensions (lambda ~ 130) and high
 degrees survive without overflow.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, gammaln, loggamma
 
 from .gegenbauer import (
     _recurrence,
@@ -77,15 +76,22 @@ class Covariance:
         raise NotImplementedError
 
     def log_schoenberg_coeff(self, n):
-        """log b_n, vectorized over n; -inf where the coefficient is zero."""
-        raise NotImplementedError
+        """log b_n, vectorized over the degrees n; -inf where the coefficient
+        is zero.  Negative degrees are rejected; a scalar n gives a float."""
+        return _per_degree(self._log_coeff, n)
 
     def schoenberg_coeff(self, n):
-        out = np.exp(self.log_schoenberg_coeff(n))
-        return float(out) if np.isscalar(n) or np.ndim(n) == 0 else out
+        return _per_degree(self._coeff, n)
+
+    def _log_coeff(self, n: np.ndarray) -> np.ndarray:
+        """log b_n for an int array of nonnegative degrees, elementwise."""
+        raise NotImplementedError
+
+    def _coeff(self, n: np.ndarray) -> np.ndarray:
+        return np.exp(self._log_coeff(n))
 
     def coeff_table(self, n_max: int) -> np.ndarray:
-        return np.exp(self.log_schoenberg_coeff(np.arange(n_max + 1)))
+        return self._coeff(np.arange(n_max + 1))
 
     def magnitude_table(self, n_max: int) -> np.ndarray:
         """|b_n| per degree (support bookkeeping); the coefficients themselves."""
@@ -105,6 +111,16 @@ class Covariance:
         truncation of series sums.
         """
         raise NotImplementedError
+
+
+def _per_degree(body, n):
+    """body applied to the degrees n as an int array, after rejecting
+    negative degrees; a float for scalar n."""
+    degrees = np.asarray(n, dtype=np.int64)
+    if np.any(degrees < 0):
+        raise ValueError("degree must be nonnegative")
+    out = body(degrees)
+    return float(out) if degrees.ndim == 0 else out
 
 
 def _check_theta(theta):
@@ -190,17 +206,12 @@ class NegativeBinomial(Covariance):
             out.append(f"sphere dimension must be >= 1, got {self.d}")
         return out
 
-    def log_schoenberg_coeff(self, n):
-        n = np.asarray(n, dtype=float)
+    def _log_coeff(self, n):
         return np.log1p(-self.delta) + n * np.log(self.delta)
 
-    def schoenberg_coeff(self, n):
+    def _coeff(self, n):
         # direct product is exact where the log path rounds
-        out = (1.0 - self.delta) * self.delta ** np.asarray(n, dtype=float)
-        return float(out) if np.ndim(n) == 0 else out
-
-    def coeff_table(self, n_max: int) -> np.ndarray:
-        return self.schoenberg_coeff(np.arange(n_max + 1))
+        return (1.0 - self.delta) * self.delta ** n.astype(float)
 
     def covariance(self, theta):
         theta = _check_theta(theta)
@@ -266,8 +277,8 @@ class SpectralMatern(Covariance):
             out.append(f"sphere dimension must be >= 1, got {self.d}")
         return out
 
-    def log_schoenberg_coeff(self, n):
-        n = np.asarray(n, dtype=float)
+    def _log_coeff(self, n):
+        n = n.astype(float)
         s = self.nu + 0.5
         return -s * np.log(n * n + self.alpha**2) - _sm_log_normalizer(self.alpha, self.nu)
 
@@ -309,8 +320,8 @@ class GeneralizedF(Covariance):
             )
         return out
 
-    def log_schoenberg_coeff(self, n):
-        n = np.asarray(n, dtype=float)
+    def _log_coeff(self, n):
+        n = n.astype(float)
         a, v, t = self.alpha, self.nu, self.tau
         sig = a + v + t
         log_b0 = betaln(a, v + t) - betaln(a, v)
@@ -359,15 +370,15 @@ class Chentsov(Covariance):
     """Piecewise-linear covariance 1 - 2*theta/pi; odd-degree spectrum only.
 
     Coefficients are generated by the one-step induction from the degree-1
-    seed, with the table cached and grown on demand.
+    seed, a log-space cumsum up to the largest requested degree; cumsum
+    prefixes do not depend on the length, so a coefficient does not depend
+    on the other requested degrees.
     """
 
     odd_support = True
 
     def __init__(self, d: int = 2):
         self.d = int(d)
-        self._lock = threading.Lock()
-        self._log_odd = None  # log b_{2m+1} for m = 0..len-1
 
     def validate(self):
         out = []
@@ -377,38 +388,20 @@ class Chentsov(Covariance):
             )
         return out
 
-    def _ensure_table(self, m_max: int):
-        # rebuilt from the seed on every growth: cumsum prefixes do not depend
-        # on the table length, so values never depend on the growth history
-        with self._lock:
-            if self._log_odd is None or m_max >= len(self._log_odd):
-                lam = _lam(self.d)
-                hi = max(m_max, 2 * len(self._log_odd) if self._log_odd is not None else 64)
-                seed = (
-                    gammaln(lam) + gammaln(lam + 2.0) - np.log(np.pi)
-                    - 2.0 * gammaln(lam + 1.5)
-                )
-                m = np.arange(1, hi + 1, dtype=float)
-                inc = (
-                    np.log(lam + 2.0 * m + 1.0)
-                    - np.log(lam + 2.0 * m - 1.0)
-                    + 2.0 * np.log(m - 0.5)
-                    - 2.0 * np.log(lam + m + 0.5)
-                )
-                self._log_odd = np.concatenate([[seed], seed + np.cumsum(inc)])
-            return self._log_odd
-
-    def log_schoenberg_coeff(self, n):
+    def _log_coeff(self, n):
         if self.d < 2:
             raise ModelError("closed-form coefficients require sphere dimension >= 2")
-        n_arr = np.atleast_1d(np.asarray(n, dtype=int))
-        if n_arr.size == 0:
-            return np.full(0, -np.inf)
-        table = self._ensure_table(int(n_arr.max()) // 2)
-        out = np.full(n_arr.shape, -np.inf)
-        odd = n_arr % 2 == 1
-        out[odd] = table[(n_arr[odd] - 1) // 2]
-        return out[0] if np.ndim(n) == 0 else out
+        lam = _lam(self.d)
+        seed = gammaln(lam) + gammaln(lam + 2.0) - np.log(np.pi) - 2.0 * gammaln(lam + 1.5)
+        m = np.arange(1, n.max(initial=0) // 2 + 1, dtype=float)
+        inc = (
+            np.log(lam + 2.0 * m + 1.0)
+            - np.log(lam + 2.0 * m - 1.0)
+            + 2.0 * np.log(m - 0.5)
+            - 2.0 * np.log(lam + m + 0.5)
+        )
+        log_odd = np.concatenate([[seed], seed + np.cumsum(inc)])  # log b_{2m+1}
+        return np.where(n % 2 == 1, log_odd[n // 2], -np.inf)
 
     def covariance(self, theta):
         theta = _check_theta(theta)
@@ -427,16 +420,14 @@ class Chentsov(Covariance):
 class Exponential(Covariance):
     """Covariance exp(-nu*theta); coefficients via squared-modulus gamma quotients.
 
-    The |Gamma((m+i*nu)/2)|^2 factors are built by the two-step induction from
-    the m=0 and m=1 seeds, in log space; the even/odd prefactors are written
-    as (1 -+ exp(-pi*nu))/2 so that large nu cannot overflow.
+    log |Gamma((m+i*nu)/2)|^2 = 2 Re loggamma((m+i*nu)/2) in closed form; the
+    even/odd prefactors are written as (1 -+ exp(-pi*nu))/2 so that large nu
+    cannot overflow.
     """
 
     def __init__(self, nu: float, d: int = 2):
         self.nu = float(nu)
         self.d = int(d)
-        self._lock = threading.Lock()
-        self._log_ag = None  # log |Gamma((m+i nu)/2)|^2 for m = 0..len-1
 
     def validate(self):
         out = []
@@ -448,53 +439,24 @@ class Exponential(Covariance):
             )
         return out
 
-    def _ensure_ag(self, m_max: int) -> np.ndarray:
-        # rebuilt from the two seeds on every growth so that values never
-        # depend on the growth history (cumsum prefixes are length-invariant)
-        with self._lock:
-            if self._log_ag is None or m_max >= len(self._log_ag):
-                nu = self.nu
-                hi = max(m_max, 2 * len(self._log_ag) if self._log_ag is not None else 64)
-                # sinh/cosh(pi*nu/2) written through exp(-pi*nu) to survive large nu
-                seed_even = (
-                    np.log(2.0 * np.pi) - np.log(nu)
-                    - (0.5 * np.pi * nu + np.log1p(-np.exp(-np.pi * nu)) - np.log(2.0))
-                )
-                seed_odd = np.log(np.pi) - (
-                    0.5 * np.pi * nu + np.log1p(np.exp(-np.pi * nu)) - np.log(2.0)
-                )
-                log_ag = np.empty(hi + 1)
-                log_ag[0] = seed_even
-                log_ag[1] = seed_odd
-                for parity, seed in ((0, seed_even), (1, seed_odd)):
-                    chain = np.arange(parity + 2, hi + 1, 2)
-                    if chain.size:
-                        inc = np.log(((chain - 2.0) ** 2 + nu * nu) / 4.0)
-                        log_ag[chain] = seed + np.cumsum(inc)
-                self._log_ag = log_ag
-            return self._log_ag
-
-    def log_schoenberg_coeff(self, n):
+    def _log_coeff(self, n):
         if self.d < 2:
             raise ModelError("closed-form coefficients require sphere dimension >= 2")
         nu, d = self.nu, self.d
         lam = _lam(d)
-        n_arr = np.atleast_1d(np.asarray(n, dtype=int))
-        if n_arr.size == 0:
-            return np.full(0, -np.inf)
-        ag = self._ensure_ag(int(n_arr.max()) + d + 1)
+
+        def log_abs_gamma_sq(m):
+            return 2.0 * loggamma(0.5 * (m + 1j * nu)).real
+
         log_c_even = np.log(nu) + np.log1p(-np.exp(-np.pi * nu)) - np.log(4.0 * np.pi)
         log_c_odd = np.log(nu) + np.log1p(np.exp(-np.pi * nu)) - np.log(4.0 * np.pi)
-        log_c = np.where(n_arr % 2 == 0, log_c_even, log_c_odd)
-        out = (
-            log_c
-            + np.log(lam + n_arr)
+        return (
+            np.where(n % 2 == 0, log_c_even, log_c_odd)
+            + np.log(lam + n)
             + gammaln(lam)
             + gammaln(lam + 1.0)
-            + ag[n_arr]
-            - ag[n_arr + d + 1]
+            + (log_abs_gamma_sq(n) - log_abs_gamma_sq(n + d + 1))
         )
-        return out[0] if np.ndim(n) == 0 else out
 
     def covariance(self, theta):
         theta = _check_theta(theta)
@@ -532,13 +494,12 @@ class SequenceCovariance(Covariance):
             out.append(f"sphere dimension must be >= 1, got {self.d}")
         return out
 
-    def log_schoenberg_coeff(self, n):
-        n_arr = np.atleast_1d(np.asarray(n, dtype=int))
-        out = np.full(n_arr.shape, -np.inf)
-        inside = n_arr < self.coeffs.size
+    def _log_coeff(self, n):
+        out = np.full(n.shape, -np.inf)
+        inside = n < self.coeffs.size
         with np.errstate(divide="ignore"):
-            out[inside] = np.log(self.coeffs[n_arr[inside]])
-        return out[0] if np.ndim(n) == 0 else out
+            out[inside] = np.log(self.coeffs[n[inside]])
+        return out
 
     def covariance(self, theta):
         theta = _check_theta(theta)
@@ -621,6 +582,8 @@ class MultiCovariance:
         raise NotImplementedError
 
     def schoenberg_matrix(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
         B = self._matrix(n)
         _check_psd(B, context=f"Schoenberg matrix at degree {n}")
         return B
@@ -893,8 +856,6 @@ def require_valid(spec) -> None:
 
 def schoenberg_coeff(spec: Covariance, n: int) -> float:
     require_valid(spec)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     return spec.schoenberg_coeff(n)
 
 

@@ -9,7 +9,7 @@ for the inequality constant (the lower end is 0.4097).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ndtr, roots_gegenbauer
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 XI = 0.4748
+_REL_TOL = 1e-4   # largest relative tail of a truncated mu3 sum that gives a KS bound
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +134,13 @@ def empirical_covariance(realizations, pairs, bins=20, points=None) -> Covarianc
 # third absolute moment of a Gegenbauer wave profile
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict = {}
+@cache
+def _gauss_legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    x, w = _GL_CACHE[order]
+    x, w = _gauss_legendre(order)
     half = 0.5 * np.diff(edges)
     centers = edges[:-1] + half
     nodes = (centers[:, None] + half[:, None] * x[None, :]).ravel()
@@ -220,7 +221,7 @@ def _mu3_series(spec, dist, n_last: int):
     return degrees, terms
 
 
-def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = 1e-4) -> Mu3Result:
+def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = _REL_TOL) -> Mu3Result:
     """Third absolute moment of one wave: the weighted coefficient series.
 
     Sums the exact terms up to a truncation degree and reports an analytic
@@ -300,9 +301,13 @@ class BerryEsseenReport:
 
 def berry_esseen_report(spec, dist, L: int, n_max: int | None = None,
                         ks: float | None = None) -> BerryEsseenReport:
+    """mu3_wave and the KS bound built on it.  The bound is inf (not
+    established) when the series diverges or the truncated sum, only a lower
+    bound on mu3, leaves a relative tail above mu3_wave's tolerance."""
     mu3 = mu3_wave(spec, dist, n_max=n_max)
     sigma = float(np.sqrt(spec.variance()))
-    bound = berry_esseen_bound(mu3.value, sigma, L) if mu3.finite else np.inf
+    established = mu3.finite and mu3.relative_tail <= _REL_TOL
+    bound = berry_esseen_bound(mu3.value, sigma, L) if established else np.inf
     return BerryEsseenReport(mu3=mu3, sigma=sigma, L=L, bound=bound, ks=ks)
 
 

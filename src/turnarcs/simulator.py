@@ -15,7 +15,6 @@ merged in ascending order, so threaded and sequential runs produce
 bit-identical values.
 """
 
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,8 +99,6 @@ class SimulationConfig:
         self.degrees = degrees
         self.L = int(L)
         self.seed = int(seed)
-        self._factors: dict[int, np.ndarray] = {}
-        self._factor_lock = threading.Lock()
 
     @property
     def d(self) -> int:
@@ -112,14 +109,9 @@ class SimulationConfig:
         return self.model.p
 
     def factor_columns(self, degree: int) -> np.ndarray:
-        """Square-root factor of the Schoenberg matrix at one degree, cached."""
-        with self._factor_lock:
-            got = self._factors.get(degree)
-            if got is None:
-                B = self.model.schoenberg_matrix(degree)
-                got = factor_schoenberg_matrix(B, degree=degree).matrix
-                self._factors[degree] = got
-            return got
+        """Square-root factor of the Schoenberg matrix at one degree."""
+        B = self.model.schoenberg_matrix(degree)
+        return factor_schoenberg_matrix(B, degree=degree).matrix
 
     def metadata(self) -> dict:
         return {
@@ -331,31 +323,41 @@ def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray
     return out
 
 
-def _wave_values(config: SimulationConfig, t: np.ndarray, degrees: np.ndarray,
-                 signed: np.ndarray, components) -> np.ndarray:
+def _wave_coefficients(config: SimulationConfig, degrees: np.ndarray,
+                       epsilons: np.ndarray, components) -> tuple:
+    """Signed weights of m drawn waves from their degrees, signs and
+    component indices, and each wave's Schoenberg factor column as a row,
+    shape (m, p), or None for a scalar model.  Each distinct degree is
+    factored once."""
+    signed = epsilons * _wave_weights(config.model, config.degrees, degrees)
+    if config.p == 1:
+        return signed, None
+    distinct, inverse = np.unique(degrees, return_inverse=True)
+    columns = np.stack([config.factor_columns(int(k)).T for k in distinct])
+    return signed, columns[inverse, components]
+
+
+def _wave_values(d: int, t: np.ndarray, degrees: np.ndarray, signed: np.ndarray,
+                 factors) -> np.ndarray:
     """Values of m waves, shape (m, npts, p), given the projections
     t = points . pole of checked points, shape (m, npts), which are clipped
-    in place, and the waves' degrees, signed weights and, for multivariate
-    models, component indices (each of length m).  Each profile row is
-    multiplied by its wave's factor column."""
+    in place, and the waves' degrees, signed weights and factor rows from
+    _wave_coefficients.  Each profile row is multiplied by its factor row."""
     np.clip(t, -1.0, 1.0, out=t)
-    profiles = _wave_profiles(config.d, degrees, t, signed)
-    if config.p == 1:
+    profiles = _wave_profiles(d, degrees, t, signed)
+    if factors is None:
         return profiles[:, :, None]
-    gamma = np.empty((degrees.size, config.p))
-    for degree in np.unique(degrees):
-        rows = degrees == degree
-        gamma[rows] = config.factor_columns(int(degree)).T[components[rows]]
-    return profiles[:, :, None] * gamma[:, None, :]
+    return profiles[:, :, None] * factors[:, None, :]
 
 
 def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
     """Values of one wave at unchecked points, shape (npts, p)."""
     points = check_points(points, config.d)
     degree = np.array([wave.degree])
-    signed = wave.epsilon * _wave_weights(config.model, config.degrees, degree)
+    signed, factors = _wave_coefficients(config, degree, np.array([wave.epsilon]),
+                                         np.array([wave.component]))
     t = (points @ wave.pole)[None, :]
-    return _wave_values(config, t, degree, signed, np.array([wave.component]))[0]
+    return _wave_values(config.d, t, degree, signed, factors)[0]
 
 
 def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -387,12 +389,9 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     L = config.L
     plan = [draw_wave(config, wave_rng(config.seed, idx)) for idx in range(L)]
     degrees = np.array([wave.degree for wave in plan])
-    signed = (np.array([wave.epsilon for wave in plan])
-              * _wave_weights(config.model, config.degrees, degrees))
-    components = np.array([wave.component for wave in plan])
-    if config.p > 1:
-        for degree in dict.fromkeys(degrees.tolist()):
-            config.factor_columns(degree)
+    signed, factors = _wave_coefficients(config, degrees,
+                                         np.array([wave.epsilon for wave in plan]),
+                                         np.array([wave.component for wave in plan]))
 
     def group_partial(bounds):
         lo, hi = bounds
@@ -400,7 +399,8 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
         for idx in range(lo, hi):
             one = slice(idx, idx + 1)
             t = (points @ plan[idx].pole)[None, :]
-            vals = _wave_values(config, t, degrees[one], signed[one], components[one])[0]
+            row = None if factors is None else factors[one]
+            vals = _wave_values(config.d, t, degrees[one], signed[one], row)[0]
             if not np.isfinite(vals).all():
                 raise SimulationError(f"non-finite wave values at wave index {idx}")
             part += vals
@@ -440,8 +440,8 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     # one matrix-vector product per wave, as points @ pole in simulate, so a
     # row equals wave_eval_* of the same wave bit for bit
     t = np.matmul(points, poles[:, :, None])[:, :, 0]
-    signed = eps * _wave_weights(config.model, config.degrees, kappas)
-    return _wave_values(config, t, kappas, signed, iotas)
+    signed, factors = _wave_coefficients(config, kappas, eps, iotas)
+    return _wave_values(config.d, t, kappas, signed, factors)
 
 
 def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:

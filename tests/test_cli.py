@@ -219,6 +219,18 @@ def test_mu3_matches_library(capsys):
     assert f"ks-bound = {report.bound!r}" in out
 
 
+def test_mu3_truncated_sum_gives_no_bound(capsys):
+    # the terms peak near degree 2000, so the sum up to degree 64 is only a
+    # lower bound on mu3 and cannot give a KS bound
+    assert main([
+        "mu3", "--model", "nb", "--delta", "0.999",
+        "--degree-dist", "geometric:0.0014985", "--n-max", "64", "--L", "1500",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "tail bound inf relative" in out
+    assert "ks-bound = not established" in out
+
+
 def test_mu3_divergent_prints_flag(capsys):
     assert main([
         "mu3", "--model", "chentsov", "--d", "8",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import beta as beta_fn
 from scipy.special import gammaln
@@ -258,8 +260,8 @@ def test_chentsov_induction_matches_direct_high_dimension():
     "make", [lambda: Chentsov(d=3), lambda: Exponential(1.3, d=3)]
 )
 def test_induction_tables_are_history_independent(make):
-    # coefficients must not depend on the order in which the cached table
-    # grew, or reusing a model instance would break bit reproducibility
+    # a coefficient must not depend on the other degrees requested with it
+    # or before it, or reusing a model instance would break bit reproducibility
     grown = make()
     values = [grown.schoenberg_coeff(n) for n in (3, 157, 7, 0)]
     fresh = make().coeff_table(157)
@@ -294,6 +296,32 @@ def test_exponential_against_high_precision_gamma():
                 assert model.schoenberg_coeff(n) == pytest.approx(ref, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(0.05, 200.0), d=st.integers(2, 256), n=st.integers(0, 200_000))
+@example(nu=1.0, d=2, n=200_000)
+@example(nu=200.0, d=256, n=199_999)
+@example(nu=0.05, d=3, n=0)
+def test_exponential_against_mpmath_log_gamma(nu, d, n):
+    # compared in log space, where high d does not underflow: an absolute
+    # error e in log b_n is a relative error e in b_n.  scipy's loggamma is
+    # good to about 3 ulp, and |log Gamma| reaches 1.1e6 at n = 2e5, so the
+    # closed form is up to ~1.1e-9 off there (12k random draws); the
+    # induction it replaced was 2.8e-8 off
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam = mp.mpf(d - 1) / 2
+        half = mp.pi * mp.mpf(nu) / 2
+        hyper = mp.sinh if n % 2 == 0 else mp.cosh
+        z = mp.mpc(n, nu) / 2
+        ref = (
+            mp.log(nu) - half + mp.log(hyper(half)) - mp.log(2 * mp.pi)
+            + mp.log(lam + n) + mp.loggamma(lam) + mp.loggamma(lam + 1)
+            + 2 * mp.re(mp.loggamma(z)) - 2 * mp.re(mp.loggamma(lam + 1 + z))
+        )
+    got = Exponential(nu, d=d).log_schoenberg_coeff(n)
+    assert got == pytest.approx(float(ref), rel=0.0, abs=2e-9)
+
+
 def test_chentsov_series_reconstructs_covariance():
     # with enough odd-degree terms the expansion must return 1 - 2 theta/pi
     # on every sphere dimension
@@ -304,6 +332,31 @@ def test_chentsov_series_reconstructs_covariance():
         table = gegenbauer_eval_table(0.5 * (d - 1), 4001, np.cos(theta))
         series = coeffs @ table
         assert_allclose(series, 1.0 - 2.0 * theta / np.pi, atol=1e-6)
+
+
+CATALOG = [
+    NegativeBinomial(0.5),
+    SpectralMatern(1.0, 0.75),
+    GeneralizedF(1.0, 3.5, 2.0, d=3),
+    Chentsov(d=2),
+    Exponential(1.0, d=2),
+    SequenceCovariance([0.5, 0.25, 0.25], d=2),
+    BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+    BivariateSpectralMatern(1.0, 1.0, 1.5, 2.0, rho=0.5),
+    SequenceMultiCovariance([np.eye(2), 0.5 * np.eye(2)], d=2),
+]
+
+
+@pytest.mark.parametrize("model", CATALOG, ids=lambda m: type(m).__name__)
+def test_negative_degree_rejected(model):
+    if model.p == 1:
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.log_schoenberg_coeff(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.schoenberg_coeff(np.array([0, 3, -1]))
+    else:
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.schoenberg_matrix(-1)
 
 
 # ------------------------------------------------------------------ matrices

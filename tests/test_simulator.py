@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from turnarcs.covariance import (
     BivariateNegativeBinomial,
     BivariateSpectralMatern,
+    Chentsov,
+    Exponential,
     GeneralizedF,
     ModelError,
     NegativeBinomial,
@@ -410,6 +414,37 @@ def test_single_wave_rows_equal_wave_eval_bitwise(case):
             assert_array_equal(waves[i, :, 0], wave_eval_scalar(wave, config, points))
         else:
             assert_array_equal(waves[i], wave_eval_vector(wave, config, points))
+
+
+# model, degree law: the simulate cases of the sum property below
+SUM_CASES = {
+    "nb d=2": (NegativeBinomial(0.5, d=2), GeometricDegrees(0.01)),
+    "f d=3": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0)),
+    "bivariate nb d=2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                         GeometricDegrees(0.01)),
+    "chentsov d=4": (Chentsov(d=4), OddShiftedZeta(2.0)),
+    "exponential d=3": (Exponential(1.0, d=3), ShiftedZeta(2.0)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(sorted(SUM_CASES)), L=st.integers(1, 150),
+       seed=st.integers(0, 2**64 - 1), npts=st.integers(1, 12))
+@example(case="bivariate nb d=2", L=150, seed=0, npts=12)
+@example(case="chentsov d=4", L=65, seed=1, npts=1)
+def test_simulate_is_the_sum_of_its_waves(case, L, seed, npts):
+    # simulate sums in groups of 64 waves; the plain sum of the same waves
+    # through wave_eval_* differs only in the summation order.  The scale is
+    # the model's field RMS, which a few points may not show
+    model, degrees = SUM_CASES[case]
+    config = SimulationConfig(model, degrees, L=L, seed=seed)
+    points = sample_pole(config.d, np.random.default_rng(seed), size=npts)
+    wave_eval = wave_eval_scalar if config.p == 1 else wave_eval_vector
+    total = sum(wave_eval(draw_wave(config, wave_rng(seed, i)), config, points)
+                for i in range(L))
+    values = simulate(config, points).values
+    rms = np.sqrt(np.mean(model.variance()))
+    assert np.max(np.abs(values - np.reshape(total, values.shape) / np.sqrt(L))) <= 1e-13 * rms
 
 
 def test_single_wave_zero_mean():
