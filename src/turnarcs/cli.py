@@ -45,6 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+CSV_CHUNK_ROWS = 4096   # rows per %-format call of the CSV writer (caps its text near 1 MB)
 
 
 class UsageError(Exception):
@@ -191,7 +192,11 @@ def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     names = list(grid.coord_names) + [f"z{i + 1}" for i in range(p)]
     stream.write(",".join(names) + "\n")
     table = np.column_stack([grid.coords, realization.values])
-    np.savetxt(stream, table, fmt="%.17g", delimiter=",")
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), one format per chunk
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for s in range(0, table.shape[0], CSV_CHUNK_ROWS):
+        chunk = table[s : s + CSV_CHUNK_ROWS]
+        stream.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def read_realization_csv(path):

@@ -417,12 +417,46 @@ class Chentsov(Covariance):
         return ("poly", float(self.d))
 
 
+_STIRLING_MIN = 32.0   # |z| from which _log_gamma_shift takes the Stirling difference
+# B_2k / (2k (2k-1)), k = 1..4: with |z| >= 32 the first term left out is below 1e-16
+_STIRLING_TERMS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+
+
+def _log_gamma_shift(z, s: float) -> np.ndarray:
+    """Re[log Gamma(z+s) - log Gamma(z)] for complex z with Re z >= 0, z != 0,
+    and real s > 0.
+
+    Below |z| = _STIRLING_MIN this is the difference of two loggamma values.
+    Above it those values reach |z| log |z| (1.1e6 at |z| = 1e5), so their
+    difference is only good to a few ulp of that; there the Stirling series
+    is differenced term by term instead,
+    s log z + (z+s-1/2) log1p(s/z) - s + sum_k c_k ((z+s)^(1-2k) - z^(1-2k)),
+    and no intermediate is larger than the result.  log1p(w) for complex
+    w = s/z (Re w >= 0) is 1/2 log1p(2 Re w + |w|^2) + i atan2(Im w, 1 + Re w).
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape)
+    big = np.abs(z) >= _STIRLING_MIN
+    small = z[~big]
+    out[~big] = (loggamma(small + s) - loggamma(small)).real
+    z = z[big]
+    w = s / z
+    log1p_w = (0.5 * np.log1p(2.0 * w.real + w.real * w.real + w.imag * w.imag)
+               + 1j * np.arctan2(w.imag, 1.0 + w.real))
+    shift = s * np.log(z) + (z + (s - 0.5)) * log1p_w - s
+    for k, c in enumerate(_STIRLING_TERMS):
+        shift += c * ((z + s) ** (-2 * k - 1) - z ** (-2 * k - 1))
+    out[big] = shift.real
+    return out
+
+
 class Exponential(Covariance):
     """Covariance exp(-nu*theta); coefficients via squared-modulus gamma quotients.
 
-    log |Gamma((m+i*nu)/2)|^2 = 2 Re loggamma((m+i*nu)/2) in closed form; the
-    even/odd prefactors are written as (1 -+ exp(-pi*nu))/2 so that large nu
-    cannot overflow.
+    The quotient log |Gamma(z)|^2 - log |Gamma(z+s)|^2, z = (n+i*nu)/2,
+    s = (d+1)/2, is -2 Re[log Gamma(z+s) - log Gamma(z)] (_log_gamma_shift);
+    the even/odd prefactors are written as (1 -+ exp(-pi*nu))/2 so that large
+    nu cannot overflow.
     """
 
     def __init__(self, nu: float, d: int = 2):
@@ -444,10 +478,6 @@ class Exponential(Covariance):
             raise ModelError("closed-form coefficients require sphere dimension >= 2")
         nu, d = self.nu, self.d
         lam = _lam(d)
-
-        def log_abs_gamma_sq(m):
-            return 2.0 * loggamma(0.5 * (m + 1j * nu)).real
-
         log_c_even = np.log(nu) + np.log1p(-np.exp(-np.pi * nu)) - np.log(4.0 * np.pi)
         log_c_odd = np.log(nu) + np.log1p(np.exp(-np.pi * nu)) - np.log(4.0 * np.pi)
         return (
@@ -455,7 +485,7 @@ class Exponential(Covariance):
             + np.log(lam + n)
             + gammaln(lam)
             + gammaln(lam + 1.0)
-            + (log_abs_gamma_sq(n) - log_abs_gamma_sq(n + d + 1))
+            - 2.0 * _log_gamma_shift(0.5 * (n + 1j * nu), 0.5 * (d + 1))
         )
 
     def covariance(self, theta):

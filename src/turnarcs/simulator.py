@@ -18,7 +18,7 @@ bit-identical values.
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, pairwise
+from itertools import islice, pairwise, takewhile
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
     "clt_marginal_samples",
 ]
 
-POINT_BLOCK = 16384   # points per recurrence block (keeps the rolling arrays hot)
+POINT_BLOCK = 16384   # elements per recurrence tile (keeps the rolling arrays hot)
 WAVE_GROUP = 64       # waves per accumulator group; fixed so that threaded and
                       # sequential runs share the same summation tree
 NODES_PER_DEGREE = 16 # tabulated profiles: uniform theta intervals per unit of degree
@@ -287,11 +287,13 @@ def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray
     """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i) of clipped
     projections t, shape (m, npts); scale_i * cos(degrees_i arccos t_i) on
     the circle.  Rows where _tabulate_pays are tabulated and interpolated,
-    within PROFILE_ERROR_BOUND of the wave amplitude; the others share one
-    exact recurrence sweep over the degree-sorted rows in POINT_BLOCK column
-    blocks, each row dropping out at its degree (sum of degrees work), with
-    the signed weights in the seeds.  A row's doubles do not depend on the
-    other rows."""
+    within PROFILE_ERROR_BOUND of the wave amplitude.  The others run the
+    exact recurrence over tiles of at most POINT_BLOCK elements:
+    min(npts, POINT_BLOCK) columns wide and POINT_BLOCK // width
+    degree-sorted rows tall, each row dropping out at its degree (sum of
+    degrees work), with the signed weights in the seeds.  A row's doubles do
+    not depend on the other rows, so neither the tile shape nor the batch
+    changes them."""
     m, npts = t.shape
     if d == 1:
         return scale[:, None] * np.cos(degrees[:, None] * np.arccos(t))
@@ -309,17 +311,25 @@ def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray
             out[i, s : s + POINT_BLOCK] = _interpolate(table, t[i, s : s + POINT_BLOCK])
     if exact == 0:
         return out
-    rows = order[:exact]
-    sweep_rows = slice(None) if m == 1 else rows     # a single row is not copied
-    seeds = scale[sweep_rows, None]
     # active[n]: number of exact rows of degree >= n, for n = 0 .. top + 1
     active = counts[:0:-1].cumsum()[::-1].tolist() + [0]
-    for s in range(0, npts, POINT_BLOCK):
-        cols = slice(s, s + POINT_BLOCK)
-        sweep = _recurrence(lam, t[sweep_rows, cols], seeds, active)
-        for (hi, lo), g in zip(pairwise(active), sweep):
-            if lo < hi:                         # rows[lo:hi] end at this degree
-                out[rows[lo:hi], cols] = g[lo:hi]
+    width = min(npts, POINT_BLOCK)
+    height = POINT_BLOCK // width
+    for r0 in range(0, exact, height):
+        band = order[r0 : min(r0 + height, exact)]
+        band_rows = slice(None) if m == 1 else band     # a single row is not copied
+        seeds = scale[band_rows, None]
+        # the band's own counts: active itself when one band holds every exact
+        # row; else read while r0 < active[n], which stops at the band's top
+        # degree however far the zeta tail reaches
+        band_active = active if exact <= height else (
+            [min(a - r0, height) for a in takewhile(r0.__lt__, active)] + [0])
+        for s in range(0, npts, width):
+            cols = slice(s, s + width)
+            sweep = _recurrence(lam, t[band_rows, cols], seeds, band_active)
+            for (hi, lo), g in zip(pairwise(band_active), sweep):
+                if lo < hi:                     # band[lo:hi] end at this degree
+                    out[band[lo:hi], cols] = g[lo:hi]
     return out
 
 

@@ -17,6 +17,8 @@ from turnarcs.covariance import (
     SequenceCovariance,
     SequenceMultiCovariance,
     SpectralMatern,
+    _STIRLING_MIN,
+    _log_gamma_shift,
     chentsov_coeff_direct,
     covariance_eval,
     factor_schoenberg_matrix,
@@ -303,10 +305,9 @@ def test_exponential_against_high_precision_gamma():
 @example(nu=0.05, d=3, n=0)
 def test_exponential_against_mpmath_log_gamma(nu, d, n):
     # compared in log space, where high d does not underflow: an absolute
-    # error e in log b_n is a relative error e in b_n.  scipy's loggamma is
-    # good to about 3 ulp, and |log Gamma| reaches 1.1e6 at n = 2e5, so the
-    # closed form is up to ~1.1e-9 off there (12k random draws); the
-    # induction it replaced was 2.8e-8 off
+    # error e in log b_n is a relative error e in b_n.  The difference of two
+    # loggamma values of ~1.1e6 at n = 2e5 was up to ~1.1e-9 off; the
+    # Stirling-difference form was at most 9.1e-13 off over 9k random draws
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         lam = mp.mpf(d - 1) / 2
@@ -319,7 +320,24 @@ def test_exponential_against_mpmath_log_gamma(nu, d, n):
             + 2 * mp.re(mp.loggamma(z)) - 2 * mp.re(mp.loggamma(lam + 1 + z))
         )
     got = Exponential(nu, d=d).log_schoenberg_coeff(n)
-    assert got == pytest.approx(float(ref), rel=0.0, abs=2e-9)
+    assert got == pytest.approx(float(ref), rel=0.0, abs=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.floats(16.0, 64.0), angle=st.floats(0.0, np.pi / 2), d=st.integers(2, 256))
+@example(r=_STIRLING_MIN, angle=np.pi / 2, d=256)
+@example(r=_STIRLING_MIN, angle=0.0, d=2)
+@example(r=np.nextafter(_STIRLING_MIN, 0.0), angle=np.pi / 4, d=3)
+def test_log_gamma_shift_on_both_sides_of_the_switch_over(r, angle, d):
+    # loggamma below _STIRLING_MIN, the Stirling difference from it on: both
+    # forms must hold near the switch-over, where the series is shortest
+    mp = pytest.importorskip("mpmath")
+    z = complex(r * np.cos(angle), r * np.sin(angle))
+    s = 0.5 * (d + 1)
+    with mp.workdps(40):
+        zm = mp.mpc(z.real, z.imag)
+        ref = mp.re(mp.loggamma(zm + s) - mp.loggamma(zm))
+    assert float(_log_gamma_shift(z, s)) == pytest.approx(float(ref), rel=0.0, abs=2e-12)
 
 
 def test_chentsov_series_reconstructs_covariance():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from turnarcs.degree_sampling import (
     ShiftedZeta,
 )
 from turnarcs.gegenbauer import gegenbauer_eval
-from turnarcs.grids import LatLonGrid, build_grid
+from turnarcs.grids import LatLonGrid, build_grid, parse_grid
 from turnarcs import simulator
 from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
@@ -414,6 +416,84 @@ def test_single_wave_rows_equal_wave_eval_bitwise(case):
             assert_array_equal(waves[i, :, 0], wave_eval_scalar(wave, config, points))
         else:
             assert_array_equal(waves[i], wave_eval_vector(wave, config, points))
+
+
+@st.composite
+def tile_cases(draw):
+    """(POINT_BLOCK, d, npts, m, seed, tabulated) with at most ~3000 tiles
+    in the batch.  Tabulated rows need thousands of points (none pays below
+    about 4000), so those cases take the two larger blocks and a few rows."""
+    block = draw(st.sampled_from([1, 7, 64, 16384]))
+    d = draw(st.sampled_from([2, 3, 5]))
+    tabulated = block >= 64 and draw(st.booleans())
+    if tabulated:
+        npts = draw(st.integers(4500, 5000))
+        m = draw(st.integers(2, 12))
+    else:
+        npts = draw(st.integers(1, 300))
+        width = min(npts, block)
+        col_tiles = -(-npts // width)
+        m = draw(st.integers(1, max(1, min(3000, 3000 * (block // width) // col_tiles))))
+    return block, d, npts, m, draw(st.integers(0, 2**32 - 1)), tabulated
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=tile_cases())
+@example(case=(1, 2, 13, 200, 0, False))
+@example(case=(7, 3, 5, 3000, 1, False))
+@example(case=(64, 5, 300, 400, 2, False))
+@example(case=(16384, 2, 128, 3000, 3, False))
+@example(case=(64, 3, 4800, 12, 4, True))
+def test_tile_shape_does_not_change_bits(case):
+    # a batched call over tiles of any shape gives each row the doubles of
+    # its own one-row call at the default block
+    block, d, npts, m, seed, tabulated = case
+    rng = np.random.default_rng(seed)
+    if tabulated:
+        degrees = rng.choice([0, 1, 2, 7, 23, 60, 132, 133, 150], size=m)
+        degrees[:2] = 60, 0            # one tabulated and one exact row at least
+    else:
+        degrees = rng.geometric(rng.uniform(0.03, 0.6), size=m) - 1   # ties
+        degrees[:2] = [0, 1][: m]
+    degrees = rng.permutation(degrees).astype(np.int64)
+    t = rng.uniform(-1.0, 1.0, size=(m, npts))
+    t.flat[rng.integers(0, t.size, size=3)] = [-1.0, 0.0, 1.0]
+    scale = rng.normal(size=m)
+    pays = _tabulate_pays(degrees, npts)
+    assert pays.any() == tabulated and not pays.all()
+    single = [_wave_profiles(d, degrees[i : i + 1], t[i : i + 1], scale[i : i + 1])[0]
+              for i in range(m)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "POINT_BLOCK", block)
+        batch = _wave_profiles(d, degrees, t, scale)
+    assert_array_equal(batch, np.array(single))
+
+
+@pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2"])
+def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
+    config, points, M = SAME_WAVE_CASES[case]()
+    config = SimulationConfig(config.model, config.degrees, L=20, seed=4)
+    waves = single_wave_values(config, points, M, np.random.default_rng(5))
+    field = simulate(config, points).values
+    for block in (1, 7, 64):
+        monkeypatch.setattr(simulator, "POINT_BLOCK", block)
+        assert_array_equal(single_wave_values(config, points, M, np.random.default_rng(5)), waves)
+        assert_array_equal(simulate(config, points).values, field)
+
+
+def test_single_wave_values_memory_stays_near_its_output():
+    # the exact sweep works in cache-sized tiles, so beyond the projections
+    # and the output it holds only tile-sized buffers; full-height column
+    # blocks, with their four working copies of t, peaked at 6.07 times it
+    config = nb_d2_config(0.05)
+    points = build_grid(parse_grid("latlon:8x16")).points
+    tracemalloc.start()
+    try:
+        waves = single_wave_values(config, points, 20_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * waves.nbytes
 
 
 # model, degree law: the simulate cases of the sum property below
