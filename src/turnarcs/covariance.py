@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaln, gammaln, loggamma
 
 from .gegenbauer import (
@@ -236,6 +235,8 @@ def _sm_log_normalizer(alpha: float, nu: float) -> float:
     corrections; the raw integral-test stopping rule alone would need ~1e12
     terms for nu <= 1/2.
     """
+    from scipy.integrate import quad     # only here: scipy.integrate is ~0.4 s of import
+
     s = nu + 0.5
     a2 = alpha * alpha
 

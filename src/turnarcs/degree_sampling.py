@@ -16,6 +16,7 @@ from scipy.special import zeta as riemann_zeta
 
 from .covariance import NUMERIC_ZERO
 from .gegenbauer import gegenbauer_log_at_one
+from .grids import _spec_number
 
 __all__ = [
     "FiniteDegrees",
@@ -69,6 +70,7 @@ class FiniteDegrees(DegreeDistribution):
         total = pmf.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1 within 1e-12, got {total!r}")
+        self._given = pmf           # spec_string writes these, so it reads back as this law
         self.probs = pmf / total
         self._cdf = np.cumsum(self.probs)
         self._cdf[-1] = 1.0
@@ -96,7 +98,7 @@ class FiniteDegrees(DegreeDistribution):
         return ("finite", int(np.flatnonzero(self.probs)[-1]))
 
     def spec_string(self):
-        return "finite:" + ",".join(f"{p:.17g}" for p in self.probs)
+        return "finite:" + ",".join(f"{p:.17g}" for p in self._given)
 
 
 class GeometricDegrees(DegreeDistribution):
@@ -130,7 +132,7 @@ class GeometricDegrees(DegreeDistribution):
         return ("geometric", 1.0 - self.p)
 
     def spec_string(self):
-        return f"geometric:{self.p:g}"
+        return f"geometric:{_spec_number(self.p)}"
 
 
 def _devroye_zeta(theta: float, rng, count: int) -> np.ndarray:
@@ -202,7 +204,7 @@ class ShiftedZeta(_ZetaLaw):
         return bool(out) if np.ndim(n) == 0 else np.atleast_1d(out)
 
     def spec_string(self):
-        return f"zeta:{self.theta:g}"
+        return f"zeta:{_spec_number(self.theta)}"
 
 
 class OddShiftedZeta(_ZetaLaw):
@@ -227,7 +229,7 @@ class OddShiftedZeta(_ZetaLaw):
         return bool(out) if np.ndim(n) == 0 else np.atleast_1d(out)
 
     def spec_string(self):
-        return f"oddzeta:{self.theta:g}"
+        return f"oddzeta:{_spec_number(self.theta)}"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ __all__ = [
 ]
 
 
+def _spec_number(x: float) -> str:
+    """x as written in a spec string: the short :g form when it reads back as
+    x, else repr, so that parsing a spec string reproduces the run."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 class GridError(ValueError):
     """Malformed grid specification or point-list file."""
 
@@ -45,7 +52,7 @@ class Slice3Grid:
     d = 3
 
     def describe(self) -> str:
-        return f"slice3:{self.w:g}:{self.n_colat}x{self.n_lon}"
+        return f"slice3:{_spec_number(self.w)}:{self.n_colat}x{self.n_lon}"
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,9 @@ def _read_point_list(path: str, d: int | None) -> np.ndarray:
         raise GridError(
             f"{path}:{lineno}: point norm {norms[off[0]]:.9g} is not 1 within 1e-6"
         )
+    # rows that are unit vectors up to the rounding of their norm are taken as
+    # written, so a file of normalized points reads back bit for bit
+    norms[np.abs(norms - 1.0) <= points.shape[1] * np.finfo(float).eps] = 1.0
     return points / norms[:, None]
 
 

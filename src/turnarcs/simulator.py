@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import islice, pairwise, takewhile
 
 import numpy as np
+from scipy import fft
 
 from .covariance import factor_schoenberg_matrix, require_valid
 from .degree_sampling import support_covers
@@ -46,14 +47,20 @@ POINT_BLOCK = 16384   # elements per recurrence tile (keeps the rolling arrays h
 WAVE_GROUP = 64       # waves per accumulator group; fixed so that threaded and
                       # sequential runs share the same summation tree
 NODES_PER_DEGREE = 16 # tabulated profiles: uniform theta intervals per unit of degree
+FOURIER_MAX_LAM = 1.0 # tables up to this lam (d <= 3) come from the Fourier series
 # cost model of the tabulated path, in units of one recurrence step at one
 # point (~1.4 ns on a 2-vCPU x86 host): interpolating one point costs ~8 steps,
-# and each recurrence step over the table carries ~2-3k points' worth of
-# fixed ufunc overhead; the measured break-even degree is ~12
+# and each recurrence step over a recurrence table (d >= 4) carries ~2-3k
+# points' worth of fixed ufunc overhead; the measured break-even degree is ~12
 INTERP_STEPS = 10
 TABLE_STEP_COST = 2500
+# a Fourier table costs a fixed ~40k steps (transform and Hermite set-up
+# calls) plus ~25 per node; fitted to the measured break-even degrees on
+# d = 2, about 11 on 30k-62k points, 16 on 10k and 18 on 5k
+FOURIER_TABLE_COST = 40_000
+FOURIER_NODE_COST = 25
 # |tabulated - exact profile| / (|w| G_n(1)): quintic Hermite remainder
-# h^6 / (6! 2^6) |f^(6)| with h = pi / (16 n) and Bernstein's |f^(6)| <= n^6 |w| G_n(1)
+# h^6 / (6! 2^6) |f^(6)| with h <= pi / (16 n) and Bernstein's |f^(6)| <= n^6 |w| G_n(1)
 PROFILE_ERROR_BOUND = (np.pi / NODES_PER_DEGREE) ** 6 / 46080.0
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
@@ -185,13 +192,32 @@ def draw_wave(config: SimulationConfig, rng) -> WaveParams:
     return WaveParams(epsilon=epsilon, pole=pole, degree=degree, component=component)
 
 
-def _tabulate_pays(degrees, npts: int):
-    """Cost model: a table run (16n+1 nodes, n steps) plus one interpolation
-    per point is cheaper than n recurrence steps per point,
+def _tabulate_pays(lam: float, degrees, npts: int):
+    """Cost model: whether a table plus one interpolation per point is
+    cheaper than n recurrence steps per point, for each degree n.
+
+    For lam <= FOURIER_MAX_LAM (d <= 3) the table is a Fourier table:
+    40000 + 25 * 16n + 10 npts < (n+1) npts, and it may have no more columns
+    than there are points, m + 1 <= npts with m = _fourier_node_count(n).
+    Both limits are integers computed once, so the decision is exact for
+    any int64 degree.
+
+    Above it, a recurrence table runs n steps over its 16n+1 nodes,
     (n+1)(16n + 2500) + 10 npts < (n+1) npts, i.e. with s = n+1,
     (s - c)^2 < c^2 - 10 npts / 16 for c = (npts - 2484) / 32.  Vectorized,
     in float64 so that zeta-tail degrees cannot overflow; every term is a
     multiple of 1/1024, so the decision is exact for npts below 9e7."""
+    if lam <= FOURIER_MAX_LAM:
+        # m + 1 <= npts for the 5-smooth m >= 16n: 16n <= the largest
+        # 5-smooth number <= npts - 1
+        highest = fft.prev_fast_len(max(npts - 1, 1), real=True) // NODES_PER_DEGREE
+        per_degree = NODES_PER_DEGREE * FOURIER_NODE_COST
+        # (n+1)(npts - per_degree) > FOURIER_TABLE_COST - per_degree + 10 npts
+        margin = npts - per_degree
+        lowest = ((FOURIER_TABLE_COST - per_degree + INTERP_STEPS * npts) // margin
+                  if margin > 0 else highest + 1)
+        degrees = np.asarray(degrees)
+        return (degrees >= lowest) & (degrees <= highest)
     c = (npts - TABLE_STEP_COST + NODES_PER_DEGREE) / (2 * NODES_PER_DEGREE)
     return np.square(np.add(degrees, 1.0 - c)) < c * c - INTERP_STEPS * npts / NODES_PER_DEGREE
 
@@ -225,14 +251,67 @@ def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
     return f, d1, d2
 
 
+def _fourier_node_count(degree: int) -> int:
+    """Intervals of a Fourier table: the smallest m >= 16n whose transform
+    length 2m is a fast FFT length (m 5-smooth), so a prime-heavy 16n does
+    not cost ten times as much."""
+    return fft.next_fast_len(NODES_PER_DEGREE * degree, real=True)
+
+
+def _fourier_nodes(lam: float, degree: int, weight: float, m: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f(theta) = weight * G_degree(cos theta) and its first two theta
+    derivatives at theta_j = pi j / m, j = 0 .. m, for degree < m.
+
+    G_n(cos theta) = sum_k alpha_k alpha_{n-k} cos((n-2k) theta) with
+    alpha_k = (lam)_k / k! (Szego, Orthogonal Polynomials, eq. 4.9.19), so f
+    and f'' are one DCT-I of a stacked pair and f' one DST-I on the interior
+    nodes (f' = 0 at the poles): O(m log m), against n recurrence steps per
+    node.  The alpha_k come from a cumulative product in long double, whose
+    rounding stays far below one double ulp at n = 1e5 (gammaln differences
+    lose 1.4e-10 there), and the weight is folded into them.  Every
+    coefficient has the weight's sign, so the transforms round to about
+    eps log2(m) of the amplitude |weight| G_n(1)."""
+    n = degree
+    freq = np.arange(n, -1, -2)                 # n - 2k for k = 0 .. n // 2
+    ratio = np.ones(n + 1, dtype=np.longdouble)
+    ratio[1:] = (np.arange(n, dtype=np.longdouble) + lam) / np.arange(1, n + 1)
+    alpha = np.cumprod(ratio)
+    coef = (weight * alpha[: freq.size] * alpha[::-1][: freq.size]).astype(float)
+    # DCT-I weighs x_0 once and x_1 .. x_{m-1} twice: the cos(0) term is
+    # alpha_{n/2}^2, every other frequency carries the pair k and n - k
+    x = np.zeros((2, m + 1))
+    x[0, freq] = coef
+    x[1, freq] = -(freq * freq) * coef
+    f, d2 = fft.dct(x, type=1, overwrite_x=True)
+    positive = freq[: (n + 1) // 2]
+    s = np.zeros(m - 1)
+    s[positive - 1] = -positive * coef[: positive.size]
+    d1 = np.zeros(m + 1)
+    d1[1:-1] = fft.dst(s, type=1, overwrite_x=True)
+    return f, d1, d2
+
+
 def _profile_table(lam: float, degree: int, weight: float) -> np.ndarray:
-    """Quintic Hermite coefficients of weight * G_degree(cos theta) on 16n
-    uniform intervals of [0, pi], shape (6, 16n + 1), lowest power first in
+    """Quintic Hermite coefficients of weight * G_degree(cos theta) on m
+    uniform intervals of [0, pi], shape (6, m + 1), lowest power first in
     the local coordinate u in [0, 1).  The last column is the constant
-    f(pi), so theta = pi needs no clamp."""
-    m = NODES_PER_DEGREE * degree
+    f(pi), so theta = pi needs no clamp.
+
+    For lam <= FOURIER_MAX_LAM (d <= 3) the node values come from the
+    Fourier series, O(n log n), on m = _fourier_node_count(n) >= 16n
+    intervals.  Above it they come from the exact recurrence, O(n^2), on
+    m = 16n: all Fourier coefficients are positive, so the transforms'
+    rounding is relative to the amplitude G_n(1), which outgrows the
+    wave's RMS with the dimension (2.3e-7 of it at d = 4, 3.6e-3 at d = 8,
+    n = 1000)."""
+    if lam <= FOURIER_MAX_LAM:
+        m = _fourier_node_count(degree)
+        f, d1, d2 = _fourier_nodes(lam, degree, weight, m)
+    else:
+        m = NODES_PER_DEGREE * degree
+        f, d1, d2 = _profile_nodes(lam, degree, weight, np.linspace(0.0, np.pi, m + 1))
     h = np.pi / m
-    f, d1, d2 = _profile_nodes(lam, degree, weight, np.linspace(0.0, np.pi, m + 1))
     f0, f1 = f[:-1], f[1:]
     D0, D1 = h * d1[:-1], h * d1[1:]
     E0, E1 = (h * h) * d2[:-1], (h * h) * d2[1:]
@@ -248,7 +327,7 @@ def _profile_table(lam: float, degree: int, weight: float) -> np.ndarray:
 
 def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Evaluate a _profile_table at theta = arccos(t) by Horner's rule.
-    Interval indices of t in [-1, 1] lie in [0, 16n]; clip mode only skips
+    Interval indices of t in [-1, 1] lie in [0, m]; clip mode only skips
     the bounds check."""
     u = np.arccos(t)
     u *= (table.shape[1] - 1) / np.pi
@@ -301,7 +380,7 @@ def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray
     out = np.empty((m, npts))
     # sort key: the degree, or -1 for a tabulated row, so that in descending
     # key order the exact rows come first, by degree, and the tabulated last
-    key = np.where(_tabulate_pays(degrees, npts), -1, degrees)
+    key = np.where(_tabulate_pays(lam, degrees, npts), -1, degrees)
     order = key.argsort()[::-1]
     counts = np.bincount(key + 1, minlength=1)
     exact = m - int(counts[0])

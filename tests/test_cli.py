@@ -1,13 +1,22 @@
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from turnarcs import cli
 from turnarcs.cli import main, read_realization_csv
 from turnarcs.covariance import NegativeBinomial
-from turnarcs.degree_sampling import GeometricDegrees
+from turnarcs.degree_sampling import (
+    FiniteDegrees,
+    GeometricDegrees,
+    OddShiftedZeta,
+    ShiftedZeta,
+)
 from turnarcs.grids import (
     GridError,
     LatLonGrid,
@@ -88,6 +97,71 @@ def test_parse_grid_strings():
         parse_grid("torus:3x3")
     with pytest.raises(GridError):
         parse_grid("latlon:100")
+
+
+FACES = st.integers(1, 10**6)
+GRID_SPECS = st.one_of(
+    st.builds(LatLonGrid, FACES, FACES),
+    st.builds(Slice3Grid, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              FACES, FACES),
+    st.builds(SectionGrid, st.integers(3, 10**4), FACES, FACES),
+    st.builds(PointListGrid, st.text(min_size=1), st.none() | st.integers(1, 10**4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=GRID_SPECS)
+@example(spec=Slice3Grid(0.123456789, 10, 10))
+@example(spec=Slice3Grid(0.25, 100, 100))
+def test_grid_spec_round_trips(spec):
+    # the CSV "# grid=" line must name the grid that was run
+    assert parse_grid(spec.describe(), spec.d) == spec
+
+
+def law_state(law):
+    return type(law), {key: np.asarray(value).tolist() for key, value in vars(law).items()}
+
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+DEGREE_LAWS = st.one_of(
+    st.builds(GeometricDegrees, OPEN_UNIT),
+    st.builds(ShiftedZeta, st.floats(1.0, 1e3, exclude_min=True)),
+    st.builds(OddShiftedZeta, st.floats(1.0, 1e3, exclude_min=True)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.1)
+      .map(lambda w: FiniteDegrees(np.array(w) / sum(w))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=DEGREE_LAWS)
+@example(law=GeometricDegrees(0.0014985004999999996))     # recommended for nb delta=0.999
+@example(law=GeometricDegrees(0.01))
+@example(law=ShiftedZeta(2.0))
+@example(law=FiniteDegrees(np.array([0.1, 0.2, 0.7])))
+def test_degree_law_spec_round_trips(law):
+    # the CSV "# degrees=" line must parse back to the law that was run
+    assert law_state(cli.parse_degrees(law.spec_string())) == law_state(law)
+
+
+def test_short_spec_strings_stay_short():
+    assert GeometricDegrees(0.01).spec_string() == "geometric:0.01"
+    assert ShiftedZeta(2.0).spec_string() == "zeta:2"
+    assert OddShiftedZeta(2.5).spec_string() == "oddzeta:2.5"
+    assert Slice3Grid(0.25, 100, 100).describe() == "slice3:0.25:100x100"
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(1, 8), rows=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_point_file_round_trips(tmp_path_factory, d, rows, seed):
+    # a point file of unit points, written with 17 significant digits as the
+    # CSV writer does, reads back bit for bit
+    v = np.random.default_rng(seed).normal(size=(rows, d + 1))
+    points = v / np.linalg.norm(v, axis=1)[:, None]
+    path = tmp_path_factory.mktemp("points") / "pts.csv"
+    np.savetxt(path, points, fmt="%.17g", delimiter=",")
+    grid = build_grid(PointListGrid(str(path)))
+    assert grid.d == d
+    assert_array_equal(grid.points, points)
 
 
 # ------------------------------------------------------------------- simulate
@@ -430,6 +504,15 @@ def test_example2_valid_variant_runs(tmp_path):
         "--grid", "latlon:6x6", "--out", str(tmp_path / "ex2v.csv"),
     ])
     assert code == 0
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the spectral-Matern normalizer integrates, and scipy.integrate is
+    # about a third of the CLI's import time
+    probe = "import sys, turnarcs.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, timeout=120)
+    assert result.stdout.strip() == "False"
 
 
 def test_examples_script_is_shipped():

@@ -1,5 +1,6 @@
 """Tabulated wave profiles: quintic Hermite interpolation of weight *
-G_n(cos theta) on 16n uniform theta intervals, checked against the exact
+G_n(cos theta) on m >= 16n uniform theta intervals (nodes from the Fourier
+series on d <= 3, from the recurrence above), checked against the exact
 weighted recurrence and scipy.special.eval_gegenbauer.
 
 Errors are relative to the wave amplitude |w| G_n(1).  The interpolation
@@ -20,11 +21,15 @@ from turnarcs.degree_sampling import GeometricDegrees, OddShiftedZeta, ShiftedZe
 from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
 from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
 from turnarcs.simulator import (
+    FOURIER_NODE_COST,
+    FOURIER_TABLE_COST,
     INTERP_STEPS,
     NODES_PER_DEGREE,
     PROFILE_ERROR_BOUND,
     TABLE_STEP_COST,
     SimulationConfig,
+    _fourier_node_count,
+    _fourier_nodes,
     _interpolate,
     _profile_nodes,
     _profile_table,
@@ -36,6 +41,7 @@ from turnarcs.simulator import (
 )
 
 EPS = np.finfo(float).eps
+LD = np.longdouble
 
 
 def tolerance(lam, n):
@@ -127,7 +133,7 @@ def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
     weight = -wave_weight(config, n)
     amp = np.exp(np.log(-weight) + gegenbauer_log_at_one(lam, n))
     t = np.cos(np.linspace(0.0, np.pi, 40_000) ** 2 / np.pi)   # dense near the pole
-    assert _tabulate_pays(n, t.size)
+    assert _tabulate_pays(lam, n, t.size)
     got = _wave_profiles(d, np.array([n]), t[None, :], np.array([weight]))[0]
     assert np.all(np.isfinite(got))
     sample = slice(0, None, 97)
@@ -135,12 +141,24 @@ def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
     assert np.max(np.abs(got[sample] - exact)) <= tolerance(lam, n) * amp
 
 
+def fourier_integer_form(n, npts):
+    """The Fourier-table cost model in integers, with the node count of
+    each degree computed as the table builds it."""
+    cost = FOURIER_TABLE_COST + FOURIER_NODE_COST * NODES_PER_DEGREE * n + INTERP_STEPS * npts
+    return cost < (n + 1) * npts and (n < 1 or _fourier_node_count(n) + 1 <= npts)
+
+
 def test_small_inputs_keep_the_exact_recurrence():
     rng = np.random.default_rng(5)
-    for n, npts in ((3, 100_000), (40, 200), (500, 8_000), (20_000, 300_000)):
-        assert not _tabulate_pays(n, npts)
-    # zeta-tail degrees: the cost model must not overflow int64
-    assert not np.any(_tabulate_pays(np.array([10**12, 2**62]), 300_000))
+    for lam in (0.5, 1.0, 1.5):
+        for n, npts in ((3, 100_000), (40, 200), (20_000, 300_000)):
+            assert not _tabulate_pays(lam, n, npts)
+        # zeta-tail degrees: the cost model must not overflow int64
+        assert not np.any(_tabulate_pays(lam, np.array([10**12, 2**62]), 300_000))
+    # a recurrence table costs n steps over 16n nodes; a Fourier table pays
+    # up to its node limit: 16 * 500 + 1 nodes exceed 8000 points
+    assert not _tabulate_pays(1.5, 500, 8_000)
+    assert not _tabulate_pays(0.5, 500, 8_000) and _tabulate_pays(0.5, 500, 8_001)
     t = rng.uniform(-1.0, 1.0, 200)
     assert_array_equal(_wave_profiles(4, np.array([40]), t[None, :], np.array([0.3]))[0],
                        gegenbauer_eval_weighted(1.5, 40, t, 0.3))
@@ -158,12 +176,92 @@ def test_cost_model_matches_integer_form(npts):
     n = np.concatenate([np.arange(200), np.arange(max(0, top - 2000), top + 2)])
     integer_form = ((n + 1) * (NODES_PER_DEGREE * n + TABLE_STEP_COST) + INTERP_STEPS * npts
                     < (n + 1) * npts)
-    assert_array_equal(_tabulate_pays(n, npts), integer_form)
+    assert_array_equal(_tabulate_pays(1.5, n, npts), integer_form)
+    # the Fourier form's two integer limits, against the cost and the node
+    # count of every degree near them
+    fourier = [fourier_integer_form(int(k), npts) for k in n]
+    assert_array_equal(_tabulate_pays(1.0, n, npts), fourier)
+    assert_array_equal(_tabulate_pays(0.5, n, npts), fourier)
 
 
 def test_large_inputs_take_the_tabulated_path():
-    for n, npts in ((20, 100_000), (100, 10_000), (1000, 250_000)):
-        assert _tabulate_pays(n, npts)
+    for lam in (0.5, 1.0, 1.5):
+        for n, npts in ((20, 100_000), (100, 10_000), (1000, 250_000)):
+            assert _tabulate_pays(lam, n, npts)
+    assert _tabulate_pays(0.5, 15_000, 250_000)
+
+
+def fourier_oracle(lam, n, weight, m, j):
+    """f, f', f'' of weight * G_n(cos theta) at theta_j = pi j / m by the
+    direct sum over sum_k alpha_k alpha_{n-k} cos((n-2k) theta) in long
+    double: each angle is reduced modulo 2 pi in integers, so no angle
+    carries the rounding of a large multiple of theta."""
+    i = np.arange(1, n + 1, dtype=LD)
+    alpha = np.concatenate([[LD(1)], np.cumprod((i + LD(lam - 1)) / i)])
+    coef = LD(weight) * alpha * alpha[::-1]          # of cos((n - 2k) theta)
+    freq = n - 2 * np.arange(n + 1)
+    angle = np.arccos(LD(-1)) * ((freq[None, :] * j[:, None]) % (2 * m)).astype(LD) / m
+    cos, sin = np.cos(angle), np.sin(angle)
+    return ((coef * cos).sum(axis=1), -(coef * freq * sin).sum(axis=1),
+            -(coef * freq.astype(LD) ** 2 * cos).sum(axis=1))
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(1, 100_000),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2, n=997, log_amp=0.0, sign=1.0, seed=0)
+@example(d=3, n=997, log_amp=1.0, sign=-1.0, seed=1)
+@example(d=2, n=100_000, log_amp=0.0, sign=-1.0, seed=2)
+@example(d=3, n=1, log_amp=0.0, sign=1.0, seed=3)
+def test_fourier_nodes_within_rounding_bound(d, n, log_amp, sign, seed):
+    # relative to the amplitude |w| G_n(1), times n^i for the i-th derivative:
+    # the transforms round within eps log2(m) (all coefficients share the
+    # weight's sign), the long-double alpha_k within n long-double ulps
+    lam = 0.5 * (d - 1)
+    amp = 10.0**log_amp
+    weight = sign * amp * np.exp(-gegenbauer_log_at_one(lam, n))
+    m = _fourier_node_count(n)
+    assert NODES_PER_DEGREE * n <= m <= 1.125 * NODES_PER_DEGREE * n
+    rng = np.random.default_rng(seed)
+    j = np.unique(np.concatenate([[0, 1, 2, m // 2, m - 2, m - 1, m],
+                                  rng.integers(0, m + 1, 9)]))
+    got = [row[j] for row in _fourier_nodes(lam, n, weight, m)]
+    assert got[1][0] == 0.0 and got[1][-1] == 0.0
+    rounding = (EPS * np.log2(m) + n * np.finfo(LD).eps) * amp
+    for i, (g, ref) in enumerate(zip(got, fourier_oracle(lam, n, weight, m, j))):
+        assert np.max(np.abs(g - ref.astype(float))) <= rounding * n**i
+    # the recurrence and scipy: their own rounding at a rounded argument,
+    # eps n(n+2lam)/(1+2lam) of the amplitude near the poles (see tolerance);
+    # the derivative formulas divide by sin(theta), so they are compared
+    # where sin(theta) >= 1/2, where the recurrence rounds within eps n
+    theta = np.linspace(0.0, np.pi, m + 1)[j]
+    exact = _profile_nodes(lam, n, weight, theta)
+    allowed = rounding + 2.0 * EPS * n * (n + 2.0 * lam) / (1.0 + 2.0 * lam) * amp
+    assert np.max(np.abs(got[0] - exact[0])) <= allowed
+    assert np.max(np.abs(got[0] - weight * eval_gegenbauer(n, lam, np.cos(theta)))) <= allowed
+    inner = np.sin(theta) >= 0.5
+    for i in (1, 2):
+        err = np.abs(got[i] - exact[i])[inner]
+        assert np.all(err <= (rounding + EPS * n * amp) * n**i)
+
+
+def test_recurrence_tables_above_the_fourier_range():
+    # d = 4 keeps the recurrence nodes on exactly 16n intervals; d <= 3 pads
+    # 16n = 15952 (= 16 * 997) to the 5-smooth 16000
+    n, weight = 997, 0.7
+    recurrence = _profile_table(1.5, n, weight)
+    assert recurrence.shape == (6, NODES_PER_DEGREE * n + 1)
+    f = _profile_nodes(1.5, n, weight, np.linspace(0.0, np.pi, NODES_PER_DEGREE * n + 1))[0]
+    assert_array_equal(recurrence[0], f)
+    for lam in (0.5, 1.0):
+        fourier = _profile_table(lam, n, weight)
+        assert fourier.shape == (6, 16_001)
+        assert_array_equal(fourier[0], _fourier_nodes(lam, n, weight, 16_000)[0])
 
 
 CASES = {
@@ -191,7 +289,7 @@ def test_simulate_matches_scipy_sum_within_bound(case, seed):
         t = np.clip(points @ wave.pole, -1.0, 1.0)
         reference += weight * eval_gegenbauer(n, lam, t)
         allowed += tolerance(lam, n) * abs(weight) * np.exp(gegenbauer_log_at_one(lam, n))
-        tabulated += _tabulate_pays(n, npts)
+        tabulated += _tabulate_pays(lam, n, npts)
     reference /= np.sqrt(config.L)
     allowed /= np.sqrt(config.L)
     assert np.max(np.abs(values - reference)) <= allowed

@@ -409,7 +409,7 @@ def test_single_wave_rows_equal_wave_eval_bitwise(case):
     iotas = replay.integers(0, p, size=M) if p > 1 else [None] * M
     assert len(set(kappas.tolist())) > 1
     if points.shape[0] > 10_000:
-        assert np.any(_tabulate_pays(kappas, points.shape[0]))
+        assert np.any(_tabulate_pays(0.5 * (d - 1), kappas, points.shape[0]))
     for i in range(M):
         wave = WaveParams(int(eps[i]), poles[i], int(kappas[i]), iotas[i])
         if p == 1:
@@ -422,7 +422,8 @@ def test_single_wave_rows_equal_wave_eval_bitwise(case):
 def tile_cases(draw):
     """(POINT_BLOCK, d, npts, m, seed, tabulated) with at most ~3000 tiles
     in the batch.  Tabulated rows need thousands of points (none pays below
-    about 4000), so those cases take the two larger blocks and a few rows."""
+    about 1100 on d <= 3 and 4000 above), so those cases take the two larger
+    blocks and a few rows."""
     block = draw(st.sampled_from([1, 7, 64, 16384]))
     d = draw(st.sampled_from([2, 3, 5]))
     tabulated = block >= 64 and draw(st.booleans())
@@ -459,7 +460,7 @@ def test_tile_shape_does_not_change_bits(case):
     t = rng.uniform(-1.0, 1.0, size=(m, npts))
     t.flat[rng.integers(0, t.size, size=3)] = [-1.0, 0.0, 1.0]
     scale = rng.normal(size=m)
-    pays = _tabulate_pays(degrees, npts)
+    pays = _tabulate_pays(0.5 * (d - 1), degrees, npts)
     assert pays.any() == tabulated and not pays.all()
     single = [_wave_profiles(d, degrees[i : i + 1], t[i : i + 1], scale[i : i + 1])[0]
               for i in range(m)]
