@@ -7,7 +7,9 @@ circle).  Averaging L independent waves scaled by 1/sqrt(L) yields a field
 with the exact target covariance and an approximately Gaussian law.
 
 simulate, wave_eval_* and single_wave_values evaluate waves through one
-function, _wave_profiles, so a wave gets the same doubles from each of them.
+function, _wave_profiles, so a wave gets the same doubles from each of them;
+simulate adds a wave of degree 0, a constant, without it, with the doubles it
+would give.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -159,8 +161,17 @@ def sample_pole(d: int, rng, size=None):
     degenerate near-zero norms are redrawn."""
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
-    m = 1 if size is None else int(size)
-    v = rng.normal(size=(m, d + 1))
+    if size is None:
+        # the batch path's doubles for one row (np.linalg.norm is this sum)
+        # and the same draws, without its 2-D bookkeeping
+        v = rng.normal(size=d + 1)
+        norm = np.sqrt(np.add.reduce(v * v))
+        while norm < 1e-150:
+            v = rng.normal(size=d + 1)
+            norm = np.sqrt(np.add.reduce(v * v))
+        v /= norm
+        return v
+    v = rng.normal(size=(int(size), d + 1))
     norms = np.linalg.norm(v, axis=1)
     while True:
         bad = np.nonzero(norms < 1e-150)[0]
@@ -169,7 +180,7 @@ def sample_pole(d: int, rng, size=None):
         v[bad] = rng.normal(size=(bad.size, d + 1))
         norms[bad] = np.linalg.norm(v[bad], axis=1)
     v /= norms[:, None]
-    return v[0] if size is None else v
+    return v
 
 
 def wave_rng(seed: int, index: int) -> np.random.Generator:
@@ -190,6 +201,27 @@ def draw_wave(config: SimulationConfig, rng) -> WaveParams:
     degree = int(config.degrees.sample(rng))
     component = int(rng.integers(0, config.p)) if config.p > 1 else None
     return WaveParams(epsilon=epsilon, pole=pole, degree=degree, component=component)
+
+
+def _draw_plan(config: SimulationConfig) -> list[WaveParams]:
+    """The waves of simulate: draw_wave(config, wave_rng(config.seed, idx))
+    for idx < config.L, drawn through one Philox that is re-keyed for each
+    wave rather than built anew (building one costs about as much as the
+    draws and seeds an entropy SeedSequence that the key then replaces).
+
+    Wave idx starts from the state a fresh wave_rng(seed, idx) has: the
+    first wave's state with the key's index word set to idx, zero counter
+    and an empty buffer, with no half-used 32-bit word, so no random bits
+    carry over from the previous wave."""
+    rng = wave_rng(config.seed, 0)
+    fresh = rng.bit_generator.state
+    key = fresh["state"]["key"]
+    plan = []
+    for idx in range(config.L):
+        key[1] = idx
+        rng.bit_generator.state = fresh
+        plan.append(draw_wave(config, rng))
+    return plan
 
 
 def _tabulate_pays(lam: float, degrees, npts: int):
@@ -473,23 +505,32 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     byte-identical values whether n_threads is None or any worker count.
     The whole wave plan (draws, weights, support and Schoenberg factor
     checks) comes first, so an invalid model fails before any point work.
+    Wave idx is draw_wave(config, wave_rng(config.seed, idx)), drawn by
+    _draw_plan.  Waves are summed in order into groups of WAVE_GROUP, and
+    the group partials in order.  A wave of degree 0 is its signed weight
+    (times its factor row) at every point; it is added as that constant,
+    the doubles _wave_values would give, with no projection.
     """
     points = check_points(points, config.d)
     L = config.L
-    plan = [draw_wave(config, wave_rng(config.seed, idx)) for idx in range(L)]
+    plan = _draw_plan(config)
     degrees = np.array([wave.degree for wave in plan])
     signed, factors = _wave_coefficients(config, degrees,
                                          np.array([wave.epsilon for wave in plan]),
                                          np.array([wave.component for wave in plan]))
+    constant = (degrees == 0).tolist()
 
     def group_partial(bounds):
         lo, hi = bounds
         part = np.zeros((points.shape[0], config.p))
         for idx in range(lo, hi):
-            one = slice(idx, idx + 1)
-            t = (points @ plan[idx].pole)[None, :]
-            row = None if factors is None else factors[one]
-            vals = _wave_values(config.d, t, degrees[one], signed[one], row)[0]
+            if constant[idx]:
+                vals = signed[idx] if factors is None else signed[idx] * factors[idx]
+            else:
+                one = slice(idx, idx + 1)
+                t = (points @ plan[idx].pole)[None, :]
+                row = None if factors is None else factors[one]
+                vals = _wave_values(config.d, t, degrees[one], signed[one], row)[0]
             if not np.isfinite(vals).all():
                 raise SimulationError(f"non-finite wave values at wave index {idx}")
             part += vals

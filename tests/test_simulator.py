@@ -17,6 +17,7 @@ from turnarcs.covariance import (
     SequenceCovariance,
     SequenceMultiCovariance,
 )
+from turnarcs.cli import main
 from turnarcs.degree_sampling import (
     FiniteDegrees,
     GeometricDegrees,
@@ -28,6 +29,7 @@ from turnarcs.grids import LatLonGrid, build_grid, parse_grid
 from turnarcs import simulator
 from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
+    WAVE_GROUP,
     Realization,
     SimulationConfig,
     SimulationError,
@@ -74,6 +76,43 @@ def test_sample_pole_norms_and_moments():
     second = (poles[:, 0] ** 2).mean()
     se2 = np.std(poles[:, 0] ** 2) / np.sqrt(poles.shape[0])
     assert abs(second - 1.0 / 3.0) < 4 * se2
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 256), seed=st.integers(0, 2**64 - 1))
+@example(d=1, seed=0)
+@example(d=7, seed=1)      # d + 1 = 8: the first length summed pairwise
+@example(d=256, seed=2)
+def test_one_pole_is_the_first_row_of_a_batch(d, seed):
+    # the size=None path draws one vector and normalizes it on its own; it
+    # must give the batch path's doubles and leave the stream where it does
+    one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+    pole = sample_pole(d, one)
+    assert pole.shape == (d + 1,)
+    assert pole.tobytes() == sample_pole(d, batch, size=1)[0].tobytes()
+    assert one.random() == batch.random()
+
+
+class ScriptedNormals:
+    """A stream whose normal draws are given in advance, row by row."""
+
+    def __init__(self, rows):
+        self.rows = [np.asarray(r, dtype=float) for r in rows]
+
+    def normal(self, size):
+        n = size[0] if isinstance(size, tuple) and len(size) == 2 else 1
+        out = np.array(self.rows[:n])
+        del self.rows[:n]
+        return out.reshape(size)
+
+
+def test_degenerate_pole_draws_are_redrawn_alike():
+    rows = [[0.0, 1e-200, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]]
+    one, batch = ScriptedNormals(rows), ScriptedNormals(rows)
+    pole = sample_pole(2, one)
+    assert_array_equal(pole, [0.6, 0.0, 0.8])
+    assert_array_equal(sample_pole(2, batch, size=1)[0], pole)
+    assert one.rows == batch.rows == []
 
 
 # ------------------------------------------------------------------ one wave
@@ -193,6 +232,42 @@ def test_simulate_deterministic():
     a = simulate(config, points)
     b = simulate(config, points)
     assert_array_equal(a.values, b.values)
+
+
+def plan_laws():
+    """The four degree-law families, with drawn parameters."""
+    probs = st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5)
+    return st.one_of(
+        probs.map(lambda w: FiniteDegrees(np.array(w) / sum(w))),
+        st.floats(0.01, 0.9).map(GeometricDegrees),
+        st.floats(1.1, 4.0).map(ShiftedZeta),
+        st.floats(1.1, 4.0).map(OddShiftedZeta),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=plan_laws(), d=st.sampled_from([1, 2, 3, 8]), p=st.sampled_from([1, 2]),
+       L=st.integers(1, 40),
+       seed=st.one_of(st.just(0), st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                      st.integers(2**64, 2**80)))
+@example(law=ShiftedZeta(2.0), d=3, p=1, L=2, seed=0)
+@example(law=GeometricDegrees(0.05), d=2, p=2, L=3, seed=-1)
+@example(law=FiniteDegrees([0.5, 0.5]), d=8, p=2, L=5, seed=2**64 + 9)
+def test_plan_is_the_per_wave_streams(law, d, p, L, seed):
+    # simulate draws its plan through one Philox re-keyed per wave; the plan
+    # must be the public per-wave replay, field for field and pole byte for
+    # pole byte (the model only has to load a degree that every law covers)
+    model = (SequenceCovariance([0.0, 1.0], d=d) if p == 1 else
+             SequenceMultiCovariance([np.zeros((2, 2)), np.eye(2)], d=d))
+    config = SimulationConfig(model, law, L=L, seed=seed)
+    plan = simulator._draw_plan(config)
+    assert len(plan) == L
+    for idx, wave in enumerate(plan):
+        replay = draw_wave(config, wave_rng(seed, idx))
+        assert (wave.epsilon, wave.degree, wave.component) == (
+            replay.epsilon, replay.degree, replay.component)
+        assert wave.pole.dtype == replay.pole.dtype and wave.pole.shape == (d + 1,)
+        assert wave.pole.tobytes() == replay.pole.tobytes()
 
 
 def test_simulate_threads_match_sequential():
@@ -505,6 +580,8 @@ SUM_CASES = {
                          GeometricDegrees(0.01)),
     "chentsov d=4": (Chentsov(d=4), OddShiftedZeta(2.0)),
     "exponential d=3": (Exponential(1.0, d=3), ShiftedZeta(2.0)),
+    "bivariate nb zeta d=2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                              ShiftedZeta(2.0)),
 }
 
 
@@ -526,6 +603,61 @@ def test_simulate_is_the_sum_of_its_waves(case, L, seed, npts):
     values = simulate(config, points).values
     rms = np.sqrt(np.mean(model.variance()))
     assert np.max(np.abs(values - np.reshape(total, values.shape) / np.sqrt(L))) <= 1e-13 * rms
+
+
+@pytest.mark.parametrize("case", ["f d=3", "exponential d=3", "bivariate nb zeta d=2"])
+@pytest.mark.parametrize("L, seed, npts", [(150, 0, 12), (64, 2**64 - 1, 1), (100, 7, 3000)])
+def test_simulate_is_its_summation_tree_bitwise(case, L, seed, npts):
+    # zeta:2 puts 61% of its mass on degree 0, whose waves simulate adds as
+    # constants (times their factor rows for p = 2); the replay evaluates
+    # every wave through wave_eval_* and sums in the same tree: rows into
+    # groups of WAVE_GROUP waves, the groups in order, then 1/sqrt(L)
+    model, degrees = SUM_CASES[case]
+    config = SimulationConfig(model, degrees, L=L, seed=seed)
+    points = sample_pole(config.d, np.random.default_rng(seed), size=npts)
+    p = config.p
+    wave_eval = wave_eval_scalar if p == 1 else wave_eval_vector
+    waves = [draw_wave(config, wave_rng(seed, i)) for i in range(L)]
+    kappas = np.array([wave.degree for wave in waves])
+    assert np.any(kappas == 0) and np.any(kappas > 0)
+    if npts > 1000:
+        assert np.any(_tabulate_pays(0.5 * (config.d - 1), kappas, npts))
+    values = np.zeros((npts, p))
+    for lo in range(0, L, WAVE_GROUP):
+        part = np.zeros((npts, p))
+        for wave in waves[lo : lo + WAVE_GROUP]:
+            part += np.reshape(wave_eval(wave, config, points), (npts, p))
+        values += part
+    values *= 1.0 / np.sqrt(L)
+    assert_array_equal(simulate(config, points).values, values)
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_non_finite_wave_names_its_index(monkeypatch, tmp_path, capsys, constant):
+    # an infinite weight at one wave, of degree 0 (the constant add) or not
+    # (the profile path), must stop simulate at that wave's index, and the
+    # CLI with exit code 1
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), ShiftedZeta(2.0), L=30, seed=5)
+    kappas = np.array([wave.degree for wave in simulator._draw_plan(config)])
+    idx = int(np.flatnonzero((kappas == 0) == constant)[-1])
+    real = simulator._wave_weights
+
+    def poisoned(model, law, degrees):
+        weights = real(model, law, degrees)
+        if len(degrees) == config.L:
+            weights[idx] = np.inf
+        return weights
+
+    monkeypatch.setattr(simulator, "_wave_weights", poisoned)
+    message = f"non-finite wave values at wave index {idx}$"
+    with np.errstate(invalid="ignore"):         # inf - inf in the recurrence
+        with pytest.raises(SimulationError, match=message):
+            simulate(config, meridian_points(2, [0.3, 1.1, 2.9]))
+        code = main(["simulate", "--model", "nb", "--delta", "0.5", "--degree-dist", "zeta:2",
+                     "--L", "30", "--seed", "5", "--grid", "latlon:2x3",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"non-finite wave values at wave index {idx}\n" in capsys.readouterr().err
 
 
 def test_single_wave_zero_mean():
