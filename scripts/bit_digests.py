@@ -1,0 +1,149 @@
+"""Print one SHA-256 digest per simulation case, to compare two checkouts
+bit for bit.
+
+    python3 scripts/bit_digests.py > digests.txt
+
+Run it in two checkouts and diff the two outputs: every line that differs is
+a case whose output bits moved.  The package is imported from the src/
+directory next to this script, never from an installed copy.
+
+Cases:
+  - the four benchmark workload configs (perfbench/workloads.py), config
+    seeds 0-2, 2**64 + 3 and 2**65 + 4: `simulate` values with n_threads
+    None and 2; the CSV rows of `turnarcs simulate` for the CLI workload
+    (header lines left out); the `turnarcs validate` report without its
+    wall time;
+  - L = 300 waves on 500 fixed points for the circle with a finite law,
+    Chentsov d = 5 under oddzeta:2, bivariate nb under zeta:2 and F d = 3
+    under zeta:2, seeds 2**70 + 0-2, n_threads None and 2;
+  - each degree law's scalar draws from the per-wave streams and one batch
+    draw from a default_rng, with the stream state after them; one pole per
+    dimension with the stream state after it.
+
+A d = 3 line also names the number of drawn waves above the Fourier column
+limit (`heavy=`); their profiles come from the closed form
+sin((n+1) theta) / sin(theta), so those lines may differ between checkouts
+that evaluate such rows differently.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+from scipy import fft  # noqa: E402
+
+import workloads  # noqa: E402
+from turnarcs import cli  # noqa: E402
+from turnarcs.covariance import (  # noqa: E402
+    BivariateNegativeBinomial, Chentsov, GeneralizedF, SequenceCovariance)
+from turnarcs.degree_sampling import (  # noqa: E402
+    FiniteDegrees, GeometricDegrees, OddShiftedZeta, ShiftedZeta)
+from turnarcs.simulator import (  # noqa: E402
+    SimulationConfig, draw_wave, sample_pole, simulate, wave_rng)
+
+SEEDS = (0, 1, 2, 2**64 + 3, 2**65 + 4)
+EXTRA_SEEDS = (2**70, 2**70 + 1, 2**70 + 2)
+EXTRA_CASES = {
+    "circle-finite": (SequenceCovariance([0.2, 0.5, 0.3], d=1),
+                      FiniteDegrees([0.25, 0.5, 0.25])),
+    "chentsov-d5-oddzeta2": (Chentsov(d=5), OddShiftedZeta(2.0)),
+    "bivariate-nb-zeta2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                           ShiftedZeta(2.0)),
+    "f-d3-zeta2": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0)),
+}
+LAWS = (FiniteDegrees([0.1, 0.0, 0.6, 0.3]), GeometricDegrees(0.01), ShiftedZeta(1.1),
+        ShiftedZeta(2.0), ShiftedZeta(7.0), OddShiftedZeta(1.5), OddShiftedZeta(3.7))
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def heavy(config, npts: int) -> str:
+    """' heavy=k' for d = 3: waves of the plan above the column limit."""
+    if config.d != 3:
+        return ""
+    limit = fft.prev_fast_len(max(npts - 1, 1), real=True) // 16
+    degrees = [draw_wave(config, wave_rng(config.seed, i)).degree for i in range(config.L)]
+    return f" heavy={sum(k > limit for k in degrees)}"
+
+
+def simulate_lines(name, config, points):
+    note = heavy(config, points.shape[0])
+    for threads in (None, 2):
+        values = simulate(config, points, n_threads=threads).values
+        yield f"{name} seed={config.seed} threads={threads} {digest(values.tobytes())}{note}"
+
+
+def workload_lines():
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workloads.setup(workload)
+        if workload.command == "validate":
+            for seed in SEEDS:
+                report = io.StringIO()
+                with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(["validate", *workload.flags, "--seed", str(seed)])
+                body = [line for line in report.getvalue().splitlines()
+                        if not line.startswith("# wall-time-seconds")]
+                yield f"{name} seed={seed} exit={code} {digest(chr(10).join(body))}"
+            continue
+        for seed in SEEDS:
+            config = SimulationConfig(inputs.model, inputs.degrees, L=inputs.args.L, seed=seed)
+            yield from simulate_lines(name, config, inputs.grid.points)
+            if workload.via_cli:
+                with tempfile.TemporaryDirectory() as tmp:
+                    out = Path(tmp) / "out.csv"
+                    code = cli.main(["simulate", *workload.flags, "--seed", str(seed),
+                                     "--out", str(out)])
+                    rows = [line for line in out.read_bytes().splitlines(keepends=True)
+                            if not line.startswith(b"#")]
+                yield f"{name} seed={seed} csv exit={code} {digest(b''.join(rows))}"
+
+
+def extra_lines():
+    for name, (model, law) in EXTRA_CASES.items():
+        rng = np.random.default_rng(12345)
+        points = rng.normal(size=(500, model.d + 1))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        for seed in EXTRA_SEEDS:
+            yield from simulate_lines(name, SimulationConfig(model, law, L=300, seed=seed), points)
+
+
+def law_lines():
+    for law in LAWS:
+        for seed in (0, 2**64 + 5):
+            draws, states = [], []
+            for idx in range(200):
+                rng = wave_rng(seed, idx)
+                draws.append(law.sample(rng))
+                states.append(rng.bit_generator.state)
+            yield f"law {law.spec_string()} seed={seed} scalar {digest(draws, states)}"
+        rng = np.random.default_rng(99)
+        batch = law.sample(rng, size=5000)
+        yield (f"law {law.spec_string()} batch "
+               f"{digest(batch.tobytes(), rng.bit_generator.state)}")
+    for d in (1, 2, 3, 8, 40):
+        rng = wave_rng(7, d)
+        pole = sample_pole(d, rng)
+        yield f"pole d={d} {digest(pole.tobytes(), rng.bit_generator.state)}"
+
+
+def main() -> None:
+    for lines in (law_lines(), extra_lines(), workload_lines()):
+        for line in lines:
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

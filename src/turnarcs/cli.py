@@ -186,6 +186,8 @@ def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     stream.write(f"# degrees={md['degrees']}\n")
     stream.write(f"# grid={grid_string}\n")
     stream.write(f"# profile_error_bound={_fmt(md['profile_error_bound'])}\n")
+    stream.write(f"# degree_sum={md['degree_sum']}\n")
+    stream.write(f"# degree_max={md['degree_max']}\n")
     for line in extra_lines:
         stream.write(line + "\n")
     p = realization.values.shape[1]

@@ -30,6 +30,8 @@ __all__ = [
     "support_covers",
 ]
 
+ZETA_BATCH = 64     # Devroye candidates per batch, and per scalar draw attempt
+
 
 class DegreeDistribution:
     """Common interface: pmf/log_pmf, exact sampling, support membership and
@@ -43,8 +45,21 @@ class DegreeDistribution:
             out = np.log(self.pmf(n))
         return out
 
-    def sample(self, rng, size=None):
+    # uniforms one draw attempt reads from the stream, in one call
+    _row_width = 1
+
+    def _row_degrees(self, rows):
+        """(degrees, accepted) of draw attempts, one per row of uniforms of
+        shape (m, _row_width).  sample(rng) reads one row per attempt from
+        the stream and takes its degree from here (the batch sample(rng,
+        size) shares the arithmetic), so a caller that reads the same rows
+        gets sample's degrees bit for bit."""
         raise NotImplementedError
+
+    def sample(self, rng, size=None):
+        """One degree (an int), or an int64 array of `size` degrees."""
+        degrees, _ = self._row_degrees(rng.random((1 if size is None else int(size), 1)))
+        return int(degrees[0]) if size is None else degrees.astype(np.int64)
 
     def in_support(self, n):
         raise NotImplementedError
@@ -82,10 +97,9 @@ class FiniteDegrees(DegreeDistribution):
         out[inside] = self.probs[n_arr[inside]]
         return float(out[0]) if np.ndim(n) == 0 else out
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
-        idx = np.searchsorted(self._cdf, u, side="right")
-        return int(idx) if size is None else idx.astype(np.int64)
+    def _row_degrees(self, rows):
+        degrees = np.searchsorted(self._cdf, rows[:, 0], side="right")
+        return degrees, np.ones(degrees.shape, dtype=bool)
 
     def in_support(self, n):
         n_arr = np.atleast_1d(np.asarray(n, dtype=int))
@@ -118,10 +132,11 @@ class GeometricDegrees(DegreeDistribution):
         out[n_arr < 0] = -np.inf
         return float(out[0]) if np.ndim(n) == 0 else out
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
-        n = np.floor(np.log1p(-u) / np.log1p(-self.p))
-        return int(n) if size is None else n.astype(np.int64)
+    def _row_degrees(self, rows):
+        # inversion; the degrees stay floats so that sample(rng) gives the
+        # exact int of any floor, however far the tail reaches
+        degrees = np.floor(np.log1p(-rows[:, 0]) / np.log1p(-self.p))
+        return degrees, np.ones(degrees.shape, dtype=bool)
 
     def in_support(self, n):
         n_arr = np.asarray(n)
@@ -135,8 +150,10 @@ class GeometricDegrees(DegreeDistribution):
         return f"geometric:{_spec_number(self.p)}"
 
 
-def _devroye_zeta(theta: float, rng, count: int) -> np.ndarray:
-    """Exact draws X >= 1 with pmf proportional to X^-theta (rejection scheme).
+def _devroye_candidates(theta: float, u, v):
+    """One step of Devroye's rejection scheme for X >= 1 with pmf
+    proportional to X^-theta, elementwise on candidate uniforms u and v of
+    any one shape: (candidates X as floats, accepted).
 
     Candidates come from inverting the Pareto envelope, the squeeze uses the
     ratio T = (1+1/X)^(theta-1); expected trials per draw are bounded
@@ -144,17 +161,24 @@ def _devroye_zeta(theta: float, rng, count: int) -> np.ndarray:
     """
     b = 2.0 ** (theta - 1.0)
     inv_exp = -1.0 / (theta - 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = np.floor(u**inv_exp)
+        t = (1.0 + 1.0 / x) ** (theta - 1.0)
+        ok = np.isfinite(x) & (x < 2.0**62)
+        ok &= v * x * (t - 1.0) / (b - 1.0) <= t / b
+    return x, ok
+
+
+def _devroye_zeta(theta: float, rng, count: int) -> np.ndarray:
+    """count exact draws X >= 1 with pmf proportional to X^-theta: batches
+    of at least ZETA_BATCH candidates, u then v read in one call, until
+    count are accepted."""
     out = np.empty(count, dtype=np.int64)
     filled = 0
     while filled < count:
-        m = max(64, 2 * (count - filled))
-        u = rng.random(m)
-        v = rng.random(m)
-        with np.errstate(over="ignore", divide="ignore"):
-            x = np.floor(u**inv_exp)
-            t = (1.0 + 1.0 / x) ** (theta - 1.0)
-            ok = np.isfinite(x) & (x < 2.0**62)
-            ok &= v * x * (t - 1.0) / (b - 1.0) <= t / b
+        m = max(ZETA_BATCH, 2 * (count - filled))
+        uv = rng.random(2 * m)
+        x, ok = _devroye_candidates(theta, uv[:m], uv[m:])
         accepted = x[ok]
         take = min(accepted.size, count - filled)
         out[filled : filled + take] = accepted[:take].astype(np.int64)
@@ -171,11 +195,31 @@ class _ZetaLaw(DegreeDistribution):
         self.theta = float(theta)
         self._zeta = float(riemann_zeta(self.theta))
 
+    # one draw attempt: ZETA_BATCH candidates u, then their ZETA_BATCH v
+    _row_width = 2 * ZETA_BATCH
+
     def pmf(self, n):
         return np.exp(self.log_pmf(n))
 
     def tail(self):
         return ("zeta", self.theta)
+
+    def _row_degrees(self, rows):
+        # each row's first accepted candidate, as _devroye_zeta takes it
+        x, ok = _devroye_candidates(self.theta, rows[:, :ZETA_BATCH], rows[:, ZETA_BATCH:])
+        first = ok.argmax(axis=1)
+        every = np.arange(rows.shape[0])
+        accepted = ok[every, first]
+        draws = np.where(accepted, x[every, first], 1.0).astype(np.int64)
+        return self._from_draws(draws), accepted
+
+    def sample(self, rng, size=None):
+        if size is not None:
+            return self._from_draws(_devroye_zeta(self.theta, rng, int(size)))
+        while True:
+            degrees, accepted = self._row_degrees(rng.random((1, self._row_width)))
+            if accepted[0]:
+                return int(degrees[0])
 
 
 class ShiftedZeta(_ZetaLaw):
@@ -193,10 +237,9 @@ class ShiftedZeta(_ZetaLaw):
         out[n_arr < 0] = -np.inf
         return float(out[0]) if np.ndim(n) == 0 else out
 
-    def sample(self, rng, size=None):
-        draws = _devroye_zeta(self.theta, rng, 1 if size is None else int(size))
-        shifted = draws - 1
-        return int(shifted[0]) if size is None else shifted
+    @staticmethod
+    def _from_draws(draws):
+        return draws - 1
 
     def in_support(self, n):
         n_arr = np.asarray(n)
@@ -218,10 +261,9 @@ class OddShiftedZeta(_ZetaLaw):
         out[odd] = -self.theta * np.log(m + 1.0) - np.log(self._zeta)
         return float(out[0]) if np.ndim(n) == 0 else out
 
-    def sample(self, rng, size=None):
-        draws = _devroye_zeta(self.theta, rng, 1 if size is None else int(size))
-        odd = 2 * draws - 1
-        return int(odd[0]) if size is None else odd
+    @staticmethod
+    def _from_draws(draws):
+        return 2 * draws - 1
 
     def in_support(self, n):
         n_arr = np.asarray(n)

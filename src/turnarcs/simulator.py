@@ -61,9 +61,17 @@ TABLE_STEP_COST = 2500
 # d = 2, about 11 on 30k-62k points, 16 on 10k and 18 on 5k
 FOURIER_TABLE_COST = 40_000
 FOURIER_NODE_COST = 25
+# the 3-sphere closed form costs ~30 steps per point (an arccos and two sines,
+# ~50 ns) and ~12k steps per call (~18 us of numpy calls)
+CHEBYSHEV_ROW_COST = 12_000
+CHEBYSHEV_POINT_COST = 30
 # |tabulated - exact profile| / (|w| G_n(1)): quintic Hermite remainder
 # h^6 / (6! 2^6) |f^(6)| with h <= pi / (16 n) and Bernstein's |f^(6)| <= n^6 |w| G_n(1)
 PROFILE_ERROR_BOUND = (np.pi / NODES_PER_DEGREE) ** 6 / 46080.0
+# |closed-form - exact profile| / (|w| (n+1)), the 3-sphere rows above the
+# Fourier column limit: the sum of six roundings' worst cases, see
+# _chebyshev_profiles (measured at most 1.8 eps)
+CHEBYSHEV_ERROR_BOUND = 6.0 * np.finfo(float).eps
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
 ENSEMBLE_WAVE_CAP = 2_000_000     # simulate_ensemble: simultaneous waves per chunk
@@ -205,23 +213,60 @@ def draw_wave(config: SimulationConfig, rng) -> WaveParams:
 
 def _draw_plan(config: SimulationConfig) -> list[WaveParams]:
     """The waves of simulate: draw_wave(config, wave_rng(config.seed, idx))
-    for idx < config.L, drawn through one Philox that is re-keyed for each
-    wave rather than built anew (building one costs about as much as the
-    draws and seeds an entropy SeedSequence that the key then replaces).
+    for idx < config.L, in two steps.
 
-    Wave idx starts from the state a fresh wave_rng(seed, idx) has: the
-    first wave's state with the key's index word set to idx, zero counter
-    and an empty buffer, with no half-used 32-bit word, so no random bits
-    carry over from the previous wave."""
+    First each wave's stream is read in draw_wave's order: sign, the pole's
+    normals, one row of the degree law's uniforms (law._row_width of them,
+    one draw attempt), then the component.  The streams come from one Philox
+    that is re-keyed for each wave rather than built anew (building one
+    costs about as much as the draws and seeds an entropy SeedSequence that
+    the key then replaces): wave idx starts from the state a fresh
+    wave_rng(seed, idx) has, the first wave's state with the key's index
+    word set to idx, zero counter and an empty buffer, with no half-used
+    32-bit word, so no random bits carry over from the previous wave.
+
+    Then one pass over the plan computes the pole norms and the degrees, the
+    doubles sample_pole and law.sample compute for one wave.  A wave whose
+    pole norm is below 1e-150 or whose draw attempt was rejected reads more
+    of its stream in draw_wave; it is redrawn whole by draw_wave from its
+    fresh state."""
+    L, p = config.L, config.p
+    law = config.degrees
     rng = wave_rng(config.seed, 0)
     fresh = rng.bit_generator.state
     key = fresh["state"]["key"]
-    plan = []
-    for idx in range(config.L):
+    signs = []
+    normals = np.empty((L, config.d + 1))
+    uniforms = np.empty((L, law._row_width))
+    components = []
+    for idx in range(L):
         key[1] = idx
         rng.bit_generator.state = fresh
-        plan.append(draw_wave(config, rng))
+        signs.append(int(rng.integers(0, 2)) * 2 - 1)
+        normals[idx] = rng.normal(size=config.d + 1)
+        rng.random(out=uniforms[idx])
+        if p > 1:
+            components.append(int(rng.integers(0, p)))
+    norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
+    degrees, accepted = law._row_degrees(uniforms)
+    redraw = np.flatnonzero(~accepted | (norms < 1e-150)).tolist()
+    norms[redraw] = 1.0
+    normals /= norms[:, None]
+    plan = [WaveParams(epsilon, pole, int(degree), component)
+            for epsilon, pole, degree, component
+            in zip(signs, normals, degrees.tolist(), components or [None] * L)]
+    for idx in redraw:
+        key[1] = idx
+        rng.bit_generator.state = fresh
+        plan[idx] = draw_wave(config, rng)
     return plan
+
+
+def _column_limit(npts: int) -> int:
+    """Highest degree of a Fourier table on npts points: m + 1 <= npts for
+    its 5-smooth m >= 16n, i.e. 16n <= the largest 5-smooth number
+    <= npts - 1."""
+    return fft.prev_fast_len(max(npts - 1, 1), real=True) // NODES_PER_DEGREE
 
 
 def _tabulate_pays(lam: float, degrees, npts: int):
@@ -240,9 +285,7 @@ def _tabulate_pays(lam: float, degrees, npts: int):
     in float64 so that zeta-tail degrees cannot overflow; every term is a
     multiple of 1/1024, so the decision is exact for npts below 9e7."""
     if lam <= FOURIER_MAX_LAM:
-        # m + 1 <= npts for the 5-smooth m >= 16n: 16n <= the largest
-        # 5-smooth number <= npts - 1
-        highest = fft.prev_fast_len(max(npts - 1, 1), real=True) // NODES_PER_DEGREE
+        highest = _column_limit(npts)
         per_degree = NODES_PER_DEGREE * FOURIER_NODE_COST
         # (n+1)(npts - per_degree) > FOURIER_TABLE_COST - per_degree + 10 npts
         margin = npts - per_degree
@@ -252,6 +295,17 @@ def _tabulate_pays(lam: float, degrees, npts: int):
         return (degrees >= lowest) & (degrees <= highest)
     c = (npts - TABLE_STEP_COST + NODES_PER_DEGREE) / (2 * NODES_PER_DEGREE)
     return np.square(np.add(degrees, 1.0 - c)) < c * c - INTERP_STEPS * npts / NODES_PER_DEGREE
+
+
+def _chebyshev_pays(lam: float, degrees, npts: int):
+    """Whether a row takes the closed form of _chebyshev_profiles: on the
+    3-sphere (lam = 1), every degree that no Fourier table can hold,
+    n > _column_limit(npts), unless its exact sweep is cheaper,
+    (n+1) npts <= 12000 + 30 npts, as on a handful of points.  One integer
+    limit, so the decision is exact for any int64 degree."""
+    lowest = max(_column_limit(npts) + 1,
+                 CHEBYSHEV_POINT_COST + CHEBYSHEV_ROW_COST // npts)
+    return (np.asarray(degrees) >= lowest) & (lam == 1.0)
 
 
 def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
@@ -394,13 +448,57 @@ def _wave_weights(model, law, degrees) -> np.ndarray:
     return np.exp(0.5 * log_w2)
 
 
+def _chebyshev_profiles(degrees: np.ndarray, scale: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Profiles scale_i * G_{degrees_i}^1(t_i) on the 3-sphere, shape
+    (m, npts), from the closed form G_n^1(cos theta) = U_n(cos theta) =
+    sin((n+1) theta) / sin(theta): O(npts) at any degree, with no table and
+    no recurrence.  t is folded to |t| by U_n(-x) = (-1)^n U_n(x), so theta
+    = arccos|t| <= pi/2 and the rounding of (n+1) theta is never divided by
+    a small sin(theta) next to t = -1; where sin(theta) = 0 the value is the
+    limit n + 1.
+
+    Error, relative to the amplitude (n+1) |scale_i|, with every elementary
+    function within one ulp: an arccos error of eps theta moves U_n by up
+    to (pi/2) eps, the rounding of (n+1) theta by (pi/4) eps (both worst
+    at theta = pi/2, where theta / sin(theta) = pi/2), the two sines by eps
+    each, the division and the weight by eps/2 each: 5.4 eps in all, so
+    CHEBYSHEV_ERROR_BOUND = 6 eps.  Tiles of at most POINT_BLOCK elements,
+    as in the exact sweep; every step is elementwise, so a row's doubles do
+    not depend on the tile shape or on the other rows."""
+    m, npts = t.shape
+    out = np.empty((m, npts))
+    k1 = degrees[:, None] + 1.0
+    w = scale[:, None]
+    w_odd = np.where(degrees % 2 == 1, -scale, scale)[:, None]    # (-1)^n w
+    width = min(npts, POINT_BLOCK)
+    height = POINT_BLOCK // width
+    for r0 in range(0, m, height):
+        rows = slice(r0, r0 + height)
+        for s in range(0, npts, width):
+            cols = slice(s, s + width)
+            tile = t[rows, cols]
+            theta = np.arccos(np.abs(tile))
+            sin = np.sin(theta)
+            x = np.sin(theta * k1[rows])
+            pole = sin == 0.0
+            if pole.any():
+                sin[pole] = 1.0
+                x[pole] = np.broadcast_to(k1[rows], x.shape)[pole]
+            x /= sin
+            x *= np.where(tile < 0.0, w_odd[rows], w[rows])
+            out[rows, cols] = x
+    return out
+
+
 def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i) of clipped
     projections t, shape (m, npts); scale_i * cos(degrees_i arccos t_i) on
     the circle.  Rows where _tabulate_pays are tabulated and interpolated,
-    within PROFILE_ERROR_BOUND of the wave amplitude.  The others run the
-    exact recurrence over tiles of at most POINT_BLOCK elements:
-    min(npts, POINT_BLOCK) columns wide and POINT_BLOCK // width
+    within PROFILE_ERROR_BOUND of the wave amplitude; 3-sphere rows where
+    _chebyshev_pays take the closed form, within CHEBYSHEV_ERROR_BOUND of
+    it.  The others run the exact recurrence over tiles of at most
+    POINT_BLOCK elements: min(npts, POINT_BLOCK) columns wide and
+    POINT_BLOCK // width
     degree-sorted rows tall, each row dropping out at its degree (sum of
     degrees work), with the signed weights in the seeds.  A row's doubles do
     not depend on the other rows, so neither the tile shape nor the batch
@@ -410,16 +508,21 @@ def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray
         return scale[:, None] * np.cos(degrees[:, None] * np.arccos(t))
     lam = 0.5 * (d - 1)
     out = np.empty((m, npts))
-    # sort key: the degree, or -1 for a tabulated row, so that in descending
-    # key order the exact rows come first, by degree, and the tabulated last
-    key = np.where(_tabulate_pays(lam, degrees, npts), -1, degrees)
+    closed = _chebyshev_pays(lam, degrees, npts)
+    # sort key: the degree, or -1 for a tabulated or closed-form row, so
+    # that in descending key order the exact rows come first, by degree
+    key = np.where(_tabulate_pays(lam, degrees, npts) | closed, -1, degrees)
     order = key.argsort()[::-1]
     counts = np.bincount(key + 1, minlength=1)
     exact = m - int(counts[0])
-    for i in order[exact:]:
+    rest = order[exact:]
+    for i in rest[~closed[rest]]:
         table = _profile_table(lam, int(degrees[i]), scale[i])
         for s in range(0, npts, POINT_BLOCK):
             out[i, s : s + POINT_BLOCK] = _interpolate(table, t[i, s : s + POINT_BLOCK])
+    heavy = rest[closed[rest]]
+    if heavy.size:
+        out[heavy] = _chebyshev_profiles(degrees[heavy], scale[heavy], t[heavy])
     if exact == 0:
         return out
     # active[n]: number of exact rows of degree >= n, for n = 0 .. top + 1
@@ -509,7 +612,9 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     _draw_plan.  Waves are summed in order into groups of WAVE_GROUP, and
     the group partials in order.  A wave of degree 0 is its signed weight
     (times its factor row) at every point; it is added as that constant,
-    the doubles _wave_values would give, with no projection.
+    the doubles _wave_values would give, with no projection.  The metadata
+    records the profile error bound and the drawn degrees' sum and largest
+    value (degree_sum, degree_max).
     """
     points = check_points(points, config.d)
     L = config.L
@@ -547,7 +652,9 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     for part in partials:
         values += part
     values *= 1.0 / np.sqrt(L)
-    metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND}
+    metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND,
+                "degree_sum": sum(wave.degree for wave in plan),
+                "degree_max": max(wave.degree for wave in plan)}
     return Realization(points=points, values=values, metadata=metadata)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from turnarcs import cli
+from turnarcs import cli, simulator
 from turnarcs.cli import main, read_realization_csv
 from turnarcs.covariance import NegativeBinomial
 from turnarcs.degree_sampling import (
@@ -212,6 +212,25 @@ def test_simulate_header_records_profile_error_bound(tmp_path):
     assert main(SIM_ARGS + ["--out", str(out)]) == 0
     header, _, _ = read_realization_csv(str(out))
     assert float(header["profile_error_bound"]) == PROFILE_ERROR_BOUND
+
+
+def test_simulate_header_records_the_drawn_degrees(tmp_path):
+    # degree_sum and degree_max of the plan simulate draws, as Python ints
+    # in the metadata and read back from the CSV header
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--model", "f", "--d", "3", "--alpha", "1", "--nu", "3.5",
+            "--tau", "2", "--degree-dist", "zeta:1.5", "--L", "40", "--seed", str(2**64 + 3),
+            "--grid", "slice3:0.25:4x5", "--out", str(out)]
+    assert main(args) == 0
+    header, _, _ = read_realization_csv(str(out))
+    model = cli.parse_model(cli.build_parser().parse_args(args))
+    config = SimulationConfig(model, ShiftedZeta(1.5), L=40, seed=2**64 + 3)
+    degrees = [wave.degree for wave in simulator._draw_plan(config)]
+    metadata = simulate(config, build_grid(parse_grid("slice3:0.25:4x5")).points).metadata
+    for key, value in (("degree_sum", sum(degrees)), ("degree_max", max(degrees))):
+        assert type(metadata[key]) is int and metadata[key] == value
+        assert int(header[key]) == value
+    assert sum(degrees) > max(degrees) > 0
 
 
 def test_simulate_auto_degree_header(tmp_path):

@@ -25,7 +25,9 @@ from turnarcs.degree_sampling import (
     support_covers,
     theta_prime_max,
 )
+from turnarcs.cli import parse_degrees
 from turnarcs.diagnostics import mu3_wave
+from turnarcs.simulator import wave_rng
 
 
 def gof_pvalue(dist, draws, cells=50):
@@ -144,6 +146,74 @@ def test_scalar_sampling_in_support():
     for dist in (GeometricDegrees(0.3), ShiftedZeta(2.0), OddShiftedZeta(2.0)):
         for _ in range(50):
             assert dist.in_support(dist.sample(rng))
+
+
+# law.sample(wave_rng(seed, idx)) for seeds 0 and 2**64 + 7, idx = 0..3, and
+# law.sample(wave_rng(3, 2**40), size=6), recorded before draw attempts were
+# read as rows: each degree with the stream position after it (Philox counter
+# word 0, buffer position).  They pin the stream reads and the arithmetic of
+# both sample paths bit for bit.
+GOLDEN_DRAWS = {
+    "zeta:1.1": ([[(3389535817, 32, 4), (16, 32, 4), (3702, 32, 4), (1703, 32, 4)],
+                  [(2, 32, 4), (21343, 32, 4), (9561, 32, 4), (1472, 32, 4)]],
+                 ([2, 18331577, 46155, 210, 128, 335], (32, 4))),
+    "zeta:2": ([[(7, 32, 4), (0, 32, 4), (0, 32, 4), (1, 32, 4)],
+                [(0, 32, 4), (0, 32, 4), (1, 32, 4), (1, 32, 4)]],
+               ([0, 4, 1, 0, 0, 0], (32, 4))),
+    "oddzeta:2.5": ([[(7, 32, 4), (1, 32, 4), (1, 32, 4), (1, 32, 4)],
+                     [(1, 32, 4), (1, 32, 4), (1, 32, 4), (1, 32, 4)]],
+                    ([1, 5, 3, 1, 1, 1], (32, 4))),
+    "zeta:7": ([[(0, 32, 4)] * 4, [(0, 32, 4)] * 4], ([0] * 6, (32, 4))),
+    "geometric:0.01": ([[(1, 1, 1), (167, 1, 1), (167, 1, 1), (64, 1, 1)],
+                        [(204, 1, 1), (213, 1, 1), (45, 1, 1), (65, 1, 1)]],
+                       ([207, 20, 41, 87, 94, 81], (2, 2))),
+    "finite:0.2,0,0.5,0.3": ([[(0, 1, 1), (3, 1, 1), (3, 1, 1), (2, 1, 1)],
+                              [(3, 1, 1), (3, 1, 1), (2, 1, 1), (2, 1, 1)]],
+                             ([3, 0, 2, 2, 2, 2], (2, 2))),
+}
+
+
+def stream_position(rng):
+    state = rng.bit_generator.state
+    return int(state["state"]["counter"][0]), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_DRAWS))
+def test_draws_match_recorded_degrees_and_stream_positions(spec):
+    law = parse_degrees(spec)
+    scalar, (batch, batch_position) = GOLDEN_DRAWS[spec]
+    for seed, recorded in zip((0, 2**64 + 7), scalar):
+        for idx, (degree, *position) in enumerate(recorded):
+            rng = wave_rng(seed, idx)
+            got = law.sample(rng)
+            assert type(got) is int and got == degree
+            assert stream_position(rng) == tuple(position)
+    rng = wave_rng(3, 2**40)
+    got = law.sample(rng, size=6)
+    assert got.dtype == np.int64 and got.tolist() == batch
+    assert stream_position(rng) == batch_position
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=st.sampled_from([ShiftedZeta, OddShiftedZeta]),
+       theta=st.sampled_from([1.1, 1.5, 2.0, 2.5, 3.7, 7.0]),
+       seed=st.integers(2**65, 2**80))
+@example(make=GeometricDegrees, theta=0.01, seed=2**65)
+@example(make=lambda _: FiniteDegrees([0.2, 0.0, 0.5, 0.3]), theta=0.0, seed=2**65)
+def test_rows_read_as_sample_reads_them_give_its_degrees(make, theta, seed):
+    # a draw attempt is one row of law._row_width uniforms; rows read from
+    # 50 streams and turned into degrees together give every accepted
+    # stream's sample(rng), bit for bit
+    law = make(theta)
+    rows = np.stack([wave_rng(seed, idx).random(law._row_width) for idx in range(50)])
+    degrees, accepted = law._row_degrees(rows)
+    assert accepted.dtype == bool and accepted.shape == (50,)
+    for idx in np.flatnonzero(accepted):
+        rng = wave_rng(seed, idx)
+        assert law.sample(rng) == int(degrees[idx])
+        one_row = wave_rng(seed, idx)
+        one_row.random(law._row_width)
+        assert stream_position(rng) == stream_position(one_row)
 
 
 # ---------------------------------------------------------------- recommend

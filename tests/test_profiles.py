@@ -21,6 +21,9 @@ from turnarcs.degree_sampling import GeometricDegrees, OddShiftedZeta, ShiftedZe
 from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
 from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
 from turnarcs.simulator import (
+    CHEBYSHEV_ERROR_BOUND,
+    CHEBYSHEV_POINT_COST,
+    CHEBYSHEV_ROW_COST,
     FOURIER_NODE_COST,
     FOURIER_TABLE_COST,
     INTERP_STEPS,
@@ -28,6 +31,9 @@ from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
     TABLE_STEP_COST,
     SimulationConfig,
+    _chebyshev_pays,
+    _chebyshev_profiles,
+    _column_limit,
     _fourier_node_count,
     _fourier_nodes,
     _interpolate,
@@ -262,6 +268,115 @@ def test_recurrence_tables_above_the_fourier_range():
         fourier = _profile_table(lam, n, weight)
         assert fourier.shape == (6, 16_001)
         assert_array_equal(fourier[0], _fourier_nodes(lam, n, weight, 16_000)[0])
+
+
+def chebyshev_oracle(n, weight, t):
+    """weight * U_n(t) in long double, from the same closed form at
+    theta = arccos|t| (64-bit mantissa, so (n+1) theta and the sines carry
+    about 2**-11 of a double's rounding)."""
+    theta = np.arccos(np.abs(t).astype(LD))
+    sin = np.sin(theta)
+    pole = sin == 0
+    u = np.sin((LD(n) + 1) * theta) / np.where(pole, 1, sin)
+    u[pole] = LD(n) + 1
+    return LD(weight) * np.where((t < 0) & (n % 2 == 1), -u, u)
+
+
+def chebyshev_probes(n, extra):
+    """t at and next to both poles (inside the first lobe of U_n and
+    deeper), at and next to the equator, and drawn values."""
+    near = np.array([1e-300, 1e-12, 1e-8, 0.1 / (n + 1), 1.0 / (n + 1), 2.0 / (n + 1)])
+    return np.concatenate([[1.0, -1.0, 0.0, -0.0, 1e-17, -1e-17, 0.5, -0.5],
+                           np.cos(near), -np.cos(near), np.cos(np.pi / 2 - near),
+                           np.cos(np.pi / 2 + near), extra])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2000), st.integers(1, 10_000_000)),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    extra=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=400),
+)
+@example(n=9_310_498, log_amp=0.0, sign=1.0, extra=[0.3])
+@example(n=1, log_amp=0.0, sign=-1.0, extra=[-0.7])
+@example(n=608, log_amp=2.0, sign=-1.0, extra=[0.999999])
+def test_chebyshev_profiles_within_bound(n, log_amp, sign, extra):
+    # relative to the amplitude |w| (n+1) = |w| G_n^1(1)
+    amp = 10.0**log_amp
+    weight = sign * amp / (n + 1)
+    t = chebyshev_probes(n, extra)
+    got = _chebyshev_profiles(np.array([n]), np.array([weight]), t[None, :])[0]
+    assert np.all(np.isfinite(got))
+    err = np.abs(got.astype(LD) - chebyshev_oracle(n, weight, t))
+    assert np.max(err) <= CHEBYSHEV_ERROR_BOUND * amp
+    assert got[0] == weight * (n + 1) and got[1] == weight * (n + 1) * (-1) ** n
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 100_000), seed=st.integers(0, 2**32 - 1))
+@example(n=100_000, seed=0)
+@example(n=608, seed=1)
+def test_chebyshev_profiles_match_scipy(n, seed):
+    # scipy's recurrence rounds within eps n(n+2)/3 of the amplitude at a
+    # rounded argument near t = +-1 (see tolerance); the closed form adds
+    # its own bound
+    t = chebyshev_probes(n, np.random.default_rng(seed).uniform(-1.0, 1.0, 500))
+    weight = 0.7 / (n + 1)
+    got = _chebyshev_profiles(np.array([n]), np.array([weight]), t[None, :])[0]
+    allowed = CHEBYSHEV_ERROR_BOUND + 2.0 * EPS * n * (n + 2.0) / 3.0
+    assert np.max(np.abs(got - weight * eval_gegenbauer(n, 1.0, t))) <= allowed * 0.7
+
+
+@settings(max_examples=50, deadline=None)
+@given(npts=st.integers(1, 89_999_999))
+@example(npts=1)
+@example(npts=10_000)
+@example(npts=250_000)
+def test_chebyshev_cost_model_matches_integer_form(npts):
+    # the 3-sphere takes the closed form above the column limit unless the
+    # exact sweep is cheaper; every other dimension never does
+    limit = _column_limit(npts)
+    cheap = CHEBYSHEV_POINT_COST + CHEBYSHEV_ROW_COST // npts
+    n = np.unique(np.concatenate([np.arange(200), np.arange(max(0, limit - 50), limit + 50),
+                                  np.arange(max(0, cheap - 50), cheap + 50), [2**62]]))
+    integer_form = [k > limit and (k + 1) * npts > CHEBYSHEV_ROW_COST + CHEBYSHEV_POINT_COST * npts
+                    for k in n.tolist()]
+    assert_array_equal(_chebyshev_pays(1.0, n, npts), integer_form)
+    for lam in (0.5, 1.5):
+        assert not np.any(_chebyshev_pays(lam, n, npts))
+    # no degree is both tabulated and closed-form
+    assert not np.any(_chebyshev_pays(1.0, n, npts) & _tabulate_pays(1.0, n, npts))
+
+
+def test_column_limit_rows_keep_their_paths():
+    # on 10k points the Fourier limit is 607: degrees up to it keep their
+    # table or exact-sweep bits, the ones above take the closed form with
+    # the doubles of a row of their own, whatever the batch or tile shape
+    npts = 10_000
+    assert _column_limit(npts) == 607
+    t = np.random.default_rng(9).uniform(-1.0, 1.0, (7, npts))
+    t[:, :4] = [1.0, -1.0, 0.0, -0.0]
+    degrees = np.array([3, 607, 608, 9_310_498, 40, 1001, 12])
+    weights = np.array([0.3, -0.2, 0.1, 1e-6, -0.5, 0.05, 0.9])
+    got = _wave_profiles(3, degrees, t, weights)
+    assert_array_equal(got[1], _interpolate(_profile_table(1.0, 607, -0.2), t[1]))
+    assert_array_equal(got[4], _interpolate(_profile_table(1.0, 40, -0.5), t[4]))
+    for i in (0, 6):
+        assert_array_equal(got[i], gegenbauer_eval_weighted(1.0, int(degrees[i]), t[i],
+                                                            weights[i]))
+    for i in (2, 3, 5):
+        alone = _chebyshev_profiles(degrees[i : i + 1], weights[i : i + 1], t[i : i + 1])
+        assert_array_equal(got[i], alone[0])
+        assert_array_equal(got[i], _wave_profiles(3, degrees[i : i + 1], t[i : i + 1],
+                                                  weights[i : i + 1])[0])
+    # one row, and many rows sharing POINT_BLOCK-element tiles on few points
+    few = t[:, :5].copy()
+    heavy = np.full(7, 5000)
+    batch = _chebyshev_profiles(heavy, weights, few)
+    for i in range(7):
+        assert_array_equal(batch[i], _chebyshev_profiles(heavy[:1], weights[i : i + 1],
+                                                         few[i : i + 1])[0])
 
 
 CASES = {

@@ -26,7 +26,7 @@ from turnarcs.degree_sampling import (
 )
 from turnarcs.gegenbauer import gegenbauer_eval
 from turnarcs.grids import LatLonGrid, build_grid, parse_grid
-from turnarcs import simulator
+from turnarcs import degree_sampling, simulator
 from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
     WAVE_GROUP,
@@ -268,6 +268,122 @@ def test_plan_is_the_per_wave_streams(law, d, p, L, seed):
             replay.epsilon, replay.degree, replay.component)
         assert wave.pole.dtype == replay.pole.dtype and wave.pole.shape == (d + 1,)
         assert wave.pole.tobytes() == replay.pole.tobytes()
+
+
+def plan_fields(wave):
+    return wave.epsilon, wave.degree, wave.component, wave.pole.dtype, wave.pole.tobytes()
+
+
+def plan_model(d, p):
+    return (SequenceCovariance([0.0, 1.0], d=d) if p == 1 else
+            SequenceMultiCovariance([np.zeros((2, 2)), np.eye(2)], d=d))
+
+
+def test_rejected_draw_attempt_is_redrawn_whole(monkeypatch):
+    # every candidate of wave 3's first draw attempt is rejected: draw_wave
+    # then reads a second row of uniforms before the component, and the
+    # batched plan must redraw that wave whole, as the replay does
+    seed, target, d = 11, 3, 3
+    config = SimulationConfig(plan_model(d, 2), ShiftedZeta(1.5), L=6, seed=seed)
+    rng = wave_rng(seed, target)
+    rng.integers(0, 2)
+    rng.normal(size=d + 1)
+    marked = rng.random()               # the first candidate u of that attempt
+    original = degree_sampling._devroye_candidates
+    rejected = []
+
+    def reject_marked_rows(theta, u, v):
+        x, ok = original(theta, u, v)
+        marked_rows = (u == marked).any(axis=-1, keepdims=True)
+        rejected.append(int(marked_rows.sum()))
+        return x, ok & ~marked_rows
+
+    unpatched = draw_wave(config, wave_rng(seed, target))
+    monkeypatch.setattr(degree_sampling, "_devroye_candidates", reject_marked_rows)
+    plan = simulator._draw_plan(config)
+    assert rejected == [1, 1, 0]        # the plan's row, then draw_wave's two rows
+    replay = [draw_wave(config, wave_rng(seed, idx)) for idx in range(config.L)]
+    assert [plan_fields(w) for w in plan] == [plan_fields(w) for w in replay]
+    assert plan_fields(plan[target]) != plan_fields(unpatched)
+
+
+class RecordedReads:
+    """A Generator that logs which of its methods each wave's stream calls,
+    with the wave index of the stream's key."""
+
+    def __init__(self, rng, log):
+        self._rng, self.log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        if name not in ("integers", "normal", "random"):
+            return method
+
+        def logged(*args, **kwargs):
+            self.log.append((int(self._rng.bit_generator.state["state"]["key"][1]), name))
+            return method(*args, **kwargs)
+        return logged
+
+
+@pytest.mark.parametrize("law", [ShiftedZeta(2.0), GeometricDegrees(0.1)])
+def test_plan_reads_each_stream_in_draw_waves_order(monkeypatch, law):
+    # sign, pole, one draw attempt, component: the component's 32-bit draw
+    # would take the half-word the sign's left whatever came between, so
+    # only the order of the calls shows a reordering
+    config = SimulationConfig(plan_model(2, 3), law, L=4, seed=8)
+    plan_log, replay_log = [], []
+    monkeypatch.setattr(simulator, "wave_rng",
+                        lambda seed, index: RecordedReads(wave_rng(seed, index), plan_log))
+    simulator._draw_plan(config)
+    monkeypatch.undo()
+    for idx in range(config.L):
+        draw_wave(config, RecordedReads(wave_rng(config.seed, idx), replay_log))
+    assert plan_log == replay_log
+    assert [name for _, name in replay_log[:4]] == ["integers", "normal", "random", "integers"]
+
+
+class TinyFirstPole:
+    """A Generator whose first normal vector in the stream of wave `index`
+    is scaled by 1e-200, so its norm underflows below 1e-150; every stream
+    is read as the wrapped Generator reads it."""
+
+    def __init__(self, rng, index):
+        self._rng, self.index, self.scaled = rng, index, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, size=None):
+        state = self._rng.bit_generator.state
+        first = state["state"]["counter"][0] == 1 and state["buffer_pos"] == 1
+        v = self._rng.normal(size=size)
+        if first and state["state"]["key"][1] == self.index:
+            self.scaled += 1
+            v *= 1e-200
+        return v
+
+
+def test_degenerate_pole_in_plan_is_redrawn_whole(monkeypatch):
+    seed, target = 2**64 + 5, 2
+    for law, p in ((ShiftedZeta(2.0), 2), (GeometricDegrees(0.05), 1)):
+        config = SimulationConfig(plan_model(3, p), law, L=5, seed=seed)
+        made = []
+
+        def tiny_first_pole(seed, index):
+            made.append(TinyFirstPole(wave_rng(seed, index), target))
+            return made[-1]
+
+        monkeypatch.setattr(simulator, "wave_rng", tiny_first_pole)
+        plan = simulator._draw_plan(config)
+        assert made[0].scaled == 2      # the plan's read, then draw_wave's
+        monkeypatch.undo()
+        replay = []
+        for idx in range(config.L):
+            rng = TinyFirstPole(wave_rng(seed, idx), target)
+            replay.append(draw_wave(config, rng))
+            assert rng.scaled == (idx == target)
+        assert [plan_fields(w) for w in plan] == [plan_fields(w) for w in replay]
+        assert np.linalg.norm(plan[target].pole) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_simulate_threads_match_sequential():
