@@ -13,6 +13,10 @@ Cases:
     None and 2; the CSV rows of `turnarcs simulate` for the CLI workload
     (header lines left out); the `turnarcs validate` report without its
     wall time;
+  - the CSV rows of `turnarcs simulate` on slice3, section and point-list
+    grids, p = 1 and 2, seeds as above: coordinate columns that repeat
+    values (a slice's w, also as -0) and ones that repeat none (a point
+    list's x0..xd), with row counts across the writer's 4096-row chunks;
   - L = 300 waves on 500 fixed points for the circle with a finite law,
     Chentsov d = 5 under oddzeta:2, bivariate nb under zeta:2 and F d = 3
     under zeta:2, seeds 2**70 + 0-2, n_threads None and 2;
@@ -103,12 +107,48 @@ def workload_lines():
             yield from simulate_lines(name, config, inputs.grid.points)
             if workload.via_cli:
                 with tempfile.TemporaryDirectory() as tmp:
-                    out = Path(tmp) / "out.csv"
-                    code = cli.main(["simulate", *workload.flags, "--seed", str(seed),
-                                     "--out", str(out)])
-                    rows = [line for line in out.read_bytes().splitlines(keepends=True)
-                            if not line.startswith(b"#")]
-                yield f"{name} seed={seed} csv exit={code} {digest(b''.join(rows))}"
+                    code, body = csv_body([*workload.flags, "--seed", str(seed)], tmp)
+                yield f"{name} seed={seed} csv exit={code} {digest(body)}"
+
+
+CSV_CASES = {
+    "slice3": ("--model", "f", "--d", "3", "--alpha", "1", "--nu", "3.5", "--tau", "2",
+               "--degree-dist", "zeta:2", "--L", "30", "--grid", "slice3:0.25:70x90"),
+    "slice3-w=-0": ("--model", "f", "--d", "3", "--alpha", "1", "--nu", "3.5", "--tau", "2",
+                    "--degree-dist", "zeta:2", "--L", "30", "--grid", "slice3:-0:33x41"),
+    "section-d4": ("--model", "nb", "--d", "4", "--delta", "0.5",
+                   "--degree-dist", "geometric:0.05", "--L", "30", "--grid", "section:4:70x90"),
+    "section-d5-p2": ("--model", "nb", "--p", "2", "--d", "5", "--delta", "0.2,0.2,0.7",
+                      "--rho", "0.6", "--degree-dist", "geometric:0.05", "--L", "30",
+                      "--grid", "section:5:64x64"),
+    "points-d2": ("--model", "nb", "--delta", "0.5", "--degree-dist", "geometric:0.05",
+                  "--L", "30", "--grid", "points:{points}"),
+    "points-d2-p2": ("--model", "nb", "--p", "2", "--delta", "0.2,0.2,0.7", "--rho", "0.6",
+                     "--degree-dist", "geometric:0.05", "--L", "30", "--grid", "points:{points}"),
+}
+
+
+def csv_body(argv, tmp) -> tuple:
+    """(exit code, the CSV rows of one `turnarcs simulate` run without the
+    header lines)."""
+    out = Path(tmp) / "out.csv"
+    code = cli.main(["simulate", *argv, "--out", str(out)])
+    rows = [line for line in out.read_bytes().splitlines(keepends=True)
+            if not line.startswith(b"#")]
+    out.unlink()
+    return code, b"".join(rows)
+
+
+def csv_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        v = np.random.default_rng(2024).normal(size=(5000, 3))
+        points = Path(tmp) / "points.csv"
+        np.savetxt(points, v / np.linalg.norm(v, axis=1)[:, None], fmt="%.17g", delimiter=",")
+        for name, flags in CSV_CASES.items():
+            flags = [flag.format(points=points) for flag in flags]
+            for seed in SEEDS:
+                code, body = csv_body([*flags, "--seed", str(seed)], tmp)
+                yield f"csv {name} seed={seed} exit={code} {digest(body)}"
 
 
 def extra_lines():
@@ -140,7 +180,7 @@ def law_lines():
 
 
 def main() -> None:
-    for lines in (law_lines(), extra_lines(), workload_lines()):
+    for lines in (law_lines(), extra_lines(), workload_lines(), csv_lines()):
         for line in lines:
             print(line, flush=True)
 

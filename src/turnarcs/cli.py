@@ -8,6 +8,8 @@ validation failure, 3 I/O error.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
@@ -193,12 +195,47 @@ def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     p = realization.values.shape[1]
     names = list(grid.coord_names) + [f"z{i + 1}" for i in range(p)]
     stream.write(",".join(names) + "\n")
-    table = np.column_stack([grid.coords, realization.values])
-    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), one format per chunk
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for s in range(0, table.shape[0], CSV_CHUNK_ROWS):
-        chunk = table[s : s + CSV_CHUNK_ROWS]
-        stream.write((row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), one format per
+    # chunk; a coordinate column that repeats its values is written as the
+    # '%.17g' text of each distinct value, formatted once and reused by %s
+    texts = [_distinct_text(column) for column in grid.coords.T] + [None] * p
+    row_fmt = ",".join("%.17g" if text is None else "%s" for text in texts) + "\n"
+    reused = any(text is not None for text in texts)
+    for s in range(0, grid.coords.shape[0], CSV_CHUNK_ROWS):
+        rows = slice(s, s + CSV_CHUNK_ROWS)
+        chunk = np.column_stack([grid.coords[rows], realization.values[rows]])
+        cells = chunk
+        if reused:
+            cells = np.empty(chunk.shape, dtype=object)
+            for j, text in enumerate(texts):
+                if text is None:
+                    cells[:, j] = chunk[:, j]
+                else:
+                    distinct, strings = text
+                    cells[:, j] = strings[np.searchsorted(distinct, chunk[:, j].view(np.int64))]
+        stream.write((row_fmt * chunk.shape[0]) % tuple(cells.ravel().tolist()))
+
+
+def _distinct_values(bits):
+    """The distinct entries of an int array, sorted."""
+    bits = np.sort(bits)
+    return bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+
+
+def _distinct_text(column):
+    """(distinct bit patterns, sorted; the '%.17g' text of each) for a column
+    whose first CSV_CHUNK_ROWS rows hold each value at least twice on average,
+    else None.  Values are keyed by their bits, so 0.0 and -0.0 keep their own
+    text.  Deciding from the first chunk keeps the test at one small sort: on
+    a column with no repeats, such as a point list's, sorting the whole column
+    cost about 2% of its write at 250k rows."""
+    bits = column.view(np.int64)
+    head = bits[:CSV_CHUNK_ROWS]
+    if 2 * _distinct_values(head).size > head.size:
+        return None
+    distinct = _distinct_values(bits)
+    strings = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return distinct, strings
 
 
 def read_realization_csv(path):
@@ -227,6 +264,27 @@ def read_realization_csv(path):
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _output_checked(path):
+    """Open path for appending and close it again before the run, so that an
+    unwritable output fails (exit 3) before any wave is evaluated; neither
+    step changes the bytes of an existing file.  A file this check creates is
+    removed if the subcommand then fails.  No check when path is None."""
+    created = False
+    if path is not None:
+        try:
+            open(path, "x").close()
+            created = True
+        except FileExistsError:
+            open(path, "a").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
 
 def cmd_simulate(args) -> int:
     grid_spec = parse_grid(args.grid, args.d)
@@ -469,7 +527,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _output_checked(getattr(args, "out", None)):
+            return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"turnarcs: usage error: {exc}\n")
         return EXIT_USAGE

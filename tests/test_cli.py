@@ -1,3 +1,4 @@
+import io
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from turnarcs import cli, simulator
-from turnarcs.cli import main, read_realization_csv
+from turnarcs.cli import CSV_CHUNK_ROWS, main, read_realization_csv
 from turnarcs.covariance import NegativeBinomial
 from turnarcs.degree_sampling import (
     FiniteDegrees,
@@ -18,6 +19,7 @@ from turnarcs.degree_sampling import (
     ShiftedZeta,
 )
 from turnarcs.grids import (
+    Grid,
     GridError,
     LatLonGrid,
     PointListGrid,
@@ -26,7 +28,7 @@ from turnarcs.grids import (
     build_grid,
     parse_grid,
 )
-from turnarcs.simulator import PROFILE_ERROR_BOUND, SimulationConfig, simulate
+from turnarcs.simulator import PROFILE_ERROR_BOUND, Realization, SimulationConfig, simulate
 
 
 # ---------------------------------------------------------------------- grids
@@ -426,6 +428,67 @@ def test_simulate_point_list_schema(tmp_path):
     assert_allclose(data[:, :3], np.eye(3))
 
 
+# ------------------------------------------------------------------ CSV bytes
+
+CSV_ROW_COUNTS = (1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1)
+# 0.0 and -0.0 compare equal but print differently; 5e-324 is subnormal
+SIGNED_ZEROS = (0.0, -0.0, 5e-324, -5e-324, 1.0)
+
+
+@st.composite
+def csv_grids(draw, kind, rows):
+    """A grid of `rows` points of the given kind, as the writer sees it."""
+    if kind in ("latlon", "slice3", "section"):
+        n_colat = draw(st.sampled_from([k for k in range(1, rows + 1) if rows % k == 0]))
+        if kind == "latlon":
+            return build_grid(LatLonGrid(n_colat, rows // n_colat))
+        if kind == "slice3":
+            w = draw(st.sampled_from([0.25, 0.0, -0.0])
+                     | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+            return build_grid(Slice3Grid(w, n_colat, rows // n_colat))
+        return build_grid(SectionGrid(draw(st.integers(3, 6)), n_colat, rows // n_colat))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "points":
+        # no coordinate repeats a value
+        v = rng.normal(size=(rows, draw(st.integers(2, 4))))
+        points = v / np.linalg.norm(v, axis=1)[:, None]
+        return Grid("points", points.shape[1] - 1, points, points.copy(),
+                    [f"x{i}" for i in range(points.shape[1])])
+    # hand-built: signed zeros and subnormals repeated in one column, with a
+    # value first seen in the last row, which may be past the first chunk;
+    # the row index (no repeats) in the next
+    signed = np.resize(rng.permutation(SIGNED_ZEROS), rows)
+    signed[-1] = -2.5
+    coords = np.column_stack([signed, np.arange(rows) * 0.1])
+    return Grid("hand", 2, np.zeros((rows, 3)), coords, ["a", "b"])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("rows", CSV_ROW_COUNTS)
+@pytest.mark.parametrize("kind", ["latlon", "slice3", "section", "points", "hand"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_csv_body_is_per_cell_17g(kind, rows, p, data):
+    # the body after the header is byte for byte what formatting each cell
+    # with '%.17g' gives, i.e. np.savetxt(fmt="%.17g", delimiter=",")
+    grid = data.draw(csv_grids(kind, rows))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(rows, p)) * 10.0 ** rng.integers(-320, 300, size=(rows, p))
+    values.flat[0] = -0.0
+    metadata = {"model": "m", "d": grid.d, "p": p, "L": 1, "seed": 0, "degrees": "finite:1",
+                "profile_error_bound": 0.0, "degree_sum": 0, "degree_max": 0}
+    stream = io.StringIO()
+    cli.write_realization(stream, grid, kind, Realization(grid.points, values, metadata))
+    lines = stream.getvalue().splitlines(keepends=True)
+    header = sum(line.startswith("#") for line in lines)
+    assert lines[header] == ",".join(grid.coord_names + [f"z{i + 1}" for i in range(p)]) + "\n"
+    table = np.column_stack([grid.coords, values])
+    # compared as lists of rows: a failure names the first differing row
+    # without diffing megabytes of text
+    assert lines[header + 1:] == [",".join("%.17g" % v for v in row) + "\n"
+                                  for row in table.tolist()]
+
+
 # ------------------------------------------------------------------- failures
 
 def test_unknown_flag_exits_one(capsys):
@@ -469,6 +532,39 @@ def test_grid_model_dimension_mismatch(tmp_path):
 def test_unwritable_output_exits_three(tmp_path):
     code = main(SIM_ARGS + ["--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 3
+
+
+VALIDATE_ARGS = ["validate", "--model", "nb", "--delta", "0.5",
+                 "--degree-dist", "geometric:0.1", "--L", "5", "--M", "4"]
+# each subcommand that writes --out after evaluating waves, with its wave entry
+WAVE_RUNS = pytest.mark.parametrize("argv, entry", [
+    (SIM_ARGS, "simulate"), (VALIDATE_ARGS, "simulate_ensemble"),
+], ids=["simulate", "validate"])
+
+
+@WAVE_RUNS
+def test_unwritable_output_fails_before_any_wave(tmp_path, monkeypatch, argv, entry):
+    calls = []
+    monkeypatch.setattr(cli, entry, lambda *args, **kwargs: calls.append(args))
+    assert main(argv + ["--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3
+    assert calls == []
+
+
+@WAVE_RUNS
+def test_failed_run_leaves_output_as_it_was(tmp_path, monkeypatch, argv, entry):
+    # exit 1 after the output check: no new file, and an existing one keeps
+    # its bytes
+    def fail(*args, **kwargs):
+        raise simulator.SimulationError("no waves today")
+
+    monkeypatch.setattr(cli, entry, fail)
+    new = tmp_path / "new.csv"
+    assert main(argv + ["--out", str(new)]) == 1
+    assert not new.exists()
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"earlier output\n")
+    assert main(argv + ["--out", str(old)]) == 1
+    assert old.read_bytes() == b"earlier output\n"
 
 
 # -------------------------------------------------- published example blocks

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import beta as beta_fn
-from scipy.special import gammaln
+from scipy.special import eval_gegenbauer, gammaln
 
 from turnarcs.covariance import (
     BivariateNegativeBinomial,
@@ -350,6 +350,35 @@ def test_chentsov_series_reconstructs_covariance():
         table = gegenbauer_eval_table(0.5 * (d - 1), 4001, np.cos(theta))
         series = coeffs @ table
         assert_allclose(series, 1.0 - 2.0 * theta / np.pi, atol=1e-6)
+
+
+SERIES_DIMS = st.sampled_from([2, 3, 5])
+CLOSED_FORM_MODELS = st.one_of(
+    st.builds(NegativeBinomial, st.floats(0.01, 0.95), d=SERIES_DIMS),
+    st.builds(Chentsov, d=SERIES_DIMS),
+    st.builds(Exponential, st.floats(0.05, 20.0), d=SERIES_DIMS),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=CLOSED_FORM_MODELS, theta=st.floats(0.0, np.pi))
+@example(model=Chentsov(d=5), theta=np.pi)
+@example(model=NegativeBinomial(0.95, d=5), theta=0.0)
+@example(model=Exponential(20.0, d=2), theta=1e-3)
+def test_closed_form_covariance_within_series_tail(model, theta):
+    # C(theta) = sum_n b_n G_n(cos theta) with b_n >= 0 and |G_n(t)| <= G_n(1),
+    # so the first N + 1 terms miss the closed form by at most the tail mass
+    # C(0) - sum_{n <= N} b_n G_n(1) (1 - sum b_n for a unit-variance model
+    # written with normalized G_n/G_n(1)); Gegenbauer values from scipy
+    n_max = 1000
+    n = np.arange(n_max + 1)
+    lam = 0.5 * (model.d - 1)
+    b = model.coeff_table(n_max)
+    assert np.all(b >= 0.0)
+    variance = float(model.covariance(0.0))
+    tail = variance - b @ eval_gegenbauer(n, lam, 1.0)
+    series = b @ eval_gegenbauer(n, lam, np.cos(theta))
+    assert abs(float(model.covariance(theta)) - series) <= max(tail, 0.0) + 1e-12 * variance
 
 
 CATALOG = [
