@@ -20,6 +20,11 @@ Cases:
   - L = 300 waves on 500 fixed points for the circle with a finite law,
     Chentsov d = 5 under oddzeta:2, bivariate nb under zeta:2 and F d = 3
     under zeta:2, seeds 2**70 + 0-2, n_threads None and 2;
+  - one case per profile method mix, on its own point count, seeds as
+    above: the circle on 40 points, nb d = 4 on 10,000 points (recurrence
+    tables), and F d = 2 under zeta:1.5 on 3 points (heavy exact rows, up
+    to degree 591,899); `simulate` with n_threads None and 2, and 60
+    `single_wave_values` rows (the batch path) at rng seeds 0-5;
   - each degree law's scalar draws from the per-wave streams and one batch
     draw from a default_rng, with the stream state after them; one pole per
     dimension with the stream state after it.
@@ -47,11 +52,11 @@ from scipy import fft  # noqa: E402
 import workloads  # noqa: E402
 from turnarcs import cli  # noqa: E402
 from turnarcs.covariance import (  # noqa: E402
-    BivariateNegativeBinomial, Chentsov, GeneralizedF, SequenceCovariance)
+    BivariateNegativeBinomial, Chentsov, GeneralizedF, NegativeBinomial, SequenceCovariance)
 from turnarcs.degree_sampling import (  # noqa: E402
     FiniteDegrees, GeometricDegrees, OddShiftedZeta, ShiftedZeta)
 from turnarcs.simulator import (  # noqa: E402
-    SimulationConfig, draw_wave, sample_pole, simulate, wave_rng)
+    SimulationConfig, draw_wave, sample_pole, simulate, single_wave_values, wave_rng)
 
 SEEDS = (0, 1, 2, 2**64 + 3, 2**65 + 4)
 EXTRA_SEEDS = (2**70, 2**70 + 1, 2**70 + 2)
@@ -62,6 +67,13 @@ EXTRA_CASES = {
     "bivariate-nb-zeta2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
                            ShiftedZeta(2.0)),
     "f-d3-zeta2": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0)),
+}
+# name: (model, degree law, npts, L)
+METHOD_CASES = {
+    "circle-40pts": (SequenceCovariance([0.2, 0.5, 0.3], d=1),
+                     FiniteDegrees([0.25, 0.5, 0.25]), 40, 70),
+    "nb-d4-10k": (NegativeBinomial(0.5, d=4), GeometricDegrees(0.05), 10_000, 100),
+    "f-d2-zeta1.5-3pts": (GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(1.5), 3, 300),
 }
 LAWS = (FiniteDegrees([0.1, 0.0, 0.6, 0.3]), GeometricDegrees(0.01), ShiftedZeta(1.1),
         ShiftedZeta(2.0), ShiftedZeta(7.0), OddShiftedZeta(1.5), OddShiftedZeta(3.7))
@@ -160,6 +172,17 @@ def extra_lines():
             yield from simulate_lines(name, SimulationConfig(model, law, L=300, seed=seed), points)
 
 
+def method_lines():
+    for name, (model, law, npts, L) in METHOD_CASES.items():
+        points = sample_pole(model.d, np.random.default_rng(npts), size=npts)
+        for seed in EXTRA_SEEDS:
+            yield from simulate_lines(name, SimulationConfig(model, law, L=L, seed=seed), points)
+        config = SimulationConfig(model, law, L=1, seed=0)
+        for seed in range(6):
+            waves = single_wave_values(config, points, 60, np.random.default_rng(seed))
+            yield f"{name} batch rng={seed} {digest(waves.tobytes())}"
+
+
 def law_lines():
     for law in LAWS:
         for seed in (0, 2**64 + 5):
@@ -180,7 +203,7 @@ def law_lines():
 
 
 def main() -> None:
-    for lines in (law_lines(), extra_lines(), workload_lines(), csv_lines()):
+    for lines in (law_lines(), extra_lines(), method_lines(), workload_lines(), csv_lines()):
         for line in lines:
             print(line, flush=True)
 

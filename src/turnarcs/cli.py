@@ -9,6 +9,7 @@ validation failure, 3 I/O error.
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -190,6 +191,8 @@ def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     stream.write(f"# profile_error_bound={_fmt(md['profile_error_bound'])}\n")
     stream.write(f"# degree_sum={md['degree_sum']}\n")
     stream.write(f"# degree_max={md['degree_max']}\n")
+    counts = ",".join(f"{name}:{count}" for name, count in md["profile_methods"].items())
+    stream.write(f"# profile_methods={counts}\n")
     for line in extra_lines:
         stream.write(line + "\n")
     p = realization.values.shape[1]
@@ -467,7 +470,10 @@ def _add_degree_flags(sub):
                             "decay (also the default when --degree-dist is absent)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The turnarcs parser, built once per process: each parse_args call
+    returns a fresh namespace, and no action keeps state between calls."""
     parser = _Parser(prog="turnarcs",
                      description="Isotropic random fields on the d-sphere by random waves")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -6,10 +6,11 @@ the parallels orthogonal to it (a cosine of the geodesic angle on the
 circle).  Averaging L independent waves scaled by 1/sqrt(L) yields a field
 with the exact target covariance and an approximately Gaussian law.
 
-simulate, wave_eval_* and single_wave_values evaluate waves through one
-function, _wave_profiles, so a wave gets the same doubles from each of them;
-simulate adds a wave of degree 0, a constant, without it, with the doubles it
-would give.
+Each wave profile takes one of the methods in _METHODS (constant, circle,
+exact recurrence, table, 3-sphere closed form), chosen by _profile_methods;
+simulate chooses once per plan and calls each wave's row function directly,
+_wave_profiles (single_wave_values, wave_eval_*) dispatches through the same
+table.  A row's doubles do not depend on the path that evaluates it.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -17,7 +18,7 @@ merged in ascending order, so threaded and sequential runs produce
 bit-identical values.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, pairwise, takewhile
@@ -70,7 +71,7 @@ CHEBYSHEV_POINT_COST = 30
 PROFILE_ERROR_BOUND = (np.pi / NODES_PER_DEGREE) ** 6 / 46080.0
 # |closed-form - exact profile| / (|w| (n+1)), the 3-sphere rows above the
 # Fourier column limit: the sum of six roundings' worst cases, see
-# _chebyshev_profiles (measured at most 1.8 eps)
+# _chebyshev_row (measured at most 1.8 eps)
 CHEBYSHEV_ERROR_BOUND = 6.0 * np.finfo(float).eps
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
@@ -152,7 +153,7 @@ def check_points(points, d: int) -> np.ndarray:
         raise SimulationError("at least one point is required")
     if not np.all(np.isfinite(points)):
         raise SimulationError("points must have finite coordinates")
-    norms = np.linalg.norm(points, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     if np.max(np.abs(norms - 1.0)) > 1e-12:
         raise SimulationError("points must have unit norm within 1e-12")
     return points
@@ -298,7 +299,7 @@ def _tabulate_pays(lam: float, degrees, npts: int):
 
 
 def _chebyshev_pays(lam: float, degrees, npts: int):
-    """Whether a row takes the closed form of _chebyshev_profiles: on the
+    """Whether a row takes the closed form of _chebyshev_row: on the
     3-sphere (lam = 1), every degree that no Fourier table can hold,
     n > _column_limit(npts), unless its exact sweep is cheaper,
     (n+1) npts <= 12000 + 30 npts, as on a handful of points.  One integer
@@ -306,6 +307,19 @@ def _chebyshev_pays(lam: float, degrees, npts: int):
     lowest = max(_column_limit(npts) + 1,
                  CHEBYSHEV_POINT_COST + CHEBYSHEV_ROW_COST // npts)
     return (np.asarray(degrees) >= lowest) & (lam == 1.0)
+
+
+def _recurrence_tail(lam: float, degree: int, weight, t: np.ndarray, count: int) -> np.ndarray:
+    """weight * G_k(t) for the last count degrees k <= degree, shape
+    (count, npts), by the recurrence over tiles of POINT_BLOCK points; it
+    keeps no per-degree state, so a heavy degree costs no memory."""
+    out = np.empty((count, t.size))
+    for s in range(0, t.size, POINT_BLOCK):
+        block = slice(s, s + POINT_BLOCK)
+        tail = deque(islice(_recurrence(lam, t[block], weight), degree + 1), maxlen=count)
+        for row, g in zip(out, tail):
+            row[block] = g
+    return out
 
 
 def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
@@ -320,11 +334,7 @@ def _profile_nodes(lam: float, degree: int, weight: float, theta: np.ndarray
     """
     n = degree
     t = np.cos(theta)
-    f, prev = np.empty_like(t), np.empty_like(t)
-    for s in range(0, t.size, POINT_BLOCK):
-        block = slice(s, s + POINT_BLOCK)
-        prev[block], f[block] = deque(islice(_recurrence(lam, t[block], weight), n + 1),
-                                      maxlen=2)
+    prev, f = _recurrence_tail(lam, n, weight, t, 2)
     eig = n * (n + 2.0 * lam)
     pole = (theta == 0.0) | (theta == np.pi)
     inner = ~pole
@@ -412,17 +422,20 @@ def _profile_table(lam: float, degree: int, weight: float) -> np.ndarray:
 
 
 def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate a _profile_table at theta = arccos(t) by Horner's rule.
-    Interval indices of t in [-1, 1] lie in [0, m]; clip mode only skips
-    the bounds check."""
-    u = np.arccos(t)
-    u *= (table.shape[1] - 1) / np.pi
-    j = u.astype(np.intp)
-    u -= j
-    out = table[5].take(j, mode="clip")
-    for row in table[4::-1]:
-        out *= u
-        out += row.take(j, mode="clip")
+    """Evaluate a _profile_table at theta = arccos(t) by Horner's rule, over
+    tiles of POINT_BLOCK points.  Interval indices of t in [-1, 1] lie in
+    [0, m]; clip mode only skips the bounds check."""
+    out = np.empty_like(t)
+    for s in range(0, t.size, POINT_BLOCK):
+        u = np.arccos(t[s : s + POINT_BLOCK])
+        u *= (table.shape[1] - 1) / np.pi
+        j = u.astype(np.intp)
+        u -= j
+        tile = out[s : s + POINT_BLOCK]
+        np.take(table[5], j, out=tile, mode="clip")
+        for row in table[4::-1]:
+            tile *= u
+            tile += row.take(j, mode="clip")
     return out
 
 
@@ -448,99 +461,99 @@ def _wave_weights(model, law, degrees) -> np.ndarray:
     return np.exp(0.5 * log_w2)
 
 
-def _chebyshev_profiles(degrees: np.ndarray, scale: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Profiles scale_i * G_{degrees_i}^1(t_i) on the 3-sphere, shape
-    (m, npts), from the closed form G_n^1(cos theta) = U_n(cos theta) =
-    sin((n+1) theta) / sin(theta): O(npts) at any degree, with no table and
-    no recurrence.  t is folded to |t| by U_n(-x) = (-1)^n U_n(x), so theta
-    = arccos|t| <= pi/2 and the rounding of (n+1) theta is never divided by
-    a small sin(theta) next to t = -1; where sin(theta) = 0 the value is the
-    limit n + 1.
+def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.ndarray:
+    """The profile weight * G_degree^1(t) on the 3-sphere (lam = 1) from the
+    closed form G_n^1(cos theta) = U_n(cos theta) = sin((n+1) theta) /
+    sin(theta): O(npts) at any degree, with no table and no recurrence.  t
+    is folded to |t| by U_n(-x) = (-1)^n U_n(x), so theta = arccos|t| <= pi/2
+    and the rounding of (n+1) theta is never divided by a small sin(theta)
+    next to t = -1; where sin(theta) = 0 the value is the limit n + 1.
 
-    Error, relative to the amplitude (n+1) |scale_i|, with every elementary
+    Error, relative to the amplitude (n+1) |weight|, with every elementary
     function within one ulp: an arccos error of eps theta moves U_n by up
     to (pi/2) eps, the rounding of (n+1) theta by (pi/4) eps (both worst
     at theta = pi/2, where theta / sin(theta) = pi/2), the two sines by eps
     each, the division and the weight by eps/2 each: 5.4 eps in all, so
-    CHEBYSHEV_ERROR_BOUND = 6 eps.  Tiles of at most POINT_BLOCK elements,
-    as in the exact sweep; every step is elementwise, so a row's doubles do
-    not depend on the tile shape or on the other rows."""
-    m, npts = t.shape
-    out = np.empty((m, npts))
-    k1 = degrees[:, None] + 1.0
-    w = scale[:, None]
-    w_odd = np.where(degrees % 2 == 1, -scale, scale)[:, None]    # (-1)^n w
-    width = min(npts, POINT_BLOCK)
-    height = POINT_BLOCK // width
-    for r0 in range(0, m, height):
-        rows = slice(r0, r0 + height)
-        for s in range(0, npts, width):
-            cols = slice(s, s + width)
-            tile = t[rows, cols]
-            theta = np.arccos(np.abs(tile))
-            sin = np.sin(theta)
-            x = np.sin(theta * k1[rows])
-            pole = sin == 0.0
-            if pole.any():
-                sin[pole] = 1.0
-                x[pole] = np.broadcast_to(k1[rows], x.shape)[pole]
-            x /= sin
-            x *= np.where(tile < 0.0, w_odd[rows], w[rows])
-            out[rows, cols] = x
+    CHEBYSHEV_ERROR_BOUND = 6 eps.  Tiles of POINT_BLOCK points; every step
+    is elementwise, so the doubles do not depend on the tiles."""
+    out = np.empty_like(t)
+    k1 = degree + 1.0
+    w_odd = -weight if degree % 2 else weight       # (-1)^n w
+    for s in range(0, t.size, POINT_BLOCK):
+        tile = t[s : s + POINT_BLOCK]
+        theta = np.arccos(np.abs(tile))
+        sin = np.sin(theta)
+        x = np.sin(theta * k1)
+        pole = sin == 0.0
+        if pole.any():
+            sin[pole] = 1.0
+            x[pole] = k1
+        x /= sin
+        x *= np.where(tile < 0.0, w_odd, weight)
+        out[s : s + POINT_BLOCK] = x
     return out
+
+
+# the profile methods, each with its row function (lam, degree, weight, t)
+# -> weight * G_degree(t) and whether that reads t (the constant does not);
+# a row's method code is its index here
+_Method = namedtuple("_Method", "name row reads_t", defaults=(True,))
+CONSTANT, CIRCLE, EXACT, TABLE, CLOSED = range(5)
+_METHODS = (
+    _Method("constant", lambda lam, n, w, t: w, reads_t=False),
+    _Method("circle", lambda lam, n, w, t: w * np.cos(n * np.arccos(t))),
+    _Method("exact", lambda lam, n, w, t: _recurrence_tail(lam, n, w, t, 1)[0]),
+    _Method("table", lambda lam, n, w, t: _interpolate(_profile_table(lam, n, w), t)),
+    _Method("closed", _chebyshev_row),
+)
+
+
+def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
+    """Each row's profile method on npts points, as a code into _METHODS:
+    constant for degree 0, the circle cosine on d = 1; else the 3-sphere
+    closed form where _chebyshev_pays, a table where _tabulate_pays (the two
+    never overlap) and the exact recurrence for the rest."""
+    degrees = np.asarray(degrees)
+    lam = 0.5 * (d - 1)
+    return np.select([degrees == 0, d == 1, _chebyshev_pays(lam, degrees, npts),
+                      _tabulate_pays(lam, degrees, npts)],
+                     [CONSTANT, CIRCLE, CLOSED, TABLE], EXACT)
 
 
 def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i) of clipped
-    projections t, shape (m, npts); scale_i * cos(degrees_i arccos t_i) on
-    the circle.  Rows where _tabulate_pays are tabulated and interpolated,
-    within PROFILE_ERROR_BOUND of the wave amplitude; 3-sphere rows where
-    _chebyshev_pays take the closed form, within CHEBYSHEV_ERROR_BOUND of
-    it.  The others run the exact recurrence over tiles of at most
-    POINT_BLOCK elements: min(npts, POINT_BLOCK) columns wide and
-    POINT_BLOCK // width
-    degree-sorted rows tall, each row dropping out at its degree (sum of
-    degrees work), with the signed weights in the seeds.  A row's doubles do
-    not depend on the other rows, so neither the tile shape nor the batch
-    changes them."""
+    projections t, shape (m, npts), each by its method's row function, but
+    two or more exact rows share one recurrence over tiles of at most
+    POINT_BLOCK elements, min(npts, POINT_BLOCK) wide and POINT_BLOCK // width
+    degree-sorted rows tall, each row dropping out at its degree.  Every step
+    is elementwise, so a row gets the doubles of its row function."""
     m, npts = t.shape
-    if d == 1:
-        return scale[:, None] * np.cos(degrees[:, None] * np.arccos(t))
     lam = 0.5 * (d - 1)
+    methods = _profile_methods(d, degrees, npts)
     out = np.empty((m, npts))
-    closed = _chebyshev_pays(lam, degrees, npts)
-    # sort key: the degree, or -1 for a tabulated or closed-form row, so
-    # that in descending key order the exact rows come first, by degree
-    key = np.where(_tabulate_pays(lam, degrees, npts) | closed, -1, degrees)
-    order = key.argsort()[::-1]
-    counts = np.bincount(key + 1, minlength=1)
-    exact = m - int(counts[0])
-    rest = order[exact:]
-    for i in rest[~closed[rest]]:
-        table = _profile_table(lam, int(degrees[i]), scale[i])
-        for s in range(0, npts, POINT_BLOCK):
-            out[i, s : s + POINT_BLOCK] = _interpolate(table, t[i, s : s + POINT_BLOCK])
-    heavy = rest[closed[rest]]
-    if heavy.size:
-        out[heavy] = _chebyshev_profiles(degrees[heavy], scale[heavy], t[heavy])
-    if exact == 0:
+    exact = np.flatnonzero(methods == EXACT)
+    rest = np.flatnonzero(methods != EXACT) if exact.size > 1 else np.arange(m)
+    for i, code, n, w in zip(rest.tolist(), methods[rest].tolist(), degrees[rest].tolist(),
+                             scale[rest].tolist()):
+        out[i] = _METHODS[code].row(lam, n, w, t[i])
+    if exact.size < 2:
         return out
+    order = exact[np.argsort(degrees[exact])[::-1]]
     # active[n]: number of exact rows of degree >= n, for n = 0 .. top + 1
-    active = counts[:0:-1].cumsum()[::-1].tolist() + [0]
+    active = np.bincount(degrees[exact])[::-1].cumsum()[::-1].tolist() + [0]
     width = min(npts, POINT_BLOCK)
     height = POINT_BLOCK // width
-    for r0 in range(0, exact, height):
-        band = order[r0 : min(r0 + height, exact)]
-        band_rows = slice(None) if m == 1 else band     # a single row is not copied
-        seeds = scale[band_rows, None]
-        # the band's own counts: active itself when one band holds every exact
+    for r0 in range(0, exact.size, height):
+        band = order[r0 : r0 + height]
+        seeds = scale[band, None]
+        # the band's own counts: active itself when one band holds every
         # row; else read while r0 < active[n], which stops at the band's top
         # degree however far the zeta tail reaches
-        band_active = active if exact <= height else (
+        band_active = active if exact.size <= height else (
             [min(a - r0, height) for a in takewhile(r0.__lt__, active)] + [0])
         for s in range(0, npts, width):
             cols = slice(s, s + width)
-            sweep = _recurrence(lam, t[band_rows, cols], seeds, band_active)
+            sweep = _recurrence(lam, t[band, cols], seeds, band_active)
             for (hi, lo), g in zip(pairwise(band_active), sweep):
                 if lo < hi:                     # band[lo:hi] end at this degree
                     out[band[lo:hi], cols] = g[lo:hi]
@@ -609,36 +622,41 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     The whole wave plan (draws, weights, support and Schoenberg factor
     checks) comes first, so an invalid model fails before any point work.
     Wave idx is draw_wave(config, wave_rng(config.seed, idx)), drawn by
-    _draw_plan.  Waves are summed in order into groups of WAVE_GROUP, and
-    the group partials in order.  A wave of degree 0 is its signed weight
-    (times its factor row) at every point; it is added as that constant,
-    the doubles _wave_values would give, with no projection.  The metadata
-    records the profile error bound and the drawn degrees' sum and largest
-    value (degree_sum, degree_max).
+    _draw_plan.  Each wave goes to its _METHODS row function (projected
+    unless the method reads no t) for the doubles _wave_values would give.
+    Waves are summed in order into groups of WAVE_GROUP, and the group
+    partials in order.  The metadata records the profile error bound, the
+    drawn degrees' sum and largest value and the waves per method.
     """
     points = check_points(points, config.d)
+    npts = points.shape[0]
     L = config.L
+    lam = 0.5 * (config.d - 1)
     plan = _draw_plan(config)
     degrees = np.array([wave.degree for wave in plan])
     signed, factors = _wave_coefficients(config, degrees,
                                          np.array([wave.epsilon for wave in plan]),
                                          np.array([wave.component for wave in plan]))
-    constant = (degrees == 0).tolist()
+    codes = _profile_methods(config.d, degrees, npts)
+    methods = [_METHODS[code] for code in codes.tolist()]
+    kappas, weights = degrees.tolist(), signed.tolist()
 
     def group_partial(bounds):
         lo, hi = bounds
-        part = np.zeros((points.shape[0], config.p))
+        part = np.zeros((npts, config.p))
+        total = part[:, 0] if factors is None else part
         for idx in range(lo, hi):
-            if constant[idx]:
-                vals = signed[idx] if factors is None else signed[idx] * factors[idx]
-            else:
-                one = slice(idx, idx + 1)
-                t = (points @ plan[idx].pole)[None, :]
-                row = None if factors is None else factors[one]
-                vals = _wave_values(config.d, t, degrees[one], signed[one], row)[0]
+            method = methods[idx]
+            t = None
+            if method.reads_t:
+                t = points @ plan[idx].pole
+                np.clip(t, -1.0, 1.0, out=t)
+            vals = method.row(lam, kappas[idx], weights[idx], t)
+            if factors is not None:
+                vals = np.multiply.outer(vals, factors[idx])
             if not np.isfinite(vals).all():
                 raise SimulationError(f"non-finite wave values at wave index {idx}")
-            part += vals
+            total += vals
         return part
 
     groups = [(lo, min(lo + WAVE_GROUP, L)) for lo in range(0, L, WAVE_GROUP)]
@@ -653,8 +671,9 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
         values += part
     values *= 1.0 / np.sqrt(L)
     metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND,
-                "degree_sum": sum(wave.degree for wave in plan),
-                "degree_max": max(wave.degree for wave in plan)}
+                "degree_sum": sum(kappas), "degree_max": max(kappas),
+                "profile_methods": dict(zip((method.name for method in _METHODS),
+                                            np.bincount(codes, minlength=len(_METHODS)).tolist()))}
     return Realization(points=points, values=values, metadata=metadata)
 
 

@@ -235,6 +235,50 @@ def test_simulate_header_records_the_drawn_degrees(tmp_path):
     assert sum(degrees) > max(degrees) > 0
 
 
+def test_simulate_header_records_profile_methods(tmp_path):
+    # the waves per profile method, in the method table's order, summing to
+    # L; one header line after degree_max, read back as the metadata says
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--model", "f", "--d", "3", "--alpha", "1", "--nu", "3.5",
+            "--tau", "2", "--degree-dist", "zeta:2", "--L", "60", "--seed", "4",
+            "--grid", "slice3:0.25:100x100", "--out", str(out)]
+    assert main(args) == 0
+    header, _, _ = read_realization_csv(str(out))
+    config = SimulationConfig(cli.parse_model(cli.build_parser().parse_args(args)),
+                              ShiftedZeta(2.0), L=60, seed=4)
+    counts = simulate(config, build_grid(parse_grid("slice3:0.25:100x100")).points
+                      ).metadata["profile_methods"]
+    assert list(counts) == [method.name for method in simulator._METHODS]
+    assert sum(counts.values()) == 60
+    assert counts["constant"] > 0 and counts["exact"] > 0 and counts["table"] > 0
+    assert header["profile_methods"] == ",".join(f"{k}:{v}" for k, v in counts.items())
+    lines = out.read_text().splitlines()
+    after = lines.index(f"# degree_max={header['degree_max']}") + 1
+    assert lines[after].startswith("# profile_methods=")
+
+
+def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
+    # the parser is built once per process; consecutive main calls with
+    # other subcommands and flags still get their own values and defaults
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def recording(config, points, n_threads=None):
+        seen.append((config.L, config.seed, n_threads, type(config.degrees)))
+        return simulate(config, points, n_threads=n_threads)
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    small = ["simulate", "--model", "nb", "--delta", "0.5", "--grid", "latlon:2x3"]
+    assert main(small + ["--L", "7", "--seed", "11", "--threads", "2",
+                         "--degree-dist", "zeta:2", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["coeffs", "--model", "nb", "--delta", "0.3", "--n-max", "3",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(small + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert seen[0] == (7, 11, 2, ShiftedZeta)
+    assert seen[1][:3] == (1500, 0, None) and seen[1][3] is not ShiftedZeta
+    assert len((tmp_path / "c.csv").read_text().splitlines()) > 3
+
+
 def test_simulate_auto_degree_header(tmp_path):
     out = tmp_path / "r.csv"
     args = [
@@ -476,7 +520,8 @@ def test_csv_body_is_per_cell_17g(kind, rows, p, data):
     values = rng.normal(size=(rows, p)) * 10.0 ** rng.integers(-320, 300, size=(rows, p))
     values.flat[0] = -0.0
     metadata = {"model": "m", "d": grid.d, "p": p, "L": 1, "seed": 0, "degrees": "finite:1",
-                "profile_error_bound": 0.0, "degree_sum": 0, "degree_max": 0}
+                "profile_error_bound": 0.0, "degree_sum": 0, "degree_max": 0,
+                "profile_methods": {"constant": 1}}
     stream = io.StringIO()
     cli.write_realization(stream, grid, kind, Realization(grid.points, values, metadata))
     lines = stream.getvalue().splitlines(keepends=True)

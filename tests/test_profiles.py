@@ -22,6 +22,11 @@ from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
 from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
 from turnarcs.simulator import (
     CHEBYSHEV_ERROR_BOUND,
+    CIRCLE,
+    CLOSED,
+    CONSTANT,
+    EXACT,
+    TABLE,
     CHEBYSHEV_POINT_COST,
     CHEBYSHEV_ROW_COST,
     FOURIER_NODE_COST,
@@ -32,11 +37,12 @@ from turnarcs.simulator import (
     TABLE_STEP_COST,
     SimulationConfig,
     _chebyshev_pays,
-    _chebyshev_profiles,
+    _chebyshev_row,
     _column_limit,
     _fourier_node_count,
     _fourier_nodes,
     _interpolate,
+    _profile_methods,
     _profile_nodes,
     _profile_table,
     _tabulate_pays,
@@ -306,7 +312,7 @@ def test_chebyshev_profiles_within_bound(n, log_amp, sign, extra):
     amp = 10.0**log_amp
     weight = sign * amp / (n + 1)
     t = chebyshev_probes(n, extra)
-    got = _chebyshev_profiles(np.array([n]), np.array([weight]), t[None, :])[0]
+    got = _chebyshev_row(1.0, n, weight, t)
     assert np.all(np.isfinite(got))
     err = np.abs(got.astype(LD) - chebyshev_oracle(n, weight, t))
     assert np.max(err) <= CHEBYSHEV_ERROR_BOUND * amp
@@ -323,7 +329,7 @@ def test_chebyshev_profiles_match_scipy(n, seed):
     # its own bound
     t = chebyshev_probes(n, np.random.default_rng(seed).uniform(-1.0, 1.0, 500))
     weight = 0.7 / (n + 1)
-    got = _chebyshev_profiles(np.array([n]), np.array([weight]), t[None, :])[0]
+    got = _chebyshev_row(1.0, n, weight, t)
     allowed = CHEBYSHEV_ERROR_BOUND + 2.0 * EPS * n * (n + 2.0) / 3.0
     assert np.max(np.abs(got - weight * eval_gegenbauer(n, 1.0, t))) <= allowed * 0.7
 
@@ -349,6 +355,29 @@ def test_chebyshev_cost_model_matches_integer_form(npts):
     assert not np.any(_chebyshev_pays(1.0, n, npts) & _tabulate_pays(1.0, n, npts))
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), npts=st.sampled_from([1, 7, 500, 10_000, 250_000]),
+       drawn=st.lists(st.one_of(st.integers(0, 1000), st.integers(0, 2**62)), max_size=30))
+def test_profile_methods_follow_the_cost_rules(d, npts, drawn):
+    # degree 0 is the constant and d = 1 the circle; elsewhere exactly the
+    # rows the two cost rules select are closed-form and tabulated, the rest
+    # exact
+    limit = _column_limit(npts)
+    degrees = np.array([0, 1, max(limit - 1, 0), limit, limit + 1, 2**62] + drawn)
+    methods = _profile_methods(d, degrees, npts)
+    lam = 0.5 * (d - 1)
+    zero = degrees == 0
+    assert_array_equal(methods == CONSTANT, zero)
+    if d == 1:
+        assert np.all(methods[~zero] == CIRCLE)
+        return
+    closed = _chebyshev_pays(lam, degrees, npts) & ~zero
+    tabulated = _tabulate_pays(lam, degrees, npts) & ~zero
+    assert_array_equal(methods == CLOSED, closed)
+    assert_array_equal(methods == TABLE, tabulated)
+    assert_array_equal(methods == EXACT, ~(zero | closed | tabulated))
+
+
 def test_column_limit_rows_keep_their_paths():
     # on 10k points the Fourier limit is 607: degrees up to it keep their
     # table or exact-sweep bits, the ones above take the closed form with
@@ -366,17 +395,15 @@ def test_column_limit_rows_keep_their_paths():
         assert_array_equal(got[i], gegenbauer_eval_weighted(1.0, int(degrees[i]), t[i],
                                                             weights[i]))
     for i in (2, 3, 5):
-        alone = _chebyshev_profiles(degrees[i : i + 1], weights[i : i + 1], t[i : i + 1])
-        assert_array_equal(got[i], alone[0])
+        assert_array_equal(got[i], _chebyshev_row(1.0, int(degrees[i]), weights[i], t[i]))
         assert_array_equal(got[i], _wave_profiles(3, degrees[i : i + 1], t[i : i + 1],
                                                   weights[i : i + 1])[0])
-    # one row, and many rows sharing POINT_BLOCK-element tiles on few points
+    # one row, and a batch of closed-form rows on few points
     few = t[:, :5].copy()
     heavy = np.full(7, 5000)
-    batch = _chebyshev_profiles(heavy, weights, few)
+    batch = _wave_profiles(3, heavy, few, weights)
     for i in range(7):
-        assert_array_equal(batch[i], _chebyshev_profiles(heavy[:1], weights[i : i + 1],
-                                                         few[i : i + 1])[0])
+        assert_array_equal(batch[i], _chebyshev_row(1.0, 5000, weights[i], few[i]))
 
 
 CASES = {

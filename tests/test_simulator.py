@@ -421,6 +421,20 @@ def test_points_must_be_unit_norm():
         simulate(config, np.array([[1.0, 1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_unit_norm_rule_at_its_boundary(d):
+    # |norm - 1| <= 1e-12 passes and anything beyond it fails, above and
+    # below 1, whichever row is off
+    points = sample_pole(d, np.random.default_rng(d), size=40)
+    for sign in (1.0, -1.0):
+        inside = points * (1.0 + sign * 0.9e-12)
+        assert_array_equal(simulator.check_points(inside, d), inside)
+        outside = points.copy()
+        outside[17] *= 1.0 + sign * 1.1e-12
+        with pytest.raises(SimulationError, match="unit norm within 1e-12"):
+            simulator.check_points(outside, d)
+
+
 def test_simulate_metadata_records_profile_error_bound():
     out = simulate(scalar_config(L=3, seed=5), meridian_points(2, [0.2]))
     assert out.metadata["profile_error_bound"] == PROFILE_ERROR_BOUND
@@ -463,15 +477,19 @@ def test_simulate_checks_points_once(monkeypatch):
 
 def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
     # example 2 as printed: indefinite Schoenberg matrices from degree 2 on;
-    # the wave plan is drawn and factored first, so no wave is evaluated
+    # the wave plan is drawn and factored first, so no wave is evaluated,
+    # neither in a batch nor by a method's row function
     calls = []
-    real = simulator._wave_profiles
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(real):
+        def count(*args):
+            calls.append(1)
+            return real(*args)
+        return count
 
-    monkeypatch.setattr(simulator, "_wave_profiles", counting)
+    monkeypatch.setattr(simulator, "_wave_profiles", counting(simulator._wave_profiles))
+    monkeypatch.setattr(simulator, "_METHODS", tuple(
+        method._replace(row=counting(method.row)) for method in simulator._METHODS))
     model = BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6,
                                     allow_unverified_cross=True)
     config = SimulationConfig(model, ShiftedZeta(2.0), L=1500, seed=2)
@@ -673,6 +691,22 @@ def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
         assert_array_equal(simulate(config, points).values, field)
 
 
+def test_heavy_exact_wave_keeps_no_per_degree_state():
+    # a one-row exact wave runs the recurrence alone: degree 50,000 on two
+    # points holds a few small arrays, not a count or a list per degree
+    config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(2.0), L=1, seed=0)
+    wave = WaveParams(epsilon=-1, pole=np.array([0.0, 0.6, 0.8]), degree=50_000)
+    points = meridian_points(2, [0.3, 2.0])
+    tracemalloc.start()
+    try:
+        values = wave_eval_scalar(wave, config, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(values)) and np.any(values != 0.0)
+    assert peak < 100_000
+
+
 def test_single_wave_values_memory_stays_near_its_output():
     # the exact sweep works in cache-sized tiles, so beyond the projections
     # and the output it holds only tile-sized buffers; full-height column
@@ -698,6 +732,8 @@ SUM_CASES = {
     "exponential d=3": (Exponential(1.0, d=3), ShiftedZeta(2.0)),
     "bivariate nb zeta d=2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
                               ShiftedZeta(2.0)),
+    "circle d=1": (SequenceCovariance([0.2, 0.5, 0.3], d=1), FiniteDegrees([0.25, 0.5, 0.25])),
+    "nb d=4": (NegativeBinomial(0.5, d=4), GeometricDegrees(0.05)),
 }
 
 
@@ -721,13 +757,17 @@ def test_simulate_is_the_sum_of_its_waves(case, L, seed, npts):
     assert np.max(np.abs(values - np.reshape(total, values.shape) / np.sqrt(L))) <= 1e-13 * rms
 
 
-@pytest.mark.parametrize("case", ["f d=3", "exponential d=3", "bivariate nb zeta d=2"])
-@pytest.mark.parametrize("L, seed, npts", [(150, 0, 12), (64, 2**64 - 1, 1), (100, 7, 3000)])
-def test_simulate_is_its_summation_tree_bitwise(case, L, seed, npts):
+@pytest.mark.parametrize("L, seed, npts, case", [
+    (L, seed, npts, case)
+    for L, seed, npts in [(150, 0, 12), (64, 2**64 - 1, 1), (100, 7, 3000)]
+    for case in ["f d=3", "exponential d=3", "bivariate nb zeta d=2"]
+] + [(70, 3, 40, "circle d=1"), (100, 5, 10_000, "nb d=4")])
+def test_simulate_is_its_summation_tree_bitwise(L, seed, npts, case):
     # zeta:2 puts 61% of its mass on degree 0, whose waves simulate adds as
     # constants (times their factor rows for p = 2); the replay evaluates
     # every wave through wave_eval_* and sums in the same tree: rows into
-    # groups of WAVE_GROUP waves, the groups in order, then 1/sqrt(L)
+    # groups of WAVE_GROUP waves, the groups in order, then 1/sqrt(L).  On
+    # 10k points the d = 4 case has recurrence-table rows
     model, degrees = SUM_CASES[case]
     config = SimulationConfig(model, degrees, L=L, seed=seed)
     points = sample_pole(config.d, np.random.default_rng(seed), size=npts)
