@@ -25,6 +25,12 @@ Cases:
     tables), and F d = 2 under zeta:1.5 on 3 points (heavy exact rows, up
     to degree 591,899); `simulate` with n_threads None and 2, and 60
     `single_wave_values` rows (the batch path) at rng seeds 0-5;
+  - raw `simulate_ensemble` values: the validate workload's config at rng
+    seeds 0-2, and a bivariate nb d = 2 ensemble whose 60 realizations take
+    four draw chunks under a chunk budget of 200,000 value doubles;
+  - `simulate` on 16,385 points, one more than a `POINT_BLOCK` tile, so the
+    last tile holds one point: nb at d = 2 and d = 8, seeds 2**70 + 0-2,
+    n_threads None and 2;
   - each degree law's scalar draws from the per-wave streams and one batch
     draw from a default_rng, with the stream state after them; one pole per
     dimension with the stream state after it.
@@ -50,13 +56,15 @@ import numpy as np  # noqa: E402
 from scipy import fft  # noqa: E402
 
 import workloads  # noqa: E402
-from turnarcs import cli  # noqa: E402
+from turnarcs import cli, simulator  # noqa: E402
 from turnarcs.covariance import (  # noqa: E402
     BivariateNegativeBinomial, Chentsov, GeneralizedF, NegativeBinomial, SequenceCovariance)
 from turnarcs.degree_sampling import (  # noqa: E402
     FiniteDegrees, GeometricDegrees, OddShiftedZeta, ShiftedZeta)
+from turnarcs.grids import build_grid, parse_grid  # noqa: E402
 from turnarcs.simulator import (  # noqa: E402
-    SimulationConfig, draw_wave, sample_pole, simulate, single_wave_values, wave_rng)
+    SimulationConfig, draw_wave, sample_pole, simulate, simulate_ensemble, single_wave_values,
+    wave_rng)
 
 SEEDS = (0, 1, 2, 2**64 + 3, 2**65 + 4)
 EXTRA_SEEDS = (2**70, 2**70 + 1, 2**70 + 2)
@@ -183,6 +191,35 @@ def method_lines():
             yield f"{name} batch rng={seed} {digest(waves.tobytes())}"
 
 
+def ensemble_lines():
+    validate = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=100, seed=0)
+    points = build_grid(parse_grid("latlon:8x16")).points
+    for seed in range(3):
+        values = simulate_ensemble(validate, points, 200, np.random.default_rng(seed))
+        yield f"ensemble validate rng={seed} {digest(values.tobytes())}"
+    # 40 waves x 128 points x p = 2 per realization: 19 realizations a chunk
+    config = SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                              GeometricDegrees(0.05), L=40, seed=0)
+    budget = simulator.ENSEMBLE_BUDGET
+    simulator.ENSEMBLE_BUDGET = 200_000
+    try:
+        for seed in range(3):
+            values = simulate_ensemble(config, points, 60, np.random.default_rng(seed))
+            yield f"ensemble bivariate chunks=4 rng={seed} {digest(values.tobytes())}"
+    finally:
+        simulator.ENSEMBLE_BUDGET = budget
+
+
+def last_tile_lines():
+    npts = 16_385
+    for d in (2, 8):
+        points = sample_pole(d, np.random.default_rng(npts), size=npts)
+        for seed in EXTRA_SEEDS:
+            config = SimulationConfig(NegativeBinomial(0.5, d=d), GeometricDegrees(0.05),
+                                      L=40, seed=seed)
+            yield from simulate_lines(f"nb-d{d}-16385pts", config, points)
+
+
 def law_lines():
     for law in LAWS:
         for seed in (0, 2**64 + 5):
@@ -203,7 +240,8 @@ def law_lines():
 
 
 def main() -> None:
-    for lines in (law_lines(), extra_lines(), method_lines(), workload_lines(), csv_lines()):
+    for lines in (law_lines(), extra_lines(), method_lines(), ensemble_lines(),
+                  last_tile_lines(), workload_lines(), csv_lines()):
         for line in lines:
             print(line, flush=True)
 

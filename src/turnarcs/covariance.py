@@ -870,6 +870,27 @@ def factor_schoenberg_matrix(B, *, degree: int = 0) -> SchoenbergFactor:
     return SchoenbergFactor(degree=degree, matrix=gamma)
 
 
+def _factor_schoenberg_matrices(matrices, degrees) -> np.ndarray:
+    """factor_schoenberg_matrix(B, degree=n).matrix for each matrix B of a
+    stack and its degree n, shape (k, p, p).  A stack whose matrices all pass
+    the symmetry check, the Cholesky factorization and the round-trip check
+    takes one Cholesky call, the doubles of one call per matrix; otherwise
+    every matrix goes through factor_schoenberg_matrix, with its eigh
+    fallback and its errors."""
+    B = np.asarray(matrices, dtype=float)
+    scale = np.maximum(1.0, np.max(np.abs(B), axis=(1, 2)))[:, None, None]
+    if np.isclose(B, B.swapaxes(1, 2), atol=1e-12 * scale).all():
+        try:
+            gamma = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.all(np.abs(gamma @ gamma.swapaxes(1, 2) - B) <= 1e-12 * scale):
+                return gamma
+    return np.stack([factor_schoenberg_matrix(b, degree=n).matrix
+                     for b, n in zip(B, degrees)])
+
+
 # ---------------------------------------------------------------------------
 # module-level operation wrappers
 # ---------------------------------------------------------------------------

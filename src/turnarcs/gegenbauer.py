@@ -38,20 +38,20 @@ def _recurrence(lam: float, r: np.ndarray, weight=1.0, active=None):
     in the seeds: the recurrence is linear, so this is exact up to rounding,
     and intermediates stay within |weight| * G_k(1), which keeps huge-degree
     low-coefficient waves inside double range where the plain product would
-    overflow.  active[k], when given, is the number of leading rows of r
-    still needed at degree k >= 2 (non-increasing); from degree 2 on, the
-    yielded arrays hold only those rows.  Each yielded array is a working
-    buffer that the step two degrees later overwrites.
+    overflow.  active, when given, maps a degree k >= 2 to the number of
+    leading rows of r still needed from k on (non-increasing in k), at the
+    degrees where that number drops; the yielded arrays hold only those
+    rows.  Each yielded array is a working buffer that the step two degrees
+    later overwrites.
     """
     g0 = np.full_like(r, weight)
     yield g0
     g1 = (2.0 * lam * weight) * r
     yield g1
     x, g, h, w = r, g1, g0, np.empty_like(r)
-    rows = None
     k = 2
     while True:
-        if active is not None and active[k] != rows:
+        if active is not None and k in active:
             rows = active[k]
             x, g, h, w = x[:rows], g[:rows], h[:rows], w[:rows]
         np.multiply(x, g, out=w)

@@ -21,12 +21,13 @@ bit-identical values.
 from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, pairwise, takewhile
+from functools import partial
+from itertools import islice, pairwise
 
 import numpy as np
 from scipy import fft
 
-from .covariance import factor_schoenberg_matrix, require_valid
+from .covariance import _factor_schoenberg_matrices, factor_schoenberg_matrix, require_valid
 from .degree_sampling import support_covers
 from .gegenbauer import _recurrence
 
@@ -494,17 +495,20 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
     return out
 
 
-# the profile methods, each with its row function (lam, degree, weight, t)
-# -> weight * G_degree(t) and whether that reads t (the constant does not);
-# a row's method code is its index here
+# the profile methods, each with its row function (lam, degree, weight) -> a
+# function of clipped projections t giving weight * G_degree(t), and whether
+# that reads t (the constant does not).  A row function does its per-wave
+# work (a table) once; its t function is elementwise, so a wave may be
+# evaluated whole or tile by tile with the same doubles.  A row's method
+# code is its index here.
 _Method = namedtuple("_Method", "name row reads_t", defaults=(True,))
 CONSTANT, CIRCLE, EXACT, TABLE, CLOSED = range(5)
 _METHODS = (
-    _Method("constant", lambda lam, n, w, t: w, reads_t=False),
-    _Method("circle", lambda lam, n, w, t: w * np.cos(n * np.arccos(t))),
-    _Method("exact", lambda lam, n, w, t: _recurrence_tail(lam, n, w, t, 1)[0]),
-    _Method("table", lambda lam, n, w, t: _interpolate(_profile_table(lam, n, w), t)),
-    _Method("closed", _chebyshev_row),
+    _Method("constant", lambda lam, n, w: lambda t: w, reads_t=False),
+    _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t))),
+    _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0]),
+    _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w))),
+    _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w)),
 )
 
 
@@ -520,13 +524,33 @@ def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
                      [CONSTANT, CIRCLE, CLOSED, TABLE], EXACT)
 
 
-def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i) of clipped
-    projections t, shape (m, npts), each by its method's row function, but
-    two or more exact rows share one recurrence over tiles of at most
-    POINT_BLOCK elements, min(npts, POINT_BLOCK) wide and POINT_BLOCK // width
-    degree-sorted rows tall, each row dropping out at its degree.  Every step
-    is elementwise, so a row gets the doubles of its row function."""
+class _Projections:
+    """The clipped projections t = points . pole of m poles, shape
+    (m, npts), made only for the rows asked for: self[rows] is one
+    matrix-vector product per row, the doubles of points @ pole, clipped to
+    [-1, 1].  The product is never tiled over the points: a product over
+    fewer points can round differently."""
+
+    def __init__(self, points: np.ndarray, poles: np.ndarray):
+        self.points, self.poles = points, poles
+        self.shape = (poles.shape[0], points.shape[0])
+
+    def __getitem__(self, rows) -> np.ndarray:
+        t = np.matmul(self.points, self.poles[rows, :, None])[:, :, 0]
+        return np.clip(t, -1.0, 1.0, out=t)
+
+
+def _wave_profiles(d: int, degrees: np.ndarray, t, scale: np.ndarray) -> np.ndarray:
+    """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i), shape (m, npts),
+    of clipped projections t: an (m, npts) array or _Projections, read one
+    index array of rows at a time and only for the rows about to be
+    evaluated, so _Projections never builds the whole array.  Each row takes
+    its method's row function, but two or more exact rows share one
+    recurrence over bands of POINT_BLOCK // width degree-sorted rows and
+    tiles of width = min(npts, POINT_BLOCK) points; a band is read when the
+    sweep reaches it, and its rows drop out at their own distinct degrees,
+    written straight into the result.  Every step is elementwise, so a row
+    gets the doubles of its row function."""
     m, npts = t.shape
     lam = 0.5 * (d - 1)
     methods = _profile_methods(d, degrees, npts)
@@ -535,28 +559,31 @@ def _wave_profiles(d: int, degrees: np.ndarray, t: np.ndarray, scale: np.ndarray
     rest = np.flatnonzero(methods != EXACT) if exact.size > 1 else np.arange(m)
     for i, code, n, w in zip(rest.tolist(), methods[rest].tolist(), degrees[rest].tolist(),
                              scale[rest].tolist()):
-        out[i] = _METHODS[code].row(lam, n, w, t[i])
+        method = _METHODS[code]
+        out[i] = method.row(lam, n, w)(t[[i]][0] if method.reads_t else None)
     if exact.size < 2:
         return out
     order = exact[np.argsort(degrees[exact])[::-1]]
-    # active[n]: number of exact rows of degree >= n, for n = 0 .. top + 1
-    active = np.bincount(degrees[exact])[::-1].cumsum()[::-1].tolist() + [0]
     width = min(npts, POINT_BLOCK)
     height = POINT_BLOCK // width
     for r0 in range(0, exact.size, height):
         band = order[r0 : r0 + height]
+        kb = degrees[band]                              # non-increasing
+        cuts = [0, *(np.flatnonzero(kb[1:] != kb[:-1]) + 1).tolist(), band.size]
+        # (n, lo, hi) by ascending degree n: band[lo:hi] end at degree n, and
+        # from degree n + 1 on the recurrence keeps the leading lo rows
+        ends = [(int(kb[lo]), lo, hi) for lo, hi in reversed(list(pairwise(cuts)))]
+        active = {n + 1: lo for n, lo, _ in ends}
+        tb = t[band]
         seeds = scale[band, None]
-        # the band's own counts: active itself when one band holds every
-        # row; else read while r0 < active[n], which stops at the band's top
-        # degree however far the zeta tail reaches
-        band_active = active if exact.size <= height else (
-            [min(a - r0, height) for a in takewhile(r0.__lt__, active)] + [0])
         for s in range(0, npts, width):
             cols = slice(s, s + width)
-            sweep = _recurrence(lam, t[band, cols], seeds, band_active)
-            for (hi, lo), g in zip(pairwise(band_active), sweep):
-                if lo < hi:                     # band[lo:hi] end at this degree
-                    out[band[lo:hi], cols] = g[lo:hi]
+            sweep = _recurrence(lam, tb[:, cols], seeds, active)
+            k = -1
+            for n, lo, hi in ends:
+                g = next(islice(sweep, n - k - 1, None))
+                k = n
+                out[band[lo:hi], cols] = g[lo:hi]
     return out
 
 
@@ -564,24 +591,25 @@ def _wave_coefficients(config: SimulationConfig, degrees: np.ndarray,
                        epsilons: np.ndarray, components) -> tuple:
     """Signed weights of m drawn waves from their degrees, signs and
     component indices, and each wave's Schoenberg factor column as a row,
-    shape (m, p), or None for a scalar model.  Each distinct degree is
-    factored once."""
+    shape (m, p), or None for a scalar model.  Each distinct degree's matrix
+    is built once, and all of them are factored together."""
     signed = epsilons * _wave_weights(config.model, config.degrees, degrees)
     if config.p == 1:
         return signed, None
     distinct, inverse = np.unique(degrees, return_inverse=True)
-    columns = np.stack([config.factor_columns(int(k)).T for k in distinct])
+    kappas = distinct.tolist()
+    matrices = np.stack([config.model.schoenberg_matrix(k) for k in kappas])
+    columns = _factor_schoenberg_matrices(matrices, kappas).swapaxes(1, 2)
     return signed, columns[inverse, components]
 
 
-def _wave_values(d: int, t: np.ndarray, degrees: np.ndarray, signed: np.ndarray,
-                 factors) -> np.ndarray:
-    """Values of m waves, shape (m, npts, p), given the projections
-    t = points . pole of checked points, shape (m, npts), which are clipped
-    in place, and the waves' degrees, signed weights and factor rows from
-    _wave_coefficients.  Each profile row is multiplied by its factor row."""
-    np.clip(t, -1.0, 1.0, out=t)
-    profiles = _wave_profiles(d, degrees, t, signed)
+def _wave_values(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
+                 signed: np.ndarray, factors) -> np.ndarray:
+    """Values of m waves, shape (m, npts, p), at checked points, given the
+    waves' poles, degrees, signed weights and factor rows from
+    _wave_coefficients.  Each profile row is projected when it is evaluated
+    and multiplied by its factor row."""
+    profiles = _wave_profiles(d, degrees, _Projections(points, poles), signed)
     if factors is None:
         return profiles[:, :, None]
     return profiles[:, :, None] * factors[:, None, :]
@@ -593,8 +621,7 @@ def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
     degree = np.array([wave.degree])
     signed, factors = _wave_coefficients(config, degree, np.array([wave.epsilon]),
                                          np.array([wave.component]))
-    t = (points @ wave.pole)[None, :]
-    return _wave_values(config.d, t, degree, signed, factors)[0]
+    return _wave_values(config.d, degree, points, wave.pole[None, :], signed, factors)[0]
 
 
 def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -622,11 +649,14 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     The whole wave plan (draws, weights, support and Schoenberg factor
     checks) comes first, so an invalid model fails before any point work.
     Wave idx is draw_wave(config, wave_rng(config.seed, idx)), drawn by
-    _draw_plan.  Each wave goes to its _METHODS row function (projected
-    unless the method reads no t) for the doubles _wave_values would give.
-    Waves are summed in order into groups of WAVE_GROUP, and the group
-    partials in order.  The metadata records the profile error bound, the
-    drawn degrees' sum and largest value and the waves per method.
+    _draw_plan.  Each wave goes to its _METHODS row function for the
+    doubles _wave_values would give: a group owns one npts buffer, which
+    takes the wave's projection points @ pole in one product (unless the
+    method reads no t) and is clipped; the wave is then evaluated, checked
+    and added over POINT_BLOCK tiles, component-major when p > 1.  Waves are
+    summed in order into groups of WAVE_GROUP, and the group partials in
+    order.  The metadata records the profile error bound, the drawn degrees'
+    sum and largest value and the waves per method.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
@@ -641,22 +671,31 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     methods = [_METHODS[code] for code in codes.tolist()]
     kappas, weights = degrees.tolist(), signed.tolist()
 
+    tiles = [slice(s, s + POINT_BLOCK) for s in range(0, npts, POINT_BLOCK)]
+
     def group_partial(bounds):
         lo, hi = bounds
-        part = np.zeros((npts, config.p))
-        total = part[:, 0] if factors is None else part
+        part = np.zeros((config.p, npts))
+        total = part[0] if factors is None else part
+        t = np.empty(npts)
+        # (projection, partial) views per tile; a constant takes all points
+        tiled = [(t[tile], total[..., tile]) for tile in tiles]
+        whole = [(t, total)]
         for idx in range(lo, hi):
             method = methods[idx]
-            t = None
+            spans = whole
             if method.reads_t:
-                t = points @ plan[idx].pole
+                np.matmul(points, plan[idx].pole, out=t)
                 np.clip(t, -1.0, 1.0, out=t)
-            vals = method.row(lam, kappas[idx], weights[idx], t)
-            if factors is not None:
-                vals = np.multiply.outer(vals, factors[idx])
-            if not np.isfinite(vals).all():
-                raise SimulationError(f"non-finite wave values at wave index {idx}")
-            total += vals
+                spans = tiled
+            profile = method.row(lam, kappas[idx], weights[idx])
+            for t_tile, acc in spans:
+                vals = profile(t_tile)
+                if factors is not None:
+                    vals = factors[idx, :, None] * vals
+                if not np.isfinite(vals).all():
+                    raise SimulationError(f"non-finite wave values at wave index {idx}")
+                acc += vals
         return part
 
     groups = [(lo, min(lo + WAVE_GROUP, L)) for lo in range(0, L, WAVE_GROUP)]
@@ -666,7 +705,7 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     else:
         partials = [group_partial(g) for g in groups]
 
-    values = np.zeros((points.shape[0], config.p))
+    values = np.zeros((config.p, npts))
     for part in partials:
         values += part
     values *= 1.0 / np.sqrt(L)
@@ -674,7 +713,7 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
                 "degree_sum": sum(kappas), "degree_max": max(kappas),
                 "profile_methods": dict(zip((method.name for method in _METHODS),
                                             np.bincount(codes, minlength=len(_METHODS)).tolist()))}
-    return Realization(points=points, values=values, metadata=metadata)
+    return Realization(points=points, values=np.ascontiguousarray(values.T), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +732,8 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     poles = sample_pole(config.d, rng, size=M)
     kappas = np.asarray(config.degrees.sample(rng, size=M), dtype=np.int64)
     iotas = rng.integers(0, p, size=M) if p > 1 else None
-    # one matrix-vector product per wave, as points @ pole in simulate, so a
-    # row equals wave_eval_* of the same wave bit for bit
-    t = np.matmul(points, poles[:, :, None])[:, :, 0]
     signed, factors = _wave_coefficients(config, kappas, eps, iotas)
-    return _wave_values(config.d, t, kappas, signed, factors)
+    return _wave_values(config.d, kappas, points, poles, signed, factors)
 
 
 def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:

@@ -600,6 +600,11 @@ SAME_WAVE_CASES = {
     # large enough that most drawn degrees are tabulated
     "nb d=2 latlon:200x300": lambda: (nb_d2_config(0.02),
                                       build_grid(LatLonGrid(200, 300)).points, 6),
+    # two POINT_BLOCK tiles, the second partly filled; tabulated rows, p = 2
+    "bivariate nb d=2 latlon:100x200": lambda: (
+        SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                         GeometricDegrees(0.02), L=1, seed=0),
+        build_grid(LatLonGrid(100, 200)).points, 6),
 }
 
 
@@ -679,13 +684,21 @@ def test_tile_shape_does_not_change_bits(case):
     assert_array_equal(batch, np.array(single))
 
 
-@pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2"])
+@pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2",
+                                  "nb d=2 latlon:200x300", "bivariate nb d=2 latlon:100x200"])
 def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
+    # simulate evaluates, checks and adds each wave tile by tile, and the
+    # batch path sweeps in tiles; neither may move a bit when the tiles do.
+    # The grids span several default tiles and take tabulated rows
     config, points, M = SAME_WAVE_CASES[case]()
     config = SimulationConfig(config.model, config.degrees, L=20, seed=4)
+    npts = points.shape[0]
+    if npts > simulator.POINT_BLOCK:
+        degrees = [wave.degree for wave in simulator._draw_plan(config)]
+        assert np.any(_tabulate_pays(0.5 * (config.d - 1), degrees, npts))
     waves = single_wave_values(config, points, M, np.random.default_rng(5))
     field = simulate(config, points).values
-    for block in (1, 7, 64):
+    for block in (1, 7, 64) if npts < 100 else (64, 7001):
         monkeypatch.setattr(simulator, "POINT_BLOCK", block)
         assert_array_equal(single_wave_values(config, points, M, np.random.default_rng(5)), waves)
         assert_array_equal(simulate(config, points).values, field)
@@ -705,6 +718,43 @@ def test_heavy_exact_wave_keeps_no_per_degree_state():
         tracemalloc.stop()
     assert np.all(np.isfinite(values)) and np.any(values != 0.0)
     assert peak < 100_000
+
+
+def test_heavy_exact_row_in_a_batch_keeps_no_per_degree_state():
+    # the many-row sweep drops rows at the band's own distinct degrees: a
+    # degree-200,000 exact row among others on three points holds no count
+    # or list per degree (those took 3.2 MB; the sweep itself needs 16 kB)
+    degrees = np.array([3, 200_000, 0, 17, 200_000, 2])
+    t = np.array([[0.3, -1.0, 1.0]]).repeat(degrees.size, axis=0)
+    scale = np.linspace(-1.0, 1.0, degrees.size)
+    assert np.count_nonzero(simulator._profile_methods(2, degrees, 3) == simulator.EXACT) == 5
+    tracemalloc.start()
+    try:
+        got = _wave_profiles(2, degrees, t, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    for i in (0, 1, 3):
+        assert_array_equal(got[i], _wave_profiles(2, degrees[i : i + 1], t[i : i + 1],
+                                                  scale[i : i + 1])[0])
+
+
+def test_simulate_ensemble_builds_no_projection_array():
+    # the validate workload's ensemble: 20,000 waves on 128 points in one
+    # chunk.  The waves' values (20 MB) are inherent; each band is projected
+    # when the sweep reaches it, where the whole (M L, npts) projection
+    # array took another 20 MB (43.3 MB peak)
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=100, seed=0)
+    points = build_grid(parse_grid("latlon:8x16")).points
+    tracemalloc.start()
+    try:
+        out = simulate_ensemble(config, points, 200, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (200, 128, 1) and np.all(np.isfinite(out))
+    assert peak <= 25_000_000
 
 
 def test_single_wave_values_memory_stays_near_its_output():
@@ -814,6 +864,39 @@ def test_non_finite_wave_names_its_index(monkeypatch, tmp_path, capsys, constant
                      "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert f"non-finite wave values at wave index {idx}\n" in capsys.readouterr().err
+
+
+def test_non_finite_wave_in_the_last_tile_names_its_index(monkeypatch):
+    # simulate checks a wave tile by tile: a wave that overflows only at its
+    # pole, which sits alone in the last tile, must still stop the run with
+    # its index.  On the 3-sphere w G_n(1) = (n + 1) w overflows for
+    # w = 3.4e308 / (n + 1), while the points orthogonal to the pole, where
+    # |G_k| <= 1, stay finite
+    config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), L=30, seed=5)
+    plan = simulator._draw_plan(config)
+    idx = max(i for i, wave in enumerate(plan) if wave.degree >= 3)
+    pole, degree = plan[idx].pole, plan[idx].degree
+    weight = 1.7e308 / (degree + 1) * 2.0
+    ring = np.linalg.svd(pole[None, :])[2][1:]        # orthonormal, orthogonal to pole
+    angles = np.linspace(0.0, np.pi, 8, endpoint=False)
+    points = np.vstack([np.cos(angles)[:, None] * ring[0] + np.sin(angles)[:, None] * ring[1],
+                        pole])
+    real = simulator._wave_weights
+
+    def poisoned(model, law, degrees):
+        weights = real(model, law, degrees)
+        weights[idx] = weight
+        return weights
+
+    monkeypatch.setattr(simulator, "_wave_weights", poisoned)
+    monkeypatch.setattr(simulator, "POINT_BLOCK", 4)           # tiles of 4, 4 and 1 points
+    [code] = simulator._profile_methods(3, [degree], points.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = simulator._METHODS[code].row(1.0, degree, weight)(
+            np.clip(points @ pole, -1.0, 1.0))
+        assert np.all(np.isfinite(values[:8])) and not np.isfinite(values[8])
+        with pytest.raises(SimulationError, match=f"non-finite wave values at wave index {idx}$"):
+            simulate(config, points)
 
 
 def test_single_wave_zero_mean():
