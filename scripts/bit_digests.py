@@ -31,6 +31,12 @@ Cases:
   - `simulate` on 16,385 points, one more than a `POINT_BLOCK` tile, so the
     last tile holds one point: nb at d = 2 and d = 8, seeds 2**70 + 0-2,
     n_threads None and 2;
+  - `simulate` on 8,192 and 8,193 points, either side of the point count
+    (`POINT_BLOCK // 2`) where `_wave_sums` turns from the degree-sorted
+    sweep to one wave at a time: nb d = 2, bivariate nb d = 2 and F d = 3
+    under zeta:2, seeds 2**70 + 0-2, n_threads None and 2; and
+    `simulate_ensemble` on 9,000 points, the validate workload's config and
+    a bivariate nb d = 2 one, at rng seeds 0-2;
   - each degree law's scalar draws from the per-wave streams and one batch
     draw from a default_rng, with the stream state after them; one pole per
     dimension with the stream state after it.
@@ -220,6 +226,27 @@ def last_tile_lines():
             yield from simulate_lines(f"nb-d{d}-16385pts", config, points)
 
 
+def switch_lines():
+    cases = {"nb-d2": (NegativeBinomial(0.5, d=2), GeometricDegrees(0.05)),
+             "bivariate-nb-d2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                                 GeometricDegrees(0.05)),
+             "f-d3-zeta2": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0))}
+    for npts in (8192, 8193):
+        for name, (model, law) in cases.items():
+            points = sample_pole(model.d, np.random.default_rng(npts), size=npts)
+            for seed in EXTRA_SEEDS:
+                config = SimulationConfig(model, law, L=70, seed=seed)
+                yield from simulate_lines(f"{name}-{npts}pts", config, points)
+    for name, model, L, M in (("validate", NegativeBinomial(0.5, d=2), 100, 8),
+                              ("bivariate", BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                               40, 4)):
+        config = SimulationConfig(model, GeometricDegrees(0.05), L=L, seed=0)
+        points = sample_pole(2, np.random.default_rng(9000), size=9000)
+        for seed in range(3):
+            values = simulate_ensemble(config, points, M, np.random.default_rng(seed))
+            yield f"ensemble {name} 9000pts rng={seed} {digest(values.tobytes())}"
+
+
 def law_lines():
     for law in LAWS:
         for seed in (0, 2**64 + 5):
@@ -241,7 +268,7 @@ def law_lines():
 
 def main() -> None:
     for lines in (law_lines(), extra_lines(), method_lines(), ensemble_lines(),
-                  last_tile_lines(), workload_lines(), csv_lines()):
+                  last_tile_lines(), switch_lines(), workload_lines(), csv_lines()):
         for line in lines:
             print(line, flush=True)
 

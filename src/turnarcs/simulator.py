@@ -7,10 +7,13 @@ circle).  Averaging L independent waves scaled by 1/sqrt(L) yields a field
 with the exact target covariance and an approximately Gaussian law.
 
 Each wave profile takes one of the methods in _METHODS (constant, circle,
-exact recurrence, table, 3-sphere closed form), chosen by _profile_methods;
-simulate chooses once per plan and calls each wave's row function directly,
-_wave_profiles (single_wave_values, wave_eval_*) dispatches through the same
-table.  A row's doubles do not depend on the path that evaluates it.
+exact recurrence, table, 3-sphere closed form), chosen by _profile_methods.
+Every entry point sums its waves through _wave_sums: simulate one run per
+wave group, simulate_ensemble one run of L waves per realization,
+single_wave_values and wave_eval_* runs of one wave.  The point count picks
+its form, one wave at a time over point tiles or a degree-sorted sweep of
+many waves on few points; a wave's doubles and the order of the sums do not
+depend on it.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -21,7 +24,7 @@ bit-identical values.
 from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, pairwise
 
 import numpy as np
@@ -519,72 +522,98 @@ def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
     never overlap) and the exact recurrence for the rest."""
     degrees = np.asarray(degrees)
     lam = 0.5 * (d - 1)
-    return np.select([degrees == 0, d == 1, _chebyshev_pays(lam, degrees, npts),
-                      _tabulate_pays(lam, degrees, npts)],
-                     [CONSTANT, CIRCLE, CLOSED, TABLE], EXACT)
+    return np.where(degrees == 0, CONSTANT, np.where(
+        d == 1, CIRCLE, np.where(_chebyshev_pays(lam, degrees, npts), CLOSED, np.where(
+            _tabulate_pays(lam, degrees, npts), TABLE, EXACT))))
 
 
-class _Projections:
-    """The clipped projections t = points . pole of m poles, shape
-    (m, npts), made only for the rows asked for: self[rows] is one
-    matrix-vector product per row, the doubles of points @ pole, clipped to
-    [-1, 1].  The product is never tiled over the points: a product over
-    fewer points can round differently."""
-
-    def __init__(self, points: np.ndarray, poles: np.ndarray):
-        self.points, self.poles = points, poles
-        self.shape = (poles.shape[0], points.shape[0])
-
-    def __getitem__(self, rows) -> np.ndarray:
-        t = np.matmul(self.points, self.poles[rows, :, None])[:, :, 0]
-        return np.clip(t, -1.0, 1.0, out=t)
+def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Clipped projections points . pole of each pole, shape (len(poles),
+    npts): one matrix-vector product per pole over all the points, the
+    doubles of points @ pole, clipped to [-1, 1]."""
+    t = np.matmul(points, poles[:, :, None])[:, :, 0]
+    return np.clip(t, -1.0, 1.0, out=t)
 
 
-def _wave_profiles(d: int, degrees: np.ndarray, t, scale: np.ndarray) -> np.ndarray:
-    """Wave profiles scale_i * G_{degrees_i}^((d-1)/2)(t_i), shape (m, npts),
-    of clipped projections t: an (m, npts) array or _Projections, read one
-    index array of rows at a time and only for the rows about to be
-    evaluated, so _Projections never builds the whole array.  Each row takes
-    its method's row function, but two or more exact rows share one
-    recurrence over bands of POINT_BLOCK // width degree-sorted rows and
-    tiles of width = min(npts, POINT_BLOCK) points; a band is read when the
-    sweep reaches it, and its rows drop out at their own distinct degrees,
-    written straight into the result.  Every step is elementwise, so a row
-    gets the doubles of its row function."""
-    m, npts = t.shape
+def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
+               signed: np.ndarray, factors, run: int, first: int = 0) -> np.ndarray:
+    """Sums of consecutive runs of `run` waves, shape (m // run, p, npts):
+    wave i is signed_i * G_{degrees_i}^((d-1)/2)(t_i) at the clipped
+    projections t_i of checked points onto poles[i], times its factor row
+    when factors is not None (else p = 1), by its _METHODS row function.
+    A run adds its waves in wave order, whatever the form below or the
+    tiles; a non-finite wave value raises with its index counted from first.
+
+    Above POINT_BLOCK // 2 points, one wave at a time: projected into one
+    npts buffer (unless its method reads no t, as a constant), evaluated,
+    checked, multiplied by its factor row and added over POINT_BLOCK tiles.
+    Else the (m, npts) profiles come first: two or more exact rows share a
+    degree-sorted recurrence over bands of POINT_BLOCK // npts rows, each
+    band projected when the sweep reaches it, its rows dropped at their own
+    distinct degrees; every other row is projected and evaluated alone.  A
+    run whose sum is not finite is then searched for its first bad wave."""
+    m, npts = degrees.size, points.shape[0]
+    p = 1 if factors is None else factors.shape[1]
     lam = 0.5 * (d - 1)
-    methods = _profile_methods(d, degrees, npts)
+    codes = _profile_methods(d, degrees, npts)
+    if npts > POINT_BLOCK // 2:
+        sums = np.empty((m // run, p, npts))
+        t = np.empty(npts)
+        rows = sums if factors is not None else sums[:, 0]     # p = 1 adds 1-D tiles
+        tiles = [(t[s : s + POINT_BLOCK], rows[..., s : s + POINT_BLOCK])
+                 for s in range(0, npts, POINT_BLOCK)]
+        for i, code, n, w in zip(range(m), codes.tolist(), degrees.tolist(), signed.tolist()):
+            method = _METHODS[code]
+            if method.reads_t:
+                np.matmul(points, poles[i], out=t)
+                np.clip(t, -1.0, 1.0, out=t)
+            profile = method.row(lam, n, w)
+            for t_tile, tile_sums in tiles:
+                vals = profile(t_tile)
+                if factors is not None:
+                    vals = factors[i, :, None] * vals
+                if not np.isfinite(vals).all():
+                    raise SimulationError(f"non-finite wave values at wave index {first + i}")
+                acc = tile_sums[i // run]
+                if i % run:
+                    acc += vals
+                else:
+                    acc[...] = vals
+        return sums
+
     out = np.empty((m, npts))
-    exact = np.flatnonzero(methods == EXACT)
-    rest = np.flatnonzero(methods != EXACT) if exact.size > 1 else np.arange(m)
-    for i, code, n, w in zip(rest.tolist(), methods[rest].tolist(), degrees[rest].tolist(),
-                             scale[rest].tolist()):
+    exact = np.flatnonzero(codes == EXACT)
+    rest = np.flatnonzero(codes != EXACT) if exact.size > 1 else np.arange(m)
+    for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
+                             signed[rest].tolist()):
         method = _METHODS[code]
-        out[i] = method.row(lam, n, w)(t[[i]][0] if method.reads_t else None)
-    if exact.size < 2:
-        return out
-    order = exact[np.argsort(degrees[exact])[::-1]]
-    width = min(npts, POINT_BLOCK)
-    height = POINT_BLOCK // width
-    for r0 in range(0, exact.size, height):
-        band = order[r0 : r0 + height]
-        kb = degrees[band]                              # non-increasing
-        cuts = [0, *(np.flatnonzero(kb[1:] != kb[:-1]) + 1).tolist(), band.size]
-        # (n, lo, hi) by ascending degree n: band[lo:hi] end at degree n, and
-        # from degree n + 1 on the recurrence keeps the leading lo rows
-        ends = [(int(kb[lo]), lo, hi) for lo, hi in reversed(list(pairwise(cuts)))]
-        active = {n + 1: lo for n, lo, _ in ends}
-        tb = t[band]
-        seeds = scale[band, None]
-        for s in range(0, npts, width):
-            cols = slice(s, s + width)
-            sweep = _recurrence(lam, tb[:, cols], seeds, active)
+        out[i] = method.row(lam, n, w)(_project(points, poles[i : i + 1])[0]
+                                       if method.reads_t else None)
+    if exact.size > 1:
+        order = exact[np.argsort(degrees[exact])[::-1]]
+        height = POINT_BLOCK // npts
+        for r0 in range(0, exact.size, height):
+            band = order[r0 : r0 + height]
+            kb = degrees[band]                              # non-increasing
+            cuts = [0, *(np.flatnonzero(kb[1:] != kb[:-1]) + 1).tolist(), band.size]
+            # (n, lo, hi) by ascending degree n: band[lo:hi] end at degree n,
+            # and from degree n + 1 on the recurrence keeps the leading lo rows
+            ends = [(int(kb[lo]), lo, hi) for lo, hi in reversed(list(pairwise(cuts)))]
+            sweep = _recurrence(lam, _project(points, poles[band]), signed[band, None],
+                                {n + 1: lo for n, lo, _ in ends})
             k = -1
             for n, lo, hi in ends:
-                g = next(islice(sweep, n - k - 1, None))
+                out[band[lo:hi]] = next(islice(sweep, n - k - 1, None))[lo:hi]
                 k = n
-                out[band[lo:hi], cols] = g[lo:hi]
-    return out
+    values = out[:, None, :] if factors is None else factors[:, :, None] * out[:, None, :]
+    sums = reduce(np.add, values.reshape(m // run, run, p, npts).swapaxes(0, 1))
+    if not np.isfinite(sums).all():
+        # a non-finite wave makes its run's sum non-finite
+        finite = np.isfinite(values).reshape(m, -1).all(axis=1)
+        if not finite.all():
+            raise SimulationError(
+                f"non-finite wave values at wave index {first + int(np.argmin(finite))}")
+    return sums
 
 
 def _wave_coefficients(config: SimulationConfig, degrees: np.ndarray,
@@ -603,25 +632,13 @@ def _wave_coefficients(config: SimulationConfig, degrees: np.ndarray,
     return signed, columns[inverse, components]
 
 
-def _wave_values(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
-                 signed: np.ndarray, factors) -> np.ndarray:
-    """Values of m waves, shape (m, npts, p), at checked points, given the
-    waves' poles, degrees, signed weights and factor rows from
-    _wave_coefficients.  Each profile row is projected when it is evaluated
-    and multiplied by its factor row."""
-    profiles = _wave_profiles(d, degrees, _Projections(points, poles), signed)
-    if factors is None:
-        return profiles[:, :, None]
-    return profiles[:, :, None] * factors[:, None, :]
-
-
 def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
     """Values of one wave at unchecked points, shape (npts, p)."""
     points = check_points(points, config.d)
     degree = np.array([wave.degree])
     signed, factors = _wave_coefficients(config, degree, np.array([wave.epsilon]),
                                          np.array([wave.component]))
-    return _wave_values(config.d, degree, points, wave.pole[None, :], signed, factors)[0]
+    return _wave_sums(config.d, degree, points, wave.pole[None, :], signed, factors, 1)[0].T
 
 
 def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -649,66 +666,40 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     The whole wave plan (draws, weights, support and Schoenberg factor
     checks) comes first, so an invalid model fails before any point work.
     Wave idx is draw_wave(config, wave_rng(config.seed, idx)), drawn by
-    _draw_plan.  Each wave goes to its _METHODS row function for the
-    doubles _wave_values would give: a group owns one npts buffer, which
-    takes the wave's projection points @ pole in one product (unless the
-    method reads no t) and is clipped; the wave is then evaluated, checked
-    and added over POINT_BLOCK tiles, component-major when p > 1.  Waves are
-    summed in order into groups of WAVE_GROUP, and the group partials in
-    order.  The metadata records the profile error bound, the drawn degrees'
-    sum and largest value and the waves per method.
+    _draw_plan.  Each group of WAVE_GROUP waves is one run of _wave_sums,
+    which sums it in wave order, and the group sums are added in order.  The
+    metadata records the profile error bound, the drawn degrees' sum and
+    largest value and the waves per method.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
     L = config.L
-    lam = 0.5 * (config.d - 1)
     plan = _draw_plan(config)
     degrees = np.array([wave.degree for wave in plan])
+    poles = np.array([wave.pole for wave in plan])
     signed, factors = _wave_coefficients(config, degrees,
                                          np.array([wave.epsilon for wave in plan]),
                                          np.array([wave.component for wave in plan]))
-    codes = _profile_methods(config.d, degrees, npts)
-    methods = [_METHODS[code] for code in codes.tolist()]
-    kappas, weights = degrees.tolist(), signed.tolist()
 
-    tiles = [slice(s, s + POINT_BLOCK) for s in range(0, npts, POINT_BLOCK)]
+    def group_sum(lo):
+        group = slice(lo, lo + WAVE_GROUP)
+        return _wave_sums(config.d, degrees[group], points, poles[group], signed[group],
+                          None if factors is None else factors[group], degrees[group].size,
+                          lo)[0]
 
-    def group_partial(bounds):
-        lo, hi = bounds
-        part = np.zeros((config.p, npts))
-        total = part[0] if factors is None else part
-        t = np.empty(npts)
-        # (projection, partial) views per tile; a constant takes all points
-        tiled = [(t[tile], total[..., tile]) for tile in tiles]
-        whole = [(t, total)]
-        for idx in range(lo, hi):
-            method = methods[idx]
-            spans = whole
-            if method.reads_t:
-                np.matmul(points, plan[idx].pole, out=t)
-                np.clip(t, -1.0, 1.0, out=t)
-                spans = tiled
-            profile = method.row(lam, kappas[idx], weights[idx])
-            for t_tile, acc in spans:
-                vals = profile(t_tile)
-                if factors is not None:
-                    vals = factors[idx, :, None] * vals
-                if not np.isfinite(vals).all():
-                    raise SimulationError(f"non-finite wave values at wave index {idx}")
-                acc += vals
-        return part
-
-    groups = [(lo, min(lo + WAVE_GROUP, L)) for lo in range(0, L, WAVE_GROUP)]
+    groups = range(0, L, WAVE_GROUP)
     if n_threads is not None and n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(group_partial, groups))
+            partials = list(pool.map(group_sum, groups))
     else:
-        partials = [group_partial(g) for g in groups]
+        partials = [group_sum(lo) for lo in groups]
 
     values = np.zeros((config.p, npts))
     for part in partials:
         values += part
     values *= 1.0 / np.sqrt(L)
+    kappas = degrees.tolist()
+    codes = _profile_methods(config.d, degrees, npts)
     metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND,
                 "degree_sum": sum(kappas), "degree_max": max(kappas),
                 "profile_methods": dict(zip((method.name for method in _METHODS),
@@ -720,6 +711,17 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
 # many single waves at once (Monte Carlo validation machinery)
 # ---------------------------------------------------------------------------
 
+def _draw_waves(config: SimulationConfig, M: int, rng) -> tuple:
+    """M independent waves from the caller's stream, as _wave_sums takes
+    them: degrees, poles, signed weights and factor rows.  Draw order: all
+    signs, all poles, all degrees, then all components."""
+    eps = rng.integers(0, 2, size=M) * 2 - 1
+    poles = sample_pole(config.d, rng, size=M)
+    kappas = np.asarray(config.degrees.sample(rng, size=M), dtype=np.int64)
+    iotas = rng.integers(0, config.p, size=M) if config.p > 1 else None
+    return (kappas, poles, *_wave_coefficients(config, kappas, eps, iotas))
+
+
 def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
     """M independent single waves evaluated at the points, shape (M, npts, p).
 
@@ -727,21 +729,17 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     meant for moment checks, where the caller owns the stream.
     """
     points = check_points(points, config.d)
-    p = config.p
-    eps = rng.integers(0, 2, size=M) * 2 - 1
-    poles = sample_pole(config.d, rng, size=M)
-    kappas = np.asarray(config.degrees.sample(rng, size=M), dtype=np.int64)
-    iotas = rng.integers(0, p, size=M) if p > 1 else None
-    signed, factors = _wave_coefficients(config, kappas, eps, iotas)
-    return _wave_values(config.d, kappas, points, poles, signed, factors)
+    kappas, poles, signed, factors = _draw_waves(config, M, rng)
+    return _wave_sums(config.d, kappas, points, poles, signed, factors, 1).transpose(0, 2, 1)
 
 
 def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
     """M independent realizations of the L-wave ensemble, shape (M, npts, p).
 
-    Statistically identical to M calls of simulate with fresh seeds, built on
-    single_wave_values; per-chunk memory is capped by ENSEMBLE_BUDGET value
-    doubles and ENSEMBLE_WAVE_CAP simultaneous waves.
+    Statistically identical to M calls of simulate with fresh seeds, with the
+    draws of single_wave_values; a realization is one run of L waves of
+    _wave_sums.  Per-chunk draws are capped by ENSEMBLE_BUDGET value doubles
+    and ENSEMBLE_WAVE_CAP simultaneous waves.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
@@ -751,8 +749,9 @@ def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarr
     done = 0
     while done < M:
         m = min(chunk, M - done)
-        waves = single_wave_values(config, points, m * L, rng)
-        out[done : done + m] = waves.reshape(m, L, npts, config.p).sum(axis=1)
+        kappas, poles, signed, factors = _draw_waves(config, m * L, rng)
+        sums = _wave_sums(config.d, kappas, points, poles, signed, factors, L, done * L)
+        out[done : done + m] = sums.transpose(0, 2, 1)
         done += m
     out *= 1.0 / np.sqrt(L)
     return out

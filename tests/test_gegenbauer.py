@@ -15,7 +15,9 @@ from turnarcs.gegenbauer import (
     gegenbauer_log_at_one,
     gegenbauer_norm_sq,
 )
-from turnarcs.simulator import _wave_profiles
+from turnarcs.simulator import sample_pole
+
+from conftest import projections, wave_profiles
 
 EPS = np.finfo(float).eps
 
@@ -221,11 +223,15 @@ def test_scalar_kernel_matches_scipy(lam, n, weight, r):
 @example(d=256, kappas=[77], npts=3, seed=2)             # a single row
 @example(d=3, kappas=[5, 0, 120, 1, 5, 2], npts=5, seed=3)
 def test_shrinking_batch_matches_scipy(d, kappas, npts, seed):
+    # random points and poles on the d-sphere; each row is one wave at its
+    # own projections
     rng = np.random.default_rng(seed)
     k = np.array(kappas, dtype=np.int64)
-    t = rng.uniform(-1.0, 1.0, size=(k.size, npts))
+    points = sample_pole(d, rng, size=npts)
+    poles = sample_pole(d, rng, size=k.size)
+    t = projections(points, poles)
     scale = rng.normal(size=k.size)
-    got = _wave_profiles(d, k, t, scale)
+    got = wave_profiles(d, k, points, poles, scale)
     lam = 0.5 * (d - 1)
     for i, n in enumerate(kappas):
         ref = scale[i] * eval_gegenbauer(n, lam, t[i])

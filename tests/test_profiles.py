@@ -20,6 +20,7 @@ from turnarcs.covariance import Chentsov, GeneralizedF, NegativeBinomial
 from turnarcs.degree_sampling import GeometricDegrees, OddShiftedZeta, ShiftedZeta
 from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
 from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
+from conftest import great_circle, wave_profiles
 from turnarcs.simulator import (
     CHEBYSHEV_ERROR_BOUND,
     CIRCLE,
@@ -46,7 +47,6 @@ from turnarcs.simulator import (
     _profile_nodes,
     _profile_table,
     _tabulate_pays,
-    _wave_profiles,
     draw_wave,
     simulate,
     wave_rng,
@@ -146,7 +146,7 @@ def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
     amp = np.exp(np.log(-weight) + gegenbauer_log_at_one(lam, n))
     t = np.cos(np.linspace(0.0, np.pi, 40_000) ** 2 / np.pi)   # dense near the pole
     assert _tabulate_pays(lam, n, t.size)
-    got = _wave_profiles(d, np.array([n]), t[None, :], np.array([weight]))[0]
+    got = wave_profiles(d, [n], *great_circle(t), [weight])[0]
     assert np.all(np.isfinite(got))
     sample = slice(0, None, 97)
     exact = gegenbauer_eval_weighted(lam, n, t[sample], weight)
@@ -172,7 +172,7 @@ def test_small_inputs_keep_the_exact_recurrence():
     assert not _tabulate_pays(1.5, 500, 8_000)
     assert not _tabulate_pays(0.5, 500, 8_000) and _tabulate_pays(0.5, 500, 8_001)
     t = rng.uniform(-1.0, 1.0, 200)
-    assert_array_equal(_wave_profiles(4, np.array([40]), t[None, :], np.array([0.3]))[0],
+    assert_array_equal(wave_profiles(4, [40], *great_circle(t), [0.3])[0],
                        gegenbauer_eval_weighted(1.5, 40, t, 0.3))
 
 
@@ -381,29 +381,31 @@ def test_profile_methods_follow_the_cost_rules(d, npts, drawn):
 def test_column_limit_rows_keep_their_paths():
     # on 10k points the Fourier limit is 607: degrees up to it keep their
     # table or exact-sweep bits, the ones above take the closed form with
-    # the doubles of a row of their own, whatever the batch or tile shape
+    # the doubles of a row of their own, whatever the batch or tile shape.
+    # Every row sees the same projections t, exact at the poles and zeros
     npts = 10_000
     assert _column_limit(npts) == 607
-    t = np.random.default_rng(9).uniform(-1.0, 1.0, (7, npts))
-    t[:, :4] = [1.0, -1.0, 0.0, -0.0]
+    t = np.random.default_rng(9).uniform(-1.0, 1.0, npts)
+    t[:4] = [1.0, -1.0, 0.0, -0.0]
+    points, poles = great_circle(t, 7)
     degrees = np.array([3, 607, 608, 9_310_498, 40, 1001, 12])
     weights = np.array([0.3, -0.2, 0.1, 1e-6, -0.5, 0.05, 0.9])
-    got = _wave_profiles(3, degrees, t, weights)
-    assert_array_equal(got[1], _interpolate(_profile_table(1.0, 607, -0.2), t[1]))
-    assert_array_equal(got[4], _interpolate(_profile_table(1.0, 40, -0.5), t[4]))
+    got = wave_profiles(3, degrees, points, poles, weights)
+    assert_array_equal(got[1], _interpolate(_profile_table(1.0, 607, -0.2), t))
+    assert_array_equal(got[4], _interpolate(_profile_table(1.0, 40, -0.5), t))
     for i in (0, 6):
-        assert_array_equal(got[i], gegenbauer_eval_weighted(1.0, int(degrees[i]), t[i],
+        assert_array_equal(got[i], gegenbauer_eval_weighted(1.0, int(degrees[i]), t,
                                                             weights[i]))
     for i in (2, 3, 5):
-        assert_array_equal(got[i], _chebyshev_row(1.0, int(degrees[i]), weights[i], t[i]))
-        assert_array_equal(got[i], _wave_profiles(3, degrees[i : i + 1], t[i : i + 1],
-                                                  weights[i : i + 1])[0])
-    # one row, and a batch of closed-form rows on few points
-    few = t[:, :5].copy()
+        assert_array_equal(got[i], _chebyshev_row(1.0, int(degrees[i]), weights[i], t))
+        assert_array_equal(got[i], wave_profiles(3, degrees[i : i + 1], points, poles[:1],
+                                                 weights[i : i + 1])[0])
+    # and a batch of closed-form rows on few points
+    few = t[:5].copy()
     heavy = np.full(7, 5000)
-    batch = _wave_profiles(3, heavy, few, weights)
+    batch = wave_profiles(3, heavy, *great_circle(few, 7), weights)
     for i in range(7):
-        assert_array_equal(batch[i], _chebyshev_row(1.0, 5000, weights[i], few[i]))
+        assert_array_equal(batch[i], _chebyshev_row(1.0, 5000, weights[i], few))
 
 
 CASES = {

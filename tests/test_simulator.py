@@ -27,6 +27,7 @@ from turnarcs.degree_sampling import (
 from turnarcs.gegenbauer import gegenbauer_eval
 from turnarcs.grids import LatLonGrid, build_grid, parse_grid
 from turnarcs import degree_sampling, simulator
+from conftest import great_circle, projections, wave_profiles
 from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
     WAVE_GROUP,
@@ -35,7 +36,6 @@ from turnarcs.simulator import (
     SimulationError,
     WaveParams,
     _tabulate_pays,
-    _wave_profiles,
     clt_marginal_samples,
     draw_wave,
     geodesic,
@@ -487,7 +487,7 @@ def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
             return real(*args)
         return count
 
-    monkeypatch.setattr(simulator, "_wave_profiles", counting(simulator._wave_profiles))
+    monkeypatch.setattr(simulator, "_wave_sums", counting(simulator._wave_sums))
     monkeypatch.setattr(simulator, "_METHODS", tuple(
         method._replace(row=counting(method.row)) for method in simulator._METHODS))
     model = BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6,
@@ -545,10 +545,10 @@ def test_huge_degree_wave_high_dimension_stays_finite():
 def test_profiles_batch_scaled_matches_plain():
     rng = np.random.default_rng(2)
     kappas = rng.integers(0, 30, size=100).astype(np.int64)
-    t = rng.uniform(-1, 1, size=(100, 4))
+    points, poles = sample_pole(3, rng, size=4), sample_pole(3, rng, size=100)
     scale = rng.normal(size=100)
-    scaled = _wave_profiles(3, kappas, t, scale)
-    plain = _wave_profiles(3, kappas, t, np.ones(100))
+    scaled = wave_profiles(3, kappas, points, poles, scale)
+    plain = wave_profiles(3, kappas, points, poles, np.ones(100))
     assert_allclose(scaled, scale[:, None] * plain, rtol=1e-12, atol=1e-12)
 
 
@@ -565,9 +565,10 @@ def test_simulate_masks_wide_seeds():
 def test_profiles_batch_matches_direct_eval():
     rng = np.random.default_rng(1)
     kappas = rng.integers(0, 40, size=200).astype(np.int64)
-    t = rng.uniform(-1.0, 1.0, size=(200, 5))
     for d in (2, 3, 5):
-        profiles = _wave_profiles(d, kappas, t, np.ones(200))
+        points, poles = sample_pole(d, rng, size=5), sample_pole(d, rng, size=200)
+        t = projections(points, poles)
+        profiles = wave_profiles(d, kappas, points, poles, np.ones(200))
         lam = 0.5 * (d - 1)
         for i in (0, 3, 57, 199):
             assert_allclose(
@@ -671,25 +672,31 @@ def test_tile_shape_does_not_change_bits(case):
         degrees = rng.geometric(rng.uniform(0.03, 0.6), size=m) - 1   # ties
         degrees[:2] = [0, 1][: m]
     degrees = rng.permutation(degrees).astype(np.int64)
-    t = rng.uniform(-1.0, 1.0, size=(m, npts))
-    t.flat[rng.integers(0, t.size, size=3)] = [-1.0, 0.0, 1.0]
+    # random points and poles; pole 0 is the first axis, and three points
+    # sit on it, opposite it and orthogonal to it, so that row projects to
+    # exactly 1, -1 and 0 there
+    points, poles = sample_pole(d, rng, size=npts), sample_pole(d, rng, size=m)
+    axes = np.eye(d + 1)
+    poles[0] = axes[0]
+    points[rng.permutation(npts)[:3]] = [axes[0], -axes[0], axes[1]][: npts]
     scale = rng.normal(size=m)
     pays = _tabulate_pays(0.5 * (d - 1), degrees, npts)
     assert pays.any() == tabulated and not pays.all()
-    single = [_wave_profiles(d, degrees[i : i + 1], t[i : i + 1], scale[i : i + 1])[0]
+    single = [wave_profiles(d, degrees[i : i + 1], points, poles[i : i + 1], scale[i : i + 1])[0]
               for i in range(m)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "POINT_BLOCK", block)
-        batch = _wave_profiles(d, degrees, t, scale)
+        batch = wave_profiles(d, degrees, points, poles, scale)
     assert_array_equal(batch, np.array(single))
 
 
 @pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2",
                                   "nb d=2 latlon:200x300", "bivariate nb d=2 latlon:100x200"])
 def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
-    # simulate evaluates, checks and adds each wave tile by tile, and the
-    # batch path sweeps in tiles; neither may move a bit when the tiles do.
-    # The grids span several default tiles and take tabulated rows
+    # _wave_sums adds one wave at a time over point tiles on many points and
+    # sweeps bands of rows on few; no output may move a bit when the tiles,
+    # and with them the form, change.  The grids span several default tiles
+    # and take tabulated rows
     config, points, M = SAME_WAVE_CASES[case]()
     config = SimulationConfig(config.model, config.degrees, L=20, seed=4)
     npts = points.shape[0]
@@ -698,10 +705,13 @@ def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
         assert np.any(_tabulate_pays(0.5 * (config.d - 1), degrees, npts))
     waves = single_wave_values(config, points, M, np.random.default_rng(5))
     field = simulate(config, points).values
+    ensemble = simulate_ensemble(config, points, 2, np.random.default_rng(6))
     for block in (1, 7, 64) if npts < 100 else (64, 7001):
         monkeypatch.setattr(simulator, "POINT_BLOCK", block)
         assert_array_equal(single_wave_values(config, points, M, np.random.default_rng(5)), waves)
         assert_array_equal(simulate(config, points).values, field)
+        assert_array_equal(simulate_ensemble(config, points, 2, np.random.default_rng(6)),
+                           ensemble)
 
 
 def test_heavy_exact_wave_keeps_no_per_degree_state():
@@ -725,19 +735,19 @@ def test_heavy_exact_row_in_a_batch_keeps_no_per_degree_state():
     # degree-200,000 exact row among others on three points holds no count
     # or list per degree (those took 3.2 MB; the sweep itself needs 16 kB)
     degrees = np.array([3, 200_000, 0, 17, 200_000, 2])
-    t = np.array([[0.3, -1.0, 1.0]]).repeat(degrees.size, axis=0)
+    points, poles = great_circle([0.3, -1.0, 1.0], degrees.size)
     scale = np.linspace(-1.0, 1.0, degrees.size)
     assert np.count_nonzero(simulator._profile_methods(2, degrees, 3) == simulator.EXACT) == 5
     tracemalloc.start()
     try:
-        got = _wave_profiles(2, degrees, t, scale)
+        got = wave_profiles(2, degrees, points, poles, scale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
     for i in (0, 1, 3):
-        assert_array_equal(got[i], _wave_profiles(2, degrees[i : i + 1], t[i : i + 1],
-                                                  scale[i : i + 1])[0])
+        assert_array_equal(got[i], wave_profiles(2, degrees[i : i + 1], points, poles[:1],
+                                                 scale[i : i + 1])[0])
 
 
 def test_simulate_ensemble_builds_no_projection_array():
@@ -770,6 +780,41 @@ def test_single_wave_values_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 3 * waves.nbytes
+
+
+def test_large_grid_ensemble_memory_stays_near_its_output():
+    # on 20,000 points each wave is evaluated and added to its realization
+    # in turn, over point tiles: no (M L, npts) array of wave values, which
+    # took 64 MB here (65.5 MB peak)
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=100, seed=0)
+    points = build_grid(parse_grid("latlon:100x200")).points
+    tracemalloc.start()
+    try:
+        out = simulate_ensemble(config, points, 4, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 20_000, 1) and np.all(np.isfinite(out))
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("case, npts", [("nb d=2", 1), ("bivariate nb d=2", 1),
+                                        ("f d=3", 3), ("bivariate nb d=2", 9000)])
+def test_ensemble_is_its_waves_summed_in_order(case, npts):
+    # a realization adds its L waves in draw order, whatever the point
+    # count (one point included) or form, then scales by 1/sqrt(L); the
+    # waves are single_wave_values' rows of the same stream
+    model, degrees = SUM_CASES[case]
+    config = SimulationConfig(model, degrees, L=30, seed=0)
+    points = sample_pole(config.d, np.random.default_rng(npts), size=npts)
+    M = 7
+    waves = single_wave_values(config, points, M * config.L, np.random.default_rng(4))
+    waves = waves.reshape(M, config.L, npts, config.p)
+    expected = waves[:, 0].copy()
+    for j in range(1, config.L):
+        expected += waves[:, j]
+    expected *= 1.0 / np.sqrt(config.L)
+    assert_array_equal(simulate_ensemble(config, points, M, np.random.default_rng(4)), expected)
 
 
 # model, degree law: the simulate cases of the sum property below
@@ -896,6 +941,56 @@ def test_non_finite_wave_in_the_last_tile_names_its_index(monkeypatch):
             np.clip(points @ pole, -1.0, 1.0))
         assert np.all(np.isfinite(values[:8])) and not np.isfinite(values[8])
         with pytest.raises(SimulationError, match=f"non-finite wave values at wave index {idx}$"):
+            simulate(config, points)
+
+
+def poison_weight(monkeypatch, idx, value=np.inf):
+    """Make wave idx of every batch of more than idx waves take the weight
+    value."""
+    real = simulator._wave_weights
+
+    def poisoned(model, law, degrees):
+        weights = real(model, law, degrees)
+        if len(degrees) > idx:
+            weights[idx] = value
+        return weights
+
+    monkeypatch.setattr(simulator, "_wave_weights", poisoned)
+
+
+@pytest.mark.parametrize("npts", [3, 9000])
+def test_non_finite_values_raise_on_every_entry_point(monkeypatch, npts):
+    # both forms of _wave_sums (a degree-sorted sweep on 3 points, one wave
+    # at a time on 9,000) check every wave: a weight that overflows, a NaN
+    # or an infinite one stops each entry point with the wave's index
+    points = sample_pole(2, np.random.default_rng(npts), size=npts)
+    rng = np.random.default_rng(0)
+    config = SimulationConfig(NegativeBinomial(0.9, d=2), GeometricDegrees(0.5), L=5, seed=0)
+    wave = WaveParams(epsilon=1, pole=points[0], degree=3000)       # weight exp(882)
+    with np.errstate(all="ignore"):
+        with pytest.raises(SimulationError, match="non-finite wave values at wave index 0$"):
+            wave_eval_scalar(wave, config, points)
+        for value in (np.nan, np.inf):
+            with pytest.MonkeyPatch.context() as patch:
+                poison_weight(patch, 7, value)
+                with pytest.raises(SimulationError, match="at wave index 7$"):
+                    single_wave_values(config, points, 10, rng)
+            with pytest.MonkeyPatch.context() as patch:
+                poison_weight(patch, 11, value)      # realization 2, wave 1
+                with pytest.raises(SimulationError, match="at wave index 11$"):
+                    simulate_ensemble(config, points, 3, rng)
+
+
+@pytest.mark.parametrize("npts", [3, 9000])
+def test_simulate_names_the_global_index_in_a_later_group(monkeypatch, npts):
+    # wave 100 sits in the second group of WAVE_GROUP waves; the error
+    # names its index in the plan, not in its group
+    points = sample_pole(2, np.random.default_rng(npts), size=npts)
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=150, seed=3)
+    poison_weight(monkeypatch, 100)
+    assert 100 >= WAVE_GROUP
+    with np.errstate(all="ignore"):
+        with pytest.raises(SimulationError, match="non-finite wave values at wave index 100$"):
             simulate(config, points)
 
 
