@@ -37,6 +37,10 @@ Cases:
     under zeta:2, seeds 2**70 + 0-2, n_threads None and 2; and
     `simulate_ensemble` on 9,000 points, the validate workload's config and
     a bivariate nb d = 2 one, at rng seeds 0-2;
+  - `simulate` on 20,000 points with L = 200 waves, three full groups of
+    `WAVE_GROUP` waves and one partial group, one wave at a time over point
+    tiles: nb d = 2 and bivariate nb d = 2, seeds 2**70 + 0-2, n_threads
+    None and 2;
   - each degree law's scalar draws from the per-wave streams and one batch
     draw from a default_rng, with the stream state after them; one pole per
     dimension with the stream state after it.
@@ -247,6 +251,15 @@ def switch_lines():
             yield f"ensemble {name} 9000pts rng={seed} {digest(values.tobytes())}"
 
 
+def group_lines():
+    points = sample_pole(2, np.random.default_rng(20_000), size=20_000)
+    for name, model in (("nb-d2", NegativeBinomial(0.5, d=2)),
+                        ("bivariate-nb-d2", BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6))):
+        for seed in EXTRA_SEEDS:
+            config = SimulationConfig(model, GeometricDegrees(0.05), L=200, seed=seed)
+            yield from simulate_lines(f"{name}-20000pts-L200", config, points)
+
+
 def law_lines():
     for law in LAWS:
         for seed in (0, 2**64 + 5):
@@ -268,7 +281,8 @@ def law_lines():
 
 def main() -> None:
     for lines in (law_lines(), extra_lines(), method_lines(), ensemble_lines(),
-                  last_tile_lines(), switch_lines(), workload_lines(), csv_lines()):
+                  last_tile_lines(), switch_lines(), group_lines(), workload_lines(),
+                  csv_lines()):
         for line in lines:
             print(line, flush=True)
 

@@ -53,13 +53,22 @@ class DegreeDistribution:
         shape (m, _row_width).  sample(rng) reads one row per attempt from
         the stream and takes its degree from here (the batch sample(rng,
         size) shares the arithmetic), so a caller that reads the same rows
-        gets sample's degrees bit for bit."""
+        gets sample's degrees bit for bit.  A rejected row holds a degree
+        within int64."""
         raise NotImplementedError
+
+    def _int64(self, degrees) -> np.ndarray:
+        """Drawn degrees as int64.  A float draw (an inversion's floor) of
+        2**63 or more, inf or NaN has no int64 and raises ValueError."""
+        if degrees.dtype.kind == "f" and not np.all(degrees < 2.0**63):
+            raise ValueError(f"degree law {self.spec_string()} drew a degree beyond int64")
+        return degrees.astype(np.int64)
 
     def sample(self, rng, size=None):
         """One degree (an int), or an int64 array of `size` degrees."""
         degrees, _ = self._row_degrees(rng.random((1 if size is None else int(size), 1)))
-        return int(degrees[0]) if size is None else degrees.astype(np.int64)
+        degrees = self._int64(degrees)
+        return int(degrees[0]) if size is None else degrees
 
     def in_support(self, n):
         raise NotImplementedError
@@ -133,9 +142,10 @@ class GeometricDegrees(DegreeDistribution):
         return float(out[0]) if np.ndim(n) == 0 else out
 
     def _row_degrees(self, rows):
-        # inversion; the degrees stay floats so that sample(rng) gives the
-        # exact int of any floor, however far the tail reaches
-        degrees = np.floor(np.log1p(-rows[:, 0]) / np.log1p(-self.p))
+        # inversion; the degrees stay floats (inf where p is subnormal) for
+        # _int64 to check their range
+        with np.errstate(over="ignore"):
+            degrees = np.floor(np.log1p(-rows[:, 0]) / np.log1p(-self.p))
         return degrees, np.ones(degrees.shape, dtype=bool)
 
     def in_support(self, n):

@@ -6,6 +6,8 @@ the parallels orthogonal to it (a cosine of the geodesic angle on the
 circle).  Averaging L independent waves scaled by 1/sqrt(L) yields a field
 with the exact target covariance and an approximately Gaussian law.
 
+Waves stay arrays from draw to sum (a _Plan of signs, poles, degrees and
+components); WaveParams is the public one-wave replay (draw_wave, wave_eval_*).
 Each wave profile takes one of the methods in _METHODS (constant, circle,
 exact recurrence, table, 3-sphere closed form), chosen by _profile_methods.
 Every entry point sums its waves through _wave_sums: simulate one run per
@@ -17,12 +19,13 @@ depend on it.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
-merged in ascending order, so threaded and sequential runs produce
-bit-identical values.
+added in ascending order as they are made, so threaded and sequential runs
+produce bit-identical values.
 """
 
 from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice, pairwise
@@ -171,20 +174,11 @@ def geodesic(x1, x2) -> float:
 
 def sample_pole(d: int, rng, size=None):
     """Uniform draw(s) on the d-sphere: normalized standard normal vectors;
-    degenerate near-zero norms are redrawn."""
+    degenerate near-zero norms are redrawn.  One pole (size None) is the
+    row of a batch of one."""
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
-    if size is None:
-        # the batch path's doubles for one row (np.linalg.norm is this sum)
-        # and the same draws, without its 2-D bookkeeping
-        v = rng.normal(size=d + 1)
-        norm = np.sqrt(np.add.reduce(v * v))
-        while norm < 1e-150:
-            v = rng.normal(size=d + 1)
-            norm = np.sqrt(np.add.reduce(v * v))
-        v /= norm
-        return v
-    v = rng.normal(size=(int(size), d + 1))
+    v = rng.normal(size=(1 if size is None else int(size), d + 1))
     norms = np.linalg.norm(v, axis=1)
     while True:
         bad = np.nonzero(norms < 1e-150)[0]
@@ -193,7 +187,7 @@ def sample_pole(d: int, rng, size=None):
         v[bad] = rng.normal(size=(bad.size, d + 1))
         norms[bad] = np.linalg.norm(v[bad], axis=1)
     v /= norms[:, None]
-    return v
+    return v[0] if size is None else v
 
 
 def wave_rng(seed: int, index: int) -> np.random.Generator:
@@ -216,9 +210,14 @@ def draw_wave(config: SimulationConfig, rng) -> WaveParams:
     return WaveParams(epsilon=epsilon, pole=pole, degree=degree, component=component)
 
 
-def _draw_plan(config: SimulationConfig) -> list[WaveParams]:
-    """The waves of simulate: draw_wave(config, wave_rng(config.seed, idx))
-    for idx < config.L, in two steps.
+# m waves as arrays: signs of +-1, poles (m, d+1), int64 degrees and 0-based
+# factor-column components (None for a scalar model)
+_Plan = namedtuple("_Plan", "signs poles degrees components")
+
+
+def _draw_plan(config: SimulationConfig) -> _Plan:
+    """The waves of simulate: wave idx is draw_wave(config,
+    wave_rng(config.seed, idx)) for idx < config.L, drawn in two steps.
 
     First each wave's stream is read in draw_wave's order: sign, the pole's
     normals, one row of the degree law's uniforms (law._row_width of them,
@@ -234,37 +233,39 @@ def _draw_plan(config: SimulationConfig) -> list[WaveParams]:
     doubles sample_pole and law.sample compute for one wave.  A wave whose
     pole norm is below 1e-150 or whose draw attempt was rejected reads more
     of its stream in draw_wave; it is redrawn whole by draw_wave from its
-    fresh state."""
+    fresh state, into its rows of the arrays."""
     L, p = config.L, config.p
     law = config.degrees
     rng = wave_rng(config.seed, 0)
     fresh = rng.bit_generator.state
     key = fresh["state"]["key"]
-    signs = []
-    normals = np.empty((L, config.d + 1))
+    signs = np.empty(L, dtype=np.int64)
+    poles = np.empty((L, config.d + 1))
     uniforms = np.empty((L, law._row_width))
-    components = []
+    components = np.empty(L, dtype=np.int64) if p > 1 else None
     for idx in range(L):
         key[1] = idx
         rng.bit_generator.state = fresh
-        signs.append(int(rng.integers(0, 2)) * 2 - 1)
-        normals[idx] = rng.normal(size=config.d + 1)
+        signs[idx] = rng.integers(0, 2)
+        poles[idx] = rng.normal(size=config.d + 1)
         rng.random(out=uniforms[idx])
         if p > 1:
-            components.append(int(rng.integers(0, p)))
-    norms = np.sqrt(np.add.reduce(normals * normals, axis=1))
+            components[idx] = rng.integers(0, p)
+    signs = signs * 2 - 1
+    norms = np.sqrt(np.add.reduce(poles * poles, axis=1))
     degrees, accepted = law._row_degrees(uniforms)
+    degrees = law._int64(degrees)
     redraw = np.flatnonzero(~accepted | (norms < 1e-150)).tolist()
     norms[redraw] = 1.0
-    normals /= norms[:, None]
-    plan = [WaveParams(epsilon, pole, int(degree), component)
-            for epsilon, pole, degree, component
-            in zip(signs, normals, degrees.tolist(), components or [None] * L)]
+    poles /= norms[:, None]
     for idx in redraw:
         key[1] = idx
         rng.bit_generator.state = fresh
-        plan[idx] = draw_wave(config, rng)
-    return plan
+        wave = draw_wave(config, rng)
+        signs[idx], poles[idx], degrees[idx] = wave.epsilon, wave.pole, wave.degree
+        if p > 1:
+            components[idx] = wave.component
+    return _Plan(signs, poles, degrees, components)
 
 
 def _column_limit(npts: int) -> int:
@@ -616,29 +617,33 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     return sums
 
 
-def _wave_coefficients(config: SimulationConfig, degrees: np.ndarray,
-                       epsilons: np.ndarray, components) -> tuple:
-    """Signed weights of m drawn waves from their degrees, signs and
-    component indices, and each wave's Schoenberg factor column as a row,
-    shape (m, p), or None for a scalar model.  Each distinct degree's matrix
-    is built once, and all of them are factored together."""
-    signed = epsilons * _wave_weights(config.model, config.degrees, degrees)
+def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) -> tuple:
+    """Signed weights of a plan's waves, and each wave's Schoenberg factor
+    column as a row, shape (m, p), or None for a scalar model.  A weight
+    that is not finite (one that overflows exp) raises with its wave index
+    counted from first, before any point work.  Each distinct degree's
+    matrix is built once, and all of them are factored together."""
+    with np.errstate(over="ignore"):
+        signed = plan.signs * _wave_weights(config.model, config.degrees, plan.degrees)
+    bad = np.flatnonzero(~np.isfinite(signed))
+    if bad.size:
+        raise SimulationError(f"non-finite wave values at wave index {first + int(bad[0])}")
     if config.p == 1:
         return signed, None
-    distinct, inverse = np.unique(degrees, return_inverse=True)
+    distinct, inverse = np.unique(plan.degrees, return_inverse=True)
     kappas = distinct.tolist()
     matrices = np.stack([config.model.schoenberg_matrix(k) for k in kappas])
     columns = _factor_schoenberg_matrices(matrices, kappas).swapaxes(1, 2)
-    return signed, columns[inverse, components]
+    return signed, columns[inverse, plan.components]
 
 
 def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
     """Values of one wave at unchecked points, shape (npts, p)."""
     points = check_points(points, config.d)
-    degree = np.array([wave.degree])
-    signed, factors = _wave_coefficients(config, degree, np.array([wave.epsilon]),
-                                         np.array([wave.component]))
-    return _wave_sums(config.d, degree, points, wave.pole[None, :], signed, factors, 1)[0].T
+    plan = _Plan(np.array([wave.epsilon]), wave.pole[None, :], np.array([wave.degree]),
+                 None if wave.component is None else np.array([wave.component]))
+    signed, factors = _wave_coefficients(config, plan)
+    return _wave_sums(config.d, plan.degrees, points, plan.poles, signed, factors, 1)[0].T
 
 
 def wave_eval_scalar(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -667,39 +672,30 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     checks) comes first, so an invalid model fails before any point work.
     Wave idx is draw_wave(config, wave_rng(config.seed, idx)), drawn by
     _draw_plan.  Each group of WAVE_GROUP waves is one run of _wave_sums,
-    which sums it in wave order, and the group sums are added in order.  The
-    metadata records the profile error bound, the drawn degrees' sum and
-    largest value and the waves per method.
+    which sums it in wave order, and each group sum is added in order as it
+    is made.  The metadata records the profile error bound, the drawn
+    degrees' sum and largest value and the waves per method.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
     L = config.L
     plan = _draw_plan(config)
-    degrees = np.array([wave.degree for wave in plan])
-    poles = np.array([wave.pole for wave in plan])
-    signed, factors = _wave_coefficients(config, degrees,
-                                         np.array([wave.epsilon for wave in plan]),
-                                         np.array([wave.component for wave in plan]))
+    signed, factors = _wave_coefficients(config, plan)
 
     def group_sum(lo):
         group = slice(lo, lo + WAVE_GROUP)
-        return _wave_sums(config.d, degrees[group], points, poles[group], signed[group],
-                          None if factors is None else factors[group], degrees[group].size,
-                          lo)[0]
-
-    groups = range(0, L, WAVE_GROUP)
-    if n_threads is not None and n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(group_sum, groups))
-    else:
-        partials = [group_sum(lo) for lo in groups]
+        return _wave_sums(config.d, plan.degrees[group], points, plan.poles[group],
+                          signed[group], None if factors is None else factors[group],
+                          min(WAVE_GROUP, L - lo), lo)[0]
 
     values = np.zeros((config.p, npts))
-    for part in partials:
-        values += part
+    with ThreadPoolExecutor(n_threads) if (n_threads or 0) > 1 else nullcontext() as pool:
+        for part in (pool.map if pool else map)(group_sum, range(0, L, WAVE_GROUP)):
+            values += part
+            del part        # else it lives on while the next group is summed
     values *= 1.0 / np.sqrt(L)
-    kappas = degrees.tolist()
-    codes = _profile_methods(config.d, degrees, npts)
+    kappas = plan.degrees.tolist()
+    codes = _profile_methods(config.d, plan.degrees, npts)
     metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND,
                 "degree_sum": sum(kappas), "degree_max": max(kappas),
                 "profile_methods": dict(zip((method.name for method in _METHODS),
@@ -711,15 +707,14 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
 # many single waves at once (Monte Carlo validation machinery)
 # ---------------------------------------------------------------------------
 
-def _draw_waves(config: SimulationConfig, M: int, rng) -> tuple:
-    """M independent waves from the caller's stream, as _wave_sums takes
-    them: degrees, poles, signed weights and factor rows.  Draw order: all
-    signs, all poles, all degrees, then all components."""
-    eps = rng.integers(0, 2, size=M) * 2 - 1
+def _draw_waves(config: SimulationConfig, M: int, rng) -> _Plan:
+    """M independent waves from the caller's stream.  Draw order: all signs,
+    all poles, all degrees, then all components."""
+    signs = rng.integers(0, 2, size=M) * 2 - 1
     poles = sample_pole(config.d, rng, size=M)
-    kappas = np.asarray(config.degrees.sample(rng, size=M), dtype=np.int64)
-    iotas = rng.integers(0, config.p, size=M) if config.p > 1 else None
-    return (kappas, poles, *_wave_coefficients(config, kappas, eps, iotas))
+    degrees = config.degrees.sample(rng, size=M)
+    components = rng.integers(0, config.p, size=M) if config.p > 1 else None
+    return _Plan(signs, poles, degrees, components)
 
 
 def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
@@ -729,8 +724,10 @@ def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndar
     meant for moment checks, where the caller owns the stream.
     """
     points = check_points(points, config.d)
-    kappas, poles, signed, factors = _draw_waves(config, M, rng)
-    return _wave_sums(config.d, kappas, points, poles, signed, factors, 1).transpose(0, 2, 1)
+    plan = _draw_waves(config, M, rng)
+    signed, factors = _wave_coefficients(config, plan)
+    return _wave_sums(config.d, plan.degrees, points, plan.poles, signed, factors,
+                      1).transpose(0, 2, 1)
 
 
 def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
@@ -749,8 +746,10 @@ def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarr
     done = 0
     while done < M:
         m = min(chunk, M - done)
-        kappas, poles, signed, factors = _draw_waves(config, m * L, rng)
-        sums = _wave_sums(config.d, kappas, points, poles, signed, factors, L, done * L)
+        plan = _draw_waves(config, m * L, rng)
+        signed, factors = _wave_coefficients(config, plan, done * L)
+        sums = _wave_sums(config.d, plan.degrees, points, plan.poles, signed, factors, L,
+                          done * L)
         out[done : done + m] = sums.transpose(0, 2, 1)
         done += m
     out *= 1.0 / np.sqrt(L)

@@ -2,6 +2,7 @@ import io
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_simulate_header_records_the_drawn_degrees(tmp_path):
     header, _, _ = read_realization_csv(str(out))
     model = cli.parse_model(cli.build_parser().parse_args(args))
     config = SimulationConfig(model, ShiftedZeta(1.5), L=40, seed=2**64 + 3)
-    degrees = [wave.degree for wave in simulator._draw_plan(config)]
+    degrees = simulator._draw_plan(config).degrees.tolist()   # exact ints: no int64 sum
     metadata = simulate(config, build_grid(parse_grid("slice3:0.25:4x5")).points).metadata
     for key, value in (("degree_sum", sum(degrees)), ("degree_max", max(degrees))):
         assert type(metadata[key]) is int and metadata[key] == value
@@ -550,6 +551,23 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "(0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [("simulate", ["--out", "x.csv"]),
+                                            ("validate", ["--M", "4"])])
+def test_degree_beyond_int64_exits_one(tmp_path, monkeypatch, capsys, command, flags):
+    # geometric:1e-300 draws degrees near 1e300, which have no int64: a
+    # one-line diagnostic naming the law, no traceback and no warning
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--model", "nb", "--delta", "0.5", "--degree-dist",
+                     "geometric:1e-300", "--L", "5", "--grid", "latlon:2x3", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("turnarcs: invalid parameter: degree law geometric:1e-300 "
+                            "drew a degree beyond int64\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -216,6 +216,16 @@ def test_rows_read_as_sample_reads_them_give_its_degrees(make, theta, seed):
         assert stream_position(rng) == stream_position(one_row)
 
 
+@pytest.mark.parametrize("p", [1e-300, 5e-324])
+def test_degree_beyond_int64_raises(p):
+    # an inversion's floor of 1e300 (or inf) has no int64: both sample
+    # paths raise naming the law, with no cast warning (an error here)
+    law = GeometricDegrees(p)
+    for size in (None, 5):
+        with pytest.raises(ValueError, match=f"law {law.spec_string()} drew a degree beyond int64$"):
+            law.sample(np.random.default_rng(0), size=size)
+
+
 # ---------------------------------------------------------------- recommend
 
 def test_recommend_spectral_matern():

@@ -84,8 +84,8 @@ def test_sample_pole_norms_and_moments():
 @example(d=7, seed=1)      # d + 1 = 8: the first length summed pairwise
 @example(d=256, seed=2)
 def test_one_pole_is_the_first_row_of_a_batch(d, seed):
-    # the size=None path draws one vector and normalizes it on its own; it
-    # must give the batch path's doubles and leave the stream where it does
+    # one pole (size=None) is row 0 of a batch of one: the batch's doubles,
+    # and the stream left where the batch leaves it
     one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
     pole = sample_pole(d, one)
     assert pole.shape == (d + 1,)
@@ -261,17 +261,23 @@ def test_plan_is_the_per_wave_streams(law, d, p, L, seed):
              SequenceMultiCovariance([np.zeros((2, 2)), np.eye(2)], d=d))
     config = SimulationConfig(model, law, L=L, seed=seed)
     plan = simulator._draw_plan(config)
-    assert len(plan) == L
-    for idx, wave in enumerate(plan):
+    assert plan.poles.shape == (L, d + 1) and plan.degrees.dtype == np.int64
+    for idx, row in enumerate(plan_rows(plan)):
         replay = draw_wave(config, wave_rng(seed, idx))
-        assert (wave.epsilon, wave.degree, wave.component) == (
-            replay.epsilon, replay.degree, replay.component)
-        assert wave.pole.dtype == replay.pole.dtype and wave.pole.shape == (d + 1,)
-        assert wave.pole.tobytes() == replay.pole.tobytes()
+        assert row == plan_fields(replay)
 
 
 def plan_fields(wave):
     return wave.epsilon, wave.degree, wave.component, wave.pole.dtype, wave.pole.tobytes()
+
+
+def plan_rows(plan):
+    """plan_fields of each wave of a _Plan, read from its arrays."""
+    components = ([None] * plan.signs.size if plan.components is None
+                  else plan.components.tolist())
+    return [(sign, degree, component, pole.dtype, pole.tobytes())
+            for sign, degree, component, pole
+            in zip(plan.signs.tolist(), plan.degrees.tolist(), components, plan.poles)]
 
 
 def plan_model(d, p):
@@ -303,8 +309,8 @@ def test_rejected_draw_attempt_is_redrawn_whole(monkeypatch):
     plan = simulator._draw_plan(config)
     assert rejected == [1, 1, 0]        # the plan's row, then draw_wave's two rows
     replay = [draw_wave(config, wave_rng(seed, idx)) for idx in range(config.L)]
-    assert [plan_fields(w) for w in plan] == [plan_fields(w) for w in replay]
-    assert plan_fields(plan[target]) != plan_fields(unpatched)
+    assert plan_rows(plan) == [plan_fields(w) for w in replay]
+    assert plan_rows(plan)[target] != plan_fields(unpatched)
 
 
 class RecordedReads:
@@ -382,8 +388,8 @@ def test_degenerate_pole_in_plan_is_redrawn_whole(monkeypatch):
             rng = TinyFirstPole(wave_rng(seed, idx), target)
             replay.append(draw_wave(config, rng))
             assert rng.scaled == (idx == target)
-        assert [plan_fields(w) for w in plan] == [plan_fields(w) for w in replay]
-        assert np.linalg.norm(plan[target].pole) == pytest.approx(1.0, abs=1e-15)
+        assert plan_rows(plan) == [plan_fields(w) for w in replay]
+        assert np.linalg.norm(plan.poles[target]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_simulate_threads_match_sequential():
@@ -475,10 +481,9 @@ def test_simulate_checks_points_once(monkeypatch):
     assert calls == [2]
 
 
-def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
-    # example 2 as printed: indefinite Schoenberg matrices from degree 2 on;
-    # the wave plan is drawn and factored first, so no wave is evaluated,
-    # neither in a batch nor by a method's row function
+def count_wave_work(monkeypatch):
+    """A list that grows by one at each call of _wave_sums or of a _METHODS
+    row function: empty while no wave is evaluated."""
     calls = []
 
     def counting(real):
@@ -490,6 +495,14 @@ def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
     monkeypatch.setattr(simulator, "_wave_sums", counting(simulator._wave_sums))
     monkeypatch.setattr(simulator, "_METHODS", tuple(
         method._replace(row=counting(method.row)) for method in simulator._METHODS))
+    return calls
+
+
+def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
+    # example 2 as printed: indefinite Schoenberg matrices from degree 2 on;
+    # the wave plan is drawn and factored first, so no wave is evaluated,
+    # neither in a batch nor by a method's row function
+    calls = count_wave_work(monkeypatch)
     model = BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6,
                                     allow_unverified_cross=True)
     config = SimulationConfig(model, ShiftedZeta(2.0), L=1500, seed=2)
@@ -701,7 +714,7 @@ def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
     config = SimulationConfig(config.model, config.degrees, L=20, seed=4)
     npts = points.shape[0]
     if npts > simulator.POINT_BLOCK:
-        degrees = [wave.degree for wave in simulator._draw_plan(config)]
+        degrees = simulator._draw_plan(config).degrees
         assert np.any(_tabulate_pays(0.5 * (config.d - 1), degrees, npts))
     waves = single_wave_values(config, points, M, np.random.default_rng(5))
     field = simulate(config, points).values
@@ -798,6 +811,26 @@ def test_large_grid_ensemble_memory_stays_near_its_output():
     assert peak < 8_000_000
 
 
+def simulate_peak(L):
+    """tracemalloc peak of simulate of nb d=2 on 20,000 points with L waves."""
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=L, seed=0)
+    points = build_grid(parse_grid("latlon:100x200")).points
+    tracemalloc.start()
+    try:
+        simulate(config, points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_its_groups():
+    # each group sum is added as it is made: ten groups hold no more than
+    # one, save the plan and larger tables of the extra waves, well within
+    # one more group sum (160 kB); a list of the group sums took 1.6 MB more
+    assert 640 // WAVE_GROUP == 10
+    assert simulate_peak(640) <= simulate_peak(64) + 20_000 * 8
+
+
 @pytest.mark.parametrize("case, npts", [("nb d=2", 1), ("bivariate nb d=2", 1),
                                         ("f d=3", 3), ("bivariate nb d=2", 9000)])
 def test_ensemble_is_its_waves_summed_in_order(case, npts):
@@ -889,7 +922,7 @@ def test_non_finite_wave_names_its_index(monkeypatch, tmp_path, capsys, constant
     # (the profile path), must stop simulate at that wave's index, and the
     # CLI with exit code 1
     config = SimulationConfig(NegativeBinomial(0.5, d=2), ShiftedZeta(2.0), L=30, seed=5)
-    kappas = np.array([wave.degree for wave in simulator._draw_plan(config)])
+    kappas = simulator._draw_plan(config).degrees
     idx = int(np.flatnonzero((kappas == 0) == constant)[-1])
     real = simulator._wave_weights
 
@@ -919,8 +952,8 @@ def test_non_finite_wave_in_the_last_tile_names_its_index(monkeypatch):
     # |G_k| <= 1, stay finite
     config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), L=30, seed=5)
     plan = simulator._draw_plan(config)
-    idx = max(i for i, wave in enumerate(plan) if wave.degree >= 3)
-    pole, degree = plan[idx].pole, plan[idx].degree
+    idx = int(np.flatnonzero(plan.degrees >= 3)[-1])
+    pole, degree = plan.poles[idx], int(plan.degrees[idx])
     weight = 1.7e308 / (degree + 1) * 2.0
     ring = np.linalg.svd(pole[None, :])[2][1:]        # orthonormal, orthogonal to pole
     angles = np.linspace(0.0, np.pi, 8, endpoint=False)
@@ -960,38 +993,43 @@ def poison_weight(monkeypatch, idx, value=np.inf):
 
 @pytest.mark.parametrize("npts", [3, 9000])
 def test_non_finite_values_raise_on_every_entry_point(monkeypatch, npts):
-    # both forms of _wave_sums (a degree-sorted sweep on 3 points, one wave
-    # at a time on 9,000) check every wave: a weight that overflows, a NaN
-    # or an infinite one stops each entry point with the wave's index
+    # a weight that overflows, a NaN or an infinite one stops each entry
+    # point with the wave's index before any profile is made, in either form
+    # of _wave_sums (a degree-sorted sweep on 3 points, one wave at a time on
+    # 9,000), and with no warning: the tests turn warnings into errors
     points = sample_pole(2, np.random.default_rng(npts), size=npts)
     rng = np.random.default_rng(0)
     config = SimulationConfig(NegativeBinomial(0.9, d=2), GeometricDegrees(0.5), L=5, seed=0)
+    calls = count_wave_work(monkeypatch)
     wave = WaveParams(epsilon=1, pole=points[0], degree=3000)       # weight exp(882)
-    with np.errstate(all="ignore"):
-        with pytest.raises(SimulationError, match="non-finite wave values at wave index 0$"):
-            wave_eval_scalar(wave, config, points)
-        for value in (np.nan, np.inf):
-            with pytest.MonkeyPatch.context() as patch:
-                poison_weight(patch, 7, value)
-                with pytest.raises(SimulationError, match="at wave index 7$"):
-                    single_wave_values(config, points, 10, rng)
-            with pytest.MonkeyPatch.context() as patch:
-                poison_weight(patch, 11, value)      # realization 2, wave 1
-                with pytest.raises(SimulationError, match="at wave index 11$"):
-                    simulate_ensemble(config, points, 3, rng)
+    with pytest.raises(SimulationError, match="non-finite wave values at wave index 0$"):
+        wave_eval_scalar(wave, config, points)
+    for value in (np.nan, np.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            poison_weight(patch, 7, value)
+            with pytest.raises(SimulationError, match="at wave index 7$"):
+                single_wave_values(config, points, 10, rng)
+        with pytest.MonkeyPatch.context() as patch:
+            poison_weight(patch, 11, value)      # realization 2, wave 1
+            with pytest.raises(SimulationError, match="at wave index 11$"):
+                simulate_ensemble(config, points, 3, rng)
+    assert calls == []
 
 
 @pytest.mark.parametrize("npts", [3, 9000])
 def test_simulate_names_the_global_index_in_a_later_group(monkeypatch, npts):
     # wave 100 sits in the second group of WAVE_GROUP waves; the error
-    # names its index in the plan, not in its group
+    # names its index in the plan, not in its group, and comes before any
+    # group is summed, threaded or not
     points = sample_pole(2, np.random.default_rng(npts), size=npts)
     config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=150, seed=3)
     poison_weight(monkeypatch, 100)
+    calls = count_wave_work(monkeypatch)
     assert 100 >= WAVE_GROUP
-    with np.errstate(all="ignore"):
+    for threads in (None, 2):
         with pytest.raises(SimulationError, match="non-finite wave values at wave index 100$"):
-            simulate(config, points)
+            simulate(config, points, n_threads=threads)
+    assert calls == []
 
 
 def test_single_wave_zero_mean():
