@@ -41,6 +41,11 @@ Cases:
     `WAVE_GROUP` waves and one partial group, one wave at a time over point
     tiles: nb d = 2 and bivariate nb d = 2, seeds 2**70 + 0-2, n_threads
     None and 2;
+  - rows either side of the series cap, SERIES_MAX_DEGREE = 2 * POINT_BLOCK
+    = 32,768: F d = 2 waves of degree 32,768 (series) and 32,769 (exact
+    recurrence) on 5 points, three poles and signs each, one
+    `wave_eval_scalar` at a time and all six as one batch of
+    `_wave_sums`;
   - each degree law's scalar draws from the per-wave streams and one batch
     draw from a default_rng, with the stream state after them; one pole per
     dimension with the stream state after it.
@@ -49,6 +54,14 @@ A d = 3 line also names the number of drawn waves above the Fourier column
 limit (`heavy=`); their profiles come from the closed form
 sin((n+1) theta) / sin(theta), so those lines may differ between checkouts
 that evaluate such rows differently.
+
+Lines that move when the d <= 3 rows change method: the series of
+`simulator._clenshaw` took the d = 2 and 3 rows of degree 8 to 32,768 that
+the recurrence evaluated before, and its cost rule moved the table
+break-even on d <= 3 (from about 10-16 to 20-29 on 10k-62k points).  So
+d = 2 and 3 lines whose plans hold such rows move: the benchmark workloads
+but none of the law and pole lines, the circle, d >= 4 (nb-d4, Chentsov
+d = 5, nb-d8, section-d4 and -d5) and the degree-32,769 cap line.
 """
 
 import contextlib
@@ -73,8 +86,8 @@ from turnarcs.degree_sampling import (  # noqa: E402
     FiniteDegrees, GeometricDegrees, OddShiftedZeta, ShiftedZeta)
 from turnarcs.grids import build_grid, parse_grid  # noqa: E402
 from turnarcs.simulator import (  # noqa: E402
-    SimulationConfig, draw_wave, sample_pole, simulate, simulate_ensemble, single_wave_values,
-    wave_rng)
+    SimulationConfig, WaveParams, draw_wave, sample_pole, simulate, simulate_ensemble,
+    single_wave_values, wave_eval_scalar, wave_rng)
 
 SEEDS = (0, 1, 2, 2**64 + 3, 2**65 + 4)
 EXTRA_SEEDS = (2**70, 2**70 + 1, 2**70 + 2)
@@ -260,6 +273,23 @@ def group_lines():
             yield from simulate_lines(f"{name}-20000pts-L200", config, points)
 
 
+def cap_lines():
+    config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(1.5), L=1, seed=0)
+    rng = np.random.default_rng(32_768)
+    points = sample_pole(2, rng, size=5)
+    poles = sample_pole(2, rng, size=3)
+    signs = (1, -1, 1)
+    for degree in (32_768, 32_769):
+        values = [wave_eval_scalar(WaveParams(sign, pole, degree), config, points)
+                  for sign, pole in zip(signs, poles)]
+        yield f"cap d=2 degree={degree} wave_eval {digest(np.array(values).tobytes())}"
+    degrees = np.repeat([32_768, 32_769], 3)
+    plan = simulator._Plan(np.tile(signs, 2), np.tile(poles, (2, 1)), degrees, None)
+    signed, _ = simulator._wave_coefficients(config, plan)
+    values = simulator._wave_sums(2, degrees, points, plan.poles, signed, None, 1)
+    yield f"cap d=2 degrees=32768,32769 batch {digest(values.tobytes())}"
+
+
 def law_lines():
     for law in LAWS:
         for seed in (0, 2**64 + 5):
@@ -280,7 +310,7 @@ def law_lines():
 
 
 def main() -> None:
-    for lines in (law_lines(), extra_lines(), method_lines(), ensemble_lines(),
+    for lines in (law_lines(), cap_lines(), extra_lines(), method_lines(), ensemble_lines(),
                   last_tile_lines(), switch_lines(), group_lines(), workload_lines(),
                   csv_lines()):
         for line in lines:

@@ -7,15 +7,17 @@ circle).  Averaging L independent waves scaled by 1/sqrt(L) yields a field
 with the exact target covariance and an approximately Gaussian law.
 
 Waves stay arrays from draw to sum (a _Plan of signs, poles, degrees and
-components); WaveParams is the public one-wave replay (draw_wave, wave_eval_*).
-Each wave profile takes one of the methods in _METHODS (constant, circle,
-exact recurrence, table, 3-sphere closed form), chosen by _profile_methods.
-Every entry point sums its waves through _wave_sums: simulate one run per
-wave group, simulate_ensemble one run of L waves per realization,
-single_wave_values and wave_eval_* runs of one wave.  The point count picks
-its form, one wave at a time over point tiles or a degree-sorted sweep of
-many waves on few points; a wave's doubles and the order of the sums do not
-depend on it.
+components); WaveParams is the public one-wave replay (draw_wave, wave_eval_*),
+checked before any point is read.  Each wave profile takes one of the methods
+in _METHODS (constant, circle, exact recurrence, table, 3-sphere closed form,
+and on d <= 3 the Chebyshev series of degrees 8 to SERIES_MAX_DEGREE summed
+by Clenshaw's recurrence, about half a recurrence step per degree), chosen by
+_profile_methods.  Every entry point sums its waves through _wave_sums:
+simulate one run per wave group, simulate_ensemble one run of L waves per
+realization, single_wave_values and wave_eval_* runs of one wave.  The point
+count picks its form, one wave at a time over point tiles or degree-sorted
+sweeps (recurrence or series) of many waves on few points; a wave's doubles
+and the order of the sums do not depend on it.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -23,11 +25,12 @@ added in ascending order as they are made, so threaded and sequential runs
 produce bit-identical values.
 """
 
+import operator
 from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import islice, pairwise
 
 import numpy as np
@@ -80,6 +83,24 @@ PROFILE_ERROR_BOUND = (np.pi / NODES_PER_DEGREE) ** 6 / 46080.0
 # Fourier column limit: the sum of six roundings' worst cases, see
 # _chebyshev_row (measured at most 1.8 eps)
 CHEBYSHEV_ERROR_BOUND = 6.0 * np.finfo(float).eps
+# the Chebyshev series of _clenshaw (d <= 3) costs about (n + 2) / 2
+# recurrence steps per point, ~0.8 ns per point and degree against 1.4-1.9
+# for the recurrence (16,384 points, n = 200); the 2 is fitted to the
+# measured break-even degrees against the Fourier tables, about 20 on 62,500
+# points and 29 on 10,000.  It beats the recurrence from degree ~6 one wave
+# at a time on 10k-62k points and ~8 in the bands of few points.  Its rows
+# stop at SERIES_MAX_DEGREE, where a row's K + 1 coefficients fill one tile
+SERIES_POINT_COST = 2
+SERIES_MIN_DEGREE = 8
+SERIES_MAX_DEGREE = 2 * POINT_BLOCK
+SCALAR_PAIRS = 8      # _clenshaw adds c_i per (degree, weight) pair up to this many
+# |series - exact profile| / (|w| G_n(1)) <= SERIES_ERROR_BOUND (n+1)^2, i.e.
+# (n+1)/2 times (n+1) eps: rounding y = 4t^2 - 2 moves t by up to eps |t| / 4,
+# up to eps n(n+2lam) / (4 (1+2lam)) near t = +-1, and Clenshaw's steps round
+# within eps |b_i| <= eps (K-i+1) |w| G_n(1) each, entering the sum with a
+# weight of at most 1 (measured at most 0.095 eps (n+1)^2, next to t = 1 at
+# n theta ~ 1, up to SERIES_MAX_DEGREE; the recurrence measured up to 0.035)
+SERIES_ERROR_BOUND = 0.5 * np.finfo(float).eps
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
 ENSEMBLE_WAVE_CAP = 2_000_000     # simulate_ensemble: simultaneous waves per chunk
@@ -277,11 +298,15 @@ def _column_limit(npts: int) -> int:
 
 def _tabulate_pays(lam: float, degrees, npts: int):
     """Cost model: whether a table plus one interpolation per point is
-    cheaper than n recurrence steps per point, for each degree n.
+    cheaper than the profile method it replaces, for each degree n.
 
-    For lam <= FOURIER_MAX_LAM (d <= 3) the table is a Fourier table:
-    40000 + 25 * 16n + 10 npts < (n+1) npts, and it may have no more columns
-    than there are points, m + 1 <= npts with m = _fourier_node_count(n).
+    For lam <= FOURIER_MAX_LAM (d <= 3) the table is a Fourier table,
+    40000 + 25 * 16n + 10 npts steps, and it may have no more columns than
+    there are points, m + 1 <= npts with m = _fourier_node_count(n).  Up
+    to SERIES_MAX_DEGREE it replaces the series, (n + 2) npts / 2 steps
+    (below SERIES_MIN_DEGREE the recurrence, which it never beats there).
+    Above, it replaces the recurrence, and it pays from degree ~10 on: a
+    table that holds such a degree has npts > 16 SERIES_MAX_DEGREE points.
     Both limits are integers computed once, so the decision is exact for
     any int64 degree.
 
@@ -292,11 +317,12 @@ def _tabulate_pays(lam: float, degrees, npts: int):
     multiple of 1/1024, so the decision is exact for npts below 9e7."""
     if lam <= FOURIER_MAX_LAM:
         highest = _column_limit(npts)
-        per_degree = NODES_PER_DEGREE * FOURIER_NODE_COST
-        # (n+1)(npts - per_degree) > FOURIER_TABLE_COST - per_degree + 10 npts
-        margin = npts - per_degree
-        lowest = ((FOURIER_TABLE_COST - per_degree + INTERP_STEPS * npts) // margin
-                  if margin > 0 else highest + 1)
+        # 2 (fixed + per_degree n) < (n + 2) npts: n margin > 2 fixed - 2 npts
+        fixed = FOURIER_TABLE_COST + INTERP_STEPS * npts
+        margin = npts - 2 * NODES_PER_DEGREE * FOURIER_NODE_COST
+        lowest = SERIES_MAX_DEGREE + 1
+        if margin > 0:
+            lowest = min(lowest, (2 * fixed - SERIES_POINT_COST * npts) // margin + 1)
         degrees = np.asarray(degrees)
         return (degrees >= lowest) & (degrees <= highest)
     c = (npts - TABLE_STEP_COST + NODES_PER_DEGREE) / (2 * NODES_PER_DEGREE)
@@ -306,12 +332,23 @@ def _tabulate_pays(lam: float, degrees, npts: int):
 def _chebyshev_pays(lam: float, degrees, npts: int):
     """Whether a row takes the closed form of _chebyshev_row: on the
     3-sphere (lam = 1), every degree that no Fourier table can hold,
-    n > _column_limit(npts), unless its exact sweep is cheaper,
-    (n+1) npts <= 12000 + 30 npts, as on a handful of points.  One integer
-    limit, so the decision is exact for any int64 degree."""
-    lowest = max(_column_limit(npts) + 1,
-                 CHEBYSHEV_POINT_COST + CHEBYSHEV_ROW_COST // npts)
+    n > _column_limit(npts), unless the series is cheaper, (n + 2) npts / 2
+    <= 12000 + 30 npts for n <= SERIES_MAX_DEGREE, as on a handful of
+    points (above that degree the recurrence never is).  One integer limit,
+    so the decision is exact for any int64 degree."""
+    series = (2 * CHEBYSHEV_ROW_COST + (2 * CHEBYSHEV_POINT_COST - SERIES_POINT_COST) * npts
+              ) // npts + 1
+    lowest = max(_column_limit(npts) + 1, min(series, SERIES_MAX_DEGREE + 1))
     return (np.asarray(degrees) >= lowest) & (lam == 1.0)
+
+
+def _series_pays(lam: float, degrees):
+    """Whether a row that no table or closed form takes runs the series of
+    _clenshaw rather than the recurrence: lam <= FOURIER_MAX_LAM and
+    SERIES_MIN_DEGREE <= n <= SERIES_MAX_DEGREE."""
+    degrees = np.asarray(degrees)
+    return ((degrees >= SERIES_MIN_DEGREE) & (degrees <= SERIES_MAX_DEGREE)
+            & (lam <= FOURIER_MAX_LAM))
 
 
 def _recurrence_tail(lam: float, degree: int, weight, t: np.ndarray, count: int) -> np.ndarray:
@@ -359,26 +396,40 @@ def _fourier_node_count(degree: int) -> int:
     return fft.next_fast_len(NODES_PER_DEGREE * degree, real=True)
 
 
+def _alphas(lam: float, degree: int) -> np.ndarray:
+    """alpha_k = (lam)_k / k! for k = 0 .. degree in long double, by one
+    cumulative product, whose rounding stays far below one double ulp at
+    n = 1e5 (gammaln differences lose 1.4e-10 there).  The product runs in
+    order, so a longer table has the same leading entries."""
+    ratio = np.ones(degree + 1, dtype=np.longdouble)
+    ratio[1:] = (np.arange(degree, dtype=np.longdouble) + lam) / np.arange(1, degree + 1)
+    return np.cumprod(ratio)
+
+
+def _cosine_coefficients(alpha: np.ndarray, degree, weight, k) -> np.ndarray:
+    """weight * alpha_k * alpha_{degree-k} rounded to double, elementwise over
+    broadcast arrays: the coefficient of cos((n - 2k) theta) in weight *
+    G_n(cos theta), G_n(cos theta) = sum_k alpha_k alpha_{n-k} cos((n-2k)
+    theta) (Szego, Orthogonal Polynomials, eq. 4.9.19), where the pair k and
+    n - k share each frequency but n/2.  Every coefficient has the weight's
+    sign.  The Fourier tables and the series rows both take their
+    coefficients from here."""
+    return (weight * alpha[k] * alpha[degree - k]).astype(float)
+
+
 def _fourier_nodes(lam: float, degree: int, weight: float, m: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f(theta) = weight * G_degree(cos theta) and its first two theta
     derivatives at theta_j = pi j / m, j = 0 .. m, for degree < m.
 
-    G_n(cos theta) = sum_k alpha_k alpha_{n-k} cos((n-2k) theta) with
-    alpha_k = (lam)_k / k! (Szego, Orthogonal Polynomials, eq. 4.9.19), so f
-    and f'' are one DCT-I of a stacked pair and f' one DST-I on the interior
-    nodes (f' = 0 at the poles): O(m log m), against n recurrence steps per
-    node.  The alpha_k come from a cumulative product in long double, whose
-    rounding stays far below one double ulp at n = 1e5 (gammaln differences
-    lose 1.4e-10 there), and the weight is folded into them.  Every
-    coefficient has the weight's sign, so the transforms round to about
+    The cosine series of _cosine_coefficients makes f and f'' one DCT-I of
+    a stacked pair and f' one DST-I on the interior nodes (f' = 0 at the
+    poles): O(m log m), against n recurrence steps per node.  As every
+    coefficient has the weight's sign, the transforms round to about
     eps log2(m) of the amplitude |weight| G_n(1)."""
     n = degree
     freq = np.arange(n, -1, -2)                 # n - 2k for k = 0 .. n // 2
-    ratio = np.ones(n + 1, dtype=np.longdouble)
-    ratio[1:] = (np.arange(n, dtype=np.longdouble) + lam) / np.arange(1, n + 1)
-    alpha = np.cumprod(ratio)
-    coef = (weight * alpha[: freq.size] * alpha[::-1][: freq.size]).astype(float)
+    coef = _cosine_coefficients(_alphas(lam, n), n, weight, np.arange(freq.size))
     # DCT-I weighs x_0 once and x_1 .. x_{m-1} twice: the cos(0) term is
     # alpha_{n/2}^2, every other frequency carries the pair k and n - k
     x = np.zeros((2, m + 1))
@@ -499,6 +550,162 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
     return out
 
 
+@cache
+def _series_alphas(lam: float, bits: int) -> np.ndarray:
+    """_alphas(lam, m), read-only and kept, for the series rows of degree
+    n < 2^bits: m = min(2^bits - 1, SERIES_MAX_DEGREE), so a row builds no
+    table of its own.  Every table holds the same leading doubles."""
+    alpha = _alphas(lam, min(2**bits - 1, SERIES_MAX_DEGREE))
+    alpha.flags.writeable = False
+    return alpha
+
+
+# the Chebyshev coefficients of series rows of one parity, sorted by
+# non-increasing degree and then weight, as _clenshaw takes them (see
+# _series_coefficients)
+_Series = namedtuple("_Series", "odd c0 starts blocks shift")
+
+
+def _series_shift(degrees, weights) -> np.ndarray:
+    """Per row, the s >= 0 by which _clenshaw scales its coefficients down,
+    2^-s, and its sums back up, exactly: Clenshaw's b_i reach (K + 1) times
+    the amplitude |w| G_n(1) <= |w| (n + 1) (lam <= 1), which overflows
+    where the profile itself need not.  s keeps |w| (n + 1)^2 below 2^1021;
+    it is 0 save for amplitudes within (n + 1)^2 of the double range."""
+    bits = np.frexp(np.abs(weights))[1] + 2 * np.frexp(np.add(degrees, 1.0))[1]
+    return np.maximum(bits - 1021, 0)
+
+
+def _series_coefficients(lam: float, degrees: np.ndarray, weights: np.ndarray) -> _Series:
+    """The coefficients of _clenshaw for rows of one parity, sorted by
+    non-increasing degree and then weight: c0 (rows, 1); the first row of
+    each distinct (degree, weight) pair, whose rows share their c_i, and
+    the row count (starts); and an iterator over runs of indices i from
+    K_0 down to 1 of (the number of pairs with K >= i for each i, block
+    (run, pairs) of their c_i).  A block holds at most POINT_BLOCK
+    coefficients; entries of pairs with K < i are never read."""
+    K = degrees // 2
+    alpha = _series_alphas(lam, max(6, int(degrees[0]).bit_length()))
+    shift = _series_shift(degrees, weights)
+    scaled = shift.any()
+    c0 = _cosine_coefficients(alpha, degrees, weights, K)
+    if scaled:
+        c0 = np.ldexp(c0, -shift)
+    if degrees[0] % 2:
+        c0 *= 2.0
+    first = np.ones(degrees.size, dtype=bool)
+    first[1:] = (degrees[1:] != degrees[:-1]) | (weights[1:] != weights[:-1])
+    kp, wp, n = K[first], weights[first], degrees[first]
+    run = max(1, POINT_BLOCK // degrees.size)
+
+    def blocks():
+        for hi in range(int(K[0]), 0, -run):
+            i = np.arange(hi, max(hi - run, 0), -1)
+            block = _cosine_coefficients(alpha, n, wp, np.maximum(kp - i[:, None], 0))
+            if scaled:
+                block = np.ldexp(block, -shift[first])
+            block *= 2.0
+            yield np.searchsorted(-kp, -i, side="right").tolist(), block
+
+    return _Series(bool(degrees[0] % 2), c0[:, None],
+                   [*np.flatnonzero(first).tolist(), degrees.size], blocks(),
+                   shift[:, None] if scaled else None)
+
+
+def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
+    """weights_r * G_{n_r}^lam(t_r) for the rows r of t, shape (rows, npts),
+    from their _series_coefficients, by Clenshaw's recurrence.
+
+    With p = n mod 2 and K = (n - p) / 2, w G_n(t) = sum_{i=0}^K c_i
+    T_{p+2i}(t), where c_i is twice the _cosine_coefficients entry
+    k = K - i, save c_0 = w alpha_K^2 when p = 0.  T_{p+2i} satisfy
+    T_{p+2i+2} = y T_{p+2i} - T_{p+2i-2} in y = 4t^2 - 2, so from
+    b_{K+1} = b_{K+2} = 0, b_i = y b_{i+1} - b_{i+2} + c_i for i = K .. 1,
+    and the sum is B_0 (c_0 - b_2) + B_1 b_1 with B_0, B_1 = 1, y/2 for
+    even n and t, t (y - 1) for odd n: three passes per two degrees, where
+    the recurrence takes four per degree.  A row joins the sweep as i falls
+    to its own K (its b_{i+1} and b_{i+2} are zeroed then), and c_i is added
+    as one scalar per pair while at most SCALAR_PAIRS pairs are active
+    (a column add of short rows costs about twice as much), else as a
+    column: every step is elementwise, so a row's doubles depend neither on
+    the other rows nor on the tiles of t."""
+    starts = series.starts
+    y = np.multiply(t, t)
+    y *= 4.0
+    y -= 2.0
+    full = [np.empty_like(t) for _ in range(3)]     # b_i, b_{i+1}, b_{i+2} in rotation
+    q = a = 0
+    for joined, block in series.blocks:
+        scalars = block.tolist()
+        column = None
+        for j, count in enumerate(joined):
+            if count != q:
+                a0, q, a = a, count, starts[count]
+                full[1][a0:a] = 0.0
+                full[2][a0:a] = 0.0
+                yv = y[:a]
+                view = [b[:a] for b in full]
+                segments = ([[b[lo:hi] for lo, hi in pairwise(starts[: q + 1])] for b in full]
+                            if q <= SCALAR_PAIRS else None)
+            new, b1, b2 = view
+            np.multiply(yv, b1, out=new)
+            new -= b2
+            if segments:
+                for segment, c in zip(segments[0], scalars[j]):
+                    segment += c
+                segments = [segments[2], segments[0], segments[1]]
+            else:
+                if column is None:
+                    pair = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+                    column = block[:, pair, None]
+                new += column[j, :a]
+            full = [full[2], full[0], full[1]]
+            view = [b2, new, b1]
+    _, b1, b2 = full
+    b1[a:] = 0.0                                    # rows of K = 0
+    b2[a:] = 0.0
+    out = np.subtract(series.c0, b2, out=b2)
+    if series.odd:
+        out *= t
+        y -= 1.0
+        y *= t
+    else:
+        y *= 0.5
+    y *= b1
+    out += y
+    if series.shift is not None:
+        np.ldexp(out, series.shift, out=out)
+    return out
+
+
+def _series_row(lam: float, degree: int, weight: float):
+    """The series method's row function: one wave's coefficients, the
+    doubles _series_coefficients gives a row of its own, in one block of
+    K <= POINT_BLOCK entries; then _clenshaw over tiles of POINT_BLOCK
+    points."""
+    K = degree // 2
+    alpha = _series_alphas(lam, max(6, int(degree).bit_length()))
+    coef = _cosine_coefficients(alpha, degree, weight, np.arange(K + 1))
+    shift = int(_series_shift(degree, weight))
+    if shift:
+        coef = np.ldexp(coef, -shift)
+    c0 = coef[K:] * (2.0 if degree % 2 else 1.0)
+    coef *= 2.0
+    series = _Series(bool(degree % 2), c0[:, None], [0, 1],
+                     [([1] * K, coef[:K, None])] if K else [],
+                     np.array([[shift]]) if shift else None)
+
+    def profile(t):
+        if t.size <= POINT_BLOCK:
+            return _clenshaw(series, t[None])[0]
+        out = np.empty_like(t)
+        for s in range(0, t.size, POINT_BLOCK):
+            out[s : s + POINT_BLOCK] = _clenshaw(series, t[None, s : s + POINT_BLOCK])[0]
+        return out
+
+    return profile
+
+
 # the profile methods, each with its row function (lam, degree, weight) -> a
 # function of clipped projections t giving weight * G_degree(t), and whether
 # that reads t (the constant does not).  A row function does its per-wave
@@ -506,13 +713,14 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
 # evaluated whole or tile by tile with the same doubles.  A row's method
 # code is its index here.
 _Method = namedtuple("_Method", "name row reads_t", defaults=(True,))
-CONSTANT, CIRCLE, EXACT, TABLE, CLOSED = range(5)
+CONSTANT, CIRCLE, EXACT, TABLE, CLOSED, SERIES = range(6)
 _METHODS = (
     _Method("constant", lambda lam, n, w: lambda t: w, reads_t=False),
     _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t))),
     _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0]),
     _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w))),
     _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w)),
+    _Method("series", _series_row),
 )
 
 
@@ -520,12 +728,14 @@ def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
     """Each row's profile method on npts points, as a code into _METHODS:
     constant for degree 0, the circle cosine on d = 1; else the 3-sphere
     closed form where _chebyshev_pays, a table where _tabulate_pays (the two
-    never overlap) and the exact recurrence for the rest."""
+    never overlap), the series where _series_pays and the exact recurrence
+    for the rest."""
     degrees = np.asarray(degrees)
     lam = 0.5 * (d - 1)
     return np.where(degrees == 0, CONSTANT, np.where(
         d == 1, CIRCLE, np.where(_chebyshev_pays(lam, degrees, npts), CLOSED, np.where(
-            _tabulate_pays(lam, degrees, npts), TABLE, EXACT))))
+            _tabulate_pays(lam, degrees, npts), TABLE, np.where(
+                _series_pays(lam, degrees), SERIES, EXACT)))))
 
 
 def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -549,10 +759,12 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     npts buffer (unless its method reads no t, as a constant), evaluated,
     checked, multiplied by its factor row and added over POINT_BLOCK tiles.
     Else the (m, npts) profiles come first: two or more exact rows share a
-    degree-sorted recurrence over bands of POINT_BLOCK // npts rows, each
-    band projected when the sweep reaches it, its rows dropped at their own
-    distinct degrees; every other row is projected and evaluated alone.  A
-    run whose sum is not finite is then searched for its first bad wave."""
+    degree-sorted recurrence over bands of POINT_BLOCK // npts rows, its
+    rows dropped at their own distinct degrees, and two or more series rows
+    share _clenshaw over bands of one parity, its rows joining at their own
+    K; each band is projected when its sweep reaches it and written once.
+    Every other row is projected and evaluated alone.  A run whose sum is
+    not finite is then searched for its first bad wave."""
     m, npts = degrees.size, points.shape[0]
     p = 1 if factors is None else factors.shape[1]
     lam = 0.5 * (d - 1)
@@ -583,16 +795,17 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
         return sums
 
     out = np.empty((m, npts))
-    exact = np.flatnonzero(codes == EXACT)
-    rest = np.flatnonzero(codes != EXACT) if exact.size > 1 else np.arange(m)
+    height = POINT_BLOCK // npts
+    exact, series = (np.flatnonzero(codes == code) for code in (EXACT, SERIES))
+    shared = [code for code, rows in ((EXACT, exact), (SERIES, series)) if rows.size > 1]
+    rest = np.flatnonzero(~np.isin(codes, shared))
     for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
                              signed[rest].tolist()):
         method = _METHODS[code]
         out[i] = method.row(lam, n, w)(_project(points, poles[i : i + 1])[0]
                                        if method.reads_t else None)
-    if exact.size > 1:
+    if EXACT in shared:
         order = exact[np.argsort(degrees[exact])[::-1]]
-        height = POINT_BLOCK // npts
         for r0 in range(0, exact.size, height):
             band = order[r0 : r0 + height]
             kb = degrees[band]                              # non-increasing
@@ -606,6 +819,15 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
             for n, lo, hi in ends:
                 out[band[lo:hi]] = next(islice(sweep, n - k - 1, None))[lo:hi]
                 k = n
+    if SERIES in shared:
+        # even degrees first, each parity by non-increasing degree, then weight
+        order = series[np.lexsort((signed[series], -degrees[series], degrees[series] % 2))]
+        even = np.count_nonzero(degrees[series] % 2 == 0)
+        for part in (order[:even], order[even:]):
+            for r0 in range(0, part.size, height):
+                band = part[r0 : r0 + height]
+                out[band] = _clenshaw(_series_coefficients(lam, degrees[band], signed[band]),
+                                      _project(points, poles[band]))
     values = out[:, None, :] if factors is None else factors[:, :, None] * out[:, None, :]
     sums = reduce(np.add, values.reshape(m // run, run, p, npts).swapaxes(0, 1))
     if not np.isfinite(sums).all():
@@ -637,11 +859,35 @@ def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) ->
     return signed, columns[inverse, plan.components]
 
 
-def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
-    """Values of one wave at unchecked points, shape (npts, p)."""
-    points = check_points(points, config.d)
-    plan = _Plan(np.array([wave.epsilon]), wave.pole[None, :], np.array([wave.degree]),
+def _wave_plan(wave: WaveParams, d: int) -> _Plan:
+    """A public WaveParams on the d-sphere as a one-row plan, checked: a
+    sign of +-1, a pole of d + 1 finite coordinates with unit norm within
+    1e-12 (the rule of check_points), and a degree that is a non-negative
+    integer within int64."""
+    if wave.epsilon not in (1, -1):
+        raise SimulationError(f"wave sign must be +1 or -1, got {wave.epsilon!r}")
+    pole = np.asarray(wave.pole, dtype=float)
+    if pole.shape != (d + 1,) or not np.all(np.isfinite(pole)):
+        raise SimulationError(f"wave pole must have {d + 1} finite coordinates for the "
+                              f"{d}-sphere")
+    if abs(np.sqrt(pole @ pole) - 1.0) > 1e-12:
+        raise SimulationError("wave pole must have unit norm within 1e-12")
+    try:
+        degree = operator.index(wave.degree)
+    except TypeError:
+        degree = -1
+    if not 0 <= degree < 2**63:
+        raise SimulationError(
+            f"wave degree must be a non-negative integer within int64, got {wave.degree!r}")
+    return _Plan(np.array([int(wave.epsilon)]), pole[None, :], np.array([degree], dtype=np.int64),
                  None if wave.component is None else np.array([wave.component]))
+
+
+def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
+    """Values of one wave at unchecked points, shape (npts, p); a malformed
+    wave fails before the points are read."""
+    plan = _wave_plan(wave, config.d)
+    points = check_points(points, config.d)
     signed, factors = _wave_coefficients(config, plan)
     return _wave_sums(config.d, plan.degrees, points, plan.poles, signed, factors, 1)[0].T
 

@@ -251,7 +251,7 @@ def test_simulate_header_records_profile_methods(tmp_path):
                       ).metadata["profile_methods"]
     assert list(counts) == [method.name for method in simulator._METHODS]
     assert sum(counts.values()) == 60
-    assert counts["constant"] > 0 and counts["exact"] > 0 and counts["table"] > 0
+    assert counts["constant"] > 0 and counts["exact"] > 0 and counts["series"] > 0
     assert header["profile_methods"] == ",".join(f"{k}:{v}" for k, v in counts.items())
     lines = out.read_text().splitlines()
     after = lines.index(f"# degree_max={header['degree_max']}") + 1

@@ -15,7 +15,7 @@ from turnarcs.gegenbauer import (
     gegenbauer_log_at_one,
     gegenbauer_norm_sq,
 )
-from turnarcs.simulator import sample_pole
+from turnarcs.simulator import SERIES, SERIES_MIN_DEGREE, _profile_methods, _series_row, sample_pole
 
 from conftest import projections, wave_profiles
 
@@ -222,6 +222,7 @@ def test_scalar_kernel_matches_scipy(lam, n, weight, r):
 @example(d=2, kappas=[0, 0, 0], npts=4, seed=1)          # all rows degree 0
 @example(d=256, kappas=[77], npts=3, seed=2)             # a single row
 @example(d=3, kappas=[5, 0, 120, 1, 5, 2], npts=5, seed=3)
+@example(d=2, kappas=[9, 8, 120, 9, 40, 41, 0, 8, 7], npts=6, seed=4)   # series bands
 def test_shrinking_batch_matches_scipy(d, kappas, npts, seed):
     # random points and poles on the d-sphere; each row is one wave at its
     # own projections
@@ -232,13 +233,19 @@ def test_shrinking_batch_matches_scipy(d, kappas, npts, seed):
     t = projections(points, poles)
     scale = rng.normal(size=k.size)
     got = wave_profiles(d, k, points, poles, scale)
+    codes = _profile_methods(d, k, npts)
+    assert np.all((codes == SERIES) == ((d <= 3) & (k >= SERIES_MIN_DEGREE)))
     lam = 0.5 * (d - 1)
     for i, n in enumerate(kappas):
         ref = scale[i] * eval_gegenbauer(n, lam, t[i])
         tol = kernel_tolerance(n) * abs(scale[i]) * gegenbauer_at_one(lam, n)
         assert np.max(np.abs(got[i] - ref)) <= tol
-        # the batch runs the scalar path's steps row by row: same rounding
-        assert_array_equal(got[i], gegenbauer_eval_weighted(lam, n, t[i], scale[i]))
+        # the batch runs each row's own steps: the scalar path's, or on d <= 3
+        # from degree SERIES_MIN_DEGREE on the series row's; same rounding
+        if codes[i] == SERIES:
+            assert_array_equal(got[i], _series_row(lam, n, scale[i])(t[i]))
+        else:
+            assert_array_equal(got[i], gegenbauer_eval_weighted(lam, n, t[i], scale[i]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,8 @@ from turnarcs.covariance import Chentsov, GeneralizedF, NegativeBinomial
 from turnarcs.degree_sampling import GeometricDegrees, OddShiftedZeta, ShiftedZeta
 from turnarcs.gegenbauer import gegenbauer_eval_weighted, gegenbauer_log_at_one
 from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
-from conftest import great_circle, wave_profiles
+from turnarcs import simulator
+from conftest import great_circle, projections, wave_profiles
 from turnarcs.simulator import (
     CHEBYSHEV_ERROR_BOUND,
     CIRCLE,
@@ -35,6 +36,11 @@ from turnarcs.simulator import (
     INTERP_STEPS,
     NODES_PER_DEGREE,
     PROFILE_ERROR_BOUND,
+    SERIES,
+    SERIES_ERROR_BOUND,
+    SERIES_MAX_DEGREE,
+    SERIES_MIN_DEGREE,
+    SERIES_POINT_COST,
     TABLE_STEP_COST,
     SimulationConfig,
     _chebyshev_pays,
@@ -46,8 +52,11 @@ from turnarcs.simulator import (
     _profile_methods,
     _profile_nodes,
     _profile_table,
+    _series_pays,
+    _series_row,
     _tabulate_pays,
     draw_wave,
+    sample_pole,
     simulate,
     wave_rng,
 )
@@ -154,10 +163,15 @@ def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
 
 
 def fourier_integer_form(n, npts):
-    """The Fourier-table cost model in integers, with the node count of
-    each degree computed as the table builds it."""
+    """The Fourier-table cost model in integers, against the series within
+    its degrees and the recurrence elsewhere, with the node count of each
+    degree computed as the table builds it."""
     cost = FOURIER_TABLE_COST + FOURIER_NODE_COST * NODES_PER_DEGREE * n + INTERP_STEPS * npts
-    return cost < (n + 1) * npts and (n < 1 or _fourier_node_count(n) + 1 <= npts)
+    if SERIES_MIN_DEGREE <= n <= SERIES_MAX_DEGREE:
+        pays = 2 * cost < (n + SERIES_POINT_COST) * npts
+    else:
+        pays = cost < (n + 1) * npts
+    return pays and (n < 1 or _fourier_node_count(n) + 1 <= npts)
 
 
 def test_small_inputs_keep_the_exact_recurrence():
@@ -183,9 +197,10 @@ def test_small_inputs_keep_the_exact_recurrence():
 def test_cost_model_matches_integer_form(npts):
     # the float64 form decides exactly as the cost model in integers around
     # both ends of the range of degrees where tabulating pays (it cannot pay
-    # from degree npts / 16 on)
+    # from degree npts / 16 on) and around the series' top degree
     top = npts // NODES_PER_DEGREE
-    n = np.concatenate([np.arange(200), np.arange(max(0, top - 2000), top + 2)])
+    n = np.concatenate([np.arange(200), np.arange(max(0, top - 2000), top + 2),
+                        np.arange(SERIES_MAX_DEGREE - 50, SERIES_MAX_DEGREE + 50)])
     integer_form = ((n + 1) * (NODES_PER_DEGREE * n + TABLE_STEP_COST) + INTERP_STEPS * npts
                     < (n + 1) * npts)
     assert_array_equal(_tabulate_pays(1.5, n, npts), integer_form)
@@ -341,12 +356,18 @@ def test_chebyshev_profiles_match_scipy(n, seed):
 @example(npts=250_000)
 def test_chebyshev_cost_model_matches_integer_form(npts):
     # the 3-sphere takes the closed form above the column limit unless the
-    # exact sweep is cheaper; every other dimension never does
+    # series (or below its degrees the recurrence) is cheaper; every other
+    # dimension never does
     limit = _column_limit(npts)
-    cheap = CHEBYSHEV_POINT_COST + CHEBYSHEV_ROW_COST // npts
+    closed = CHEBYSHEV_ROW_COST + CHEBYSHEV_POINT_COST * npts
+    cheap = 2 * closed // npts - SERIES_POINT_COST
     n = np.unique(np.concatenate([np.arange(200), np.arange(max(0, limit - 50), limit + 50),
-                                  np.arange(max(0, cheap - 50), cheap + 50), [2**62]]))
-    integer_form = [k > limit and (k + 1) * npts > CHEBYSHEV_ROW_COST + CHEBYSHEV_POINT_COST * npts
+                                  np.arange(max(0, cheap - 50), cheap + 50),
+                                  np.arange(SERIES_MAX_DEGREE - 50, SERIES_MAX_DEGREE + 50),
+                                  [2**62]]))
+    integer_form = [k > limit and (2 * closed < (k + SERIES_POINT_COST) * npts
+                                   if SERIES_MIN_DEGREE <= k <= SERIES_MAX_DEGREE
+                                   else closed < (k + 1) * npts)
                     for k in n.tolist()]
     assert_array_equal(_chebyshev_pays(1.0, n, npts), integer_form)
     for lam in (0.5, 1.5):
@@ -360,7 +381,8 @@ def test_chebyshev_cost_model_matches_integer_form(npts):
        drawn=st.lists(st.one_of(st.integers(0, 1000), st.integers(0, 2**62)), max_size=30))
 def test_profile_methods_follow_the_cost_rules(d, npts, drawn):
     # degree 0 is the constant and d = 1 the circle; elsewhere exactly the
-    # rows the two cost rules select are closed-form and tabulated, the rest
+    # rows the two cost rules select are closed-form and tabulated, of the
+    # rest those the series takes (d <= 3, its degrees) series, the others
     # exact
     limit = _column_limit(npts)
     degrees = np.array([0, 1, max(limit - 1, 0), limit, limit + 1, 2**62] + drawn)
@@ -375,14 +397,19 @@ def test_profile_methods_follow_the_cost_rules(d, npts, drawn):
     tabulated = _tabulate_pays(lam, degrees, npts) & ~zero
     assert_array_equal(methods == CLOSED, closed)
     assert_array_equal(methods == TABLE, tabulated)
-    assert_array_equal(methods == EXACT, ~(zero | closed | tabulated))
+    series = _series_pays(lam, degrees) & ~(zero | closed | tabulated)
+    assert_array_equal(series, (d <= 3) & (degrees >= SERIES_MIN_DEGREE)
+                       & (degrees <= SERIES_MAX_DEGREE) & ~(closed | tabulated))
+    assert_array_equal(methods == SERIES, series)
+    assert_array_equal(methods == EXACT, ~(zero | closed | tabulated | series))
 
 
 def test_column_limit_rows_keep_their_paths():
     # on 10k points the Fourier limit is 607: degrees up to it keep their
-    # table or exact-sweep bits, the ones above take the closed form with
-    # the doubles of a row of their own, whatever the batch or tile shape.
-    # Every row sees the same projections t, exact at the poles and zeros
+    # table, series or exact-sweep bits, the ones above take the closed form
+    # with the doubles of a row of their own, whatever the batch or tile
+    # shape.  Every row sees the same projections t, exact at the poles and
+    # zeros
     npts = 10_000
     assert _column_limit(npts) == 607
     t = np.random.default_rng(9).uniform(-1.0, 1.0, npts)
@@ -393,9 +420,8 @@ def test_column_limit_rows_keep_their_paths():
     got = wave_profiles(3, degrees, points, poles, weights)
     assert_array_equal(got[1], _interpolate(_profile_table(1.0, 607, -0.2), t))
     assert_array_equal(got[4], _interpolate(_profile_table(1.0, 40, -0.5), t))
-    for i in (0, 6):
-        assert_array_equal(got[i], gegenbauer_eval_weighted(1.0, int(degrees[i]), t,
-                                                            weights[i]))
+    assert_array_equal(got[0], gegenbauer_eval_weighted(1.0, 3, t, weights[0]))
+    assert_array_equal(got[6], _series_row(1.0, 12, weights[6])(t))
     for i in (2, 3, 5):
         assert_array_equal(got[i], _chebyshev_row(1.0, int(degrees[i]), weights[i], t))
         assert_array_equal(got[i], wave_profiles(3, degrees[i : i + 1], points, poles[:1],
@@ -406,6 +432,75 @@ def test_column_limit_rows_keep_their_paths():
     batch = wave_profiles(3, heavy, *great_circle(few, 7), weights)
     for i in range(7):
         assert_array_equal(batch[i], _chebyshev_row(1.0, 5000, weights[i], few))
+
+
+def recurrence_oracle(lam, n, weight, t):
+    """weight * G_n^lam(t) by the three-term recurrence in long double."""
+    r = t.astype(LD)
+    prev, g = np.ones_like(r), 2 * LD(lam) * r
+    for k in range(2, n + 1):
+        prev, g = g, (2 * (k + LD(lam) - 1) * r * g - (k + 2 * LD(lam) - 2) * prev) / k
+    return LD(weight) * (g if n else prev)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    lam=st.sampled_from([0.5, 1.0]),
+    n=st.one_of(st.integers(SERIES_MIN_DEGREE, 300),
+                st.integers(SERIES_MIN_DEGREE, SERIES_MAX_DEGREE)),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lam=0.5, n=SERIES_MAX_DEGREE, log_amp=0.0, sign=1.0, seed=0)
+@example(lam=1.0, n=SERIES_MAX_DEGREE - 1, log_amp=2.0, sign=-1.0, seed=1)
+@example(lam=0.5, n=SERIES_MIN_DEGREE, log_amp=-1.0, sign=-1.0, seed=2)
+@example(lam=1.0, n=1001, log_amp=0.0, sign=1.0, seed=3)
+def test_series_profiles_within_bound(lam, n, log_amp, sign, seed):
+    # relative to the amplitude |w| G_n(1), against the recurrence in long
+    # double at the same t: t uniform, within 1e-12 of 0 and of +-1, and at
+    # theta ~ 1/n, where the rounding of y = 4t^2 - 2 costs the most
+    amp = 10.0**log_amp
+    weight = sign * amp * np.exp(-gegenbauer_log_at_one(lam, n))
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(0.0, 1e-12, 30)
+    t = np.concatenate([[1.0, -1.0, 0.0, -0.0], rng.uniform(-1.0, 1.0, 60), 1.0 - near,
+                        near - 1.0, near, -near, np.cos(rng.uniform(0.2, 8.0, 30) / n)])
+    got = _series_row(lam, n, weight)(t)
+    err = np.abs(got.astype(LD) - recurrence_oracle(lam, n, weight, t))
+    assert np.max(err) <= SERIES_ERROR_BOUND * (n + 1) ** 2 * amp
+
+
+def test_series_bands_equal_single_rows(monkeypatch):
+    # a batch on few points shares series sweeps: bands of both parities,
+    # rows that join at different K, pairs of equal degree and weight and
+    # of equal degree and opposite weight, and the rows on either side of
+    # the series cap (32768 series, 32769 exact).  Every row has the
+    # doubles of its own row function, whatever the band height (POINT_BLOCK
+    # // npts) and the coefficient blocks (POINT_BLOCK // rows indices),
+    # with c_i added per pair or as a column
+    rng = np.random.default_rng(17)
+    npts, d = 8, 2
+    degrees = np.array([8, 9, 8, 8, 40, 41, 41, 8_000, 13, 14, 300, 301, 9, 9,
+                        SERIES_MAX_DEGREE, SERIES_MAX_DEGREE - 1, SERIES_MAX_DEGREE + 1, 7, 0])
+    weights = rng.normal(size=degrees.size)
+    weights[2] = weights[0]                             # one (8, w) pair of two rows
+    weights[3] = -weights[0]
+    weights[13] = weights[12]
+    points = sample_pole(d, rng, size=npts)
+    poles = sample_pole(d, rng, size=degrees.size)
+    t = projections(points, poles)
+    codes = _profile_methods(d, degrees, npts)
+    assert np.count_nonzero(codes == SERIES) == degrees.size - 3
+    assert codes[16] == EXACT and codes[17] == EXACT
+    single = [wave_profiles(d, degrees[i : i + 1], points, poles[i : i + 1], weights[i : i + 1])[0]
+              for i in range(degrees.size)]
+    for i in np.flatnonzero(codes == SERIES):
+        assert_array_equal(single[i], _series_row(0.5, int(degrees[i]), weights[i])(t[i]))
+    for block, pairs in ((16384, 8), (64, 8), (16384, 0), (24, 1)):
+        monkeypatch.setattr(simulator, "POINT_BLOCK", block)
+        monkeypatch.setattr(simulator, "SCALAR_PAIRS", pairs)
+        assert_array_equal(wave_profiles(d, degrees, points, poles, weights), np.array(single))
 
 
 CASES = {

@@ -210,6 +210,67 @@ def test_wave_rejects_unsupported_degree():
         wave_eval_scalar(wave, config, meridian_points(2, [0.1]))
 
 
+def replay_reads_no_point(monkeypatch, wave, message):
+    """wave_eval_scalar and wave_eval_vector on the 2-sphere both reject
+    the wave with message, before the points are checked or a wave is
+    evaluated."""
+    calls = count_wave_work(monkeypatch)
+    monkeypatch.setattr(simulator, "check_points", lambda *args: calls.append(args))
+    scalar = SimulationConfig(SequenceCovariance([0.5, 0.5], d=2), FiniteDegrees([0.5, 0.5]),
+                              L=1, seed=0)
+    vector = SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                              GeometricDegrees(0.3), L=1, seed=0)
+    points = meridian_points(2, [0.1, 1.0])
+    with pytest.raises(SimulationError, match=message):
+        wave_eval_scalar(wave, scalar, points)
+    wave.component = 0
+    with pytest.raises(SimulationError, match=message):
+        wave_eval_vector(wave, vector, points)
+    assert calls == []
+
+
+@pytest.mark.parametrize("epsilon", [3, 0, -2, 0.5, np.nan])
+def test_replay_rejects_a_sign_other_than_one(monkeypatch, epsilon):
+    # epsilon = 3 used to triple the wave
+    wave = WaveParams(epsilon=epsilon, pole=np.array([0.0, 0.0, 1.0]), degree=1)
+    replay_reads_no_point(monkeypatch, wave, "wave sign must be")
+
+
+@pytest.mark.parametrize("pole", [[0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 1.0]],
+                                  [np.nan, 0.0, 1.0], [0.0, np.inf, 0.0]])
+def test_replay_rejects_a_pole_without_d_plus_one_finite_coordinates(monkeypatch, pole):
+    # a short pole used to raise numpy's matmul ValueError
+    wave = WaveParams(epsilon=1, pole=np.array(pole), degree=1)
+    replay_reads_no_point(monkeypatch, wave, "wave pole must have 3 finite coordinates")
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0, 1.0 + 2e-12, 1.0 - 2e-12])
+def test_replay_rejects_a_pole_off_the_sphere(monkeypatch, scale):
+    # a pole of norm 2 used to be accepted, its projections clipped
+    wave = WaveParams(epsilon=1, pole=scale * np.array([0.0, 0.6, 0.8]), degree=1)
+    replay_reads_no_point(monkeypatch, wave, "unit norm within 1e-12")
+
+
+@pytest.mark.parametrize("degree", [2**70, 2**63, -1, 3.7, 3.0, "3", None])
+def test_replay_rejects_a_degree_that_is_no_int64(monkeypatch, degree):
+    # 2**70 used to raise an uncaught OverflowError, 3.7 an islice ValueError
+    wave = WaveParams(epsilon=1, pole=np.array([0.0, 0.0, 1.0]), degree=degree)
+    replay_reads_no_point(monkeypatch, wave, "wave degree must be a non-negative integer")
+
+
+def test_replay_accepts_the_edges_of_the_rules():
+    # numpy integers and signs, and a pole 1e-13 off the unit norm, pass
+    config = SimulationConfig(SequenceCovariance([0.5, 0.5], d=2), FiniteDegrees([0.5, 0.5]),
+                              L=1, seed=0)
+    points = meridian_points(2, [0.1, 1.0])
+    pole = np.array([0.0, 0.6, 0.8])
+    plain = wave_eval_scalar(WaveParams(-1, pole, 1), config, points)
+    assert_array_equal(wave_eval_scalar(WaveParams(np.int64(-1), pole, np.int64(1)), config,
+                                        points), plain)
+    assert np.all(np.isfinite(wave_eval_scalar(WaveParams(1, (1 + 1e-13) * pole, 1), config,
+                                               points)))
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_config_rejects_uncovered_support():
@@ -750,7 +811,9 @@ def test_heavy_exact_row_in_a_batch_keeps_no_per_degree_state():
     degrees = np.array([3, 200_000, 0, 17, 200_000, 2])
     points, poles = great_circle([0.3, -1.0, 1.0], degrees.size)
     scale = np.linspace(-1.0, 1.0, degrees.size)
-    assert np.count_nonzero(simulator._profile_methods(2, degrees, 3) == simulator.EXACT) == 5
+    codes = simulator._profile_methods(2, degrees, 3)
+    assert np.count_nonzero(codes == simulator.EXACT) == 4
+    assert np.count_nonzero(codes == simulator.SERIES) == 1             # degree 17
     tracemalloc.start()
     try:
         got = wave_profiles(2, degrees, points, poles, scale)
@@ -887,7 +950,7 @@ def test_simulate_is_the_sum_of_its_waves(case, L, seed, npts):
 
 @pytest.mark.parametrize("L, seed, npts, case", [
     (L, seed, npts, case)
-    for L, seed, npts in [(150, 0, 12), (64, 2**64 - 1, 1), (100, 7, 3000)]
+    for L, seed, npts in [(150, 0, 12), (64, 2**64 - 1, 1), (100, 5, 3000)]
     for case in ["f d=3", "exponential d=3", "bivariate nb zeta d=2"]
 ] + [(70, 3, 40, "circle d=1"), (100, 5, 10_000, "nb d=4")])
 def test_simulate_is_its_summation_tree_bitwise(L, seed, npts, case):
@@ -895,7 +958,9 @@ def test_simulate_is_its_summation_tree_bitwise(L, seed, npts, case):
     # constants (times their factor rows for p = 2); the replay evaluates
     # every wave through wave_eval_* and sums in the same tree: rows into
     # groups of WAVE_GROUP waves, the groups in order, then 1/sqrt(L).  On
-    # 10k points the d = 4 case has recurrence-table rows
+    # 3000 points the d <= 3 cases have table rows and a shared series sweep
+    # (seed 5: tables pay from degree 61 there, which seed 7 never drew), and
+    # on 10k points the d = 4 case has recurrence-table rows
     model, degrees = SUM_CASES[case]
     config = SimulationConfig(model, degrees, L=L, seed=seed)
     points = sample_pole(config.d, np.random.default_rng(seed), size=npts)
@@ -905,7 +970,10 @@ def test_simulate_is_its_summation_tree_bitwise(L, seed, npts, case):
     kappas = np.array([wave.degree for wave in waves])
     assert np.any(kappas == 0) and np.any(kappas > 0)
     if npts > 1000:
-        assert np.any(_tabulate_pays(0.5 * (config.d - 1), kappas, npts))
+        codes = simulator._profile_methods(config.d, kappas, npts)
+        assert np.any(codes == simulator.TABLE)
+        if config.d <= 3:
+            assert np.count_nonzero(codes == simulator.SERIES) > 1      # a shared sweep
     values = np.zeros((npts, p))
     for lo in range(0, L, WAVE_GROUP):
         part = np.zeros((npts, p))
