@@ -93,7 +93,6 @@ CHEBYSHEV_ERROR_BOUND = 6.0 * np.finfo(float).eps
 SERIES_POINT_COST = 2
 SERIES_MIN_DEGREE = 8
 SERIES_MAX_DEGREE = 2 * POINT_BLOCK
-SCALAR_PAIRS = 8      # _clenshaw adds c_i per (degree, weight) pair up to this many
 # |series - exact profile| / (|w| G_n(1)) <= SERIES_ERROR_BOUND (n+1)^2, i.e.
 # (n+1)/2 times (n+1) eps: rounding y = 4t^2 - 2 moves t by up to eps |t| / 4,
 # up to eps n(n+2lam) / (4 (1+2lam)) near t = +-1, and Clenshaw's steps round
@@ -401,9 +400,11 @@ def _alphas(lam: float, degree: int) -> np.ndarray:
     cumulative product, whose rounding stays far below one double ulp at
     n = 1e5 (gammaln differences lose 1.4e-10 there).  The product runs in
     order, so a longer table has the same leading entries."""
-    ratio = np.ones(degree + 1, dtype=np.longdouble)
-    ratio[1:] = (np.arange(degree, dtype=np.longdouble) + lam) / np.arange(1, degree + 1)
-    return np.cumprod(ratio)
+    ratio = np.empty(degree + 1, dtype=np.longdouble)
+    ratio[0] = 1.0
+    np.add(np.arange(degree, dtype=np.longdouble), lam, out=ratio[1:])
+    ratio[1:] /= np.arange(1, degree + 1)
+    return np.cumprod(ratio, out=ratio)
 
 
 def _cosine_coefficients(alpha: np.ndarray, degree, weight, k) -> np.ndarray:
@@ -551,19 +552,17 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
 
 
 @cache
-def _series_alphas(lam: float, bits: int) -> np.ndarray:
-    """_alphas(lam, m), read-only and kept, for the series rows of degree
-    n < 2^bits: m = min(2^bits - 1, SERIES_MAX_DEGREE), so a row builds no
-    table of its own.  Every table holds the same leading doubles."""
-    alpha = _alphas(lam, min(2**bits - 1, SERIES_MAX_DEGREE))
+def _series_alphas(lam: float) -> np.ndarray:
+    """_alphas(lam, SERIES_MAX_DEGREE), read-only and kept: one table
+    serves every series row of lam, so a row builds none of its own."""
+    alpha = _alphas(lam, SERIES_MAX_DEGREE)
     alpha.flags.writeable = False
     return alpha
 
 
 # the Chebyshev coefficients of series rows of one parity, sorted by
-# non-increasing degree and then weight, as _clenshaw takes them (see
-# _series_coefficients)
-_Series = namedtuple("_Series", "odd c0 starts blocks shift")
+# non-increasing degree, as _clenshaw takes them (see _series_coefficients)
+_Series = namedtuple("_Series", "odd c0 blocks shift")
 
 
 def _series_shift(degrees, weights) -> np.ndarray:
@@ -578,14 +577,13 @@ def _series_shift(degrees, weights) -> np.ndarray:
 
 def _series_coefficients(lam: float, degrees: np.ndarray, weights: np.ndarray) -> _Series:
     """The coefficients of _clenshaw for rows of one parity, sorted by
-    non-increasing degree and then weight: c0 (rows, 1); the first row of
-    each distinct (degree, weight) pair, whose rows share their c_i, and
-    the row count (starts); and an iterator over runs of indices i from
-    K_0 down to 1 of (the number of pairs with K >= i for each i, block
-    (run, pairs) of their c_i).  A block holds at most POINT_BLOCK
-    coefficients; entries of pairs with K < i are never read."""
+    non-increasing degree and then weight: c0 (rows, 1) and an iterator
+    over runs of indices i from K_0 down to 1 of (the number of rows with
+    K >= i for each i, column block (run, rows, 1) of their c_i).  The c_i
+    are computed once per distinct (degree, weight) pair, in blocks of at
+    most POINT_BLOCK entries; entries of rows with K < i are never read."""
     K = degrees // 2
-    alpha = _series_alphas(lam, max(6, int(degrees[0]).bit_length()))
+    alpha = _series_alphas(lam)
     shift = _series_shift(degrees, weights)
     scaled = shift.any()
     c0 = _cosine_coefficients(alpha, degrees, weights, K)
@@ -596,6 +594,7 @@ def _series_coefficients(lam: float, degrees: np.ndarray, weights: np.ndarray) -
     first = np.ones(degrees.size, dtype=bool)
     first[1:] = (degrees[1:] != degrees[:-1]) | (weights[1:] != weights[:-1])
     kp, wp, n = K[first], weights[first], degrees[first]
+    pair = np.cumsum(first) - 1
     run = max(1, POINT_BLOCK // degrees.size)
 
     def blocks():
@@ -605,10 +604,9 @@ def _series_coefficients(lam: float, degrees: np.ndarray, weights: np.ndarray) -
             if scaled:
                 block = np.ldexp(block, -shift[first])
             block *= 2.0
-            yield np.searchsorted(-kp, -i, side="right").tolist(), block
+            yield np.searchsorted(-K, -i, side="right").tolist(), block[:, pair, None]
 
-    return _Series(bool(degrees[0] % 2), c0[:, None],
-                   [*np.flatnonzero(first).tolist(), degrees.size], blocks(),
+    return _Series(bool(degrees[0] % 2), c0[:, None], blocks(),
                    shift[:, None] if scaled else None)
 
 
@@ -624,41 +622,26 @@ def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
     and the sum is B_0 (c_0 - b_2) + B_1 b_1 with B_0, B_1 = 1, y/2 for
     even n and t, t (y - 1) for odd n: three passes per two degrees, where
     the recurrence takes four per degree.  A row joins the sweep as i falls
-    to its own K (its b_{i+1} and b_{i+2} are zeroed then), and c_i is added
-    as one scalar per pair while at most SCALAR_PAIRS pairs are active
-    (a column add of short rows costs about twice as much), else as a
-    column: every step is elementwise, so a row's doubles depend neither on
-    the other rows nor on the tiles of t."""
-    starts = series.starts
+    to its own K (its b_{i+1} and b_{i+2} are zeroed then): every step is
+    elementwise, so a row's doubles depend neither on the other rows nor on
+    the tiles of t."""
     y = np.multiply(t, t)
     y *= 4.0
     y -= 2.0
     full = [np.empty_like(t) for _ in range(3)]     # b_i, b_{i+1}, b_{i+2} in rotation
-    q = a = 0
-    for joined, block in series.blocks:
-        scalars = block.tolist()
-        column = None
+    a = 0
+    for joined, column in series.blocks:
         for j, count in enumerate(joined):
-            if count != q:
-                a0, q, a = a, count, starts[count]
-                full[1][a0:a] = 0.0
-                full[2][a0:a] = 0.0
+            if count != a:
+                full[1][a:count] = 0.0
+                full[2][a:count] = 0.0
+                a = count
                 yv = y[:a]
                 view = [b[:a] for b in full]
-                segments = ([[b[lo:hi] for lo, hi in pairwise(starts[: q + 1])] for b in full]
-                            if q <= SCALAR_PAIRS else None)
             new, b1, b2 = view
             np.multiply(yv, b1, out=new)
             new -= b2
-            if segments:
-                for segment, c in zip(segments[0], scalars[j]):
-                    segment += c
-                segments = [segments[2], segments[0], segments[1]]
-            else:
-                if column is None:
-                    pair = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-                    column = block[:, pair, None]
-                new += column[j, :a]
+            new += column[j, :a]
             full = [full[2], full[0], full[1]]
             view = [b2, new, b1]
     _, b1, b2 = full
@@ -684,15 +667,14 @@ def _series_row(lam: float, degree: int, weight: float):
     K <= POINT_BLOCK entries; then _clenshaw over tiles of POINT_BLOCK
     points."""
     K = degree // 2
-    alpha = _series_alphas(lam, max(6, int(degree).bit_length()))
-    coef = _cosine_coefficients(alpha, degree, weight, np.arange(K + 1))
+    coef = _cosine_coefficients(_series_alphas(lam), degree, weight, np.arange(K + 1))
     shift = int(_series_shift(degree, weight))
     if shift:
         coef = np.ldexp(coef, -shift)
     c0 = coef[K:] * (2.0 if degree % 2 else 1.0)
     coef *= 2.0
-    series = _Series(bool(degree % 2), c0[:, None], [0, 1],
-                     [([1] * K, coef[:K, None])] if K else [],
+    series = _Series(bool(degree % 2), c0[:, None],
+                     [([1] * K, coef[:K, None, None])] if K else [],
                      np.array([[shift]]) if shift else None)
 
     def profile(t):
@@ -919,8 +901,10 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     Wave idx is draw_wave(config, wave_rng(config.seed, idx)), drawn by
     _draw_plan.  Each group of WAVE_GROUP waves is one run of _wave_sums,
     which sums it in wave order, and each group sum is added in order as it
-    is made.  The metadata records the profile error bound, the drawn
-    degrees' sum and largest value and the waves per method.
+    is made.  The metadata records the profile error bound relative to a
+    wave's amplitude (PROFILE_ERROR_BOUND, or SERIES_ERROR_BOUND (n+1)^2 of
+    the highest series row where larger, from n = 3346), the drawn degrees'
+    sum and largest value and the waves per method.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
@@ -942,7 +926,9 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     values *= 1.0 / np.sqrt(L)
     kappas = plan.degrees.tolist()
     codes = _profile_methods(config.d, plan.degrees, npts)
-    metadata = {**config.metadata(), "profile_error_bound": PROFILE_ERROR_BOUND,
+    top = plan.degrees[codes == SERIES].max(initial=0)
+    bound = max(PROFILE_ERROR_BOUND, SERIES_ERROR_BOUND * (top + 1.0) ** 2)
+    metadata = {**config.metadata(), "profile_error_bound": float(bound),
                 "degree_sum": sum(kappas), "degree_max": max(kappas),
                 "profile_methods": dict(zip((method.name for method in _METHODS),
                                             np.bincount(codes, minlength=len(_METHODS)).tolist()))}

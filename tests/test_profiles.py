@@ -477,8 +477,7 @@ def test_series_bands_equal_single_rows(monkeypatch):
     # of equal degree and opposite weight, and the rows on either side of
     # the series cap (32768 series, 32769 exact).  Every row has the
     # doubles of its own row function, whatever the band height (POINT_BLOCK
-    # // npts) and the coefficient blocks (POINT_BLOCK // rows indices),
-    # with c_i added per pair or as a column
+    # // npts) and the coefficient blocks (POINT_BLOCK // rows indices)
     rng = np.random.default_rng(17)
     npts, d = 8, 2
     degrees = np.array([8, 9, 8, 8, 40, 41, 41, 8_000, 13, 14, 300, 301, 9, 9,
@@ -497,9 +496,8 @@ def test_series_bands_equal_single_rows(monkeypatch):
               for i in range(degrees.size)]
     for i in np.flatnonzero(codes == SERIES):
         assert_array_equal(single[i], _series_row(0.5, int(degrees[i]), weights[i])(t[i]))
-    for block, pairs in ((16384, 8), (64, 8), (16384, 0), (24, 1)):
+    for block in (16384, 64, 24):
         monkeypatch.setattr(simulator, "POINT_BLOCK", block)
-        monkeypatch.setattr(simulator, "SCALAR_PAIRS", pairs)
         assert_array_equal(wave_profiles(d, degrees, points, poles, weights), np.array(single))
 
 

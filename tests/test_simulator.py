@@ -30,6 +30,7 @@ from turnarcs import degree_sampling, simulator
 from conftest import great_circle, projections, wave_profiles
 from turnarcs.simulator import (
     PROFILE_ERROR_BOUND,
+    SERIES_ERROR_BOUND,
     WAVE_GROUP,
     Realization,
     SimulationConfig,
@@ -506,6 +507,21 @@ def test_simulate_metadata_records_profile_error_bound():
     out = simulate(scalar_config(L=3, seed=5), meridian_points(2, [0.2]))
     assert out.metadata["profile_error_bound"] == PROFILE_ERROR_BOUND
     assert 1e-9 < PROFILE_ERROR_BOUND < 1.3e-9
+
+
+@pytest.mark.parametrize("seed, top, series", [(6, 16_009, 4), (0, 483, 4), (3, 7, 0)])
+def test_simulate_metadata_records_the_bound_of_its_highest_series_row(seed, top, series):
+    # F d = 2 under zeta:1.5 on 3 points, where no table pays: seed 6's
+    # highest series row, degree 16,009, has the bound SERIES_ERROR_BOUND
+    # (n+1)^2 = 2.8e-8 of its amplitude, above the table bound; seed 0's,
+    # degree 483, stays below it, and seed 3 draws no series row
+    config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(1.5), L=20,
+                              seed=seed)
+    out = simulate(config, np.eye(3))
+    assert out.metadata["degree_max"] == top
+    assert out.metadata["profile_methods"]["series"] == series
+    bound = SERIES_ERROR_BOUND * (top + 1) ** 2 if seed == 6 else PROFILE_ERROR_BOUND
+    assert out.metadata["profile_error_bound"] == bound
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
