@@ -48,20 +48,22 @@ Cases:
     `_wave_sums`;
   - each degree law's scalar draws from the per-wave streams and one batch
     draw from a default_rng, with the stream state after them; one pole per
-    dimension with the stream state after it.
+    dimension with the stream state after it;
+  - one `methods` line: the profile method `simulator._profile_methods`
+    gives every degree 0 to 40,000 and the heavy degrees 1e6, 1e9, 2**53 + 1,
+    2**62 and 2**63 - 1, on d = 1, 2, 3, 4, 8 and 256 and on the point counts
+    of METHOD_POINTS.  The degrees cover every threshold of the method rule
+    on those point counts: the series' limits 8 and 32,768, the Fourier column
+    limit (36,905 at most, on 600,000 points) and each break-even between two
+    methods.
 
 A d = 3 line also names the number of drawn waves above the Fourier column
 limit (`heavy=`); their profiles come from the closed form
 sin((n+1) theta) / sin(theta), so those lines may differ between checkouts
 that evaluate such rows differently.
 
-Lines that move when the d <= 3 rows change method: the series of
-`simulator._clenshaw` took the d = 2 and 3 rows of degree 8 to 32,768 that
-the recurrence evaluated before, and its cost rule moved the table
-break-even on d <= 3 (from about 10-16 to 20-29 on 10k-62k points).  So
-d = 2 and 3 lines whose plans hold such rows move: the benchmark workloads
-but none of the law and pole lines, the circle, d >= 4 (nb-d4, Chentsov
-d = 5, nb-d8, section-d4 and -d5) and the degree-32,769 cap line.
+A change to any row's method moves the `methods` line, and with it the
+value lines whose plans hold such a row.
 """
 
 import contextlib
@@ -106,6 +108,7 @@ METHOD_CASES = {
     "nb-d4-10k": (NegativeBinomial(0.5, d=4), GeometricDegrees(0.05), 10_000, 100),
     "f-d2-zeta1.5-3pts": (GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(1.5), 3, 300),
 }
+METHOD_POINTS = (1, 3, 100, 128, 8192, 8193, 10_000, 29_260, 62_500, 95_200, 250_000, 600_000)
 LAWS = (FiniteDegrees([0.1, 0.0, 0.6, 0.3]), GeometricDegrees(0.01), ShiftedZeta(1.1),
         ShiftedZeta(2.0), ShiftedZeta(7.0), OddShiftedZeta(1.5), OddShiftedZeta(3.7))
 
@@ -290,6 +293,14 @@ def cap_lines():
     yield f"cap d=2 degrees=32768,32769 batch {digest(values.tobytes())}"
 
 
+def method_table_lines():
+    degrees = np.concatenate([np.arange(40_001),
+                              [10**6, 10**9, 2**53 + 1, 2**62, 2**63 - 1]]).astype(np.int64)
+    codes = [simulator._profile_methods(d, degrees, npts)
+             for d in (1, 2, 3, 4, 8, 256) for npts in METHOD_POINTS]
+    yield f"methods {digest(np.array(codes, dtype=np.int64).tobytes())}"
+
+
 def law_lines():
     for law in LAWS:
         for seed in (0, 2**64 + 5):
@@ -310,7 +321,7 @@ def law_lines():
 
 
 def main() -> None:
-    for lines in (law_lines(), cap_lines(), extra_lines(), method_lines(), ensemble_lines(),
+    for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(), ensemble_lines(),
                   last_tile_lines(), switch_lines(), group_lines(), workload_lines(),
                   csv_lines()):
         for line in lines:

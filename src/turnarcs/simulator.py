@@ -11,13 +11,15 @@ components); WaveParams is the public one-wave replay (draw_wave, wave_eval_*),
 checked before any point is read.  Each wave profile takes one of the methods
 in _METHODS (constant, circle, exact recurrence, table, 3-sphere closed form,
 and on d <= 3 the Chebyshev series of degrees 8 to SERIES_MAX_DEGREE summed
-by Clenshaw's recurrence, about half a recurrence step per degree), chosen by
-_profile_methods.  Every entry point sums its waves through _wave_sums:
-simulate one run per wave group, simulate_ensemble one run of L waves per
-realization, single_wave_values and wave_eval_* runs of one wave.  The point
-count picks its form, one wave at a time over point tiles or degree-sorted
-sweeps (recurrence or series) of many waves on few points; a wave's doubles
-and the order of the sums do not depend on it.
+by Clenshaw's recurrence, about half a recurrence step per degree).  Each
+method carries its cost and its error bound: _profile_methods gives every
+row of degree >= 1 on d >= 2 its cheapest method, and simulate records the
+largest bound among its rows.  Every entry point sums its waves through
+_wave_sums: simulate one run per wave group, simulate_ensemble one run of L
+waves per realization, single_wave_values and wave_eval_* runs of one wave.
+The point count picks its form, one wave at a time over point tiles or
+degree-sorted sweeps (recurrence or series) of many waves on few points; a
+wave's doubles and the order of the sums do not depend on it.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -98,7 +100,7 @@ SERIES_MAX_DEGREE = 2 * POINT_BLOCK
 # up to eps n(n+2lam) / (4 (1+2lam)) near t = +-1, and Clenshaw's steps round
 # within eps |b_i| <= eps (K-i+1) |w| G_n(1) each, entering the sum with a
 # weight of at most 1 (measured at most 0.095 eps (n+1)^2, next to t = 1 at
-# n theta ~ 1, up to SERIES_MAX_DEGREE; the recurrence measured up to 0.035)
+# n theta ~ 1, up to SERIES_MAX_DEGREE).  The exact recurrence takes it too
 SERIES_ERROR_BOUND = 0.5 * np.finfo(float).eps
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
@@ -132,8 +134,12 @@ class SimulationConfig:
 
     def __init__(self, model, degrees, L: int, seed: int):
         require_valid(model)
-        if L < 1:
-            raise SimulationError(f"wave count must be >= 1, got {L}")
+        try:
+            count = operator.index(L)
+        except TypeError:
+            count = 0
+        if count < 1:
+            raise SimulationError(f"wave count must be an integer >= 1, got {L!r}")
         uncovered = support_covers(degrees, model, SUPPORT_CHECK_MAX)
         if uncovered is not None:
             raise SimulationError(
@@ -142,7 +148,7 @@ class SimulationConfig:
             )
         self.model = model
         self.degrees = degrees
-        self.L = int(L)
+        self.L = count
         self.seed = int(seed)
 
     @property
@@ -171,10 +177,10 @@ class SimulationConfig:
 
 def check_points(points, d: int) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != d + 1:
+    if points.ndim != 2 or points.shape[1] != d + 1:
         raise SimulationError(
-            f"points must have {d + 1} coordinates for the {d}-sphere, "
-            f"got {points.shape[1]}"
+            f"points must be rows of {d + 1} coordinates for the {d}-sphere, "
+            f"got shape {points.shape}"
         )
     if points.shape[0] == 0:
         raise SimulationError("at least one point is required")
@@ -293,61 +299,6 @@ def _column_limit(npts: int) -> int:
     its 5-smooth m >= 16n, i.e. 16n <= the largest 5-smooth number
     <= npts - 1."""
     return fft.prev_fast_len(max(npts - 1, 1), real=True) // NODES_PER_DEGREE
-
-
-def _tabulate_pays(lam: float, degrees, npts: int):
-    """Cost model: whether a table plus one interpolation per point is
-    cheaper than the profile method it replaces, for each degree n.
-
-    For lam <= FOURIER_MAX_LAM (d <= 3) the table is a Fourier table,
-    40000 + 25 * 16n + 10 npts steps, and it may have no more columns than
-    there are points, m + 1 <= npts with m = _fourier_node_count(n).  Up
-    to SERIES_MAX_DEGREE it replaces the series, (n + 2) npts / 2 steps
-    (below SERIES_MIN_DEGREE the recurrence, which it never beats there).
-    Above, it replaces the recurrence, and it pays from degree ~10 on: a
-    table that holds such a degree has npts > 16 SERIES_MAX_DEGREE points.
-    Both limits are integers computed once, so the decision is exact for
-    any int64 degree.
-
-    Above it, a recurrence table runs n steps over its 16n+1 nodes,
-    (n+1)(16n + 2500) + 10 npts < (n+1) npts, i.e. with s = n+1,
-    (s - c)^2 < c^2 - 10 npts / 16 for c = (npts - 2484) / 32.  Vectorized,
-    in float64 so that zeta-tail degrees cannot overflow; every term is a
-    multiple of 1/1024, so the decision is exact for npts below 9e7."""
-    if lam <= FOURIER_MAX_LAM:
-        highest = _column_limit(npts)
-        # 2 (fixed + per_degree n) < (n + 2) npts: n margin > 2 fixed - 2 npts
-        fixed = FOURIER_TABLE_COST + INTERP_STEPS * npts
-        margin = npts - 2 * NODES_PER_DEGREE * FOURIER_NODE_COST
-        lowest = SERIES_MAX_DEGREE + 1
-        if margin > 0:
-            lowest = min(lowest, (2 * fixed - SERIES_POINT_COST * npts) // margin + 1)
-        degrees = np.asarray(degrees)
-        return (degrees >= lowest) & (degrees <= highest)
-    c = (npts - TABLE_STEP_COST + NODES_PER_DEGREE) / (2 * NODES_PER_DEGREE)
-    return np.square(np.add(degrees, 1.0 - c)) < c * c - INTERP_STEPS * npts / NODES_PER_DEGREE
-
-
-def _chebyshev_pays(lam: float, degrees, npts: int):
-    """Whether a row takes the closed form of _chebyshev_row: on the
-    3-sphere (lam = 1), every degree that no Fourier table can hold,
-    n > _column_limit(npts), unless the series is cheaper, (n + 2) npts / 2
-    <= 12000 + 30 npts for n <= SERIES_MAX_DEGREE, as on a handful of
-    points (above that degree the recurrence never is).  One integer limit,
-    so the decision is exact for any int64 degree."""
-    series = (2 * CHEBYSHEV_ROW_COST + (2 * CHEBYSHEV_POINT_COST - SERIES_POINT_COST) * npts
-              ) // npts + 1
-    lowest = max(_column_limit(npts) + 1, min(series, SERIES_MAX_DEGREE + 1))
-    return (np.asarray(degrees) >= lowest) & (lam == 1.0)
-
-
-def _series_pays(lam: float, degrees):
-    """Whether a row that no table or closed form takes runs the series of
-    _clenshaw rather than the recurrence: lam <= FOURIER_MAX_LAM and
-    SERIES_MIN_DEGREE <= n <= SERIES_MAX_DEGREE."""
-    degrees = np.asarray(degrees)
-    return ((degrees >= SERIES_MIN_DEGREE) & (degrees <= SERIES_MAX_DEGREE)
-            & (lam <= FOURIER_MAX_LAM))
 
 
 def _recurrence_tail(lam: float, degree: int, weight, t: np.ndarray, count: int) -> np.ndarray:
@@ -662,20 +613,11 @@ def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
 
 
 def _series_row(lam: float, degree: int, weight: float):
-    """The series method's row function: one wave's coefficients, the
-    doubles _series_coefficients gives a row of its own, in one block of
-    K <= POINT_BLOCK entries; then _clenshaw over tiles of POINT_BLOCK
+    """The series method's row function: the _series_coefficients of one
+    row, its blocks made once, then _clenshaw over tiles of POINT_BLOCK
     points."""
-    K = degree // 2
-    coef = _cosine_coefficients(_series_alphas(lam), degree, weight, np.arange(K + 1))
-    shift = int(_series_shift(degree, weight))
-    if shift:
-        coef = np.ldexp(coef, -shift)
-    c0 = coef[K:] * (2.0 if degree % 2 else 1.0)
-    coef *= 2.0
-    series = _Series(bool(degree % 2), c0[:, None],
-                     [([1] * K, coef[:K, None, None])] if K else [],
-                     np.array([[shift]]) if shift else None)
+    series = _series_coefficients(lam, np.array([degree]), np.array([weight]))
+    series = series._replace(blocks=list(series.blocks))
 
     def profile(t):
         if t.size <= POINT_BLOCK:
@@ -688,36 +630,91 @@ def _series_row(lam: float, degree: int, weight: float):
     return profile
 
 
-# the profile methods, each with its row function (lam, degree, weight) -> a
-# function of clipped projections t giving weight * G_degree(t), and whether
-# that reads t (the constant does not).  A row function does its per-wave
-# work (a table) once; its t function is elementwise, so a wave may be
-# evaluated whole or tile by tile with the same doubles.  A row's method
+def _series_cost(lam: float, degrees: np.ndarray, npts: int) -> np.ndarray:
+    """The series of _clenshaw: (n + SERIES_POINT_COST) / 2 steps per point,
+    on d <= 3 for degrees SERIES_MIN_DEGREE to SERIES_MAX_DEGREE."""
+    takes = ((degrees >= SERIES_MIN_DEGREE) & (degrees <= SERIES_MAX_DEGREE)
+             & (lam <= FOURIER_MAX_LAM))
+    return np.where(takes, np.add(degrees, float(SERIES_POINT_COST)) * (0.5 * npts), np.inf)
+
+
+def _table_cost(lam: float, degrees: np.ndarray, npts: int) -> np.ndarray:
+    """A table plus INTERP_STEPS per point.  On d <= 3 a Fourier table,
+    FOURIER_TABLE_COST + FOURIER_NODE_COST per node on 16n nodes, with no
+    more columns than points: degrees up to _column_limit(npts).  Above, a
+    recurrence table: n + 1 steps over 16n nodes and TABLE_STEP_COST of
+    fixed overhead per step."""
+    n = degrees.astype(float)
+    if lam <= FOURIER_MAX_LAM:
+        cost = (FOURIER_TABLE_COST + (FOURIER_NODE_COST * NODES_PER_DEGREE) * n
+                + INTERP_STEPS * npts)
+        return np.where(degrees <= _column_limit(npts), cost, np.inf)
+    return (n + 1.0) * (NODES_PER_DEGREE * n + TABLE_STEP_COST) + INTERP_STEPS * npts
+
+
+def _closed_cost(lam: float, degrees: np.ndarray, npts: int) -> np.ndarray:
+    """The closed form of _chebyshev_row: CHEBYSHEV_ROW_COST per row and
+    CHEBYSHEV_POINT_COST per point, on the 3-sphere for the degrees above
+    _column_limit(npts), which no Fourier table holds."""
+    takes = (degrees > _column_limit(npts)) & (lam == 1.0)
+    return np.where(takes, float(CHEBYSHEV_ROW_COST + CHEBYSHEV_POINT_COST * npts), np.inf)
+
+
+def _quadratic_bound(degrees) -> np.ndarray:
+    """SERIES_ERROR_BOUND (n+1)^2: the series' bound, which the exact
+    recurrence keeps too (measured at most 0.11 eps (n+1)^2 near t = +-1,
+    lam 1/2 to 63.5, n up to 5000)."""
+    return SERIES_ERROR_BOUND * np.square(np.add(degrees, 1.0))
+
+
+# the profile methods.  Each has its row function (lam, degree, weight) -> a
+# function of clipped projections t giving weight * G_degree(t); its cost
+# (lam, int64 degrees, npts) in recurrence steps at one point, inf where it
+# cannot take a row (None for the two that _profile_methods gives whatever
+# the cost); its error bound as a function of the degrees, relative to the
+# amplitude |w| G_n(1) and non-decreasing in n; and whether its row function
+# reads t (the constant does not).  Degrees reach 2^63 - 1, so the costs test
+# eligibility in int64 and count in float64, exact integers or halves below
+# 2^53 wherever two can tie (npts below 9e7).  A row function does its
+# per-wave work (a table) once; its t function is elementwise, so a wave may
+# be evaluated whole or tile by tile with the same doubles.  A row's method
 # code is its index here.
-_Method = namedtuple("_Method", "name row reads_t", defaults=(True,))
+_Method = namedtuple("_Method", "name row cost bound reads_t", defaults=(True,))
 CONSTANT, CIRCLE, EXACT, TABLE, CLOSED, SERIES = range(6)
 _METHODS = (
-    _Method("constant", lambda lam, n, w: lambda t: w, reads_t=False),
-    _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t))),
-    _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0]),
-    _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w))),
-    _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w)),
-    _Method("series", _series_row),
+    _Method("constant", lambda lam, n, w: lambda t: w, None, lambda n: 0.0, reads_t=False),
+    # (1.5 pi n + 1.5) eps <= 5 eps (n+1) of |w|: arccos within one ulp moves
+    # n theta by up to pi n eps and its rounding by pi n eps / 2; cos and the
+    # weight round within eps and eps / 2 (measured about 2 eps (n+1) up to
+    # n = 1e9).  From n = 2^53 on, where n itself rounds, the bound exceeds 2
+    _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t)), None,
+            lambda n: 5.0 * np.finfo(float).eps * np.add(n, 1.0)),
+    _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0],
+            lambda lam, n, npts: np.add(n, 1.0) * npts, _quadratic_bound),
+    _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w)),
+            _table_cost, lambda n: PROFILE_ERROR_BOUND),
+    _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w),
+            _closed_cost, lambda n: CHEBYSHEV_ERROR_BOUND),
+    _Method("series", _series_row, _series_cost, _quadratic_bound),
 )
 
 
 def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
     """Each row's profile method on npts points, as a code into _METHODS:
-    constant for degree 0, the circle cosine on d = 1; else the 3-sphere
-    closed form where _chebyshev_pays, a table where _tabulate_pays (the two
-    never overlap), the series where _series_pays and the exact recurrence
-    for the rest."""
+    constant for degree 0, the circle cosine on d = 1, else the cheapest
+    method by cost.  Of equal costs the first of exact, series, table and
+    closed wins."""
     degrees = np.asarray(degrees)
+    if d == 1:
+        return np.where(degrees == 0, CONSTANT, CIRCLE)
     lam = 0.5 * (d - 1)
-    return np.where(degrees == 0, CONSTANT, np.where(
-        d == 1, CIRCLE, np.where(_chebyshev_pays(lam, degrees, npts), CLOSED, np.where(
-            _tabulate_pays(lam, degrees, npts), TABLE, np.where(
-                _series_pays(lam, degrees), SERIES, EXACT)))))
+    codes, best = EXACT, _METHODS[EXACT].cost(lam, degrees, npts)
+    for code in (SERIES, TABLE, CLOSED):
+        cost = _METHODS[code].cost(lam, degrees, npts)
+        cheaper = cost < best
+        codes = np.where(cheaper, code, codes)
+        best = np.where(cheaper, cost, best)
+    return np.where(degrees == 0, CONSTANT, codes)
 
 
 def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -902,9 +899,8 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     _draw_plan.  Each group of WAVE_GROUP waves is one run of _wave_sums,
     which sums it in wave order, and each group sum is added in order as it
     is made.  The metadata records the profile error bound relative to a
-    wave's amplitude (PROFILE_ERROR_BOUND, or SERIES_ERROR_BOUND (n+1)^2 of
-    the highest series row where larger, from n = 3346), the drawn degrees'
-    sum and largest value and the waves per method.
+    wave's amplitude, the largest _METHODS bound among the rows run, the
+    drawn degrees' sum and largest value and the waves per method.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
@@ -926,8 +922,9 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     values *= 1.0 / np.sqrt(L)
     kappas = plan.degrees.tolist()
     codes = _profile_methods(config.d, plan.degrees, npts)
-    top = plan.degrees[codes == SERIES].max(initial=0)
-    bound = max(PROFILE_ERROR_BOUND, SERIES_ERROR_BOUND * (top + 1.0) ** 2)
+    # each method's bound is largest at its highest degree
+    bound = max(_METHODS[code].bound(plan.degrees[codes == code].max())
+                for code in np.unique(codes).tolist())
     metadata = {**config.metadata(), "profile_error_bound": float(bound),
                 "degree_sum": sum(kappas), "degree_max": max(kappas),
                 "profile_methods": dict(zip((method.name for method in _METHODS),

@@ -29,7 +29,7 @@ from turnarcs.grids import (
     build_grid,
     parse_grid,
 )
-from turnarcs.simulator import PROFILE_ERROR_BOUND, Realization, SimulationConfig, simulate
+from turnarcs.simulator import SERIES_ERROR_BOUND, Realization, SimulationConfig, simulate
 
 
 # ---------------------------------------------------------------------- grids
@@ -211,10 +211,13 @@ def test_simulate_csv_round_trip(tmp_path):
 
 
 def test_simulate_header_records_profile_error_bound(tmp_path):
+    # 48 points take no table: the bound of the highest row, a series row
+    # of degree 37, SERIES_ERROR_BOUND (n+1)^2
     out = tmp_path / "r.csv"
     assert main(SIM_ARGS + ["--out", str(out)]) == 0
     header, _, _ = read_realization_csv(str(out))
-    assert float(header["profile_error_bound"]) == PROFILE_ERROR_BOUND
+    assert header["degree_max"] == "37" and "table:0," in header["profile_methods"]
+    assert float(header["profile_error_bound"]) == SERIES_ERROR_BOUND * 38**2
 
 
 def test_simulate_header_records_the_drawn_degrees(tmp_path):

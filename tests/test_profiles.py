@@ -9,6 +9,7 @@ evaluating G_n at a rounded argument, eps * n(n+2lam)/(1+2lam) near t = +-1
 (the polynomial's condition number there), which the exact path shares.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +44,7 @@ from turnarcs.simulator import (
     SERIES_POINT_COST,
     TABLE_STEP_COST,
     SimulationConfig,
-    _chebyshev_pays,
+    _METHODS,
     _chebyshev_row,
     _column_limit,
     _fourier_node_count,
@@ -52,9 +53,7 @@ from turnarcs.simulator import (
     _profile_methods,
     _profile_nodes,
     _profile_table,
-    _series_pays,
     _series_row,
-    _tabulate_pays,
     draw_wave,
     sample_pole,
     simulate,
@@ -154,7 +153,7 @@ def test_overflowing_profile_takes_tabulated_path_and_stays_finite():
     weight = -wave_weight(config, n)
     amp = np.exp(np.log(-weight) + gegenbauer_log_at_one(lam, n))
     t = np.cos(np.linspace(0.0, np.pi, 40_000) ** 2 / np.pi)   # dense near the pole
-    assert _tabulate_pays(lam, n, t.size)
+    assert _profile_methods(d, n, t.size) == TABLE
     got = wave_profiles(d, [n], *great_circle(t), [weight])[0]
     assert np.all(np.isfinite(got))
     sample = slice(0, None, 97)
@@ -176,15 +175,15 @@ def fourier_integer_form(n, npts):
 
 def test_small_inputs_keep_the_exact_recurrence():
     rng = np.random.default_rng(5)
-    for lam in (0.5, 1.0, 1.5):
+    for d in (2, 3, 4):
         for n, npts in ((3, 100_000), (40, 200), (20_000, 300_000)):
-            assert not _tabulate_pays(lam, n, npts)
+            assert _profile_methods(d, n, npts) != TABLE
         # zeta-tail degrees: the cost model must not overflow int64
-        assert not np.any(_tabulate_pays(lam, np.array([10**12, 2**62]), 300_000))
+        assert not np.any(_profile_methods(d, np.array([10**12, 2**62]), 300_000) == TABLE)
     # a recurrence table costs n steps over 16n nodes; a Fourier table pays
     # up to its node limit: 16 * 500 + 1 nodes exceed 8000 points
-    assert not _tabulate_pays(1.5, 500, 8_000)
-    assert not _tabulate_pays(0.5, 500, 8_000) and _tabulate_pays(0.5, 500, 8_001)
+    assert _profile_methods(4, 500, 8_000) != TABLE
+    assert _profile_methods(2, 500, 8_000) != TABLE and _profile_methods(2, 500, 8_001) == TABLE
     t = rng.uniform(-1.0, 1.0, 200)
     assert_array_equal(wave_profiles(4, [40], *great_circle(t), [0.3])[0],
                        gegenbauer_eval_weighted(1.5, 40, t, 0.3))
@@ -203,19 +202,19 @@ def test_cost_model_matches_integer_form(npts):
                         np.arange(SERIES_MAX_DEGREE - 50, SERIES_MAX_DEGREE + 50)])
     integer_form = ((n + 1) * (NODES_PER_DEGREE * n + TABLE_STEP_COST) + INTERP_STEPS * npts
                     < (n + 1) * npts)
-    assert_array_equal(_tabulate_pays(1.5, n, npts), integer_form)
+    assert_array_equal(_profile_methods(4, n, npts) == TABLE, integer_form)
     # the Fourier form's two integer limits, against the cost and the node
     # count of every degree near them
     fourier = [fourier_integer_form(int(k), npts) for k in n]
-    assert_array_equal(_tabulate_pays(1.0, n, npts), fourier)
-    assert_array_equal(_tabulate_pays(0.5, n, npts), fourier)
+    assert_array_equal(_profile_methods(3, n, npts) == TABLE, fourier)
+    assert_array_equal(_profile_methods(2, n, npts) == TABLE, fourier)
 
 
 def test_large_inputs_take_the_tabulated_path():
-    for lam in (0.5, 1.0, 1.5):
+    for d in (2, 3, 4):
         for n, npts in ((20, 100_000), (100, 10_000), (1000, 250_000)):
-            assert _tabulate_pays(lam, n, npts)
-    assert _tabulate_pays(0.5, 15_000, 250_000)
+            assert _profile_methods(d, n, npts) == TABLE
+    assert _profile_methods(2, 15_000, 250_000) == TABLE
 
 
 def fourier_oracle(lam, n, weight, m, j):
@@ -369,39 +368,64 @@ def test_chebyshev_cost_model_matches_integer_form(npts):
                                    if SERIES_MIN_DEGREE <= k <= SERIES_MAX_DEGREE
                                    else closed < (k + 1) * npts)
                     for k in n.tolist()]
-    assert_array_equal(_chebyshev_pays(1.0, n, npts), integer_form)
-    for lam in (0.5, 1.5):
-        assert not np.any(_chebyshev_pays(lam, n, npts))
-    # no degree is both tabulated and closed-form
-    assert not np.any(_chebyshev_pays(1.0, n, npts) & _tabulate_pays(1.0, n, npts))
+    assert_array_equal(_profile_methods(3, n, npts) == CLOSED, integer_form)
+    for d in (2, 4):
+        assert not np.any(_profile_methods(d, n, npts) == CLOSED)
+
+
+def cheapest_method(d, n, npts):
+    """The method rule in integers: degree 0 takes the constant and d = 1
+    the circle; else the cheapest method by its cost, twice over so that
+    every cost is an integer, where on equal costs the first of exact,
+    series, table and closed wins.  A Fourier table holds n while its
+    _fourier_node_count(n) + 1 columns fit in npts; the closed form takes
+    the 3-sphere degrees that no Fourier table holds."""
+    if n == 0:
+        return CONSTANT
+    if d == 1:
+        return CIRCLE
+    fits = NODES_PER_DEGREE * n < npts and _fourier_node_count(n) + 1 <= npts
+    costs = {EXACT: 2 * (n + 1) * npts}
+    if d <= 3 and SERIES_MIN_DEGREE <= n <= SERIES_MAX_DEGREE:
+        costs[SERIES] = (n + SERIES_POINT_COST) * npts
+    if d >= 4:
+        costs[TABLE] = 2 * ((n + 1) * (NODES_PER_DEGREE * n + TABLE_STEP_COST)
+                            + INTERP_STEPS * npts)
+    elif fits:
+        costs[TABLE] = 2 * (FOURIER_TABLE_COST + FOURIER_NODE_COST * NODES_PER_DEGREE * n
+                            + INTERP_STEPS * npts)
+    if d == 3 and not fits:
+        costs[CLOSED] = 2 * (CHEBYSHEV_ROW_COST + CHEBYSHEV_POINT_COST * npts)
+    return min(costs, key=costs.get)
 
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 8), npts=st.sampled_from([1, 7, 500, 10_000, 250_000]),
        drawn=st.lists(st.one_of(st.integers(0, 1000), st.integers(0, 2**62)), max_size=30))
+@example(d=3, npts=100, drawn=[298, 299])
+@example(d=2, npts=95_200, drawn=[19, 20])
 def test_profile_methods_follow_the_cost_rules(d, npts, drawn):
-    # degree 0 is the constant and d = 1 the circle; elsewhere exactly the
-    # rows the two cost rules select are closed-form and tabulated, of the
-    # rest those the series takes (d <= 3, its degrees) series, the others
-    # exact
+    # every row takes the method of the integer rule, in int64 up to 2^62
     limit = _column_limit(npts)
     degrees = np.array([0, 1, max(limit - 1, 0), limit, limit + 1, 2**62] + drawn)
     methods = _profile_methods(d, degrees, npts)
+    assert_array_equal(methods, [cheapest_method(d, int(k), npts) for k in degrees])
+
+
+@pytest.mark.parametrize("d, degree, npts, method, tie", [
+    (2, 19, 95_200, SERIES, True),          # series and table cost 999,600
+    (3, 19, 95_200, SERIES, True),
+    (3, 298, 100, SERIES, True),            # series and closed cost 15,000
+    (3, 299, 100, CLOSED, False),
+    (4, 10, 29_260, EXACT, True),           # exact and table cost 321,860
+    (4, 10, 29_261, TABLE, False),
+])
+def test_equal_costs_keep_the_earlier_method(d, degree, npts, method, tie):
     lam = 0.5 * (d - 1)
-    zero = degrees == 0
-    assert_array_equal(methods == CONSTANT, zero)
-    if d == 1:
-        assert np.all(methods[~zero] == CIRCLE)
-        return
-    closed = _chebyshev_pays(lam, degrees, npts) & ~zero
-    tabulated = _tabulate_pays(lam, degrees, npts) & ~zero
-    assert_array_equal(methods == CLOSED, closed)
-    assert_array_equal(methods == TABLE, tabulated)
-    series = _series_pays(lam, degrees) & ~(zero | closed | tabulated)
-    assert_array_equal(series, (d <= 3) & (degrees >= SERIES_MIN_DEGREE)
-                       & (degrees <= SERIES_MAX_DEGREE) & ~(closed | tabulated))
-    assert_array_equal(methods == SERIES, series)
-    assert_array_equal(methods == EXACT, ~(zero | closed | tabulated | series))
+    costs = sorted(float(m.cost(lam, np.array([degree]), npts)[0])
+                   for m in _METHODS if m.cost is not None)
+    assert (costs[0] == costs[1]) == tie
+    assert _profile_methods(d, degree, npts) == method == cheapest_method(d, degree, npts)
 
 
 def test_column_limit_rows_keep_their_paths():
@@ -471,6 +495,58 @@ def test_series_profiles_within_bound(lam, n, log_amp, sign, seed):
     assert np.max(err) <= SERIES_ERROR_BOUND * (n + 1) ** 2 * amp
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    lam=st.sampled_from([0.5, 1.0, 1.5, 3.5, 63.5]),
+    n=st.one_of(st.integers(1, 60), st.integers(1, 5000)),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lam=0.5, n=10, log_amp=0.0, sign=1.0, seed=0)
+@example(lam=63.5, n=5000, log_amp=0.0, sign=-1.0, seed=1)
+@example(lam=1.0, n=5000, log_amp=2.0, sign=1.0, seed=2)
+def test_exact_profiles_within_bound(lam, n, log_amp, sign, seed):
+    # the exact method's bound, SERIES_ERROR_BOUND (n+1)^2 of the amplitude
+    # |w| G_n(1), against the recurrence in long double at the same t: the
+    # rounding is worst near t = +-1, so most points sit within 1e-12 of
+    # them or at theta ~ 1/n
+    amp = 10.0**log_amp
+    weight = sign * amp * np.exp(-gegenbauer_log_at_one(lam, n))
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(0.0, 1e-12, 20)
+    ends = np.cos(rng.uniform(0.05, 8.0, 40) / n)
+    t = np.concatenate([[1.0, -1.0, 0.0], rng.uniform(-1.0, 1.0, 20), 1.0 - near, near - 1.0,
+                        ends, -ends])
+    got = _METHODS[EXACT].row(lam, n, weight)(t)
+    err = np.abs(got.astype(LD) - recurrence_oracle(lam, n, weight, t))
+    assert np.max(err) <= _METHODS[EXACT].bound(n) * amp
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2000), st.integers(1, 10**9)),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    extra=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+)
+@example(n=10**9, log_amp=0.0, sign=1.0, extra=[0.3])
+@example(n=2_800_001, log_amp=1.0, sign=-1.0, extra=[-0.999])
+@example(n=1, log_amp=0.0, sign=1.0, extra=[0.5])
+def test_circle_profiles_within_bound(n, log_amp, sign, extra):
+    # the circle's bound, 5 eps (n+1) of |w|, against w cos(n arccos t) at
+    # 40 digits for the same double t; large n multiplies the arccos
+    # rounding, worst where theta is largest
+    weight = sign * 10.0**log_amp
+    theta = np.array([1e-12, 0.5 / n, 1.0, np.pi / 2, np.pi - 1e-9, np.pi - 0.5 / n])
+    t = np.concatenate([[1.0, -1.0, 0.0], np.cos(theta), extra])
+    got = _METHODS[CIRCLE].row(0.0, n, weight)(t)
+    with mpmath.workdps(40):
+        exact = [weight * mpmath.cos(n * mpmath.acos(mpmath.mpf(float(x)))) for x in t]
+        err = max(abs(mpmath.mpf(float(g)) - e) for g, e in zip(got, exact))
+    assert float(err) <= _METHODS[CIRCLE].bound(n) * abs(weight)
+
+
 def test_series_bands_equal_single_rows(monkeypatch):
     # a batch on few points shares series sweeps: bands of both parities,
     # rows that join at different K, pairs of equal degree and weight and
@@ -526,7 +602,7 @@ def test_simulate_matches_scipy_sum_within_bound(case, seed):
         t = np.clip(points @ wave.pole, -1.0, 1.0)
         reference += weight * eval_gegenbauer(n, lam, t)
         allowed += tolerance(lam, n) * abs(weight) * np.exp(gegenbauer_log_at_one(lam, n))
-        tabulated += _tabulate_pays(lam, n, npts)
+        tabulated += _profile_methods(config.d, n, npts) == TABLE
     reference /= np.sqrt(config.L)
     allowed /= np.sqrt(config.L)
     assert np.max(np.abs(values - reference)) <= allowed

@@ -36,7 +36,6 @@ from turnarcs.simulator import (
     SimulationConfig,
     SimulationError,
     WaveParams,
-    _tabulate_pays,
     clt_marginal_samples,
     draw_wave,
     geodesic,
@@ -504,24 +503,57 @@ def test_unit_norm_rule_at_its_boundary(d):
 
 
 def test_simulate_metadata_records_profile_error_bound():
+    # degrees 0, 0 and 6 on one point: the bound of the exact row of degree 6
     out = simulate(scalar_config(L=3, seed=5), meridian_points(2, [0.2]))
-    assert out.metadata["profile_error_bound"] == PROFILE_ERROR_BOUND
+    assert out.metadata["degree_max"] == 6 and out.metadata["profile_methods"]["exact"] == 1
+    assert out.metadata["profile_error_bound"] == SERIES_ERROR_BOUND * 7**2
     assert 1e-9 < PROFILE_ERROR_BOUND < 1.3e-9
 
 
-@pytest.mark.parametrize("seed, top, series", [(6, 16_009, 4), (0, 483, 4), (3, 7, 0)])
+@pytest.mark.parametrize("seed, top, series", [(6, 16_009, 4), (0, 483, 4), (3, 7, 0),
+                                               (15, 477_129, 7)])
 def test_simulate_metadata_records_the_bound_of_its_highest_series_row(seed, top, series):
-    # F d = 2 under zeta:1.5 on 3 points, where no table pays: seed 6's
-    # highest series row, degree 16,009, has the bound SERIES_ERROR_BOUND
-    # (n+1)^2 = 2.8e-8 of its amplitude, above the table bound; seed 0's,
-    # degree 483, stays below it, and seed 3 draws no series row
+    # F d = 2 under zeta:1.5 on 3 points, where no table pays: every row of
+    # degree >= 1 is a series or an exact row, both bounded by
+    # SERIES_ERROR_BOUND (n+1)^2, so the highest row sets the bound.  Seed
+    # 6's top row, degree 16,009, is a series row (2.8e-8 of its amplitude),
+    # seed 0's (483) too, seed 3 draws no series row, and seed 15's top row,
+    # degree 477,129, is an exact one (2.5e-5)
     config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(1.5), L=20,
                               seed=seed)
     out = simulate(config, np.eye(3))
     assert out.metadata["degree_max"] == top
     assert out.metadata["profile_methods"]["series"] == series
-    bound = SERIES_ERROR_BOUND * (top + 1) ** 2 if seed == 6 else PROFILE_ERROR_BOUND
-    assert out.metadata["profile_error_bound"] == bound
+    assert out.metadata["profile_error_bound"] == SERIES_ERROR_BOUND * (top + 1) ** 2
+
+
+@pytest.mark.parametrize("case", ["circle", "nb d=2", "f d=3"])
+def test_simulate_records_the_largest_bound_of_its_rows(case):
+    # the bound of each row's method, written out: the circle's 5 eps (n+1),
+    # the table's and the closed form's constants and the recurrence's and
+    # series' SERIES_ERROR_BOUND (n+1)^2; simulate records the largest.  Each
+    # case runs rows of the method it is named for
+    eps = np.finfo(float).eps
+    model, law, L, npts, method = {
+        "circle": (SequenceCovariance([0.2, 0.5, 0.3], d=1), ShiftedZeta(1.5), 50, 40,
+                   simulator.CIRCLE),
+        "nb d=2": (NegativeBinomial(0.5, d=2), GeometricDegrees(0.01), 50, 10_000,
+                   simulator.TABLE),
+        "f d=3": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), 200, 1600,
+                  simulator.CLOSED),
+    }[case]
+    config = SimulationConfig(model, law, L=L, seed=3)
+    points = sample_pole(config.d, np.random.default_rng(npts), size=npts)
+    degrees = simulator._draw_plan(config).degrees
+    codes = simulator._profile_methods(config.d, degrees, npts)
+    assert method in codes
+    quadratic = SERIES_ERROR_BOUND * (degrees + 1.0) ** 2
+    bounds = {simulator.CONSTANT: 0.0 * degrees, simulator.CIRCLE: 5.0 * eps * (degrees + 1.0),
+              simulator.EXACT: quadratic, simulator.TABLE: PROFILE_ERROR_BOUND + 0.0 * degrees,
+              simulator.CLOSED: simulator.CHEBYSHEV_ERROR_BOUND + 0.0 * degrees,
+              simulator.SERIES: quadratic}
+    per_row = np.choose(codes, [bounds[code] for code in range(len(simulator._METHODS))])
+    assert simulate(config, points).metadata["profile_error_bound"] == per_row.max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -586,6 +618,29 @@ def test_indefinite_model_fails_before_any_wave_is_evaluated(monkeypatch):
     with pytest.raises(ModelError, match="not positive semidefinite"):
         simulate(config, meridian_points(2, [0.1, 2.0]))
     assert calls == []
+
+
+def test_points_must_be_a_two_dimensional_array():
+    # a stack of point sets has the right last axis but is no point set
+    config = scalar_config(L=4)
+    stacked = np.stack([meridian_points(2, [0.2, 1.0])] * 2)
+    wave = WaveParams(epsilon=1, pole=np.array([0.0, 0.0, 1.0]), degree=3)
+    calls = [
+        lambda: simulator.check_points(stacked, 2),
+        lambda: simulate(config, stacked),
+        lambda: simulate_ensemble(config, stacked, 3, np.random.default_rng(0)),
+        lambda: wave_eval_scalar(wave, config, stacked),
+    ]
+    for call in calls:
+        with pytest.raises(SimulationError, match=r"rows of 3 coordinates .* shape \(2, 2, 3\)"):
+            call()
+
+
+@pytest.mark.parametrize("L", [2.5, 3.0, "3", None, 0, -2])
+def test_wave_count_must_be_a_positive_integer(L):
+    with pytest.raises(SimulationError, match="wave count must be an integer >= 1"):
+        SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.3), L=L, seed=0)
+    assert scalar_config(L=np.int64(3)).L == 3
 
 
 def test_empty_point_set_fails_cleanly():
@@ -714,7 +769,7 @@ def test_single_wave_rows_equal_wave_eval_bitwise(case):
     iotas = replay.integers(0, p, size=M) if p > 1 else [None] * M
     assert len(set(kappas.tolist())) > 1
     if points.shape[0] > 10_000:
-        assert np.any(_tabulate_pays(0.5 * (d - 1), kappas, points.shape[0]))
+        assert np.any(simulator._profile_methods(d, kappas, points.shape[0]) == simulator.TABLE)
     for i in range(M):
         wave = WaveParams(int(eps[i]), poles[i], int(kappas[i]), iotas[i])
         if p == 1:
@@ -770,7 +825,7 @@ def test_tile_shape_does_not_change_bits(case):
     poles[0] = axes[0]
     points[rng.permutation(npts)[:3]] = [axes[0], -axes[0], axes[1]][: npts]
     scale = rng.normal(size=m)
-    pays = _tabulate_pays(0.5 * (d - 1), degrees, npts)
+    pays = simulator._profile_methods(d, degrees, npts) == simulator.TABLE
     assert pays.any() == tabulated and not pays.all()
     single = [wave_profiles(d, degrees[i : i + 1], points, poles[i : i + 1], scale[i : i + 1])[0]
               for i in range(m)]
@@ -792,7 +847,7 @@ def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
     npts = points.shape[0]
     if npts > simulator.POINT_BLOCK:
         degrees = simulator._draw_plan(config).degrees
-        assert np.any(_tabulate_pays(0.5 * (config.d - 1), degrees, npts))
+        assert np.any(simulator._profile_methods(config.d, degrees, npts) == simulator.TABLE)
     waves = single_wave_values(config, points, M, np.random.default_rng(5))
     field = simulate(config, points).values
     ensemble = simulate_ensemble(config, points, 2, np.random.default_rng(6))
