@@ -2,10 +2,20 @@
 bit for bit.
 
     python3 scripts/bit_digests.py > digests.txt
+    python3 scripts/bit_digests.py --save DIR
+    python3 scripts/bit_digests.py --compare DIR
 
 Run it in two checkouts and diff the two outputs: every line that differs is
 a case whose output bits moved.  The package is imported from the src/
 directory next to this script, never from an installed copy.
+
+To see by how much the bits moved, run the first checkout with --save DIR,
+which also keeps each case's values as DIR/<case>.npy and the printed lines
+as DIR/digests.txt, then the second with --compare DIR: it prints each line
+whose digest differs from DIR's, with the largest |difference| between the
+two cases' values relative to the RMS of DIR's values, and a last line
+counting the moved lines.  A case's values are its array, the numbers of
+its CSV rows or report lines, its law draws or its method codes.
 
 Cases:
   - the four benchmark workload configs (perfbench/workloads.py), config
@@ -66,9 +76,11 @@ A change to any row's method moves the `methods` line, and with it the
 value lines whose plans hold such a row.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -120,6 +132,18 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
+def numbers(lines) -> np.ndarray:
+    """Every number in some lines of text, in order."""
+    number = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf"
+    return np.array([float(x) for x in re.findall(number, chr(10).join(lines))])
+
+
+def csv_values(body: bytes) -> np.ndarray:
+    """The numbers of some CSV rows, one row per line, below the column names."""
+    return np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2,
+                      skiprows=0 if re.match(rb"[-+\d.]", body) else 1)
+
+
 def heavy(config, npts: int) -> str:
     """' heavy=k' for d = 3: waves of the plan above the column limit."""
     if config.d != 3:
@@ -133,7 +157,8 @@ def simulate_lines(name, config, points):
     note = heavy(config, points.shape[0])
     for threads in (None, 2):
         values = simulate(config, points, n_threads=threads).values
-        yield f"{name} seed={config.seed} threads={threads} {digest(values.tobytes())}{note}"
+        yield (f"{name} seed={config.seed} threads={threads} {digest(values.tobytes())}{note}",
+               values)
 
 
 def workload_lines():
@@ -146,7 +171,7 @@ def workload_lines():
                     code = cli.main(["validate", *workload.flags, "--seed", str(seed)])
                 body = [line for line in report.getvalue().splitlines()
                         if not line.startswith("# wall-time-seconds")]
-                yield f"{name} seed={seed} exit={code} {digest(chr(10).join(body))}"
+                yield f"{name} seed={seed} exit={code} {digest(chr(10).join(body))}", numbers(body)
             continue
         for seed in SEEDS:
             config = SimulationConfig(inputs.model, inputs.degrees, L=inputs.args.L, seed=seed)
@@ -154,7 +179,7 @@ def workload_lines():
             if workload.via_cli:
                 with tempfile.TemporaryDirectory() as tmp:
                     code, body = csv_body([*workload.flags, "--seed", str(seed)], tmp)
-                yield f"{name} seed={seed} csv exit={code} {digest(body)}"
+                yield f"{name} seed={seed} csv exit={code} {digest(body)}", csv_values(body)
 
 
 CSV_CASES = {
@@ -194,7 +219,7 @@ def csv_lines():
             flags = [flag.format(points=points) for flag in flags]
             for seed in SEEDS:
                 code, body = csv_body([*flags, "--seed", str(seed)], tmp)
-                yield f"csv {name} seed={seed} exit={code} {digest(body)}"
+                yield f"csv {name} seed={seed} exit={code} {digest(body)}", csv_values(body)
 
 
 def extra_lines():
@@ -214,7 +239,7 @@ def method_lines():
         config = SimulationConfig(model, law, L=1, seed=0)
         for seed in range(6):
             waves = single_wave_values(config, points, 60, np.random.default_rng(seed))
-            yield f"{name} batch rng={seed} {digest(waves.tobytes())}"
+            yield f"{name} batch rng={seed} {digest(waves.tobytes())}", waves
 
 
 def ensemble_lines():
@@ -222,7 +247,7 @@ def ensemble_lines():
     points = build_grid(parse_grid("latlon:8x16")).points
     for seed in range(3):
         values = simulate_ensemble(validate, points, 200, np.random.default_rng(seed))
-        yield f"ensemble validate rng={seed} {digest(values.tobytes())}"
+        yield f"ensemble validate rng={seed} {digest(values.tobytes())}", values
     # 40 waves x 128 points x p = 2 per realization: 19 realizations a chunk
     config = SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
                               GeometricDegrees(0.05), L=40, seed=0)
@@ -231,7 +256,7 @@ def ensemble_lines():
     try:
         for seed in range(3):
             values = simulate_ensemble(config, points, 60, np.random.default_rng(seed))
-            yield f"ensemble bivariate chunks=4 rng={seed} {digest(values.tobytes())}"
+            yield f"ensemble bivariate chunks=4 rng={seed} {digest(values.tobytes())}", values
     finally:
         simulator.ENSEMBLE_BUDGET = budget
 
@@ -264,7 +289,7 @@ def switch_lines():
         points = sample_pole(2, np.random.default_rng(9000), size=9000)
         for seed in range(3):
             values = simulate_ensemble(config, points, M, np.random.default_rng(seed))
-            yield f"ensemble {name} 9000pts rng={seed} {digest(values.tobytes())}"
+            yield f"ensemble {name} 9000pts rng={seed} {digest(values.tobytes())}", values
 
 
 def group_lines():
@@ -285,20 +310,21 @@ def cap_lines():
     for degree in (32_768, 32_769):
         values = [wave_eval_scalar(WaveParams(sign, pole, degree), config, points)
                   for sign, pole in zip(signs, poles)]
-        yield f"cap d=2 degree={degree} wave_eval {digest(np.array(values).tobytes())}"
+        values = np.array(values)
+        yield f"cap d=2 degree={degree} wave_eval {digest(values.tobytes())}", values
     degrees = np.repeat([32_768, 32_769], 3)
     plan = simulator._Plan(np.tile(signs, 2), np.tile(poles, (2, 1)), degrees, None)
     signed, _ = simulator._wave_coefficients(config, plan)
     values = simulator._wave_sums(2, degrees, points, plan.poles, signed, None, 1)
-    yield f"cap d=2 degrees=32768,32769 batch {digest(values.tobytes())}"
+    yield f"cap d=2 degrees=32768,32769 batch {digest(values.tobytes())}", values
 
 
 def method_table_lines():
     degrees = np.concatenate([np.arange(40_001),
                               [10**6, 10**9, 2**53 + 1, 2**62, 2**63 - 1]]).astype(np.int64)
-    codes = [simulator._profile_methods(d, degrees, npts)
-             for d in (1, 2, 3, 4, 8, 256) for npts in METHOD_POINTS]
-    yield f"methods {digest(np.array(codes, dtype=np.int64).tobytes())}"
+    codes = np.array([simulator._profile_methods(d, degrees, npts)
+                      for d in (1, 2, 3, 4, 8, 256) for npts in METHOD_POINTS], dtype=np.int64)
+    yield f"methods {digest(codes.tobytes())}", codes
 
 
 def law_lines():
@@ -309,23 +335,74 @@ def law_lines():
                 rng = wave_rng(seed, idx)
                 draws.append(law.sample(rng))
                 states.append(rng.bit_generator.state)
-            yield f"law {law.spec_string()} seed={seed} scalar {digest(draws, states)}"
+            yield (f"law {law.spec_string()} seed={seed} scalar {digest(draws, states)}",
+                   np.array(draws))
         rng = np.random.default_rng(99)
         batch = law.sample(rng, size=5000)
         yield (f"law {law.spec_string()} batch "
-               f"{digest(batch.tobytes(), rng.bit_generator.state)}")
+               f"{digest(batch.tobytes(), rng.bit_generator.state)}", batch)
     for d in (1, 2, 3, 8, 40):
         rng = wave_rng(7, d)
         pole = sample_pole(d, rng)
-        yield f"pole d={d} {digest(pole.tobytes(), rng.bit_generator.state)}"
+        yield f"pole d={d} {digest(pole.tobytes(), rng.bit_generator.state)}", pole
+
+
+DIGEST = re.compile(r" [0-9a-f]{64}")
+
+
+def case_file(directory: Path, line: str) -> Path:
+    """DIR/<case>.npy, named by the line without its digest."""
+    return directory / (re.sub(r"[^\w=.,+-]+", "_", DIGEST.sub("", line)) + ".npy")
+
+
+def moved_line(directory: Path, line: str, values) -> str:
+    """A moved line with the largest |difference| between its case's values
+    and DIR's, relative to the RMS of DIR's."""
+    reference = case_file(directory, line)
+    if not reference.exists():
+        return f"{line} (no saved case)"
+    ref = np.load(reference)
+    if ref.shape != np.shape(values):
+        return f"{line} shape {ref.shape} -> {np.shape(values)}"
+    diff = np.max(np.abs(values - ref), initial=0.0)
+    rms = np.sqrt(np.mean(np.square(ref.astype(float))))
+    return f"{line} max|diff|/rms={diff / rms if rms else diff:.3g}"
+
+
+def cases():
+    """(line, values) of every case, in print order."""
+    for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(),
+                  ensemble_lines(), last_tile_lines(), switch_lines(), group_lines(),
+                  workload_lines(), csv_lines()):
+        yield from lines
 
 
 def main() -> None:
-    for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(), ensemble_lines(),
-                  last_tile_lines(), switch_lines(), group_lines(), workload_lines(),
-                  csv_lines()):
-        for line in lines:
+    parser = argparse.ArgumentParser(description=__doc__.split(chr(10))[0])
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--save", type=Path, metavar="DIR",
+                       help="also keep each case's values as DIR/<case>.npy")
+    modes.add_argument("--compare", type=Path, metavar="DIR",
+                       help="print only the lines whose digest moved from DIR's, "
+                            "with the largest difference relative to DIR's RMS")
+    args = parser.parse_args()
+    if args.compare:
+        before = set((args.compare / "digests.txt").read_text().splitlines())
+        moved = 0
+        for count, (line, values) in enumerate(cases(), 1):
+            if line not in before:
+                moved += 1
+                print(moved_line(args.compare, line, values), flush=True)
+        print(f"# {moved} of {count} lines moved")
+        return
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
+    with open(args.save / "digests.txt", "w") if args.save else contextlib.nullcontext() as saved:
+        for line, values in cases():
             print(line, flush=True)
+            if saved:
+                print(line, file=saved, flush=True)
+                np.save(case_file(args.save, line), values)
 
 
 if __name__ == "__main__":

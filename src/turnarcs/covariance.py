@@ -347,8 +347,9 @@ class GeneralizedF(Covariance):
 def chentsov_coeff_direct(d: int, n: int) -> float:
     """Closed-form coefficient of the chordlike covariance 1 - 2t/pi.
 
-    Zero at even degrees; at odd degrees a pure gamma quotient.  Kept separate
-    from the induction used by the model so the two can cross-check each other.
+    Zero at even degrees; at odd degrees a pure gamma quotient of plain
+    gammaln values.  Kept separate from the model's differenced form so the
+    two can cross-check each other.
     """
     if d < 2:
         raise ModelError("closed-form coefficients require sphere dimension >= 2")
@@ -370,10 +371,10 @@ def chentsov_coeff_direct(d: int, n: int) -> float:
 class Chentsov(Covariance):
     """Piecewise-linear covariance 1 - 2*theta/pi; odd-degree spectrum only.
 
-    Coefficients are generated by the one-step induction from the degree-1
-    seed, a log-space cumsum up to the largest requested degree; cumsum
-    prefixes do not depend on the length, so a coefficient does not depend
-    on the other requested degrees.
+    The coefficient of degree n = 2k + 1 is the gamma quotient of
+    chentsov_coeff_direct, with its two large gamma values differenced as
+    _log_gamma_shift(k + 1/2, lam + 1): O(1) time and memory per degree, and
+    each coefficient is computed from its own degree alone.
     """
 
     odd_support = True
@@ -393,16 +394,10 @@ class Chentsov(Covariance):
         if self.d < 2:
             raise ModelError("closed-form coefficients require sphere dimension >= 2")
         lam = _lam(self.d)
-        seed = gammaln(lam) + gammaln(lam + 2.0) - np.log(np.pi) - 2.0 * gammaln(lam + 1.5)
-        m = np.arange(1, n.max(initial=0) // 2 + 1, dtype=float)
-        inc = (
-            np.log(lam + 2.0 * m + 1.0)
-            - np.log(lam + 2.0 * m - 1.0)
-            + 2.0 * np.log(m - 0.5)
-            - 2.0 * np.log(lam + m + 0.5)
-        )
-        log_odd = np.concatenate([[seed], seed + np.cumsum(inc)])  # log b_{2m+1}
-        return np.where(n % 2 == 1, log_odd[n // 2], -np.inf)
+        k = n // 2
+        log_odd = (np.log(lam + 2.0 * k + 1.0) + gammaln(lam) + gammaln(lam + 1.0)
+                   - 2.0 * np.log(np.pi) - 2.0 * _log_gamma_shift(k + 0.5, lam + 1.0))
+        return np.where(n % 2 == 1, log_odd, -np.inf)
 
     def covariance(self, theta):
         theta = _check_theta(theta)

@@ -10,8 +10,9 @@ Waves stay arrays from draw to sum (a _Plan of signs, poles, degrees and
 components); WaveParams is the public one-wave replay (draw_wave, wave_eval_*),
 checked before any point is read.  Each wave profile takes one of the methods
 in _METHODS (constant, circle, exact recurrence, table, 3-sphere closed form,
-and on d <= 3 the Chebyshev series of degrees 8 to SERIES_MAX_DEGREE summed
-by Clenshaw's recurrence, about half a recurrence step per degree).  Each
+and on d <= 3 the Chebyshev series of degrees 8 to SERIES_MAX_DEGREE, whose
+unit-weight polynomial Clenshaw's recurrence sums in about half a recurrence
+step per degree before the weight multiplies it once).  Each
 method carries its cost and its error bound: _profile_methods gives every
 row of degree >= 1 on d >= 2 its cheapest method, and simulate records the
 largest bound among its rows.  Every entry point sums its waves through
@@ -19,7 +20,8 @@ _wave_sums: simulate one run per wave group, simulate_ensemble one run of L
 waves per realization, single_wave_values and wave_eval_* runs of one wave.
 The point count picks its form, one wave at a time over point tiles or
 degree-sorted sweeps (recurrence or series) of many waves on few points; a
-wave's doubles and the order of the sums do not depend on it.
+wave's doubles and the order of the sums do not depend on it.  _wave_sums
+alone cuts point tiles: a row function is elementwise on the tile it gets.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -97,10 +99,11 @@ SERIES_MIN_DEGREE = 8
 SERIES_MAX_DEGREE = 2 * POINT_BLOCK
 # |series - exact profile| / (|w| G_n(1)) <= SERIES_ERROR_BOUND (n+1)^2, i.e.
 # (n+1)/2 times (n+1) eps: rounding y = 4t^2 - 2 moves t by up to eps |t| / 4,
-# up to eps n(n+2lam) / (4 (1+2lam)) near t = +-1, and Clenshaw's steps round
-# within eps |b_i| <= eps (K-i+1) |w| G_n(1) each, entering the sum with a
-# weight of at most 1 (measured at most 0.095 eps (n+1)^2, next to t = 1 at
-# n theta ~ 1, up to SERIES_MAX_DEGREE).  The exact recurrence takes it too
+# up to eps n(n+2lam) / (4 (1+2lam)) near t = +-1, Clenshaw's steps round
+# within eps |b_i| <= eps (K-i+1) G_n(1) each, entering the unit-weight sum
+# with a weight of at most 1, and the product by w within eps / 2 (measured
+# at most 0.082 eps (n+1)^2, next to t = 1 at n theta ~ 1, up to
+# SERIES_MAX_DEGREE).  The exact recurrence takes it too
 SERIES_ERROR_BOUND = 0.5 * np.finfo(float).eps
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
@@ -140,6 +143,10 @@ class SimulationConfig:
             count = 0
         if count < 1:
             raise SimulationError(f"wave count must be an integer >= 1, got {L!r}")
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise SimulationError(f"seed must be an integer, got {seed!r}") from None
         uncovered = support_covers(degrees, model, SUPPORT_CHECK_MAX)
         if uncovered is not None:
             raise SimulationError(
@@ -149,7 +156,7 @@ class SimulationConfig:
         self.model = model
         self.degrees = degrees
         self.L = count
-        self.seed = int(seed)
+        self.seed = seed
 
     @property
     def d(self) -> int:
@@ -364,8 +371,8 @@ def _cosine_coefficients(alpha: np.ndarray, degree, weight, k) -> np.ndarray:
     G_n(cos theta), G_n(cos theta) = sum_k alpha_k alpha_{n-k} cos((n-2k)
     theta) (Szego, Orthogonal Polynomials, eq. 4.9.19), where the pair k and
     n - k share each frequency but n/2.  Every coefficient has the weight's
-    sign.  The Fourier tables and the series rows both take their
-    coefficients from here."""
+    sign.  The Fourier tables (weight w) and the series rows (weight 1 or 2)
+    both take their coefficients from here."""
     return (weight * alpha[k] * alpha[degree - k]).astype(float)
 
 
@@ -430,20 +437,17 @@ def _profile_table(lam: float, degree: int, weight: float) -> np.ndarray:
 
 
 def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate a _profile_table at theta = arccos(t) by Horner's rule, over
-    tiles of POINT_BLOCK points.  Interval indices of t in [-1, 1] lie in
-    [0, m]; clip mode only skips the bounds check."""
-    out = np.empty_like(t)
-    for s in range(0, t.size, POINT_BLOCK):
-        u = np.arccos(t[s : s + POINT_BLOCK])
-        u *= (table.shape[1] - 1) / np.pi
-        j = u.astype(np.intp)
-        u -= j
-        tile = out[s : s + POINT_BLOCK]
-        np.take(table[5], j, out=tile, mode="clip")
-        for row in table[4::-1]:
-            tile *= u
-            tile += row.take(j, mode="clip")
+    """Evaluate a _profile_table at theta = arccos(t) by Horner's rule.
+    Interval indices of t in [-1, 1] lie in [0, m]; clip mode only skips the
+    bounds check."""
+    u = np.arccos(t)
+    u *= (table.shape[1] - 1) / np.pi
+    j = u.astype(np.intp)
+    u -= j
+    out = table[5].take(j, mode="clip")
+    for row in table[4::-1]:
+        out *= u
+        out += row.take(j, mode="clip")
     return out
 
 
@@ -482,24 +486,19 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
     to (pi/2) eps, the rounding of (n+1) theta by (pi/4) eps (both worst
     at theta = pi/2, where theta / sin(theta) = pi/2), the two sines by eps
     each, the division and the weight by eps/2 each: 5.4 eps in all, so
-    CHEBYSHEV_ERROR_BOUND = 6 eps.  Tiles of POINT_BLOCK points; every step
-    is elementwise, so the doubles do not depend on the tiles."""
-    out = np.empty_like(t)
+    CHEBYSHEV_ERROR_BOUND = 6 eps."""
     k1 = degree + 1.0
     w_odd = -weight if degree % 2 else weight       # (-1)^n w
-    for s in range(0, t.size, POINT_BLOCK):
-        tile = t[s : s + POINT_BLOCK]
-        theta = np.arccos(np.abs(tile))
-        sin = np.sin(theta)
-        x = np.sin(theta * k1)
-        pole = sin == 0.0
-        if pole.any():
-            sin[pole] = 1.0
-            x[pole] = k1
-        x /= sin
-        x *= np.where(tile < 0.0, w_odd, weight)
-        out[s : s + POINT_BLOCK] = x
-    return out
+    theta = np.arccos(np.abs(t))
+    sin = np.sin(theta)
+    x = np.sin(theta * k1)
+    pole = sin == 0.0
+    if pole.any():
+        sin[pole] = 1.0
+        x[pole] = k1
+    x /= sin
+    x *= np.where(t < 0.0, w_odd, weight)
+    return x
 
 
 @cache
@@ -511,63 +510,47 @@ def _series_alphas(lam: float) -> np.ndarray:
     return alpha
 
 
-# the Chebyshev coefficients of series rows of one parity, sorted by
-# non-increasing degree, as _clenshaw takes them (see _series_coefficients)
-_Series = namedtuple("_Series", "odd c0 blocks shift")
-
-
-def _series_shift(degrees, weights) -> np.ndarray:
-    """Per row, the s >= 0 by which _clenshaw scales its coefficients down,
-    2^-s, and its sums back up, exactly: Clenshaw's b_i reach (K + 1) times
-    the amplitude |w| G_n(1) <= |w| (n + 1) (lam <= 1), which overflows
-    where the profile itself need not.  s keeps |w| (n + 1)^2 below 2^1021;
-    it is 0 save for amplitudes within (n + 1)^2 of the double range."""
-    bits = np.frexp(np.abs(weights))[1] + 2 * np.frexp(np.add(degrees, 1.0))[1]
-    return np.maximum(bits - 1021, 0)
+# the unit-weight Chebyshev coefficients of series rows of one parity,
+# sorted by non-increasing degree, and the rows' weights, as _clenshaw takes
+# them (see _series_coefficients)
+_Series = namedtuple("_Series", "odd c0 blocks weights")
 
 
 def _series_coefficients(lam: float, degrees: np.ndarray, weights: np.ndarray) -> _Series:
     """The coefficients of _clenshaw for rows of one parity, sorted by
-    non-increasing degree and then weight: c0 (rows, 1) and an iterator
-    over runs of indices i from K_0 down to 1 of (the number of rows with
-    K >= i for each i, column block (run, rows, 1) of their c_i).  The c_i
-    are computed once per distinct (degree, weight) pair, in blocks of at
-    most POINT_BLOCK entries; entries of rows with K < i are never read."""
+    non-increasing degree: c0 (rows, 1) and an iterator over runs of
+    indices i from K_0 down to 1 of (the number of rows with K >= i for
+    each i, column block (run, rows, 1) of their c_i), all of unit weight,
+    and the weight column (rows, 1).  The c_i depend on (lam, n) only and
+    are computed once per distinct degree, in blocks of at most POINT_BLOCK
+    entries; entries of rows with K < i are never read."""
     K = degrees // 2
     alpha = _series_alphas(lam)
-    shift = _series_shift(degrees, weights)
-    scaled = shift.any()
-    c0 = _cosine_coefficients(alpha, degrees, weights, K)
-    if scaled:
-        c0 = np.ldexp(c0, -shift)
-    if degrees[0] % 2:
-        c0 *= 2.0
+    odd = bool(degrees[0] % 2)
+    c0 = _cosine_coefficients(alpha, degrees, 2.0 if odd else 1.0, K)
     first = np.ones(degrees.size, dtype=bool)
-    first[1:] = (degrees[1:] != degrees[:-1]) | (weights[1:] != weights[:-1])
-    kp, wp, n = K[first], weights[first], degrees[first]
-    pair = np.cumsum(first) - 1
+    first[1:] = degrees[1:] != degrees[:-1]
+    kp, n = K[first], degrees[first]
+    distinct = np.cumsum(first) - 1
     run = max(1, POINT_BLOCK // degrees.size)
 
     def blocks():
         for hi in range(int(K[0]), 0, -run):
             i = np.arange(hi, max(hi - run, 0), -1)
-            block = _cosine_coefficients(alpha, n, wp, np.maximum(kp - i[:, None], 0))
-            if scaled:
-                block = np.ldexp(block, -shift[first])
-            block *= 2.0
-            yield np.searchsorted(-K, -i, side="right").tolist(), block[:, pair, None]
+            block = _cosine_coefficients(alpha, n, 2.0, np.maximum(kp - i[:, None], 0))
+            yield np.searchsorted(-K, -i, side="right").tolist(), block[:, distinct, None]
 
-    return _Series(bool(degrees[0] % 2), c0[:, None], blocks(),
-                   shift[:, None] if scaled else None)
+    return _Series(odd, c0[:, None], blocks(), weights[:, None])
 
 
 def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
     """weights_r * G_{n_r}^lam(t_r) for the rows r of t, shape (rows, npts),
-    from their _series_coefficients, by Clenshaw's recurrence.
+    from their _series_coefficients, by Clenshaw's recurrence on the
+    unit-weight polynomial, times the row's weight once at the end.
 
-    With p = n mod 2 and K = (n - p) / 2, w G_n(t) = sum_{i=0}^K c_i
+    With p = n mod 2 and K = (n - p) / 2, G_n(t) = sum_{i=0}^K c_i
     T_{p+2i}(t), where c_i is twice the _cosine_coefficients entry
-    k = K - i, save c_0 = w alpha_K^2 when p = 0.  T_{p+2i} satisfy
+    k = K - i of weight 1, save c_0 = alpha_K^2 when p = 0.  T_{p+2i} satisfy
     T_{p+2i+2} = y T_{p+2i} - T_{p+2i-2} in y = 4t^2 - 2, so from
     b_{K+1} = b_{K+2} = 0, b_i = y b_{i+1} - b_{i+2} + c_i for i = K .. 1,
     and the sum is B_0 (c_0 - b_2) + B_1 b_1 with B_0, B_1 = 1, y/2 for
@@ -575,7 +558,9 @@ def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
     the recurrence takes four per degree.  A row joins the sweep as i falls
     to its own K (its b_{i+1} and b_{i+2} are zeroed then): every step is
     elementwise, so a row's doubles depend neither on the other rows nor on
-    the tiles of t."""
+    the tiles of t.  With unit weights |b_i| <= (K+1) (n+1) stays far inside
+    the double range; a weighted row overflows only in the final product,
+    where its value does."""
     y = np.multiply(t, t)
     y *= 4.0
     y -= 2.0
@@ -607,27 +592,16 @@ def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
         y *= 0.5
     y *= b1
     out += y
-    if series.shift is not None:
-        np.ldexp(out, series.shift, out=out)
+    out *= series.weights
     return out
 
 
 def _series_row(lam: float, degree: int, weight: float):
     """The series method's row function: the _series_coefficients of one
-    row, its blocks made once, then _clenshaw over tiles of POINT_BLOCK
-    points."""
+    row, its blocks made once, then _clenshaw on t."""
     series = _series_coefficients(lam, np.array([degree]), np.array([weight]))
     series = series._replace(blocks=list(series.blocks))
-
-    def profile(t):
-        if t.size <= POINT_BLOCK:
-            return _clenshaw(series, t[None])[0]
-        out = np.empty_like(t)
-        for s in range(0, t.size, POINT_BLOCK):
-            out[s : s + POINT_BLOCK] = _clenshaw(series, t[None, s : s + POINT_BLOCK])[0]
-        return out
-
-    return profile
+    return lambda t: _clenshaw(series, t[None])[0]
 
 
 def _series_cost(lam: float, degrees: np.ndarray, npts: int) -> np.ndarray:
@@ -799,8 +773,8 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
                 out[band[lo:hi]] = next(islice(sweep, n - k - 1, None))[lo:hi]
                 k = n
     if SERIES in shared:
-        # even degrees first, each parity by non-increasing degree, then weight
-        order = series[np.lexsort((signed[series], -degrees[series], degrees[series] % 2))]
+        # even degrees first, each parity by non-increasing degree
+        order = series[np.lexsort((-degrees[series], degrees[series] % 2))]
         even = np.count_nonzero(degrees[series] % 2 == 0)
         for part in (order[:even], order[even:]):
             for r0 in range(0, part.size, height):

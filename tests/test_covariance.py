@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -257,6 +259,48 @@ def test_chentsov_induction_matches_direct_high_dimension():
     )
     got = spec.log_schoenberg_coeff(2 * k + 1)
     assert np.max(np.abs(got - direct_log) / np.abs(direct_log)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 256), k=st.one_of(st.integers(0, 100), st.integers(0, 10**6)))
+@example(d=2, k=10**6)
+@example(d=128, k=10**6)
+@example(d=256, k=10**6)
+@example(d=8, k=0)
+def test_chentsov_against_mpmath_log_gamma(d, k):
+    # log b_n at n = 2k + 1 within a few ulp of its largest term, the
+    # differenced gamma pair of size ~2 (lam+1) log k: the closed form was at
+    # most 9.1e-13 off on d <= 256, n <= 2e6 + 1; the old induction, a
+    # cumulative sum of 1e6 increments, up to 9.5e-11
+    lam = 0.5 * (d - 1)
+    scale = gammaln(lam) + gammaln(lam + 1.0) + 2.0 * (lam + 1.0) * np.log(k + lam + 2.0) + 10.0
+    got = Chentsov(d=d).log_schoenberg_coeff(2 * k + 1)
+    assert got == pytest.approx(chentsov_log_coeff_mpmath(d, k), rel=0.0,
+                                abs=4.0 * np.finfo(float).eps * scale)
+
+
+def chentsov_log_coeff_mpmath(d, k):
+    """log b_{2k+1} of Chentsov's model at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam = mp.mpf(d - 1) / 2
+        return float(mp.log(lam + 2 * k + 1) + mp.loggamma(lam) + mp.loggamma(lam + 1)
+                     - 2 * mp.log(mp.pi) + 2 * mp.loggamma(k + mp.mpf(1) / 2)
+                     - 2 * mp.loggamma(lam + k + mp.mpf(3) / 2))
+
+
+def test_chentsov_coefficient_of_a_huge_degree_takes_constant_memory():
+    # the induction allocated one entry per odd degree below n (4 TB here)
+    k = 2**39
+    tracemalloc.start()
+    try:
+        got = Chentsov(d=3).log_schoenberg_coeff(np.array([2 * k + 1, 2 * k]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert got[1] == -np.inf
+    assert got[0] == pytest.approx(chentsov_log_coeff_mpmath(3, k), rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -577,6 +577,46 @@ def test_series_bands_equal_single_rows(monkeypatch):
         assert_array_equal(wave_profiles(d, degrees, points, poles, weights), np.array(single))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.sampled_from([0.5, 1.0]),
+    parity=st.integers(0, 1),
+    halves=st.lists(st.integers(SERIES_MIN_DEGREE // 2, 200), min_size=1, max_size=3,
+                    unique=True),
+    copies=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)),
+                    min_size=2, max_size=6),
+    npts=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lam=0.5, parity=0, halves=[4], copies=[(1.0, 300.0), (-1.0, -300.0)], npts=3, seed=0)
+def test_series_band_of_equal_degrees_equals_single_rows(lam, parity, halves, copies, npts,
+                                                         seed):
+    # rows of one degree share their unit-weight coefficients whatever their
+    # weights, which multiply each row's sum once at the end: every row of a
+    # band has the doubles of its row run alone, for weights of both signs
+    # from 1e-300 to 1e300
+    degrees = np.repeat(np.sort(2 * np.array(halves) + parity)[::-1], len(copies))
+    weights = np.tile([sign * 10.0**e for sign, e in copies], len(halves))
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-1.0, 1.0, (degrees.size, npts))
+    t[:, 0] = rng.choice([-1.0, 1.0, 0.3], degrees.size)
+    band = simulator._clenshaw(simulator._series_coefficients(lam, degrees, weights), t)
+    for i, (n, w) in enumerate(zip(degrees.tolist(), weights.tolist())):
+        assert_array_equal(band[i], _series_row(lam, n, w)(t[i]))
+
+
+@pytest.mark.parametrize("n", [SERIES_MIN_DEGREE, 9, 1000, SERIES_MAX_DEGREE])
+def test_huge_series_weight_overflows_only_where_the_profile_does(n):
+    # the Clenshaw sums of a d = 2 row stay near the unit amplitude
+    # G_n(1) = 1, and the weight multiplies them once, so a weight of 1e306
+    # gives finite values equal to the weight times the unit-weight row
+    weight = 1e306
+    t = np.concatenate([np.linspace(-0.999, 0.999, 41), np.cos(np.arange(1, 9) / n)])
+    got = _METHODS[SERIES].row(0.5, n, weight)(t)
+    assert np.all(np.isfinite(got))
+    assert_array_equal(got, weight * _series_row(0.5, n, 1.0)(t))
+
+
 CASES = {
     "nb d=2": (NegativeBinomial(0.5, d=2), GeometricDegrees(0.01), LatLonGrid(100, 100)),
     "f d=3": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), Slice3Grid(0.25, 100, 100)),

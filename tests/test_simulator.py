@@ -278,6 +278,24 @@ def test_config_rejects_uncovered_support():
         SimulationConfig(NegativeBinomial(0.5, d=2), OddShiftedZeta(2.0), L=10, seed=0)
 
 
+def test_float_seed_rejected():
+    # a float seed used to be truncated: 2.7 silently ran seed 2
+    with pytest.raises(SimulationError, match="seed must be an integer, got 2.7"):
+        scalar_config(seed=2.7)
+
+
+@pytest.mark.parametrize("seed, folded", [(np.int64(5), 5), (-1, 2**64 - 1), (2**64 + 3, 3),
+                                          (-(2**64) + 7, 7)])
+def test_integer_seeds_fold_as_the_wave_streams_do(seed, folded):
+    # an integer of any type or size is kept as a Python int; wave_rng folds
+    # it to its low 64 bits, so these seeds run the same waves
+    config = scalar_config(L=5, seed=seed)
+    assert type(config.seed) is int and config.seed == seed
+    points = meridian_points(2, np.linspace(0.0, np.pi, 7))
+    assert_array_equal(simulate(config, points).values,
+                       simulate(scalar_config(L=5, seed=folded), points).values)
+
+
 def test_simulate_single_wave_identity():
     config = scalar_config(L=1, seed=123)
     points = meridian_points(2, np.linspace(0.0, np.pi, 7))
