@@ -28,8 +28,11 @@ Cases:
     values (a slice's w, also as -0) and ones that repeat none (a point
     list's x0..xd), with row counts across the writer's 4096-row chunks;
   - L = 300 waves on 500 fixed points for the circle with a finite law,
-    Chentsov d = 5 under oddzeta:2, bivariate nb under zeta:2 and F d = 3
-    under zeta:2, seeds 2**70 + 0-2, n_threads None and 2;
+    Chentsov d = 5 under oddzeta:2, bivariate nb under zeta:2, F d = 3
+    under zeta:2, the bivariate spectral-Matern model of example 2's valid
+    variant under zeta:2 and a three-variate matrix sequence (one of its
+    matrices singular, so its factor takes the eigen square root) under a
+    finite law, seeds 2**70 + 0-2, n_threads None and 2;
   - one case per profile method mix, on its own point count, seeds as
     above: the circle on 40 points, nb d = 4 on 10,000 points (recurrence
     tables), and F d = 2 under zeta:1.5 on 3 points (heavy exact rows, up
@@ -95,7 +98,8 @@ from scipy import fft  # noqa: E402
 import workloads  # noqa: E402
 from turnarcs import cli, simulator  # noqa: E402
 from turnarcs.covariance import (  # noqa: E402
-    BivariateNegativeBinomial, Chentsov, GeneralizedF, NegativeBinomial, SequenceCovariance)
+    BivariateNegativeBinomial, BivariateSpectralMatern, Chentsov, GeneralizedF, NegativeBinomial,
+    SequenceCovariance, SequenceMultiCovariance)
 from turnarcs.degree_sampling import (  # noqa: E402
     FiniteDegrees, GeometricDegrees, OddShiftedZeta, ShiftedZeta)
 from turnarcs.grids import build_grid, parse_grid  # noqa: E402
@@ -112,6 +116,14 @@ EXTRA_CASES = {
     "bivariate-nb-zeta2": (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
                            ShiftedZeta(2.0)),
     "f-d3-zeta2": (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0)),
+    "bivariate-sm-zeta2": (BivariateSpectralMatern(1.0, 2.0, 1.375, 0.75, rho=-0.6),
+                           ShiftedZeta(2.0)),
+    "sequence-p3-finite": (SequenceMultiCovariance([np.eye(3),
+                                                    [[0.5, 0.2, 0.1],
+                                                     [0.2, 0.4, 0.0],
+                                                     [0.1, 0.0, 0.3]],
+                                                    np.diag([0.2, 0.0, 0.1])], d=2),
+                           FiniteDegrees([0.2, 0.5, 0.3])),
 }
 # name: (model, degree law, npts, L)
 METHOD_CASES = {

@@ -2,10 +2,14 @@
 
 Each model supplies its Schoenberg coefficients (the nonnegative weights of
 the Gegenbauer expansion of the covariance) plus, where available, a closed
-form for the covariance itself.  Bivariate models supply 2x2 Schoenberg
+form for the covariance itself.  Multivariate models supply p x p Schoenberg
 matrices and their square-root factors.  All gamma/beta/Pochhammer arithmetic
 is done in log space so that high sphere dimensions (lambda ~ 130) and high
 degrees survive without overflow.
+
+Every public method that takes degrees reads them through _per_degree, which
+the degree laws share: a model or law supplies only a body vectorized over
+an int64 array of degrees, and a scalar degree gives a Python scalar.
 """
 
 from dataclasses import dataclass
@@ -92,9 +96,9 @@ class Covariance:
     def coeff_table(self, n_max: int) -> np.ndarray:
         return self._coeff(np.arange(n_max + 1))
 
-    def magnitude_table(self, n_max: int) -> np.ndarray:
-        """|b_n| per degree (support bookkeeping); the coefficients themselves."""
-        return self.coeff_table(n_max)
+    def magnitude(self, degrees):
+        """|b_n| at the degrees (support bookkeeping): the coefficients."""
+        return self.schoenberg_coeff(degrees)
 
     def covariance(self, theta):
         raise NotImplementedError
@@ -112,14 +116,29 @@ class Covariance:
         raise NotImplementedError
 
 
-def _per_degree(body, n):
-    """body applied to the degrees n as an int array, after rejecting
-    negative degrees; a float for scalar n."""
-    degrees = np.asarray(n, dtype=np.int64)
-    if np.any(degrees < 0):
+def _per_degree(body, n, negative=None):
+    """body applied to the degrees n as a 1-d int64 array (a view of n where
+    n is one, so body must not write into it), its result shaped as n: a
+    Python scalar for a scalar n, with the bits of an array call.  Integers
+    and integral floats are read; NaN, inf, fractions and values beyond
+    int64 raise ValueError.  Negative degrees raise too, unless `negative`
+    is their value: body then sees them as degree 0."""
+    raw = np.asarray(n)
+    if raw.dtype.kind != "i":
+        x = raw.astype(float)
+        bad = ~((np.abs(x) < 2.0**63) & (x == np.trunc(x)))
+        if bad.any():
+            raise ValueError(f"degree must be an integer within int64, got {float(x[bad][0])!r}")
+    degrees = raw.astype(np.int64, copy=False).ravel()
+    below = degrees < 0
+    if not below.any():
+        out = body(degrees)
+    elif negative is None:
         raise ValueError("degree must be nonnegative")
-    out = body(degrees)
-    return float(out) if degrees.ndim == 0 else out
+    else:
+        out = np.where(below, negative, body(np.maximum(degrees, 0)))
+    out = out.reshape(raw.shape + out.shape[1:])
+    return out.item() if out.ndim == 0 else out
 
 
 def _check_theta(theta):
@@ -349,7 +368,11 @@ def chentsov_coeff_direct(d: int, n: int) -> float:
 
     Zero at even degrees; at odd degrees a pure gamma quotient of plain
     gammaln values.  Kept separate from the model's differenced form so the
-    two can cross-check each other.
+    two can cross-check each other.  The two doubled gammaln values grow like
+    n log n and cancel, so digits go at large n: against 40-digit mpmath at
+    d = 3, log b_n is off by 3.4e-11 at n = 10,001, 1.3e-10 at 1e6 + 1,
+    1.6e-7 at 1e8 + 1 and 7.8e-4 at 2**40 + 1, where the model's differenced
+    form stays within 1.5e-14.
     """
     if d < 2:
         raise ModelError("closed-form coefficients require sphere dimension >= 2")
@@ -607,20 +630,30 @@ class MultiCovariance:
     def validate(self) -> list[str]:
         raise NotImplementedError
 
-    def schoenberg_matrix(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
-        B = self._matrix(n)
-        _check_psd(B, context=f"Schoenberg matrix at degree {n}")
-        return B
+    def schoenberg_matrix(self, n):
+        """B_n, vectorized over the degrees n: shape n.shape + (p, p).  A
+        matrix that is not positive semidefinite raises ModelError naming
+        the first such degree."""
+        def checked(degrees):
+            B = self._matrices(degrees)
+            w = np.linalg.eigvalsh(B)
+            bad = _indefinite(w, B)
+            if bad.any():
+                raise ModelError(f"Schoenberg matrix at degree {degrees[bad][0]} is not positive "
+                                 f"semidefinite: min eigenvalue {w[bad][0].min():g}")
+            return B
+        return _per_degree(checked, n)
+
+    def _matrices(self, n: np.ndarray) -> np.ndarray:
+        """B_n for an int array of nonnegative degrees, shape n.shape + (p, p)."""
+        raise NotImplementedError
 
     def coeff_table(self, n_max: int) -> np.ndarray:
-        return np.stack([self.schoenberg_matrix(n) for n in range(n_max + 1)])
+        return self.schoenberg_matrix(np.arange(n_max + 1))
 
-    def magnitude_table(self, n_max: int) -> np.ndarray:
-        """Largest absolute matrix entry per degree (support bookkeeping)."""
-        return np.max(np.abs(np.stack([self._matrix(n) for n in range(n_max + 1)])),
-                      axis=(1, 2))
+    def magnitude(self, degrees):
+        """Largest absolute entry of B_n at the degrees (support bookkeeping)."""
+        return _per_degree(lambda n: np.abs(self._matrices(n)).max(axis=(-2, -1)), degrees)
 
     def covariance(self, theta):
         raise NotImplementedError
@@ -629,13 +662,11 @@ class MultiCovariance:
         return np.diag(self.covariance(0.0)).copy()
 
 
-def _check_psd(B: np.ndarray, context: str) -> None:
-    w = np.linalg.eigvalsh(B)
-    tol = PSD_TOL * max(abs(float(np.trace(B))), NUMERIC_ZERO)
-    if w.min() < -tol:
-        raise ModelError(
-            f"{context} is not positive semidefinite: min eigenvalue {w.min():g}"
-        )
+def _indefinite(w: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack B, of eigenvalues w, has one below
+    -PSD_TOL times its |trace| (at least NUMERIC_ZERO)."""
+    trace = np.abs(np.trace(B, axis1=-2, axis2=-1))
+    return w.min(axis=-1) < -PSD_TOL * np.maximum(trace, NUMERIC_ZERO)
 
 
 class _BivariateFromScalars(MultiCovariance):
@@ -652,20 +683,16 @@ class _BivariateFromScalars(MultiCovariance):
     def component(self, i: int) -> Covariance:
         return self._models()[2 * i]
 
-    def _matrix(self, n: int) -> np.ndarray:
+    def _matrices(self, n):
         m11, m12, m22 = self._models()
-        b12 = self.rho * m12.schoenberg_coeff(n)
-        return np.array([[m11.schoenberg_coeff(n), b12], [b12, m22.schoenberg_coeff(n)]])
+        b12 = self.rho * m12._coeff(n)
+        entries = np.stack([m11._coeff(n), b12, b12, m22._coeff(n)], axis=-1)
+        return entries.reshape(n.shape + (2, 2))
 
     def covariance(self, theta):
         m11, m12, m22 = self._models()
         k12 = self.rho * m12.covariance(theta)
         return np.array([[m11.covariance(theta), k12], [k12, m22.covariance(theta)]])
-
-    def magnitude_table(self, n_max: int) -> np.ndarray:
-        m11, m12, m22 = self._models()
-        return np.max([m11.coeff_table(n_max), m22.coeff_table(n_max),
-                       abs(self.rho) * m12.coeff_table(n_max)], axis=0)
 
 
 class BivariateNegativeBinomial(_BivariateFromScalars):
@@ -792,21 +819,18 @@ class SequenceMultiCovariance(MultiCovariance):
         if not np.all(np.isfinite(m)):
             out.append("matrix entries must be finite")
             return out
-        for n, B in enumerate(m):
-            if not np.allclose(B, B.T, atol=1e-12):
-                out.append(f"matrix at degree {n} is not symmetric")
-                continue
-            w = np.linalg.eigvalsh(B)
-            if w.min() < -PSD_TOL * max(abs(float(np.trace(B))), NUMERIC_ZERO):
-                out.append(f"matrix at degree {n} is not positive semidefinite")
+        symmetric = np.isclose(m, m.swapaxes(1, 2), atol=1e-12).all(axis=(1, 2))
+        indefinite = symmetric & _indefinite(np.linalg.eigvalsh(m), m)
+        out += [f"matrix at degree {n} is not "
+                + ("positive semidefinite" if symmetric[n] else "symmetric")
+                for n in np.flatnonzero(~symmetric | indefinite)]
         if self.d < 1:
             out.append(f"sphere dimension must be >= 1, got {self.d}")
         return out
 
-    def _matrix(self, n: int) -> np.ndarray:
-        if n < self.matrices.shape[0]:
-            return self.matrices[n].copy()
-        return np.zeros((self.p, self.p))
+    def _matrices(self, n):
+        last = self.matrices.shape[0] - 1
+        return np.where((n <= last)[..., None, None], self.matrices[np.minimum(n, last)], 0.0)
 
     def covariance(self, theta):
         theta = np.atleast_1d(_check_theta(theta))
@@ -821,8 +845,8 @@ class SequenceMultiCovariance(MultiCovariance):
         return f"matrix-sequence(p={self.p}, degrees=0..{self.matrices.shape[0] - 1}, d={self.d})"
 
     def decay(self):
-        nonzero = [n for n, B in enumerate(self.matrices) if np.any(B != 0.0)]
-        return ("finite", nonzero[-1] if nonzero else 0)
+        nonzero = np.flatnonzero(self.matrices.any(axis=(1, 2)))
+        return ("finite", int(nonzero[-1]) if nonzero.size else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +876,7 @@ def factor_schoenberg_matrix(B, *, degree: int = 0) -> SchoenbergFactor:
         gamma = np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(B)
-        tol = PSD_TOL * max(abs(float(np.trace(B))), NUMERIC_ZERO)
-        if w.min() < -tol:
+        if _indefinite(w, B):
             raise ModelError(
                 f"matrix at degree {degree} is not positive semidefinite: "
                 f"min eigenvalue {w.min():g}"

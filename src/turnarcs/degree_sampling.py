@@ -7,6 +7,11 @@ is finite, hence whether the normal-approximation error of the wave ensemble
 decays like 1/sqrt(L).  mu3_converges is that criterion; the moment series
 (diagnostics.mu3_wave) is screened by it and recommend_distribution chooses
 inside it.
+
+pmf, log_pmf and in_support read degrees as the models do (_per_degree):
+integers or integral floats, a Python scalar for a scalar degree, and 0,
+-inf and False at negative degrees; a law supplies the vectorized _log_pmf
+(or _pmf) and, where its support is not every degree n >= 0, _in_support.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as riemann_zeta
 
-from .covariance import NUMERIC_ZERO
+from .covariance import NUMERIC_ZERO, _per_degree
 from .gegenbauer import gegenbauer_log_at_one
 from .grids import _spec_number
 
@@ -38,12 +43,25 @@ class DegreeDistribution:
     the tail class."""
 
     def pmf(self, n):
-        raise NotImplementedError
+        return _per_degree(self._pmf, n, 0.0)
 
     def log_pmf(self, n):
+        return _per_degree(self._log_pmf, n, -np.inf)
+
+    def in_support(self, n):
+        return _per_degree(self._in_support, n, False)
+
+    # bodies over an int64 array of nonnegative degrees; a law supplies
+    # _log_pmf or _pmf
+    def _pmf(self, n):
+        return np.exp(self._log_pmf(n))
+
+    def _log_pmf(self, n):
         with np.errstate(divide="ignore"):
-            out = np.log(self.pmf(n))
-        return out
+            return np.log(self._pmf(n))
+
+    def _in_support(self, n):
+        return np.ones(n.shape, dtype=bool)
 
     # uniforms one draw attempt reads from the stream, in one call
     _row_width = 1
@@ -69,9 +87,6 @@ class DegreeDistribution:
         degrees, _ = self._row_degrees(rng.random((1 if size is None else int(size), 1)))
         degrees = self._int64(degrees)
         return int(degrees[0]) if size is None else degrees
-
-    def in_support(self, n):
-        raise NotImplementedError
 
     def tail(self):
         """('finite', last atom), ('geometric', 1-p) or ('zeta', theta):
@@ -99,23 +114,16 @@ class FiniteDegrees(DegreeDistribution):
         self._cdf = np.cumsum(self.probs)
         self._cdf[-1] = 1.0
 
-    def pmf(self, n):
-        n_arr = np.atleast_1d(np.asarray(n, dtype=int))
-        out = np.zeros(n_arr.shape)
-        inside = (n_arr >= 0) & (n_arr < self.probs.size)
-        out[inside] = self.probs[n_arr[inside]]
-        return float(out[0]) if np.ndim(n) == 0 else out
+    def _pmf(self, n):
+        last = self.probs.size - 1
+        return np.where(n <= last, self.probs[np.minimum(n, last)], 0.0)
 
     def _row_degrees(self, rows):
         degrees = np.searchsorted(self._cdf, rows[:, 0], side="right")
         return degrees, np.ones(degrees.shape, dtype=bool)
 
-    def in_support(self, n):
-        n_arr = np.atleast_1d(np.asarray(n, dtype=int))
-        out = np.zeros(n_arr.shape, dtype=bool)
-        inside = (n_arr >= 0) & (n_arr < self.probs.size)
-        out[inside] = self.probs[n_arr[inside]] > 0.0
-        return bool(out[0]) if np.ndim(n) == 0 else out
+    def _in_support(self, n):
+        return self._pmf(n) > 0.0
 
     def tail(self):
         return ("finite", int(np.flatnonzero(self.probs)[-1]))
@@ -132,14 +140,8 @@ class GeometricDegrees(DegreeDistribution):
             raise ValueError(f"success probability must lie in (0, 1), got {p}")
         self.p = float(p)
 
-    def pmf(self, n):
-        return np.exp(self.log_pmf(n))
-
-    def log_pmf(self, n):
-        n_arr = np.atleast_1d(np.asarray(n, dtype=float))
-        out = np.log(self.p) + n_arr * np.log1p(-self.p)
-        out[n_arr < 0] = -np.inf
-        return float(out[0]) if np.ndim(n) == 0 else out
+    def _log_pmf(self, n):
+        return np.log(self.p) + n * np.log1p(-self.p)
 
     def _row_degrees(self, rows):
         # inversion; the degrees stay floats (inf where p is subnormal) for
@@ -147,11 +149,6 @@ class GeometricDegrees(DegreeDistribution):
         with np.errstate(over="ignore"):
             degrees = np.floor(np.log1p(-rows[:, 0]) / np.log1p(-self.p))
         return degrees, np.ones(degrees.shape, dtype=bool)
-
-    def in_support(self, n):
-        n_arr = np.asarray(n)
-        out = n_arr >= 0
-        return bool(out) if np.ndim(n) == 0 else np.atleast_1d(out)
 
     def tail(self):
         return ("geometric", 1.0 - self.p)
@@ -208,9 +205,6 @@ class _ZetaLaw(DegreeDistribution):
     # one draw attempt: ZETA_BATCH candidates u, then their ZETA_BATCH v
     _row_width = 2 * ZETA_BATCH
 
-    def pmf(self, n):
-        return np.exp(self.log_pmf(n))
-
     def tail(self):
         return ("zeta", self.theta)
 
@@ -240,21 +234,12 @@ class ShiftedZeta(_ZetaLaw):
     degree 0, which every catalog model except the odd-degree one loads.
     """
 
-    def log_pmf(self, n):
-        n_arr = np.atleast_1d(np.asarray(n, dtype=float))
-        with np.errstate(invalid="ignore"):
-            out = -self.theta * np.log(n_arr + 1.0) - np.log(self._zeta)
-        out[n_arr < 0] = -np.inf
-        return float(out[0]) if np.ndim(n) == 0 else out
+    def _log_pmf(self, n):
+        return -self.theta * np.log(n + 1.0) - np.log(self._zeta)
 
     @staticmethod
     def _from_draws(draws):
         return draws - 1
-
-    def in_support(self, n):
-        n_arr = np.asarray(n)
-        out = n_arr >= 0
-        return bool(out) if np.ndim(n) == 0 else np.atleast_1d(out)
 
     def spec_string(self):
         return f"zeta:{_spec_number(self.theta)}"
@@ -263,22 +248,16 @@ class ShiftedZeta(_ZetaLaw):
 class OddShiftedZeta(_ZetaLaw):
     """Mass (m+1)^(-theta)/zeta(theta) on the odd degrees 2m+1, m >= 0."""
 
-    def log_pmf(self, n):
-        n_arr = np.atleast_1d(np.asarray(n, dtype=float))
-        out = np.full(n_arr.shape, -np.inf)
-        odd = (n_arr >= 1) & (np.mod(n_arr, 2) == 1)
-        m = (n_arr[odd] - 1.0) / 2.0
-        out[odd] = -self.theta * np.log(m + 1.0) - np.log(self._zeta)
-        return float(out[0]) if np.ndim(n) == 0 else out
+    def _log_pmf(self, n):
+        m = (n - 1.0) / 2.0
+        return np.where(n % 2 == 1, -self.theta * np.log(m + 1.0) - np.log(self._zeta), -np.inf)
 
     @staticmethod
     def _from_draws(draws):
         return 2 * draws - 1
 
-    def in_support(self, n):
-        n_arr = np.asarray(n)
-        out = (n_arr >= 1) & (np.mod(n_arr, 2) == 1)
-        return bool(out) if np.ndim(n) == 0 else np.atleast_1d(out)
+    def _in_support(self, n):
+        return n % 2 == 1
 
     def spec_string(self):
         return f"oddzeta:{_spec_number(self.theta)}"
@@ -344,7 +323,9 @@ def recommend_distribution(spec) -> Recommendation:
     if kind == "finite":
         n_last = int(value)
         degrees = np.arange(n_last + 1)
-        log_b = _scalar_log_coeffs(spec, n_last)
+        with np.errstate(divide="ignore"):
+            log_b = (spec.log_schoenberg_coeff(degrees) if spec.p == 1
+                     else np.log(spec.magnitude(degrees)))
         log_w = log_b + (gegenbauer_log_at_one(0.5 * (d - 1), degrees) if d >= 2 else 0.0)
         finite = np.isfinite(log_w)
         w = np.zeros(n_last + 1)
@@ -362,22 +343,15 @@ def recommend_distribution(spec) -> Recommendation:
     return Recommendation(law, case=case, interval=interval, warning=warning)
 
 
-def _scalar_log_coeffs(spec, n_max: int) -> np.ndarray:
-    if hasattr(spec, "log_schoenberg_coeff"):
-        return np.atleast_1d(spec.log_schoenberg_coeff(np.arange(n_max + 1)))
-    with np.errstate(divide="ignore"):
-        return np.log(spec.magnitude_table(n_max))
-
-
 def support_covers(dist: DegreeDistribution, spec, n_max: int):
     """None when the law loads every degree the model loads (up to n_max);
-    otherwise the first uncovered degree."""
+    otherwise the first uncovered degree.  The model is evaluated only at
+    the degrees the law leaves out, so a law of full support costs no
+    coefficient."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    magnitude = spec.magnitude_table(n_max)
-    needed = np.nonzero(magnitude > NUMERIC_ZERO)[0]
-    if needed.size == 0:
-        return None
-    covered = dist.in_support(needed)
-    missing = needed[~covered]
-    return None if missing.size == 0 else int(missing[0])
+    degrees = np.arange(n_max + 1)
+    missing = degrees[~dist.in_support(degrees)]
+    if missing.size:
+        missing = missing[spec.magnitude(missing) > NUMERIC_ZERO]
+    return int(missing[0]) if missing.size else None

@@ -806,9 +806,8 @@ def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) ->
     if config.p == 1:
         return signed, None
     distinct, inverse = np.unique(plan.degrees, return_inverse=True)
-    kappas = distinct.tolist()
-    matrices = np.stack([config.model.schoenberg_matrix(k) for k in kappas])
-    columns = _factor_schoenberg_matrices(matrices, kappas).swapaxes(1, 2)
+    matrices = config.model.schoenberg_matrix(distinct)
+    columns = _factor_schoenberg_matrices(matrices, distinct).swapaxes(1, 2)
     return signed, columns[inverse, plan.components]
 
 

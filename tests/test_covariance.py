@@ -451,6 +451,42 @@ def test_negative_degree_rejected(model):
             model.schoenberg_matrix(-1)
 
 
+NOT_INT64 = [1.7, 2.5, np.nan, np.inf, -np.inf, 2.0**63, 1e30, 2**70, np.uint64(2**63),
+             np.array([1.0, 2.5])]
+
+
+def degree_methods(model):
+    if model.p == 1:
+        return (model.log_schoenberg_coeff, model.schoenberg_coeff, model.magnitude)
+    return (model.schoenberg_matrix, model.magnitude)
+
+
+@pytest.mark.parametrize("model", CATALOG, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("degree", NOT_INT64, ids=repr)
+def test_model_rejects_degrees_that_are_not_int64(model, degree):
+    # at the parent log_schoenberg_coeff(2.5) and schoenberg_matrix(2.5)
+    # gave the degree-2 values
+    for method in degree_methods(model):
+        with pytest.raises(ValueError, match="integer within int64"):
+            method(degree)
+
+
+@pytest.mark.parametrize("model", CATALOG, ids=lambda m: type(m).__name__)
+def test_model_reads_integral_floats(model):
+    for method in degree_methods(model):
+        assert_array_equal(method(2.0), method(2))
+        assert_array_equal(method(np.array([[0.0], [3.0]])), method(np.array([[0], [3]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(CATALOG),
+       degrees=st.lists(st.integers(0, 400), min_size=1, max_size=12))
+def test_array_call_equals_scalar_calls_bit_for_bit(model, degrees):
+    for method in degree_methods(model):
+        singles = np.array([method(k) for k in degrees])
+        assert method(np.array(degrees)).tobytes() == singles.tobytes()
+
+
 # ------------------------------------------------------------------ matrices
 
 def test_schoenberg_matrix_published_example():
@@ -501,6 +537,15 @@ def test_waived_cross_parameters_fail_psd_at_degree_two():
     schoenberg_matrix(spec, 1)
     with pytest.raises(ModelError, match="degree 2"):
         schoenberg_matrix(spec, 2)
+
+
+def test_waived_cross_parameters_fail_psd_in_one_array_call():
+    spec = BivariateSpectralMatern(
+        1.0, 2.0, 0.75, 0.75, rho=-0.6, allow_unverified_cross=True
+    )
+    assert spec.schoenberg_matrix(np.arange(2)).shape == (2, 2, 2)
+    with pytest.raises(ModelError, match="at degree 2 is not positive semidefinite"):
+        spec.schoenberg_matrix(np.arange(6))
 
 
 def test_sequence_multi_covariance():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from scipy.special import zeta as hurwitz_zeta
 from scipy.stats import chi2
 
@@ -13,6 +16,7 @@ from turnarcs.covariance import (
     GeneralizedF,
     NegativeBinomial,
     SequenceCovariance,
+    SequenceMultiCovariance,
     SpectralMatern,
 )
 from turnarcs.degree_sampling import (
@@ -67,6 +71,52 @@ def test_odd_zeta_pmf_values():
     dist = OddShiftedZeta(2.0)
     assert dist.pmf(1) == pytest.approx(6.0 / np.pi**2, rel=1e-12)
     assert dist.pmf(3) == pytest.approx(6.0 / np.pi**2 / 4.0, rel=1e-12)
+
+
+LAW_CATALOG = [FiniteDegrees([0.2, 0.3, 0.5]), GeometricDegrees(0.1), ShiftedZeta(2.0),
+               OddShiftedZeta(2.0)]
+NOT_INT64 = [1.7, 2.5, -0.5, np.nan, np.inf, -np.inf, 2.0**63, 1e30, 2**70, np.uint64(2**63),
+             np.array([1.0, 2.5])]
+
+
+@pytest.mark.parametrize("law", LAW_CATALOG, ids=lambda law: law.spec_string())
+def test_negative_degrees_have_no_mass_and_warn_nothing(law):
+    # ShiftedZeta(2).log_pmf(-1) used to warn of a division by zero in log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.pmf(-1) == 0.0
+        assert law.log_pmf(-1) == -np.inf
+        assert law.in_support(-1) is False
+        degrees = np.array([[-1, 1], [-7, 2]])
+        assert_array_equal(law.pmf(degrees), [[0.0, law.pmf(1)], [0.0, law.pmf(2)]])
+        assert_array_equal(law.log_pmf(degrees)[:, 0], -np.inf)
+        assert_array_equal(law.in_support(degrees)[:, 0], False)
+
+
+@pytest.mark.parametrize("law", LAW_CATALOG, ids=lambda law: law.spec_string())
+@pytest.mark.parametrize("degree", NOT_INT64, ids=repr)
+def test_law_rejects_degrees_that_are_not_int64(law, degree):
+    # at the parent pmf(1.7) was pmf(1), and log_pmf(2.5) was finite
+    for method in (law.pmf, law.log_pmf, law.in_support):
+        with pytest.raises(ValueError, match="integer within int64"):
+            method(degree)
+
+
+@pytest.mark.parametrize("law", LAW_CATALOG, ids=lambda law: law.spec_string())
+def test_law_reads_integral_floats_and_any_integer_type(law):
+    for method in (law.pmf, law.log_pmf, law.in_support):
+        assert method(3.0) == method(3) == method(np.uint8(3)) == method(np.int32(3))
+        assert_array_equal(method(np.array([0.0, 3.0])), method(np.array([0, 3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(LAW_CATALOG),
+       degrees=st.lists(st.integers(-3, 400), min_size=1, max_size=12))
+def test_law_array_call_equals_scalar_calls_bit_for_bit(law, degrees):
+    for method in (law.pmf, law.log_pmf, law.in_support):
+        singles = [method(k) for k in degrees]
+        assert all(type(x) is type(singles[0]) for x in singles)
+        assert method(np.array(degrees)).tobytes() == np.array(singles).tobytes()
 
 
 def test_finite_pmf_must_normalize():
@@ -385,6 +435,15 @@ def test_support_covers_odd_misses_degree_zero():
 
 def test_support_covers_odd_over_chentsov():
     assert support_covers(OddShiftedZeta(2.0), Chentsov(d=2), 100) is None
+
+
+def test_support_covers_matrix_models():
+    nb2 = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6)
+    assert support_covers(FiniteDegrees([0.5, 0.5]), nb2, 100) == 2
+    assert support_covers(OddShiftedZeta(2.0), nb2, 100) == 0
+    gap = SequenceMultiCovariance([np.eye(2), np.zeros((2, 2)), np.eye(2)], d=2)
+    assert support_covers(FiniteDegrees([0.5, 0.0, 0.5]), gap, 100) is None
+    assert support_covers(FiniteDegrees([1.0]), gap, 100) == 2
 
 
 @pytest.mark.parametrize(

@@ -278,6 +278,23 @@ def test_config_rejects_uncovered_support():
         SimulationConfig(NegativeBinomial(0.5, d=2), OddShiftedZeta(2.0), L=10, seed=0)
 
 
+@pytest.mark.parametrize("model, law, bodies", [
+    (NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), ("_log_coeff", "_coeff")),
+    (GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), ("_log_coeff", "_coeff")),
+    (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6), ShiftedZeta(2.0), ("_matrices",)),
+])
+def test_config_with_a_full_support_law_computes_no_coefficient(monkeypatch, model, law,
+                                                                bodies):
+    # the support check evaluates the model only where the law has no mass;
+    # it used to compute every coefficient up to SUPPORT_CHECK_MAX
+    def boom(n):
+        raise AssertionError("coefficient computed")
+
+    for body in bodies:
+        monkeypatch.setattr(model, body, boom)
+    SimulationConfig(model, law, L=10, seed=0)
+
+
 def test_float_seed_rejected():
     # a float seed used to be truncated: 2.7 silently ran seed 2
     with pytest.raises(SimulationError, match="seed must be an integer, got 2.7"):
