@@ -108,6 +108,7 @@ SERIES_ERROR_BOUND = 0.5 * np.finfo(float).eps
 SUPPORT_CHECK_MAX = 10_000        # degrees up to which the law must cover the model
 ENSEMBLE_BUDGET = 24_000_000      # simulate_ensemble: value doubles per chunk
 ENSEMBLE_WAVE_CAP = 2_000_000     # simulate_ensemble: simultaneous waves per chunk
+ENSEMBLE_PIECE = 262_144          # simulate_ensemble: value doubles per _wave_sums call
 
 
 class SimulationError(RuntimeError):
@@ -937,22 +938,25 @@ def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarr
 
     Statistically identical to M calls of simulate with fresh seeds, with the
     draws of single_wave_values; a realization is one run of L waves of
-    _wave_sums.  Per-chunk draws are capped by ENSEMBLE_BUDGET value doubles
-    and ENSEMBLE_WAVE_CAP simultaneous waves.
+    _wave_sums.  Draws come in chunks capped by ENSEMBLE_BUDGET value doubles
+    and ENSEMBLE_WAVE_CAP waves, summed in pieces of ENSEMBLE_PIECE doubles.
     """
     points = check_points(points, config.d)
     npts = points.shape[0]
     L = config.L
     chunk = max(1, min(ENSEMBLE_BUDGET // max(1, L * npts * config.p), ENSEMBLE_WAVE_CAP // L))
+    piece = max(1, ENSEMBLE_PIECE // max(1, L * npts * config.p))
     out = np.empty((M, npts, config.p))
     done = 0
     while done < M:
         m = min(chunk, M - done)
         plan = _draw_waves(config, m * L, rng)
         signed, factors = _wave_coefficients(config, plan, done * L)
-        sums = _wave_sums(config.d, plan.degrees, points, plan.poles, signed, factors, L,
-                          done * L)
-        out[done : done + m] = sums.transpose(0, 2, 1)
+        for lo in range(0, m, piece):
+            w = slice(lo * L, min(lo + piece, m) * L)
+            sums = _wave_sums(config.d, plan.degrees[w], points, plan.poles[w], signed[w],
+                              None if factors is None else factors[w], L, done * L + w.start)
+            out[done + lo : done + lo + sums.shape[0]] = sums.transpose(0, 2, 1)
         done += m
     out *= 1.0 / np.sqrt(L)
     return out

@@ -933,10 +933,11 @@ def test_heavy_exact_row_in_a_batch_keeps_no_per_degree_state():
 
 
 def test_simulate_ensemble_builds_no_projection_array():
-    # the validate workload's ensemble: 20,000 waves on 128 points in one
-    # chunk.  The waves' values (20 MB) are inherent; each band is projected
-    # when the sweep reaches it, where the whole (M L, npts) projection
-    # array took another 20 MB (43.3 MB peak)
+    # the validate workload's ensemble: 20,000 waves on 128 points drawn in
+    # one chunk and summed over ten pieces of 20 realizations.  Each band is
+    # projected when the sweep reaches it, where the whole (M L, npts)
+    # projection array took another 20 MB (43.3 MB peak); a piece holds
+    # 2 MB of wave values, where the whole chunk's took 20 MB (22 MB peak)
     config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=100, seed=0)
     points = build_grid(parse_grid("latlon:8x16")).points
     tracemalloc.start()
@@ -946,7 +947,7 @@ def test_simulate_ensemble_builds_no_projection_array():
     finally:
         tracemalloc.stop()
     assert out.shape == (200, 128, 1) and np.all(np.isfinite(out))
-    assert peak <= 25_000_000
+    assert peak <= 6_000_000
 
 
 def test_single_wave_values_memory_stays_near_its_output():
@@ -1017,6 +1018,18 @@ def test_ensemble_is_its_waves_summed_in_order(case, npts):
         expected += waves[:, j]
     expected *= 1.0 / np.sqrt(config.L)
     assert_array_equal(simulate_ensemble(config, points, M, np.random.default_rng(4)), expected)
+
+
+@pytest.mark.parametrize("case", ["nb d=2", "bivariate nb d=2", "f d=3"])
+def test_ensemble_pieces_keep_its_bits(case, monkeypatch):
+    # a chunk summed over pieces of three realizations, the last one short,
+    # gives the bits of one piece: a realization's waves never straddle two
+    model, degrees = SUM_CASES[case]
+    config = SimulationConfig(model, degrees, L=30, seed=0)
+    points = sample_pole(config.d, np.random.default_rng(5), size=50)
+    whole = simulate_ensemble(config, points, 7, np.random.default_rng(5))
+    monkeypatch.setattr(simulator, "ENSEMBLE_PIECE", 3 * 30 * 50 * config.p)
+    assert_array_equal(simulate_ensemble(config, points, 7, np.random.default_rng(5)), whole)
 
 
 # model, degree law: the simulate cases of the sum property below
