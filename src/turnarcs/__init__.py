@@ -13,12 +13,8 @@ from .covariance import (
     SequenceCovariance,
     SequenceMultiCovariance,
     SpectralMatern,
-    covariance_eval,
     factor_schoenberg_matrix,
-    schoenberg_coeff,
     schoenberg_coeff_quadrature,
-    schoenberg_matrix,
-    validate,
 )
 from .degree_sampling import (
     FiniteDegrees,

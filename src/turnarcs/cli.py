@@ -26,7 +26,6 @@ from .covariance import (
     NegativeBinomial,
     SequenceCovariance,
     SpectralMatern,
-    require_valid,
 )
 from .degree_sampling import (
     FiniteDegrees,
@@ -97,7 +96,7 @@ def _three(values, flag):
 
 
 def parse_model(args):
-    """Build the covariance model from CLI flags and validate it."""
+    """Build the covariance model from CLI flags; its constructor checks it."""
     family, d, p = args.model, args.d, args.p
     if p not in (1, 2):
         raise UsageError("p must be 1 or 2 (matrix models can be supplied via the library)")
@@ -144,7 +143,6 @@ def parse_model(args):
         model = SequenceCovariance(args.coeffs, d=d)
     else:
         raise UsageError(f"unknown model family {family!r}")
-    require_valid(model)
     return model
 
 
@@ -185,7 +183,7 @@ def resolve_degrees(args, model):
 def write_realization(stream, grid, grid_string, realization, extra_lines=()):
     md = realization.metadata
     stream.write(f"# model={md['model']}\n")
-    stream.write(f"# d={md['d']} p={md['p']} L={md['L']} seed={md['seed']}\n")
+    stream.write("".join(f"# {key}={md[key]}\n" for key in ("d", "p", "L", "seed")))
     stream.write(f"# degrees={md['degrees']}\n")
     stream.write(f"# grid={grid_string}\n")
     stream.write(f"# profile_error_bound={_fmt(md['profile_error_bound'])}\n")

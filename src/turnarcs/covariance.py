@@ -10,6 +10,7 @@ degrees survive without overflow.
 Every public method that takes degrees reads them through _per_degree, which
 the degree laws share: a model or law supplies only a body vectorized over
 an int64 array of degrees, and a scalar degree gives a Python scalar.
+Each constructor ends with require_valid, so a model that exists is valid.
 """
 
 from dataclasses import dataclass
@@ -38,12 +39,8 @@ __all__ = [
     "BivariateSpectralMatern",
     "SequenceMultiCovariance",
     "SchoenbergFactor",
-    "validate",
     "require_valid",
-    "schoenberg_coeff",
-    "covariance_eval",
     "schoenberg_coeff_quadrature",
-    "schoenberg_matrix",
     "factor_schoenberg_matrix",
     "chentsov_coeff_direct",
 ]
@@ -60,6 +57,13 @@ class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
 
+def require_valid(spec) -> None:
+    """Raise ModelError listing every constraint spec.validate() finds violated."""
+    violations = spec.validate()
+    if violations:
+        raise ModelError("; ".join(violations))
+
+
 def _lam(d: int) -> float:
     return 0.5 * (d - 1)
 
@@ -69,7 +73,8 @@ def _lam(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 class Covariance:
-    """Base class for scalar isotropic covariance models on the d-sphere."""
+    """Base class for scalar isotropic covariance models on the d-sphere;
+    immutable, and valid once built (its constructor calls require_valid)."""
 
     p = 1
     odd_support = False
@@ -215,6 +220,7 @@ class NegativeBinomial(Covariance):
     def __init__(self, delta: float, d: int = 2):
         self.delta = float(delta)
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -286,6 +292,7 @@ class SpectralMatern(Covariance):
         self.alpha = float(alpha)
         self.nu = float(nu)
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -322,6 +329,7 @@ class GeneralizedF(Covariance):
         self.nu = float(nu)
         self.tau = float(tau)
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -396,14 +404,15 @@ class Chentsov(Covariance):
 
     The coefficient of degree n = 2k + 1 is the gamma quotient of
     chentsov_coeff_direct, with its two large gamma values differenced as
-    _log_gamma_shift(k + 1/2, lam + 1): O(1) time and memory per degree, and
-    each coefficient is computed from its own degree alone.
+    _log_gamma_shift(k + 1/2, lam + 1) at odd n only: O(1) time and memory
+    per degree, and each coefficient is computed from its own degree alone.
     """
 
     odd_support = True
 
     def __init__(self, d: int = 2):
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -414,13 +423,13 @@ class Chentsov(Covariance):
         return out
 
     def _log_coeff(self, n):
-        if self.d < 2:
-            raise ModelError("closed-form coefficients require sphere dimension >= 2")
         lam = _lam(self.d)
-        k = n // 2
-        log_odd = (np.log(lam + 2.0 * k + 1.0) + gammaln(lam) + gammaln(lam + 1.0)
-                   - 2.0 * np.log(np.pi) - 2.0 * _log_gamma_shift(k + 0.5, lam + 1.0))
-        return np.where(n % 2 == 1, log_odd, -np.inf)
+        odd = n % 2 == 1
+        k = n[odd] // 2
+        out = np.full(n.shape, -np.inf)
+        out[odd] = (np.log(lam + 2.0 * k + 1.0) + gammaln(lam) + gammaln(lam + 1.0)
+                    - 2.0 * np.log(np.pi) - 2.0 * _log_gamma_shift(k + 0.5, lam + 1.0))
+        return out
 
     def covariance(self, theta):
         theta = _check_theta(theta)
@@ -481,6 +490,7 @@ class Exponential(Covariance):
     def __init__(self, nu: float, d: int = 2):
         self.nu = float(nu)
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -493,8 +503,6 @@ class Exponential(Covariance):
         return out
 
     def _log_coeff(self, n):
-        if self.d < 2:
-            raise ModelError("closed-form coefficients require sphere dimension >= 2")
         nu, d = self.nu, self.d
         lam = _lam(d)
         log_c_even = np.log(nu) + np.log1p(-np.exp(-np.pi * nu)) - np.log(4.0 * np.pi)
@@ -527,6 +535,7 @@ class SequenceCovariance(Covariance):
     def __init__(self, coeffs, d: int):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -622,7 +631,8 @@ def schoenberg_coeff_quadrature(K, n: int, d: int, *, abs_tol: float = 1e-10) ->
 # ---------------------------------------------------------------------------
 
 class MultiCovariance:
-    """Base class for p-variate isotropic models (matrix Schoenberg sequence)."""
+    """Base class for p-variate isotropic models (matrix Schoenberg sequence);
+    immutable, and valid once built (its constructor calls require_valid)."""
 
     odd_support = False
     closed_form_covariance = True
@@ -669,6 +679,18 @@ def _indefinite(w: np.ndarray, B: np.ndarray) -> np.ndarray:
     return w.min(axis=-1) < -PSD_TOL * np.maximum(trace, NUMERIC_ZERO)
 
 
+def _round_off(B: np.ndarray) -> np.ndarray:
+    """1e-12 max(1, max |entry|) per matrix of the stack B: the tolerance of
+    the symmetry rule and of a factor's round trip."""
+    return 1e-12 * np.maximum(1.0, np.abs(B).max(axis=(-2, -1)))
+
+
+def _symmetric(B: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack B is within _round_off of its
+    transpose in every entry (a NaN entry never is)."""
+    return np.abs(B - B.swapaxes(-2, -1)).max(axis=(-2, -1)) <= _round_off(B)
+
+
 class _BivariateFromScalars(MultiCovariance):
     """Bivariate model assembled from three scalar models: the two
     components and a cross model whose coefficients and covariance are
@@ -705,6 +727,7 @@ class BivariateNegativeBinomial(_BivariateFromScalars):
         self.delta22 = float(delta22)
         self.rho = float(rho)
         self.d = int(d)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -761,6 +784,7 @@ class BivariateSpectralMatern(_BivariateFromScalars):
         self.rho = float(rho)
         self.d = int(d)
         self.allow_unverified_cross = bool(allow_unverified_cross)
+        require_valid(self)
 
     def validate(self):
         out = []
@@ -805,6 +829,7 @@ class SequenceMultiCovariance(MultiCovariance):
     def __init__(self, matrices, d: int):
         self.matrices = np.asarray(matrices, dtype=float)
         self.d = int(d)
+        require_valid(self)
 
     @property
     def p(self) -> int:
@@ -819,7 +844,7 @@ class SequenceMultiCovariance(MultiCovariance):
         if not np.all(np.isfinite(m)):
             out.append("matrix entries must be finite")
             return out
-        symmetric = np.isclose(m, m.swapaxes(1, 2), atol=1e-12).all(axis=(1, 2))
+        symmetric = _symmetric(m)
         indefinite = symmetric & _indefinite(np.linalg.eigvalsh(m), m)
         out += [f"matrix at degree {n} is not "
                 + ("positive semidefinite" if symmetric[n] else "symmetric")
@@ -870,7 +895,7 @@ def factor_schoenberg_matrix(B, *, degree: int = 0) -> SchoenbergFactor:
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ModelError("factorization needs a square matrix")
-    if not np.allclose(B, B.T, atol=1e-12 * max(1.0, float(np.max(np.abs(B))))):
+    if not _symmetric(B):
         raise ModelError("factorization needs a symmetric matrix")
     try:
         gamma = np.linalg.cholesky(B)
@@ -883,7 +908,7 @@ def factor_schoenberg_matrix(B, *, degree: int = 0) -> SchoenbergFactor:
             )
         gamma = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     recon_err = float(np.max(np.abs(gamma @ gamma.T - B)))
-    if recon_err > 1e-12 * max(1.0, float(np.max(np.abs(B)))):
+    if recon_err > _round_off(B):
         raise ModelError(f"factorization round-trip error {recon_err:g} too large")
     return SchoenbergFactor(degree=degree, matrix=gamma)
 
@@ -896,44 +921,13 @@ def _factor_schoenberg_matrices(matrices, degrees) -> np.ndarray:
     every matrix goes through factor_schoenberg_matrix, with its eigh
     fallback and its errors."""
     B = np.asarray(matrices, dtype=float)
-    scale = np.maximum(1.0, np.max(np.abs(B), axis=(1, 2)))[:, None, None]
-    if np.isclose(B, B.swapaxes(1, 2), atol=1e-12 * scale).all():
+    if _symmetric(B).all():
         try:
             gamma = np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
             pass
         else:
-            if np.all(np.abs(gamma @ gamma.swapaxes(1, 2) - B) <= 1e-12 * scale):
+            if np.all(np.abs(gamma @ gamma.swapaxes(1, 2) - B) <= _round_off(B)[:, None, None]):
                 return gamma
     return np.stack([factor_schoenberg_matrix(b, degree=n).matrix
                      for b, n in zip(B, degrees)])
-
-
-# ---------------------------------------------------------------------------
-# module-level operation wrappers
-# ---------------------------------------------------------------------------
-
-def validate(spec) -> list[str]:
-    """List of violated constraints; empty when the model is valid."""
-    return spec.validate()
-
-
-def require_valid(spec) -> None:
-    violations = spec.validate()
-    if violations:
-        raise ModelError("; ".join(violations))
-
-
-def schoenberg_coeff(spec: Covariance, n: int) -> float:
-    require_valid(spec)
-    return spec.schoenberg_coeff(n)
-
-
-def covariance_eval(spec: Covariance, theta):
-    require_valid(spec)
-    return spec.covariance(theta)
-
-
-def schoenberg_matrix(mspec: MultiCovariance, n: int) -> np.ndarray:
-    require_valid(mspec)
-    return mspec.schoenberg_matrix(n)

@@ -111,8 +111,9 @@ class FiniteDegrees(DegreeDistribution):
             raise ValueError(f"pmf must sum to 1 within 1e-12, got {total!r}")
         self._given = pmf           # spec_string writes these, so it reads back as this law
         self.probs = pmf / total
+        # 1 from the last positive atom on: no uniform reaches a zero-mass tail
         self._cdf = np.cumsum(self.probs)
-        self._cdf[-1] = 1.0
+        self._cdf[np.flatnonzero(self.probs)[-1]:] = 1.0
 
     def _pmf(self, n):
         last = self.probs.size - 1

@@ -221,7 +221,7 @@ def _mu3_series(spec, dist, n_last: int):
     return degrees, terms
 
 
-def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = _REL_TOL) -> Mu3Result:
+def mu3_wave(spec, dist, n_max: int | None = None) -> Mu3Result:
     """Third absolute moment of one wave: the weighted coefficient series.
 
     Sums the exact terms up to a truncation degree and reports an analytic
@@ -276,7 +276,7 @@ def mu3_wave(spec, dist, n_max: int | None = None, rel_tol: float = _REL_TOL) ->
         nonzero = np.flatnonzero(terms)
         bound = (tail_bound(int(degrees[nonzero[-1]]), float(terms[nonzero[-1]]))
                  if nonzero.size else 0.0)
-        if not auto or bound <= rel_tol * total or n_trunc >= 1024:
+        if not auto or bound <= _REL_TOL * total or n_trunc >= 1024:
             return Mu3Result(value=total, tail_bound=float(bound),
                              n_max=n_trunc, finite=True)
         n_trunc *= 2
@@ -296,19 +296,17 @@ class BerryEsseenReport:
     sigma: float
     L: int
     bound: float
-    ks: float | None = None
 
 
-def berry_esseen_report(spec, dist, L: int, n_max: int | None = None,
-                        ks: float | None = None) -> BerryEsseenReport:
+def berry_esseen_report(spec, dist, L: int, n_max: int | None = None) -> BerryEsseenReport:
     """mu3_wave and the KS bound built on it.  The bound is inf (not
     established) when the series diverges or the truncated sum, only a lower
-    bound on mu3, leaves a relative tail above mu3_wave's tolerance."""
+    bound on mu3, leaves a relative tail above _REL_TOL."""
     mu3 = mu3_wave(spec, dist, n_max=n_max)
     sigma = float(np.sqrt(spec.variance()))
     established = mu3.finite and mu3.relative_tail <= _REL_TOL
     bound = berry_esseen_bound(mu3.value, sigma, L) if established else np.inf
-    return BerryEsseenReport(mu3=mu3, sigma=sigma, L=L, bound=bound, ks=ks)
+    return BerryEsseenReport(mu3=mu3, sigma=sigma, L=L, bound=bound)
 
 
 def ks_normality(samples, sigma: float) -> float:

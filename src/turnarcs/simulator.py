@@ -40,7 +40,7 @@ from itertools import islice, pairwise
 import numpy as np
 from scipy import fft
 
-from .covariance import _factor_schoenberg_matrices, factor_schoenberg_matrix, require_valid
+from .covariance import _factor_schoenberg_matrices, factor_schoenberg_matrix
 from .degree_sampling import support_covers
 from .gegenbauer import _recurrence
 
@@ -137,7 +137,6 @@ class SimulationConfig:
     """Validated bundle of model, degree law, wave count and master seed."""
 
     def __init__(self, model, degrees, L: int, seed: int):
-        require_valid(model)
         try:
             count = operator.index(L)
         except TypeError:

@@ -220,6 +220,24 @@ def test_simulate_header_records_profile_error_bound(tmp_path):
     assert float(header["profile_error_bound"]) == SERIES_ERROR_BOUND * 38**2
 
 
+def test_simulate_header_reads_back_as_the_metadata(tmp_path):
+    # each metadata key has its own header line, which reads back as its
+    # value (d, p, L and seed used to share one line, so read back as d)
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--model", "nb", "--delta", "0.5", "--degree-dist", "geometric:0.1",
+            "--L", "5", "--seed", "3", "--grid", "latlon:2x3", "--out", str(out)]
+    assert main(args) == 0
+    header, _, _ = read_realization_csv(str(out))
+    config = SimulationConfig(NegativeBinomial(0.5), GeometricDegrees(0.1), L=5, seed=3)
+    metadata = simulate(config, build_grid(LatLonGrid(2, 3)).points).metadata
+    assert header.keys() - metadata.keys() == {"grid"}
+    for key, value in metadata.items():
+        if isinstance(value, dict):
+            assert header[key] == ",".join(f"{k}:{v}" for k, v in value.items())
+        else:
+            assert type(value)(header[key]) == value
+
+
 def test_simulate_header_records_the_drawn_degrees(tmp_path):
     # degree_sum and degree_max of the plan simulate draws, as Python ints
     # in the metadata and read back from the CSV header

@@ -1,5 +1,7 @@
 import tracemalloc
 
+import turnarcs.covariance as covariance
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,12 +25,8 @@ from turnarcs.covariance import (
     _factor_schoenberg_matrices,
     _log_gamma_shift,
     chentsov_coeff_direct,
-    covariance_eval,
     factor_schoenberg_matrix,
-    schoenberg_coeff,
     schoenberg_coeff_quadrature,
-    schoenberg_matrix,
-    validate,
 )
 from turnarcs.gegenbauer import gegenbauer_eval_table
 
@@ -37,70 +35,108 @@ from turnarcs.gegenbauer import gegenbauer_eval_table
 
 def test_validate_bivariate_nb_published_parameters():
     spec = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6)
-    assert validate(spec) == []
+    assert spec.validate() == []
     # the rho bound here is sqrt(0.8*0.3)/0.8 ~ 0.612
-    spec_bad = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.62)
-    assert any("rho" in v for v in validate(spec_bad))
+    with pytest.raises(ModelError, match="rho"):
+        BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.62)
 
 
 def test_validate_nb_boundary():
-    violations = validate(NegativeBinomial(1.0))
-    assert len(violations) == 1
-    assert "(0, 1)" in violations[0]
+    with pytest.raises(ModelError, match=r"^delta must lie in the open interval \(0, 1\), got 1.0$"):
+        NegativeBinomial(1.0)
 
 
 def test_validate_bivariate_sm_cross_condition():
     # nu12 = nu22 = 0.75 with nu11 = 2 violates nu12 >= (nu11+nu22)/2 = 1.375
-    spec = BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6)
-    violations = validate(spec)
-    assert any("nu12" in v for v in violations)
+    with pytest.raises(ModelError, match="nu12"):
+        BivariateSpectralMatern(1.0, 2.0, 0.75, 0.75, rho=-0.6)
     waived = BivariateSpectralMatern(
         1.0, 2.0, 0.75, 0.75, rho=-0.6, allow_unverified_cross=True
     )
-    assert validate(waived) == []
+    assert waived.validate() == []
 
 
 def test_validate_f_needs_nu_above_d_minus_2():
-    assert validate(GeneralizedF(1.0, 3.5, 2.0, d=3)) == []
-    assert any("d-2" in v for v in validate(GeneralizedF(1.0, 0.5, 2.0, d=3)))
+    assert GeneralizedF(1.0, 3.5, 2.0, d=3).validate() == []
+    with pytest.raises(ModelError, match="d-2"):
+        GeneralizedF(1.0, 0.5, 2.0, d=3)
+
+
+INVALID = [
+    (NegativeBinomial, (1.5,), {"d": 0},
+     "delta must lie in the open interval (0, 1), got 1.5; sphere dimension must be >= 1, got 0"),
+    (SpectralMatern, (0.0, -1.0), {},
+     "alpha must be positive, got 0.0; nu must be positive, got -1.0"),
+    (GeneralizedF, (1.0, 2.0, 0.0), {"d": 5},
+     "tau must be positive, got 0.0; nu must exceed d-2 = 3 for the coefficient series "
+     "to converge, got nu = 2.0"),
+    (Chentsov, (), {"d": 1}, "closed-form coefficients require sphere dimension >= 2, got 1"),
+    (Exponential, (0.0,), {"d": 1},
+     "nu must be positive, got 0.0; closed-form coefficients require sphere dimension >= 2, got 1"),
+    (SequenceCovariance, ([0.0, -0.5],), {"d": 2},
+     "coefficients must be nonnegative; at least one coefficient must be positive"),
+    (BivariateNegativeBinomial, (0.2, 1.0, 0.0), {"rho": 0.5},
+     "delta12 must lie in the open interval (0, 1), got 1.0; "
+     "delta22 must lie in the open interval (0, 1), got 0.0"),
+    (BivariateSpectralMatern, (1.0, 2.0, 0.75, 0.75), {"rho": -0.6},
+     "nu12 must be at least (nu11+nu22)/2 = 1.375, got 0.75"),
+    (SequenceMultiCovariance, ([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]],),
+     {"d": 2}, "matrix at degree 1 is not positive semidefinite; matrix at degree 2 is not symmetric"),
+    # 1e-7 off symmetric, within numpy's default rtol of 1e-5: the one
+    # symmetry rule (1e-12 of the scale, the factor round-trip tolerance)
+    # names the degree here, where a factor's round trip named none
+    (SequenceMultiCovariance, ([[[1, .3], [.3 + 1e-7, 1]], [[.5, .1], [.1, .5]]],), {"d": 2},
+     "matrix at degree 0 is not symmetric"),
+]
+
+
+@pytest.mark.parametrize("make, args, kwargs, message", INVALID,
+                         ids=[make.__name__ for make, *_ in INVALID])
+def test_constructor_raises_every_violation(make, args, kwargs, message):
+    # a catalog model checks itself when built: the error joins every
+    # constraint its validate() list names
+    with pytest.raises(ModelError) as caught:
+        make(*args, **kwargs)
+    assert str(caught.value) == message
+
 
 
 # ------------------------------------------------------- scalar coefficients
 
 def test_nb_coefficient():
-    assert schoenberg_coeff(NegativeBinomial(0.5, d=2), 0) == pytest.approx(0.5)
-    assert schoenberg_coeff(NegativeBinomial(0.5, d=2), 3) == pytest.approx(0.0625)
+    assert NegativeBinomial(0.5, d=2).schoenberg_coeff(0) == pytest.approx(0.5)
+    assert NegativeBinomial(0.5, d=2).schoenberg_coeff(3) == pytest.approx(0.0625)
 
 
 def test_f_coefficients_against_beta_oracle():
     spec = GeneralizedF(1.0, 3.5, 2.0, d=3)
     b0 = beta_fn(1.0, 5.5) / beta_fn(1.0, 3.5)
-    assert schoenberg_coeff(spec, 0) == pytest.approx(b0, rel=1e-13)
-    assert schoenberg_coeff(spec, 0) == pytest.approx(7.0 / 11.0, rel=1e-12)
+    assert spec.schoenberg_coeff(0) == pytest.approx(b0, rel=1e-13)
+    assert spec.schoenberg_coeff(0) == pytest.approx(7.0 / 11.0, rel=1e-12)
     # b1 = b0 * (alpha)_1 (tau)_1 / ((alpha+nu+tau)_1 1!)
-    assert schoenberg_coeff(spec, 1) == pytest.approx(b0 * 1.0 * 2.0 / 6.5, rel=1e-13)
-    assert schoenberg_coeff(spec, 1) == pytest.approx(28.0 / 143.0, rel=1e-12)
+    assert spec.schoenberg_coeff(1) == pytest.approx(b0 * 1.0 * 2.0 / 6.5, rel=1e-13)
+    assert spec.schoenberg_coeff(1) == pytest.approx(28.0 / 143.0, rel=1e-12)
 
 
 def test_chentsov_coefficients():
     spec = Chentsov(d=2)
-    assert schoenberg_coeff(spec, 1) == pytest.approx(0.75, rel=1e-13)
-    assert schoenberg_coeff(spec, 3) == pytest.approx(7.0 / 64.0, rel=1e-13)
-    assert schoenberg_coeff(spec, 0) == 0.0
-    assert schoenberg_coeff(spec, 2) == 0.0
-    assert schoenberg_coeff(spec, 10) == 0.0
+    assert spec.schoenberg_coeff(1) == pytest.approx(0.75, rel=1e-13)
+    assert spec.schoenberg_coeff(3) == pytest.approx(7.0 / 64.0, rel=1e-13)
+    assert spec.schoenberg_coeff(0) == 0.0
+    assert spec.schoenberg_coeff(2) == 0.0
+    assert spec.schoenberg_coeff(10) == 0.0
 
 
 def test_exponential_coefficient_against_analytic_integral():
     # (1/||G_0||^2) int_0^pi exp(-t) sin(t) dt = (1 + exp(-pi))/4
     expected = (1.0 + np.exp(-np.pi)) / 4.0
-    assert schoenberg_coeff(Exponential(1.0, d=2), 0) == pytest.approx(expected, rel=1e-12)
+    assert Exponential(1.0, d=2).schoenberg_coeff(0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sm_coefficient_against_analytic_sum():
     # sum_k 1/(k^2+1) = (1 + pi*coth(pi))/2
     total = 0.5 * (1.0 + np.pi / np.tanh(np.pi))
-    assert schoenberg_coeff(SpectralMatern(1.0, 0.5, d=2), 0) == pytest.approx(
+    assert SpectralMatern(1.0, 0.5, d=2).schoenberg_coeff(0) == pytest.approx(
         1.0 / total, rel=1e-11
     )
 
@@ -122,23 +158,23 @@ def test_coeff_table_matches_scalar_calls():
 
 def test_nb_covariance_closed_form():
     spec = NegativeBinomial(0.5, d=2)
-    assert covariance_eval(spec, 0.0) == pytest.approx(1.0)
-    assert covariance_eval(spec, np.pi) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert spec.covariance(0.0) == pytest.approx(1.0)
+    assert spec.covariance(np.pi) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_chentsov_covariance():
-    assert covariance_eval(Chentsov(d=2), np.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert Chentsov(d=2).covariance(np.pi / 2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_exponential_covariance():
-    assert covariance_eval(Exponential(2.0, d=2), 1.0) == pytest.approx(np.exp(-2.0))
+    assert Exponential(2.0, d=2).covariance(1.0) == pytest.approx(np.exp(-2.0))
 
 
 def test_covariance_domain():
     with pytest.raises(ValueError):
-        covariance_eval(NegativeBinomial(0.5), -0.1)
+        NegativeBinomial(0.5).covariance(-0.1)
     with pytest.raises(ValueError):
-        covariance_eval(NegativeBinomial(0.5), np.pi + 0.1)
+        NegativeBinomial(0.5).covariance(np.pi + 0.1)
 
 
 def test_series_covariance_flagged():
@@ -301,6 +337,24 @@ def test_chentsov_coefficient_of_a_huge_degree_takes_constant_memory():
     assert peak < 100_000
     assert got[1] == -np.inf
     assert got[0] == pytest.approx(chentsov_log_coeff_mpmath(3, k), rel=1e-14)
+
+
+def test_chentsov_takes_gamma_terms_at_odd_degrees_only(monkeypatch):
+    # an even degree's coefficient is zero, so no gamma difference is taken
+    # there: a support check under an odd law asks for 5,000 even degrees
+    seen = []
+    shift = covariance._log_gamma_shift
+
+    def recording(z, s):
+        seen.append(np.array(z, dtype=float))
+        return shift(z, s)
+
+    monkeypatch.setattr(covariance, "_log_gamma_shift", recording)
+    assert np.all(Chentsov(d=3).log_schoenberg_coeff(np.arange(0, 10_000, 2)) == -np.inf)
+    got = Chentsov(d=5).log_schoenberg_coeff(np.arange(41))
+    # the argument at degree n = 2k + 1 is k + 1/2 = n / 2
+    assert_array_equal(2.0 * np.concatenate(seen), np.arange(1, 41, 2))
+    assert np.all(got[::2] == -np.inf) and np.all(np.isfinite(got[1::2]))
 
 
 @pytest.mark.parametrize(
@@ -491,37 +545,37 @@ def test_array_call_equals_scalar_calls_bit_for_bit(model, degrees):
 
 def test_schoenberg_matrix_published_example():
     spec = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6)
-    B0 = schoenberg_matrix(spec, 0)
+    B0 = spec.schoenberg_matrix(0)
     assert_allclose(B0, [[0.8, 0.48], [0.48, 0.3]], atol=1e-15)
 
 
 def test_schoenberg_matrix_decoupled_is_diagonal():
     spec = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.0)
     for n in (0, 1, 5):
-        B = schoenberg_matrix(spec, n)
+        B = spec.schoenberg_matrix(n)
         assert B[0, 1] == 0.0
         assert B[1, 0] == 0.0
 
 
 def test_schoenberg_matrix_entries_vanish_geometrically():
     spec = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6)
-    b_small = schoenberg_matrix(spec, 60)
+    b_small = spec.schoenberg_matrix(60)
     assert np.max(np.abs(b_small)) < 0.8 * 0.7**59
 
 
 def test_schoenberg_matrices_psd_and_factorable():
     spec = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6)
     for n in range(101):
-        B = schoenberg_matrix(spec, n)
+        B = spec.schoenberg_matrix(n)
         factor = factor_schoenberg_matrix(B, degree=n)
         assert np.max(np.abs(factor.matrix @ factor.matrix.T - B)) <= 1e-12
 
 
 def test_valid_bivariate_sm_matrices_psd():
     spec = BivariateSpectralMatern(1.0, 2.0, 1.375, 0.75, rho=-0.6)
-    assert validate(spec) == []
+    assert spec.validate() == []
     for n in range(101):
-        B = schoenberg_matrix(spec, n)
+        B = spec.schoenberg_matrix(n)
         factor = factor_schoenberg_matrix(B, degree=n)
         assert np.max(np.abs(factor.matrix @ factor.matrix.T - B)) <= 1e-12
 
@@ -533,10 +587,10 @@ def test_waived_cross_parameters_fail_psd_at_degree_two():
     spec = BivariateSpectralMatern(
         1.0, 2.0, 0.75, 0.75, rho=-0.6, allow_unverified_cross=True
     )
-    schoenberg_matrix(spec, 0)
-    schoenberg_matrix(spec, 1)
+    spec.schoenberg_matrix(0)
+    spec.schoenberg_matrix(1)
     with pytest.raises(ModelError, match="degree 2"):
-        schoenberg_matrix(spec, 2)
+        spec.schoenberg_matrix(2)
 
 
 def test_waived_cross_parameters_fail_psd_in_one_array_call():
@@ -551,7 +605,7 @@ def test_waived_cross_parameters_fail_psd_in_one_array_call():
 def test_sequence_multi_covariance():
     mats = [np.eye(2), [[0.5, 0.2], [0.2, 0.5]]]
     spec = SequenceMultiCovariance(mats, d=2)
-    assert validate(spec) == []
+    assert spec.validate() == []
     assert_allclose(spec.schoenberg_matrix(1), mats[1])
     assert_allclose(spec.schoenberg_matrix(5), np.zeros((2, 2)))
     K0 = spec.covariance(0.0)

@@ -148,6 +148,15 @@ def test_pmf_plus_analytic_tail_brackets_one(dist, tail):
 
 # -------------------------------------------------------------------- sampling
 
+def test_finite_sampler_never_draws_a_trailing_atom_of_zero_mass():
+    # ten masses of 0.1 sum to one ulp below 1; the CDF is 1 from the last
+    # positive atom on, so a uniform just below 1 takes degree 9, not 10
+    law = FiniteDegrees([0.1] * 10 + [0.0])
+    degrees, accepted = law._row_degrees(np.array([[1 - 2**-53], [0.95], [0.0]]))
+    assert degrees.tolist() == [9, 9, 0] and accepted.all()
+    assert law.pmf(degrees).min() > 0.0
+
+
 def test_degenerate_finite_sampler():
     dist = FiniteDegrees([1.0])
     rng = np.random.default_rng(0)
