@@ -50,6 +50,11 @@ Cases:
     under zeta:2, seeds 2**70 + 0-2, n_threads None and 2; and
     `simulate_ensemble` on 9,000 points, the validate workload's config and
     a bivariate nb d = 2 one, at rng seeds 0-2;
+  - `simulate` of Chentsov d = 8 under oddzeta:2, most of whose rows have
+    degree 1 and so make one affine map per group, on the section grids
+    section:8:64x128 (8,192 points) and section:8:3x2731 (8,193), either
+    side of the same switch: L = 70 waves, seeds 2**70 + 0-2, n_threads
+    None and 2;
   - `simulate` on 20,000 points with L = 200 waves, three full groups of
     `WAVE_GROUP` waves and one partial group, one wave at a time over point
     tiles: nb d = 2 and bivariate nb d = 2, seeds 2**70 + 0-2, n_threads
@@ -304,6 +309,15 @@ def switch_lines():
             yield f"ensemble {name} 9000pts rng={seed} {digest(values.tobytes())}", values
 
 
+def affine_lines():
+    for spec in ("section:8:64x128", "section:8:3x2731"):
+        points = build_grid(parse_grid(spec)).points
+        for seed in EXTRA_SEEDS:
+            config = SimulationConfig(Chentsov(d=8), OddShiftedZeta(2.0), L=70, seed=seed)
+            yield from simulate_lines(f"chentsov-d8-oddzeta2-{points.shape[0]}pts", config,
+                                      points)
+
+
 def group_lines():
     points = sample_pole(2, np.random.default_rng(20_000), size=20_000)
     for name, model in (("nb-d2", NegativeBinomial(0.5, d=2)),
@@ -384,8 +398,8 @@ def moved_line(directory: Path, line: str, values) -> str:
 def cases():
     """(line, values) of every case, in print order."""
     for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(),
-                  ensemble_lines(), last_tile_lines(), switch_lines(), group_lines(),
-                  workload_lines(), csv_lines()):
+                  ensemble_lines(), last_tile_lines(), switch_lines(), affine_lines(),
+                  group_lines(), workload_lines(), csv_lines()):
         yield from lines
 
 

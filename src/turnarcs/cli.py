@@ -506,7 +506,7 @@ def build_parser() -> _Parser:
     _add_model_flags(val)
     _add_degree_flags(val)
     val.add_argument("--L", type=int, default=100)
-    val.add_argument("--M", type=int, default=200, help="independent realizations")
+    val.add_argument("--M", type=_at_least(2), default=200, help="independent realizations")
     val.add_argument("--grid", default="latlon:8x16")
     val.add_argument("--bins", type=_at_least(1), default=20)
     val.add_argument("--max-pairs", type=_at_least(1), default=20_000)

@@ -9,24 +9,29 @@ with the exact target covariance and an approximately Gaussian law.
 Waves stay arrays from draw to sum (a _Plan of signs, poles, degrees and
 components); WaveParams is the public one-wave replay (draw_wave, wave_eval_*),
 checked before any point is read.  Each wave profile takes one of the methods
-in _METHODS (constant, circle, exact recurrence, table, 3-sphere closed form,
+in _METHODS (affine, circle, exact recurrence, table, 3-sphere closed form,
 and on d <= 3 the Chebyshev series of degrees 8 to SERIES_MAX_DEGREE, whose
 unit-weight polynomial Clenshaw's recurrence sums in about half a recurrence
 step per degree before the weight multiplies it once).  Each
-method carries its cost and its error bound: _profile_methods gives every
-row of degree >= 1 on d >= 2 its cheapest method, and simulate records the
-largest bound among its rows.  Every entry point sums its waves through
-_wave_sums: simulate one run per wave group, simulate_ensemble one run of L
-waves per realization, single_wave_values and wave_eval_* runs of one wave.
-The point count picks its form, one wave at a time over point tiles or
-degree-sorted sweeps (recurrence or series) of many waves on few points; a
-wave's doubles and the order of the sums do not depend on it.  _wave_sums
-alone cuts point tiles: a row function is elementwise on the tile it gets.
+method carries its cost and its error bound: _profile_methods gives rows of
+degree 0 and 1 the affine map, every other row on d >= 2 its cheapest
+method, and simulate records the largest bound among its rows.  Every entry
+point sums its waves through _wave_sums: simulate one run per wave group,
+simulate_ensemble one run of L waves per realization, single_wave_values and
+wave_eval_* runs of one wave.  A run's waves of degree 0 and 1 add up to one
+affine function A + x V of the point x (G_0 = 1, G_1(t) = 2 lam t, or t on
+the circle), evaluated by one product over all points; the run's other waves
+are added to it.  The point count picks the form of the rest, one wave at a
+time over point tiles or degree-sorted sweeps (recurrence or series) of many
+waves on few points; a wave's doubles and the order of the sums do not
+depend on it.  _wave_sums alone cuts point tiles: a row function is
+elementwise on the tile it gets.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
-added in ascending order as they are made, so threaded and sequential runs
-produce bit-identical values.
+added in ascending order as they are made, each group starting from its
+affine map and then adding its other waves in wave order, so threaded and
+sequential runs produce bit-identical values.
 """
 
 import operator
@@ -34,7 +39,7 @@ from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import islice, pairwise
 
 import numpy as np
@@ -598,9 +603,16 @@ def _clenshaw(series: _Series, t: np.ndarray) -> np.ndarray:
 
 def _series_row(lam: float, degree: int, weight: float):
     """The series method's row function: the _series_coefficients of one
-    row, its blocks made once, then _clenshaw on t."""
-    series = _series_coefficients(lam, np.array([degree]), np.array([weight]))
-    series = series._replace(blocks=list(series.blocks))
+    row, then _clenshaw on t.  Its c_i for i = K .. 1 are the entries k = 0
+    .. K-1 of _cosine_coefficients of weight 2, one product of two slices
+    of the alpha table in the same long-double order, so the doubles are
+    those of _series_coefficients, with none of its dedupe and search."""
+    alpha = _series_alphas(lam)
+    K, odd = divmod(degree, 2)
+    c0 = ((2.0 if odd else 1.0) * alpha[K] * alpha[degree - K]).astype(float)
+    column = (2.0 * alpha[:K] * alpha[degree : degree - K : -1]).astype(float)
+    series = _Series(bool(odd), np.full((1, 1), c0), [([1] * K, column[:, None, None])],
+                     np.full((1, 1), weight))
     return lambda t: _clenshaw(series, t[None])[0]
 
 
@@ -634,53 +646,68 @@ def _closed_cost(lam: float, degrees: np.ndarray, npts: int) -> np.ndarray:
     return np.where(takes, float(CHEBYSHEV_ROW_COST + CHEBYSHEV_POINT_COST * npts), np.inf)
 
 
-def _quadratic_bound(degrees) -> np.ndarray:
+def _quadratic_bound(degrees, *_) -> np.ndarray:
     """SERIES_ERROR_BOUND (n+1)^2: the series' bound, which the exact
     recurrence keeps too (measured at most 0.11 eps (n+1)^2 near t = +-1,
     lam 1/2 to 63.5, n up to 5000)."""
     return SERIES_ERROR_BOUND * np.square(np.add(degrees, 1.0))
 
 
+def _affine_bound(n, d: int, k: int) -> float:
+    """gamma_{k+d+4} = j eps / (1 - j eps), j = k + d + 4: the bound of a
+    run's affine map of k rows on the d-sphere, relative to the sum of their
+    amplitudes |w f| G_n(1), G_0(1) = 1 and G_1(1) = c (see _affine_maps).
+    A degree-1 row's share of A + x V passes through at most k + d + 4
+    roundings: c w, its factor entry and the pole coordinate (3), the
+    sequential sum of the run's k terms (k - 1), the (d+1)-term product by
+    x in any order (d + 1) and the add of A (1); a degree-0 row's through
+    fewer.  sum_j |x_j pole_j| <= |x| |pole| <= 1 + 2e-12 for checked points
+    and poles, which eps in place of the unit roundoff eps / 2 covers."""
+    j = (k + d + 4) * np.finfo(float).eps
+    return j / (1.0 - j)
+
+
 # the profile methods.  Each has its row function (lam, degree, weight) -> a
-# function of clipped projections t giving weight * G_degree(t); its cost
-# (lam, int64 degrees, npts) in recurrence steps at one point, inf where it
-# cannot take a row (None for the two that _profile_methods gives whatever
-# the cost); its error bound as a function of the degrees, relative to the
-# amplitude |w| G_n(1) and non-decreasing in n; and whether its row function
-# reads t (the constant does not).  Degrees reach 2^63 - 1, so the costs test
-# eligibility in int64 and count in float64, exact integers or halves below
-# 2^53 wherever two can tie (npts below 9e7).  A row function does its
-# per-wave work (a table) once; its t function is elementwise, so a wave may
-# be evaluated whole or tile by tile with the same doubles.  A row's method
-# code is its index here.
-_Method = namedtuple("_Method", "name row cost bound reads_t", defaults=(True,))
-CONSTANT, CIRCLE, EXACT, TABLE, CLOSED, SERIES = range(6)
+# function of clipped projections t giving weight * G_degree(t) (None for
+# the affine map, which _wave_sums evaluates per run); its cost (lam, int64
+# degrees, npts) in recurrence steps at one point, inf where it cannot take
+# a row (None for the two that _profile_methods gives whatever the cost);
+# and its error bound (n, d, k) as a function of the degrees n, relative to
+# the amplitude |w| G_n(1) and non-decreasing in n (the affine map's depends
+# on the dimension d and the most affine rows k in one run instead).
+# Degrees reach 2^63 - 1, so the costs test eligibility in int64 and count
+# in float64, exact integers or halves below 2^53 wherever two can tie (npts
+# below 9e7).  A row function does its per-wave work (a table) once; its t
+# function is elementwise, so a wave may be evaluated whole or tile by tile
+# with the same doubles.  A row's method code is its index here.
+_Method = namedtuple("_Method", "name row cost bound")
+AFFINE, CIRCLE, EXACT, TABLE, CLOSED, SERIES = range(6)
 _METHODS = (
-    _Method("constant", lambda lam, n, w: lambda t: w, None, lambda n: 0.0, reads_t=False),
+    _Method("affine", None, None, _affine_bound),
     # (1.5 pi n + 1.5) eps <= 5 eps (n+1) of |w|: arccos within one ulp moves
     # n theta by up to pi n eps and its rounding by pi n eps / 2; cos and the
     # weight round within eps and eps / 2 (measured about 2 eps (n+1) up to
     # n = 1e9).  From n = 2^53 on, where n itself rounds, the bound exceeds 2
     _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t)), None,
-            lambda n: 5.0 * np.finfo(float).eps * np.add(n, 1.0)),
+            lambda n, *_: 5.0 * np.finfo(float).eps * np.add(n, 1.0)),
     _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0],
             lambda lam, n, npts: np.add(n, 1.0) * npts, _quadratic_bound),
     _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w)),
-            _table_cost, lambda n: PROFILE_ERROR_BOUND),
+            _table_cost, lambda n, *_: PROFILE_ERROR_BOUND),
     _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w),
-            _closed_cost, lambda n: CHEBYSHEV_ERROR_BOUND),
+            _closed_cost, lambda n, *_: CHEBYSHEV_ERROR_BOUND),
     _Method("series", _series_row, _series_cost, _quadratic_bound),
 )
 
 
 def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
     """Each row's profile method on npts points, as a code into _METHODS:
-    constant for degree 0, the circle cosine on d = 1, else the cheapest
-    method by cost.  Of equal costs the first of exact, series, table and
-    closed wins."""
+    the affine map for degrees 0 and 1 on every d, the circle cosine for the
+    others on d = 1, else the cheapest method by cost.  Of equal costs the
+    first of exact, series, table and closed wins."""
     degrees = np.asarray(degrees)
     if d == 1:
-        return np.where(degrees == 0, CONSTANT, CIRCLE)
+        return np.where(degrees <= 1, AFFINE, CIRCLE)
     lam = 0.5 * (d - 1)
     codes, best = EXACT, _METHODS[EXACT].cost(lam, degrees, npts)
     for code in (SERIES, TABLE, CLOSED):
@@ -688,7 +715,7 @@ def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
         cheaper = cost < best
         codes = np.where(cheaper, code, codes)
         best = np.where(cheaper, cost, best)
-    return np.where(degrees == 0, CONSTANT, codes)
+    return np.where(degrees <= 1, AFFINE, codes)
 
 
 def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -699,41 +726,92 @@ def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return np.clip(t, -1.0, 1.0, out=t)
 
 
+def _affine_slope(d: int) -> float:
+    """c = G_1(1): G_1(t) = 2 lam t = (d - 1) t on d >= 2, and t on the circle."""
+    return float(max(d - 1, 1))
+
+
+def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
+                 signed: np.ndarray, factors, run: int, sums: np.ndarray) -> np.ndarray:
+    """Start the sum of each run that holds a row of degree 0 or 1 from the
+    affine map those rows add up to, written into its sums[r], shape (p,
+    npts); returns which of the m // run runs it started.
+
+    At the point x the rows sum to A + x V: A (p) sums signed_i f_i over the
+    degree-0 rows and V (d+1 by p) c signed_i pole_i f_i over the degree-1
+    rows, with c = _affine_slope(d) and f_i the factor row (1 for p = 1).
+    Each row's terms c w, (c w) f and ((c w) f) pole_j, and w f, are formed
+    with zeros for the run's other rows, laid out position-major so that one
+    reduction over the first axis sums each run's in wave order; then one
+    product over all points, never tiled, plus A gives the map (error bound
+    _affine_bound), written into sums itself when every run starts.  Both
+    forms of _wave_sums call this, so a run's map depends neither on the
+    form nor on the tiles."""
+    one, zero = degrees == 1, degrees == 0
+    started = (one | zero).reshape(-1, run).any(axis=1)
+    if not started.any():
+        return started
+    slope = (signed * np.where(one, _affine_slope(d), 0.0))[:, None]
+    level = (signed * zero)[:, None]
+    if factors is not None:
+        slope, level = slope * factors, level * factors
+
+    def by_position(rows):              # (run, runs, ...): position j of every run
+        return rows.reshape(-1, run, *rows.shape[1:]).swapaxes(0, 1)
+
+    terms = np.empty((run, started.size, slope.shape[1], poles.shape[1] + 1))  # x_0 .. x_d, 1
+    np.multiply(by_position(slope)[..., None], by_position(poles)[:, :, None, :],
+                out=terms[..., :-1])
+    terms[..., -1] = by_position(level)
+    maps = np.add.reduce(terms, axis=0)[started]
+    # one product per run, stacked (each the doubles of its own call)
+    product = sums if maps.shape[0] == sums.shape[0] else np.empty((maps.shape[0], *sums.shape[1:]))
+    np.matmul(maps[:, :, :-1], points.T, out=product)
+    product += maps[:, :, -1:]
+    if product is not sums:
+        sums[started] = product
+    return started
+
+
 def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
                signed: np.ndarray, factors, run: int, first: int = 0) -> np.ndarray:
     """Sums of consecutive runs of `run` waves, shape (m // run, p, npts):
-    wave i is signed_i * G_{degrees_i}^((d-1)/2)(t_i) at the clipped
-    projections t_i of checked points onto poles[i], times its factor row
-    when factors is not None (else p = 1), by its _METHODS row function.
-    A run adds its waves in wave order, whatever the form below or the
-    tiles; a non-finite wave value raises with its index counted from first.
+    wave i is signed_i * G_{degrees_i}^((d-1)/2)(t_i) at the projections t_i
+    of checked points onto poles[i], times its factor row when factors is
+    not None (else p = 1).  A run starts from the affine map of its rows of
+    degree 0 and 1 (_affine_maps, skipped when it has none), then adds its
+    other waves in wave order, each by its _METHODS row function at the
+    clipped t_i, whatever the form below or the tiles; a non-finite wave
+    value raises with its index counted from first.  (_wave_coefficients
+    checks the affine rows' coefficients before any point work.)
 
     Above POINT_BLOCK // 2 points, one wave at a time: projected into one
-    npts buffer (unless its method reads no t, as a constant), evaluated,
-    checked, multiplied by its factor row and added over POINT_BLOCK tiles.
-    Else the (m, npts) profiles come first: two or more exact rows share a
-    degree-sorted recurrence over bands of POINT_BLOCK // npts rows, its
-    rows dropped at their own distinct degrees, and two or more series rows
-    share _clenshaw over bands of one parity, its rows joining at their own
-    K; each band is projected when its sweep reaches it and written once.
-    Every other row is projected and evaluated alone.  A run whose sum is
-    not finite is then searched for its first bad wave."""
+    npts buffer, evaluated, checked, multiplied by its factor row and added
+    over POINT_BLOCK tiles.  Else the (m, npts) profiles come first: two or
+    more exact rows share a degree-sorted recurrence over bands of
+    POINT_BLOCK // npts rows, its rows dropped at their own distinct
+    degrees, and two or more series rows share _clenshaw over bands of one
+    parity, its rows joining at their own K; each band is projected when its
+    sweep reaches it and written once.  Every other row is projected and
+    evaluated alone, and the affine rows are zeros.  A run whose sum is not
+    finite is then searched for its first bad wave."""
     m, npts = degrees.size, points.shape[0]
     p = 1 if factors is None else factors.shape[1]
     lam = 0.5 * (d - 1)
     codes = _profile_methods(d, degrees, npts)
     if npts > POINT_BLOCK // 2:
         sums = np.empty((m // run, p, npts))
+        started = _affine_maps(d, degrees, points, poles, signed, factors, run, sums).tolist()
         t = np.empty(npts)
         rows = sums if factors is not None else sums[:, 0]     # p = 1 adds 1-D tiles
         tiles = [(t[s : s + POINT_BLOCK], rows[..., s : s + POINT_BLOCK])
                  for s in range(0, npts, POINT_BLOCK)]
-        for i, code, n, w in zip(range(m), codes.tolist(), degrees.tolist(), signed.tolist()):
-            method = _METHODS[code]
-            if method.reads_t:
-                np.matmul(points, poles[i], out=t)
-                np.clip(t, -1.0, 1.0, out=t)
-            profile = method.row(lam, n, w)
+        other = np.flatnonzero(codes != AFFINE)
+        for i, code, n, w in zip(other.tolist(), codes[other].tolist(), degrees[other].tolist(),
+                                 signed[other].tolist()):
+            np.matmul(points, poles[i], out=t)
+            np.clip(t, -1.0, 1.0, out=t)
+            profile = _METHODS[code].row(lam, n, w)
             for t_tile, tile_sums in tiles:
                 vals = profile(t_tile)
                 if factors is not None:
@@ -741,7 +819,7 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
                 if not np.isfinite(vals).all():
                     raise SimulationError(f"non-finite wave values at wave index {first + i}")
                 acc = tile_sums[i // run]
-                if i % run:
+                if i % run or started[i // run]:
                     acc += vals
                 else:
                     acc[...] = vals
@@ -751,12 +829,11 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     height = POINT_BLOCK // npts
     exact, series = (np.flatnonzero(codes == code) for code in (EXACT, SERIES))
     shared = [code for code, rows in ((EXACT, exact), (SERIES, series)) if rows.size > 1]
-    rest = np.flatnonzero(~np.isin(codes, shared))
+    out[codes == AFFINE] = 0.0
+    rest = np.flatnonzero(~np.isin(codes, [AFFINE, *shared]))
     for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
                              signed[rest].tolist()):
-        method = _METHODS[code]
-        out[i] = method.row(lam, n, w)(_project(points, poles[i : i + 1])[0]
-                                       if method.reads_t else None)
+        out[i] = _METHODS[code].row(lam, n, w)(_project(points, poles[i : i + 1])[0])
     if EXACT in shared:
         order = exact[np.argsort(degrees[exact])[::-1]]
         for r0 in range(0, exact.size, height):
@@ -782,7 +859,20 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
                 out[band] = _clenshaw(_series_coefficients(lam, degrees[band], signed[band]),
                                       _project(points, poles[band]))
     values = out[:, None, :] if factors is None else factors[:, :, None] * out[:, None, :]
-    sums = reduce(np.add, values.reshape(m // run, run, p, npts).swapaxes(0, 1))
+    if run == 1:
+        sums = values                   # a run of one wave is its value or its map
+        _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
+    else:
+        parts = values.reshape(m // run, run, p, npts)
+        sums = np.empty((m // run, p, npts))
+        started = _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
+        sums[~started] = parts[~started, 0]     # a run without affine rows starts at its first
+        # positions that hold an affine row in every run add zeros only
+        for j in np.flatnonzero(~(codes == AFFINE).reshape(-1, run).all(axis=0)).tolist():
+            if j:
+                sums += parts[:, j]
+            else:
+                sums[started] += parts[started, 0]
     if not np.isfinite(sums).all():
         # a non-finite wave makes its run's sum non-finite
         finite = np.isfinite(values).reshape(m, -1).all(axis=1)
@@ -792,23 +882,36 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     return sums
 
 
+def _raise_first_non_finite(values: np.ndarray, first: int) -> None:
+    """Raise for the first row of values with a non-finite entry, naming its
+    wave index counted from first."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
+    if bad.size:
+        raise SimulationError(f"non-finite wave values at wave index {first + int(bad[0])}")
+
+
 def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) -> tuple:
     """Signed weights of a plan's waves, and each wave's Schoenberg factor
     column as a row, shape (m, p), or None for a scalar model.  A weight
-    that is not finite (one that overflows exp) raises with its wave index
-    counted from first, before any point work.  Each distinct degree's
-    matrix is built once, and all of them are factored together."""
+    that is not finite (one that overflows exp), or an affine row's
+    coefficient that overflows (c w of a degree-1 row, where w is finite,
+    and w or c w times the factor row), raises with its wave index counted
+    from first, before any point work.  Each distinct degree's matrix is
+    built once, and all of them are factored together."""
     with np.errstate(over="ignore"):
         signed = plan.signs * _wave_weights(config.model, config.degrees, plan.degrees)
-    bad = np.flatnonzero(~np.isfinite(signed))
-    if bad.size:
-        raise SimulationError(f"non-finite wave values at wave index {first + int(bad[0])}")
+        coef = signed * np.where(plan.degrees == 1, _affine_slope(config.d), 1.0)
+    _raise_first_non_finite(coef, first)
     if config.p == 1:
         return signed, None
     distinct, inverse = np.unique(plan.degrees, return_inverse=True)
     matrices = config.model.schoenberg_matrix(distinct)
     columns = _factor_schoenberg_matrices(matrices, distinct).swapaxes(1, 2)
-    return signed, columns[inverse, plan.components]
+    factors = columns[inverse, plan.components]
+    with np.errstate(over="ignore"):
+        _raise_first_non_finite(np.where(plan.degrees[:, None] <= 1, coef[:, None] * factors, 0.0),
+                                first)
+    return signed, factors
 
 
 def _wave_plan(wave: WaveParams, d: int) -> _Plan:
@@ -895,8 +998,10 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     values *= 1.0 / np.sqrt(L)
     kappas = plan.degrees.tolist()
     codes = _profile_methods(config.d, plan.degrees, npts)
-    # each method's bound is largest at its highest degree
-    bound = max(_METHODS[code].bound(plan.degrees[codes == code].max())
+    # each method's bound is largest at its highest degree, the affine map's
+    # at the group with the most affine rows
+    k = int(np.add.reduceat((codes == AFFINE).astype(np.int64), range(0, L, WAVE_GROUP)).max())
+    bound = max(_METHODS[code].bound(plan.degrees[codes == code].max(), config.d, k)
                 for code in np.unique(codes).tolist())
     metadata = {**config.metadata(), "profile_error_bound": float(bound),
                 "degree_sum": sum(kappas), "degree_max": max(kappas),
@@ -919,12 +1024,25 @@ def _draw_waves(config: SimulationConfig, M: int, rng) -> _Plan:
     return _Plan(signs, poles, degrees, components)
 
 
+def _wave_count(M) -> int:
+    """M read through operator.index, as L and the seed are: a
+    non-negative integer, else SimulationError."""
+    try:
+        count = operator.index(M)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise SimulationError(f"M must be a non-negative integer, got {M!r}")
+    return count
+
+
 def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
     """M independent single waves evaluated at the points, shape (M, npts, p).
 
     Same law as M runs of simulate with L=1 but vectorized across waves;
     meant for moment checks, where the caller owns the stream.
     """
+    M = _wave_count(M)
     points = check_points(points, config.d)
     plan = _draw_waves(config, M, rng)
     signed, factors = _wave_coefficients(config, plan)
@@ -940,6 +1058,7 @@ def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarr
     _wave_sums.  Draws come in chunks capped by ENSEMBLE_BUDGET value doubles
     and ENSEMBLE_WAVE_CAP waves, summed in pieces of ENSEMBLE_PIECE doubles.
     """
+    M = _wave_count(M)
     points = check_points(points, config.d)
     npts = points.shape[0]
     L = config.L
@@ -965,4 +1084,4 @@ def clt_marginal_samples(config: SimulationConfig, point, M: int, rng) -> np.nda
     """M draws of the standardizable ensemble value at a single point (p=1)."""
     if config.p != 1:
         raise SimulationError("marginal sampling is defined for scalar models")
-    return simulate_ensemble(config, np.atleast_2d(point), M, rng)[:, 0, 0]
+    return simulate_ensemble(config, np.atleast_2d(point), _wave_count(M), rng)[:, 0, 0]

@@ -272,7 +272,7 @@ def test_simulate_header_records_profile_methods(tmp_path):
                       ).metadata["profile_methods"]
     assert list(counts) == [method.name for method in simulator._METHODS]
     assert sum(counts.values()) == 60
-    assert counts["constant"] > 0 and counts["exact"] > 0 and counts["series"] > 0
+    assert counts["affine"] > 0 and counts["exact"] > 0 and counts["series"] > 0
     assert header["profile_methods"] == ",".join(f"{k}:{v}" for k, v in counts.items())
     lines = out.read_text().splitlines()
     after = lines.index(f"# degree_max={header['degree_max']}") + 1
@@ -452,6 +452,20 @@ def test_validate_failure_exits_two(monkeypatch, capsys):
                             "beyond 4 standard errors\n")
 
 
+@pytest.mark.parametrize("M", ["1", "-3"])
+def test_validate_needs_two_realizations_before_it_simulates(monkeypatch, capsys, M):
+    # --M 1 used to simulate every realization before the covariance
+    # estimate rejected it, and --M -3 to exit 1 with numpy's "negative
+    # dimensions are not allowed"; both are usage errors now, before any draw
+    calls = []
+    monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: calls.append(args))
+    code = main(["validate", "--model", "nb", "--delta", "0.5", "--degree-dist", "geometric:0.2",
+                 "--L", "40", "--M", M, "--grid", "latlon:4x8"])
+    assert code == cli.EXIT_USAGE and calls == []
+    assert capsys.readouterr().err == (
+        f"turnarcs: usage error: argument --M: must be at least 2, got {M}\n")
+
+
 def test_validate_bivariate_model(tmp_path, capsys):
     # degree law with solid low-degree mass so every realization mixes the
     # dominant wave degrees and the 4-SE band is trustworthy at this M
@@ -543,7 +557,7 @@ def test_csv_body_is_per_cell_17g(kind, rows, p, data):
     values.flat[0] = -0.0
     metadata = {"model": "m", "d": grid.d, "p": p, "L": 1, "seed": 0, "degrees": "finite:1",
                 "profile_error_bound": 0.0, "degree_sum": 0, "degree_max": 0,
-                "profile_methods": {"constant": 1}}
+                "profile_methods": {"affine": 1}}
     stream = io.StringIO()
     cli.write_realization(stream, grid, kind, Realization(grid.points, values, metadata))
     lines = stream.getvalue().splitlines(keepends=True)

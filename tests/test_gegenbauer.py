@@ -15,7 +15,8 @@ from turnarcs.gegenbauer import (
     gegenbauer_log_at_one,
     gegenbauer_norm_sq,
 )
-from turnarcs.simulator import SERIES, SERIES_MIN_DEGREE, _profile_methods, _series_row, sample_pole
+from turnarcs.simulator import (AFFINE, SERIES, SERIES_MIN_DEGREE, _profile_methods, _series_row,
+                                 sample_pole)
 
 from conftest import projections, wave_profiles
 
@@ -240,10 +241,14 @@ def test_shrinking_batch_matches_scipy(d, kappas, npts, seed):
         ref = scale[i] * eval_gegenbauer(n, lam, t[i])
         tol = kernel_tolerance(n) * abs(scale[i]) * gegenbauer_at_one(lam, n)
         assert np.max(np.abs(got[i] - ref)) <= tol
-        # the batch runs each row's own steps: the scalar path's, or on d <= 3
-        # from degree SERIES_MIN_DEGREE on the series row's; same rounding
+        # the batch runs each row's own steps: the scalar path's, on d <= 3
+        # from degree SERIES_MIN_DEGREE on the series row's, and for degrees
+        # 0 and 1 the affine map of the row alone; same rounding
         if codes[i] == SERIES:
             assert_array_equal(got[i], _series_row(lam, n, scale[i])(t[i]))
+        elif codes[i] == AFFINE:
+            assert_array_equal(got[i], wave_profiles(d, k[i : i + 1], points, poles[i : i + 1],
+                                                     scale[i : i + 1])[0])
         else:
             assert_array_equal(got[i], gegenbauer_eval_weighted(lam, n, t[i], scale[i]))
 

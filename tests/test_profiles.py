@@ -24,10 +24,10 @@ from turnarcs.grids import LatLonGrid, Slice3Grid, build_grid
 from turnarcs import simulator
 from conftest import great_circle, projections, wave_profiles
 from turnarcs.simulator import (
+    AFFINE,
     CHEBYSHEV_ERROR_BOUND,
     CIRCLE,
     CLOSED,
-    CONSTANT,
     EXACT,
     TABLE,
     CHEBYSHEV_POINT_COST,
@@ -374,14 +374,14 @@ def test_chebyshev_cost_model_matches_integer_form(npts):
 
 
 def cheapest_method(d, n, npts):
-    """The method rule in integers: degree 0 takes the constant and d = 1
-    the circle; else the cheapest method by its cost, twice over so that
+    """The method rule in integers: degrees 0 and 1 take the affine map and
+    d = 1 the circle; else the cheapest method by its cost, twice over so that
     every cost is an integer, where on equal costs the first of exact,
     series, table and closed wins.  A Fourier table holds n while its
     _fourier_node_count(n) + 1 columns fit in npts; the closed form takes
     the 3-sphere degrees that no Fourier table holds."""
-    if n == 0:
-        return CONSTANT
+    if n <= 1:
+        return AFFINE
     if d == 1:
         return CIRCLE
     fits = NODES_PER_DEGREE * n < npts and _fourier_node_count(n) + 1 <= npts
@@ -603,6 +603,26 @@ def test_series_band_of_equal_degrees_equals_single_rows(lam, parity, halves, co
     band = simulator._clenshaw(simulator._series_coefficients(lam, degrees, weights), t)
     for i, (n, w) in enumerate(zip(degrees.tolist(), weights.tolist())):
         assert_array_equal(band[i], _series_row(lam, n, w)(t[i]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.sampled_from([0.5, 1.0]),
+       n=st.integers(SERIES_MIN_DEGREE, SERIES_MAX_DEGREE),
+       weight=st.floats(-1e6, 1e6).filter(lambda w: w != 0.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(lam=0.5, n=SERIES_MIN_DEGREE, weight=1.0, seed=0)
+@example(lam=1.0, n=SERIES_MIN_DEGREE + 1, weight=-2.5, seed=1)
+@example(lam=0.5, n=SERIES_MAX_DEGREE, weight=0.3, seed=2)
+@example(lam=1.0, n=SERIES_MAX_DEGREE - 1, weight=-7.0, seed=3)
+def test_lone_series_row_has_the_coefficients_of_a_band(lam, n, weight, seed):
+    # a lone row takes its coefficients from two slices of the alpha table,
+    # not from _series_coefficients, with the same doubles: even and odd
+    # degrees from SERIES_MIN_DEGREE to SERIES_MAX_DEGREE, the poles and 0
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 50), [1.0, -1.0, 0.0, -0.0]])
+    band = simulator._clenshaw(
+        simulator._series_coefficients(lam, np.array([n]), np.array([weight])), t[None])[0]
+    assert_array_equal(_series_row(lam, n, weight)(t), band)
 
 
 @pytest.mark.parametrize("n", [SERIES_MIN_DEGREE, 9, 1000, SERIES_MAX_DEGREE])

@@ -564,10 +564,11 @@ def test_simulate_metadata_records_the_bound_of_its_highest_series_row(seed, top
 
 @pytest.mark.parametrize("case", ["circle", "nb d=2", "f d=3"])
 def test_simulate_records_the_largest_bound_of_its_rows(case):
-    # the bound of each row's method, written out: the circle's 5 eps (n+1),
-    # the table's and the closed form's constants and the recurrence's and
-    # series' SERIES_ERROR_BOUND (n+1)^2; simulate records the largest.  Each
-    # case runs rows of the method it is named for
+    # the bound of each row's method, written out: the affine map's
+    # gamma_{k+d+4} for the group with the most (k) affine rows, the
+    # circle's 5 eps (n+1), the table's and the closed form's constants and
+    # the recurrence's and series' SERIES_ERROR_BOUND (n+1)^2; simulate
+    # records the largest.  Each case runs rows of the method it is named for
     eps = np.finfo(float).eps
     model, law, L, npts, method = {
         "circle": (SequenceCovariance([0.2, 0.5, 0.3], d=1), ShiftedZeta(1.5), 50, 40,
@@ -583,7 +584,11 @@ def test_simulate_records_the_largest_bound_of_its_rows(case):
     codes = simulator._profile_methods(config.d, degrees, npts)
     assert method in codes
     quadratic = SERIES_ERROR_BOUND * (degrees + 1.0) ** 2
-    bounds = {simulator.CONSTANT: 0.0 * degrees, simulator.CIRCLE: 5.0 * eps * (degrees + 1.0),
+    k = max(np.count_nonzero(codes[lo : lo + WAVE_GROUP] == simulator.AFFINE)
+            for lo in range(0, L, WAVE_GROUP))
+    gamma = (k + config.d + 4) * eps
+    bounds = {simulator.AFFINE: gamma / (1.0 - gamma) + 0.0 * degrees,
+              simulator.CIRCLE: 5.0 * eps * (degrees + 1.0),
               simulator.EXACT: quadratic, simulator.TABLE: PROFILE_ERROR_BOUND + 0.0 * degrees,
               simulator.CLOSED: simulator.CHEBYSHEV_ERROR_BOUND + 0.0 * degrees,
               simulator.SERIES: quadratic}
@@ -1001,22 +1006,54 @@ def test_simulate_memory_does_not_grow_with_its_groups():
     assert simulate_peak(640) <= simulate_peak(64) + 20_000 * 8
 
 
+def affine_map(d, degrees, poles, signed, factors, points):
+    """The affine map of a run's rows of degree 0 and 1, written out, shape
+    (npts, p): A sums w_i f_i over the degree-0 rows and V (c w_i) f_i
+    pole_i over the degree-1 rows, c = G_1(1), each from zero in wave order;
+    then one product V x over all points, plus A."""
+    c = float(max(d - 1, 1))
+    p = 1 if factors is None else factors.shape[1]
+    A, V = np.zeros(p), np.zeros((p, d + 1))
+    for i in np.flatnonzero(degrees <= 1):
+        f = np.ones(1) if factors is None else factors[i]
+        if degrees[i] == 0:
+            A += signed[i] * f
+        else:
+            V += ((c * signed[i]) * f)[:, None] * poles[i][None, :]
+    return (np.matmul(V, points.T) + A[:, None]).T
+
+
+def run_sum(d, degrees, poles, signed, factors, points, waves):
+    """A run's sum as _wave_sums makes it: the affine map of its rows of
+    degree 0 and 1 when it has any, then its other waves (rows of waves,
+    shape (npts, p)) added in wave order."""
+    total = (affine_map(d, degrees, poles, signed, factors, points)
+             if np.any(degrees <= 1) else None)
+    for i in np.flatnonzero(degrees > 1):
+        total = waves[i].copy() if total is None else total + waves[i]
+    return total
+
+
 @pytest.mark.parametrize("case, npts", [("nb d=2", 1), ("bivariate nb d=2", 1),
                                         ("f d=3", 3), ("bivariate nb d=2", 9000)])
 def test_ensemble_is_its_waves_summed_in_order(case, npts):
-    # a realization adds its L waves in draw order, whatever the point
-    # count (one point included) or form, then scales by 1/sqrt(L); the
-    # waves are single_wave_values' rows of the same stream
+    # a realization is its affine map, then its other L waves added in draw
+    # order, whatever the point count (one point included) or form, then
+    # scaled by 1/sqrt(L); the waves are single_wave_values' rows of the
+    # same stream
     model, degrees = SUM_CASES[case]
     config = SimulationConfig(model, degrees, L=30, seed=0)
     points = sample_pole(config.d, np.random.default_rng(npts), size=npts)
-    M = 7
-    waves = single_wave_values(config, points, M * config.L, np.random.default_rng(4))
-    waves = waves.reshape(M, config.L, npts, config.p)
-    expected = waves[:, 0].copy()
-    for j in range(1, config.L):
-        expected += waves[:, j]
-    expected *= 1.0 / np.sqrt(config.L)
+    M, L = 7, config.L
+    waves = single_wave_values(config, points, M * L, np.random.default_rng(4))
+    plan = simulator._draw_waves(config, M * L, np.random.default_rng(4))
+    signed, factors = simulator._wave_coefficients(config, plan)
+    assert np.any(plan.degrees <= 1)
+    expected = np.array([
+        run_sum(config.d, plan.degrees[run], plan.poles[run], signed[run],
+                None if factors is None else factors[run], points, waves[run])
+        for run in (slice(r * L, (r + 1) * L) for r in range(M))])
+    expected *= 1.0 / np.sqrt(L)
     assert_array_equal(simulate_ensemble(config, points, M, np.random.default_rng(4)), expected)
 
 
@@ -1073,13 +1110,15 @@ def test_simulate_is_the_sum_of_its_waves(case, L, seed, npts):
     for case in ["f d=3", "exponential d=3", "bivariate nb zeta d=2"]
 ] + [(70, 3, 40, "circle d=1"), (100, 5, 10_000, "nb d=4")])
 def test_simulate_is_its_summation_tree_bitwise(L, seed, npts, case):
-    # zeta:2 puts 61% of its mass on degree 0, whose waves simulate adds as
-    # constants (times their factor rows for p = 2); the replay evaluates
-    # every wave through wave_eval_* and sums in the same tree: rows into
-    # groups of WAVE_GROUP waves, the groups in order, then 1/sqrt(L).  On
-    # 3000 points the d <= 3 cases have table rows and a shared series sweep
-    # (seed 5: tables pay from degree 61 there, which seed 7 never drew), and
-    # on 10k points the d = 4 case has recurrence-table rows
+    # zeta:2 puts 76% of its mass on degrees 0 and 1, whose waves simulate
+    # adds as one affine map per group (times their factor rows for p = 2);
+    # the replay writes each group's map out, evaluates every other wave
+    # through wave_eval_* and sums in the same tree: the map, then the
+    # group's other waves in order, the groups of WAVE_GROUP waves in order,
+    # then 1/sqrt(L).  On 3000 points the d <= 3 cases have table rows and a
+    # shared series sweep (seed 5: tables pay from degree 61 there, which
+    # seed 7 never drew), and on 10k points the d = 4 case has
+    # recurrence-table rows
     model, degrees = SUM_CASES[case]
     config = SimulationConfig(model, degrees, L=L, seed=seed)
     points = sample_pole(config.d, np.random.default_rng(seed), size=npts)
@@ -1087,30 +1126,155 @@ def test_simulate_is_its_summation_tree_bitwise(L, seed, npts, case):
     wave_eval = wave_eval_scalar if p == 1 else wave_eval_vector
     waves = [draw_wave(config, wave_rng(seed, i)) for i in range(L)]
     kappas = np.array([wave.degree for wave in waves])
-    assert np.any(kappas == 0) and np.any(kappas > 0)
+    assert np.any(kappas <= 1) and np.any(kappas > 1)
     if npts > 1000:
         codes = simulator._profile_methods(config.d, kappas, npts)
         assert np.any(codes == simulator.TABLE)
         if config.d <= 3:
             assert np.count_nonzero(codes == simulator.SERIES) > 1      # a shared sweep
+    plan = simulator._draw_plan(config)
+    signed, factors = simulator._wave_coefficients(config, plan)
     values = np.zeros((npts, p))
     for lo in range(0, L, WAVE_GROUP):
-        part = np.zeros((npts, p))
-        for wave in waves[lo : lo + WAVE_GROUP]:
-            part += np.reshape(wave_eval(wave, config, points), (npts, p))
-        values += part
+        group = slice(lo, lo + WAVE_GROUP)
+        evaluated = [None if wave.degree <= 1 else
+                     np.reshape(wave_eval(wave, config, points), (npts, p))
+                     for wave in waves[group]]
+        values += run_sum(config.d, kappas[group], plan.poles[group], signed[group],
+                          None if factors is None else factors[group], points, evaluated)
     values *= 1.0 / np.sqrt(L)
     assert_array_equal(simulate(config, points).values, values)
 
 
-@pytest.mark.parametrize("constant", [True, False])
-def test_non_finite_wave_names_its_index(monkeypatch, tmp_path, capsys, constant):
-    # an infinite weight at one wave, of degree 0 (the constant add) or not
-    # (the profile path), must stop simulate at that wave's index, and the
-    # CLI with exit code 1
+def long_double_profile(d, n, t):
+    """G_n(t) in long double at long-double t: Chebyshev's recurrence for
+    cos(n arccos t) on the circle, the Gegenbauer recurrence of lam =
+    (d-1)/2 above."""
+    t = np.asarray(t, dtype=np.longdouble)
+    lam = np.longdouble(d - 1) / 2
+    prev, g = np.ones_like(t), (t if d == 1 else 2 * lam * t)
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        if d == 1:
+            prev, g = g, 2 * t * g - prev
+        else:
+            prev, g = g, (2 * (k + lam - 1) * t * g - (k + 2 * lam - 2) * prev) / k
+    return g
+
+
+def affine_case_config(d, p, rng):
+    """A model whose Schoenberg coefficients (p = 1) or matrices span four
+    orders of magnitude over degrees 0 to 12, under the uniform law on them."""
+    scales = 10.0 ** rng.uniform(-3.0, 1.0, 13)
+    if p == 1:
+        model = SequenceCovariance(scales, d=d)
+    else:
+        roots = rng.normal(size=(13, p, p)) * np.sqrt(scales)[:, None, None]
+        matrices = roots @ roots.swapaxes(1, 2)
+        model = SequenceMultiCovariance(0.5 * (matrices + matrices.swapaxes(1, 2)), d=d)
+    return SimulationConfig(model, FiniteDegrees(np.full(13, 1.0 / 13)), L=1, seed=0)
+
+
+# degrees of each kind of run: only degree 0, only degree 1, a mix of affine
+# and other rows, no affine row
+AFFINE_KINDS = {"degree 0": [0], "degree 1": [1], "mix": [0, 1, 2, 3, 9], "none": [2, 3, 9]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 4, 8]), p=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(sorted(AFFINE_KINDS)), run=st.integers(1, 70),
+       runs=st.integers(1, 3), npts=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(d=8, p=3, kind="mix", run=64, runs=2, npts=30, seed=0)
+@example(d=1, p=1, kind="degree 1", run=1, runs=1, npts=1, seed=1)
+@example(d=3, p=1, kind="degree 1", run=64, runs=1, npts=12, seed=2)
+@example(d=4, p=2, kind="degree 0", run=5, runs=3, npts=9, seed=3)
+@example(d=2, p=1, kind="none", run=7, runs=2, npts=4, seed=4)
+def test_affine_map_keeps_its_bound_and_its_bits(d, p, kind, run, runs, npts, seed):
+    # a run's rows of degree 0 and 1 make one affine map A + x V: (1) its
+    # sum stays within the map's stated bound, gamma_{k+d+4} of the affine
+    # rows' amplitudes, of the long-double sum of the waves at the
+    # unclipped projections, with the other rows' method bounds and the
+    # run's adds on top; (2) its bits do not depend on the form (POINT_BLOCK
+    # monkeypatched) and a one-wave run is wave_eval_*'s; (3) a degree-1
+    # coefficient c w that overflows, where w does not, raises with its
+    # index before any point work
+    rng = np.random.default_rng(seed)
+    m = run * runs
+    degrees = rng.choice(AFFINE_KINDS[kind], size=m).astype(np.int64)
+    config = affine_case_config(d, p, rng)
+    points, poles = sample_pole(d, rng, size=npts), sample_pole(d, rng, size=m)
+    plan = simulator._Plan(rng.choice([-1, 1], size=m), poles, degrees,
+                           rng.integers(0, p, size=m) if p > 1 else None)
+    signed, factors = simulator._wave_coefficients(config, plan)
+    sums = simulator._wave_sums(d, degrees, points, poles, signed, factors, run)
+    assert sums.shape == (runs, p, npts)
+
+    eps = np.finfo(float).eps
+    gamma = lambda j: j * eps / (1.0 - j * eps)                        # noqa: E731
+    ld = np.longdouble
+    f = np.ones((m, 1)) if factors is None else factors
+    codes = simulator._profile_methods(d, degrees, npts)
+    unclipped = points.astype(ld) @ poles.T.astype(ld)              # (npts, m)
+    clipped = projections(points, poles)                            # what profile rows read
+    for r in range(runs):
+        rows = range(r * run, (r + 1) * run)
+        affine = [i for i in rows if degrees[i] <= 1]
+        ref = np.zeros((p, npts), dtype=ld)
+        tol = np.zeros(p)
+        for i in rows:
+            n = int(degrees[i])
+            at = unclipped[:, i] if n <= 1 else clipped[i]
+            ref += (ld(signed[i]) * f[i].astype(ld))[:, None] * long_double_profile(d, n, at)
+            amp = abs(signed[i] * f[i]) * float(long_double_profile(d, n, 1.0))
+            bound = simulator._METHODS[codes[i]].bound(n, d, len(affine))
+            tol += amp * (bound + (gamma(run + 1) if len(affine) < run else 0.0))
+        if affine and len(affine) == run:
+            assert simulator._METHODS[simulator.AFFINE].bound(1, d, run) == gamma(run + d + 4)
+        assert np.all(np.abs(sums[r] - ref).astype(float) <= tol[:, None])
+
+    for block in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "POINT_BLOCK", block)
+            assert_array_equal(simulator._wave_sums(d, degrees, points, poles, signed, factors,
+                                                    run), sums)
+    singles = simulator._wave_sums(d, degrees, points, poles, signed, factors, 1)
+    if run == 1:
+        assert_array_equal(singles, sums)
+    wave_eval = wave_eval_scalar if p == 1 else wave_eval_vector
+    for i in range(min(m, 8)):
+        wave = WaveParams(int(plan.signs[i]), poles[i], int(degrees[i]),
+                          None if p == 1 else int(plan.components[i]))
+        assert_array_equal(np.reshape(wave_eval(wave, config, points), (npts, p)), singles[i].T)
+
+    ones = np.flatnonzero(degrees == 1)
+    if d >= 3 and ones.size:
+        # c = d - 1 >= 2 doubles the largest finite weight past the double range
+        idx = int(ones[-1])
+        with pytest.MonkeyPatch.context() as patch:
+            poison_weight(patch, idx, np.finfo(float).max / 1.5)
+            calls = count_wave_work(patch)
+            patch.setattr(simulator, "_project", lambda *args: calls.append(args))
+            message = f"non-finite wave values at wave index {idx}$"
+            with pytest.raises(SimulationError, match=message):
+                simulator._wave_coefficients(config, plan)
+            wave = WaveParams(int(plan.signs[idx]), poles[idx], 1,
+                              None if p == 1 else int(plan.components[idx]))
+            with pytest.MonkeyPatch.context() as one:
+                poison_weight(one, 0, np.finfo(float).max / 1.5)
+                with pytest.raises(SimulationError, match="at wave index 0$"):
+                    wave_eval(wave, config, points)
+            assert calls == []
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_non_finite_wave_names_its_index(monkeypatch, tmp_path, capsys, affine):
+    # an infinite weight at one wave, of degree 0 or 1 (the affine map) or
+    # not (the profile path), must stop simulate at that wave's index, and
+    # the CLI with exit code 1
     config = SimulationConfig(NegativeBinomial(0.5, d=2), ShiftedZeta(2.0), L=30, seed=5)
     kappas = simulator._draw_plan(config).degrees
-    idx = int(np.flatnonzero((kappas == 0) == constant)[-1])
+    idx = int(np.flatnonzero((kappas <= 1) == affine)[-1])
     real = simulator._wave_weights
 
     def poisoned(model, law, degrees):
@@ -1201,6 +1365,59 @@ def test_non_finite_values_raise_on_every_entry_point(monkeypatch, npts):
             with pytest.raises(SimulationError, match="at wave index 11$"):
                 simulate_ensemble(config, points, 3, rng)
     assert calls == []
+
+
+def test_overflowing_affine_coefficient_raises_on_every_entry_point(monkeypatch):
+    # on d = 4 a degree-1 wave's coefficient is c w = 3 w: a finite weight
+    # of a third of the largest double or more overflows there.  Each entry
+    # point names the wave before any wave is evaluated
+    config = SimulationConfig(NegativeBinomial(0.5, d=4), GeometricDegrees(0.5), L=40, seed=0)
+    points = sample_pole(4, np.random.default_rng(0), size=3)
+    huge = np.finfo(float).max / 1.5
+    calls = count_wave_work(monkeypatch)
+    idx = int(np.flatnonzero(simulator._draw_plan(config).degrees == 1)[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        poison_weight(patch, idx, huge)
+        with pytest.raises(SimulationError, match=f"non-finite wave values at wave index {idx}$"):
+            simulate(config, points)
+    drawn = simulator._draw_waves(config, 3 * config.L, np.random.default_rng(1)).degrees
+    idx = int(np.flatnonzero(drawn == 1)[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        poison_weight(patch, idx, huge)
+        with pytest.raises(SimulationError, match=f"at wave index {idx}$"):
+            single_wave_values(config, points, 3 * config.L, np.random.default_rng(1))
+        with pytest.raises(SimulationError, match=f"at wave index {idx}$"):
+            simulate_ensemble(config, points, 3, np.random.default_rng(1))
+    assert calls == []
+
+
+def realization_count_calls(config, M):
+    """The three entry points that take a count M of waves or realizations."""
+    points = meridian_points(2, [0.2, 1.0])
+    rng = np.random.default_rng(0)
+    return [lambda: single_wave_values(config, points, M, rng),
+            lambda: simulate_ensemble(config, points, M, rng),
+            lambda: clt_marginal_samples(config, points[0], M, rng)]
+
+
+@pytest.mark.parametrize("M", [3.0, 2.5, "3", None])
+def test_realization_count_must_be_an_integer(M):
+    # a float M used to raise numpy's TypeError from inside the draws
+    for call in realization_count_calls(scalar_config(L=4), M):
+        with pytest.raises(SimulationError, match="M must be a non-negative integer, got"):
+            call()
+    for call in realization_count_calls(scalar_config(L=4), np.int64(3)):
+        assert call().shape[0] == 3
+
+
+@pytest.mark.parametrize("M", [-1, -3])
+def test_realization_count_must_not_be_negative(M):
+    # a negative M used to raise numpy's "negative dimensions" ValueError
+    for call in realization_count_calls(scalar_config(L=4), M):
+        with pytest.raises(SimulationError, match=f"M must be a non-negative integer, got {M}$"):
+            call()
+    for call in realization_count_calls(scalar_config(L=4), 0):
+        assert call().shape[0] == 0
 
 
 @pytest.mark.parametrize("npts", [3, 9000])
