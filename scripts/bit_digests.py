@@ -50,6 +50,11 @@ Cases:
     under zeta:2, seeds 2**70 + 0-2, n_threads None and 2; and
     `simulate_ensemble` on 9,000 points, the validate workload's config and
     a bivariate nb d = 2 one, at rng seeds 0-2;
+  - Chentsov d = 3 under zeta:2, whose even degrees have weight 0 and so
+    make many values exactly 0.0, on 8,192 and 8,193 points, either side of
+    the same switch, with L = 2 and L = 20: `simulate` at seeds 2**70 + 0-2,
+    n_threads None and 2, and 8 realizations of `simulate_ensemble` at rng
+    seeds 0-2;
   - `simulate` of Chentsov d = 8 under oddzeta:2, most of whose rows have
     degree 1 and so make one affine map per group, on the section grids
     section:8:64x128 (8,192 points) and section:8:3x2731 (8,193), either
@@ -309,6 +314,21 @@ def switch_lines():
             yield f"ensemble {name} 9000pts rng={seed} {digest(values.tobytes())}", values
 
 
+def zero_weight_lines():
+    model, law = Chentsov(d=3), ShiftedZeta(2.0)
+    for npts in (8192, 8193):
+        points = sample_pole(3, np.random.default_rng(npts), size=npts)
+        for L in (2, 20):
+            for seed in EXTRA_SEEDS:
+                config = SimulationConfig(model, law, L=L, seed=seed)
+                yield from simulate_lines(f"chentsov-d3-zeta2-L{L}-{npts}pts", config, points)
+            config = SimulationConfig(model, law, L=L, seed=0)
+            for seed in range(3):
+                values = simulate_ensemble(config, points, 8, np.random.default_rng(seed))
+                yield (f"ensemble chentsov-d3-zeta2 L={L} {npts}pts rng={seed} "
+                       f"{digest(values.tobytes())}", values)
+
+
 def affine_lines():
     for spec in ("section:8:64x128", "section:8:3x2731"):
         points = build_grid(parse_grid(spec)).points
@@ -398,8 +418,8 @@ def moved_line(directory: Path, line: str, values) -> str:
 def cases():
     """(line, values) of every case, in print order."""
     for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(),
-                  ensemble_lines(), last_tile_lines(), switch_lines(), affine_lines(),
-                  group_lines(), workload_lines(), csv_lines()):
+                  ensemble_lines(), last_tile_lines(), switch_lines(), zero_weight_lines(),
+                  affine_lines(), group_lines(), workload_lines(), csv_lines()):
         yield from lines
 
 

@@ -510,7 +510,7 @@ def build_parser() -> _Parser:
     val.add_argument("--grid", default="latlon:8x16")
     val.add_argument("--bins", type=_at_least(1), default=20)
     val.add_argument("--max-pairs", type=_at_least(1), default=20_000)
-    val.add_argument("--seed", type=int, default=0)
+    val.add_argument("--seed", type=_at_least(0), default=0)
     val.add_argument("--out", default=None, help="also write the report here")
     val.set_defaults(func=cmd_validate)
 

@@ -20,8 +20,10 @@ point sums its waves through _wave_sums: simulate one run per wave group,
 simulate_ensemble one run of L waves per realization, single_wave_values and
 wave_eval_* runs of one wave.  A run's waves of degree 0 and 1 add up to one
 affine function A + x V of the point x (G_0 = 1, G_1(t) = 2 lam t, or t on
-the circle), evaluated by one product over all points; the run's other waves
-are added to it.  The point count picks the form of the rest, one wave at a
+the circle), evaluated by one product over all points.  Every run's sum
+starts from -0.0, adds that map if the run has one, then adds its other
+waves in wave order; x + (-0.0) is x for every double x, zeros' signs
+included.  The point count picks the form of the rest, one wave at a
 time over point tiles or degree-sorted sweeps (recurrence or series) of many
 waves on few points; a wave's doubles and the order of the sums do not
 depend on it.  _wave_sums alone cuts point tiles: a row function is
@@ -29,9 +31,9 @@ elementwise on the tile it gets.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
-added in ascending order as they are made, each group starting from its
-affine map and then adding its other waves in wave order, so threaded and
-sequential runs produce bit-identical values.
+added in ascending order as they are made, each group starting from -0.0,
+adding its affine map if it has one and then its other waves in wave order,
+so threaded and sequential runs produce bit-identical values.
 """
 
 import operator
@@ -138,14 +140,19 @@ class Realization:
     metadata: dict = field(default_factory=dict)
 
 
+def _as_index(value) -> int:
+    """value read through operator.index, or -1 when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return -1
+
+
 class SimulationConfig:
     """Validated bundle of model, degree law, wave count and master seed."""
 
     def __init__(self, model, degrees, L: int, seed: int):
-        try:
-            count = operator.index(L)
-        except TypeError:
-            count = 0
+        count = _as_index(L)
         if count < 1:
             raise SimulationError(f"wave count must be an integer >= 1, got {L!r}")
         try:
@@ -732,10 +739,9 @@ def _affine_slope(d: int) -> float:
 
 
 def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
-                 signed: np.ndarray, factors, run: int, sums: np.ndarray) -> np.ndarray:
-    """Start the sum of each run that holds a row of degree 0 or 1 from the
-    affine map those rows add up to, written into its sums[r], shape (p,
-    npts); returns which of the m // run runs it started.
+                 signed: np.ndarray, factors, run: int, sums: np.ndarray) -> None:
+    """Add to each run's sums[r], shape (p, npts), the affine map its rows of
+    degree 0 and 1 add up to; a run without such rows is left as it is.
 
     At the point x the rows sum to A + x V: A (p) sums signed_i f_i over the
     degree-0 rows and V (d+1 by p) c signed_i pole_i f_i over the degree-1
@@ -744,33 +750,32 @@ def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndar
     with zeros for the run's other rows, laid out position-major so that one
     reduction over the first axis sums each run's in wave order; then one
     product over all points, never tiled, plus A gives the map (error bound
-    _affine_bound), written into sums itself when every run starts.  Both
-    forms of _wave_sums call this, so a run's map depends neither on the
-    form nor on the tiles."""
+    _affine_bound).  The products of runs are stacked up to POINT_BLOCK
+    values at a time, each the doubles of its own call, so that no second
+    buffer the size of sums is made.  Both forms of
+    _wave_sums call this, so a run's map depends neither on the form nor on
+    the tiles."""
     one, zero = degrees == 1, degrees == 0
-    started = (one | zero).reshape(-1, run).any(axis=1)
-    if not started.any():
-        return started
+    runs = np.flatnonzero((one | zero).reshape(-1, run).any(axis=1))
     slope = (signed * np.where(one, _affine_slope(d), 0.0))[:, None]
     level = (signed * zero)[:, None]
     if factors is not None:
         slope, level = slope * factors, level * factors
+    p = slope.shape[1]
 
     def by_position(rows):              # (run, runs, ...): position j of every run
         return rows.reshape(-1, run, *rows.shape[1:]).swapaxes(0, 1)
 
-    terms = np.empty((run, started.size, slope.shape[1], poles.shape[1] + 1))  # x_0 .. x_d, 1
+    terms = np.empty((run, sums.shape[0], p, poles.shape[1] + 1))  # x_0 .. x_d, 1
     np.multiply(by_position(slope)[..., None], by_position(poles)[:, :, None, :],
                 out=terms[..., :-1])
     terms[..., -1] = by_position(level)
-    maps = np.add.reduce(terms, axis=0)[started]
-    # one product per run, stacked (each the doubles of its own call)
-    product = sums if maps.shape[0] == sums.shape[0] else np.empty((maps.shape[0], *sums.shape[1:]))
-    np.matmul(maps[:, :, :-1], points.T, out=product)
-    product += maps[:, :, -1:]
-    if product is not sums:
-        sums[started] = product
-    return started
+    maps = np.add.reduce(terms, axis=0)[runs]
+    height = max(1, POINT_BLOCK // (p * points.shape[0]))
+    for lo in range(0, runs.size, height):
+        product = np.matmul(maps[lo : lo + height, :, :-1], points.T)
+        product += maps[lo : lo + height, :, -1:]
+        sums[runs[lo : lo + height]] += product
 
 
 def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
@@ -778,10 +783,12 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     """Sums of consecutive runs of `run` waves, shape (m // run, p, npts):
     wave i is signed_i * G_{degrees_i}^((d-1)/2)(t_i) at the projections t_i
     of checked points onto poles[i], times its factor row when factors is
-    not None (else p = 1).  A run starts from the affine map of its rows of
-    degree 0 and 1 (_affine_maps, skipped when it has none), then adds its
-    other waves in wave order, each by its _METHODS row function at the
-    clipped t_i, whatever the form below or the tiles; a non-finite wave
+    not None (else p = 1).  Every run starts from -0.0, adds the affine map
+    of its rows of degree 0 and 1 if it has any (_affine_maps), then adds
+    its other waves in wave order, each by its _METHODS row function at the
+    clipped t_i, whatever the form below or the tiles.  As x + (-0.0) is x
+    for every double x, a run's sum has the doubles of its map or its first
+    wave followed by the rest, zeros' signs included.  A non-finite wave
     value raises with its index counted from first.  (_wave_coefficients
     checks the affine rows' coefficients before any point work.)
 
@@ -793,20 +800,24 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     degrees, and two or more series rows share _clenshaw over bands of one
     parity, its rows joining at their own K; each band is projected when its
     sweep reaches it and written once.  Every other row is projected and
-    evaluated alone, and the affine rows are zeros.  A run whose sum is not
-    finite is then searched for its first bad wave."""
+    evaluated alone, and the affine rows' values are -0.0.  A run starts
+    from the values at its first position (a run of one wave in place, a
+    longer one in its own array), then adds its map and each later position
+    that is not affine in every run.  A run whose sum is not finite is then
+    searched for its first bad wave."""
     m, npts = degrees.size, points.shape[0]
     p = 1 if factors is None else factors.shape[1]
     lam = 0.5 * (d - 1)
     codes = _profile_methods(d, degrees, npts)
+    affine = codes == AFFINE
     if npts > POINT_BLOCK // 2:
-        sums = np.empty((m // run, p, npts))
-        started = _affine_maps(d, degrees, points, poles, signed, factors, run, sums).tolist()
+        sums = np.full((m // run, p, npts), -0.0)
+        _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
         t = np.empty(npts)
         rows = sums if factors is not None else sums[:, 0]     # p = 1 adds 1-D tiles
         tiles = [(t[s : s + POINT_BLOCK], rows[..., s : s + POINT_BLOCK])
                  for s in range(0, npts, POINT_BLOCK)]
-        other = np.flatnonzero(codes != AFFINE)
+        other = np.flatnonzero(~affine)
         for i, code, n, w in zip(other.tolist(), codes[other].tolist(), degrees[other].tolist(),
                                  signed[other].tolist()):
             np.matmul(points, poles[i], out=t)
@@ -816,20 +827,15 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
                 vals = profile(t_tile)
                 if factors is not None:
                     vals = factors[i, :, None] * vals
-                if not np.isfinite(vals).all():
-                    raise SimulationError(f"non-finite wave values at wave index {first + i}")
-                acc = tile_sums[i // run]
-                if i % run or started[i // run]:
-                    acc += vals
-                else:
-                    acc[...] = vals
+                _raise_first_non_finite(vals[None], first + i)
+                tile_sums[i // run] += vals
         return sums
 
     out = np.empty((m, npts))
     height = POINT_BLOCK // npts
     exact, series = (np.flatnonzero(codes == code) for code in (EXACT, SERIES))
     shared = [code for code, rows in ((EXACT, exact), (SERIES, series)) if rows.size > 1]
-    out[codes == AFFINE] = 0.0
+    out[affine] = -0.0
     rest = np.flatnonzero(~np.isin(codes, [AFFINE, *shared]))
     for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
                              signed[rest].tolist()):
@@ -859,35 +865,25 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
                 out[band] = _clenshaw(_series_coefficients(lam, degrees[band], signed[band]),
                                       _project(points, poles[band]))
     values = out[:, None, :] if factors is None else factors[:, :, None] * out[:, None, :]
-    if run == 1:
-        sums = values                   # a run of one wave is its value or its map
-        _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
-    else:
-        parts = values.reshape(m // run, run, p, npts)
-        sums = np.empty((m // run, p, npts))
-        started = _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
-        sums[~started] = parts[~started, 0]     # a run without affine rows starts at its first
-        # positions that hold an affine row in every run add zeros only
-        for j in np.flatnonzero(~(codes == AFFINE).reshape(-1, run).all(axis=0)).tolist():
-            if j:
-                sums += parts[:, j]
-            else:
-                sums[started] += parts[started, 0]
+    values[affine] = -0.0               # again: f * -0.0 is +0.0 for f < 0
+    parts = values.reshape(m // run, run, p, npts)
+    sums = parts[:, 0] if run == 1 else parts[:, 0].copy()
+    _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
+    # positions that hold an affine row in every run add -0.0 only
+    for j in np.flatnonzero(~affine.reshape(-1, run)[:, 1:].all(axis=0)).tolist():
+        sums += parts[:, j + 1]
     if not np.isfinite(sums).all():
-        # a non-finite wave makes its run's sum non-finite
-        finite = np.isfinite(values).reshape(m, -1).all(axis=1)
-        if not finite.all():
-            raise SimulationError(
-                f"non-finite wave values at wave index {first + int(np.argmin(finite))}")
+        _raise_first_non_finite(values, first)  # a non-finite wave makes its run's sum so
     return sums
 
 
 def _raise_first_non_finite(values: np.ndarray, first: int) -> None:
     """Raise for the first row of values with a non-finite entry, naming its
     wave index counted from first."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
-    if bad.size:
-        raise SimulationError(f"non-finite wave values at wave index {first + int(bad[0])}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise SimulationError(f"non-finite wave values at wave index {first + bad}")
 
 
 def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) -> tuple:
@@ -918,7 +914,8 @@ def _wave_plan(wave: WaveParams, d: int) -> _Plan:
     """A public WaveParams on the d-sphere as a one-row plan, checked: a
     sign of +-1, a pole of d + 1 finite coordinates with unit norm within
     1e-12 (the rule of check_points), and a degree that is a non-negative
-    integer within int64."""
+    integer within int64.  A component is read through _as_index
+    (wave_eval_vector checks its range)."""
     if wave.epsilon not in (1, -1):
         raise SimulationError(f"wave sign must be +1 or -1, got {wave.epsilon!r}")
     pole = np.asarray(wave.pole, dtype=float)
@@ -927,15 +924,12 @@ def _wave_plan(wave: WaveParams, d: int) -> _Plan:
                               f"{d}-sphere")
     if abs(np.sqrt(pole @ pole) - 1.0) > 1e-12:
         raise SimulationError("wave pole must have unit norm within 1e-12")
-    try:
-        degree = operator.index(wave.degree)
-    except TypeError:
-        degree = -1
+    degree = _as_index(wave.degree)
     if not 0 <= degree < 2**63:
         raise SimulationError(
             f"wave degree must be a non-negative integer within int64, got {wave.degree!r}")
     return _Plan(np.array([int(wave.epsilon)]), pole[None, :], np.array([degree], dtype=np.int64),
-                 None if wave.component is None else np.array([wave.component]))
+                 None if wave.component is None else np.array([_as_index(wave.component)]))
 
 
 def _one_wave(wave: WaveParams, config: SimulationConfig, points) -> np.ndarray:
@@ -959,7 +953,7 @@ def wave_eval_vector(wave: WaveParams, config: SimulationConfig, points) -> np.n
     p = config.p
     if p < 2:
         raise SimulationError("vector wave evaluation requires a multivariate model")
-    if wave.component is None or not 0 <= wave.component < p:
+    if not 0 <= _as_index(wave.component) < p:
         raise SimulationError("wave component index out of range")
     return _one_wave(wave, config, points)
 
@@ -1025,12 +1019,9 @@ def _draw_waves(config: SimulationConfig, M: int, rng) -> _Plan:
 
 
 def _wave_count(M) -> int:
-    """M read through operator.index, as L and the seed are: a
-    non-negative integer, else SimulationError."""
-    try:
-        count = operator.index(M)
-    except TypeError:
-        count = -1
+    """M read through _as_index, as L is: a non-negative integer, else
+    SimulationError."""
+    count = _as_index(M)
     if count < 0:
         raise SimulationError(f"M must be a non-negative integer, got {M!r}")
     return count

@@ -610,6 +610,8 @@ def test_degree_beyond_int64_exits_one(tmp_path, monkeypatch, capsys, command, f
     (["validate", "--model", "nb", "--delta", "0.5", "--bins", "0"], "--bins"),
     (["coeffs", "--model", "nb", "--delta", "0.5", "--n-max", "-1"], "--n-max"),
     (["mu3", "--model", "nb", "--delta", "0.5", "--n-max", "-2"], "--n-max"),
+    # numpy's default_rng used to reject it after the grid and model were built
+    (["validate", "--model", "nb", "--delta", "0.5", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_count_flag_exits_one(argv, flag, capsys):
     assert main(argv) == 1

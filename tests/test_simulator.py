@@ -258,6 +258,20 @@ def test_replay_rejects_a_degree_that_is_no_int64(monkeypatch, degree):
     replay_reads_no_point(monkeypatch, wave, "wave degree must be a non-negative integer")
 
 
+@pytest.mark.parametrize("component", [1.0, np.float64(1.0), "1", None, -1, 2])
+def test_replay_rejects_a_component_that_is_no_index(monkeypatch, component):
+    # 1.0 used to pass the range check and raise numpy's IndexError once the
+    # points were read, "1" a TypeError
+    calls = count_wave_work(monkeypatch)
+    monkeypatch.setattr(simulator, "check_points", lambda *args: calls.append(args))
+    config = SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                              GeometricDegrees(0.3), L=1, seed=0)
+    wave = WaveParams(1, np.array([0.0, 0.0, 1.0]), 3, component=component)
+    with pytest.raises(SimulationError, match="wave component index out of range"):
+        wave_eval_vector(wave, config, meridian_points(2, [0.1, 1.0]))
+    assert calls == []
+
+
 def test_replay_accepts_the_edges_of_the_rules():
     # numpy integers and signs, and a pole 1e-13 off the unit norm, pass
     config = SimulationConfig(SequenceCovariance([0.5, 0.5], d=2), FiniteDegrees([0.5, 0.5]),
@@ -775,6 +789,9 @@ def nb_d2_config(rate):
 # case: (config, points, number of waves)
 SAME_WAVE_CASES = {
     "nb d=2": lambda: (nb_d2_config(0.05), few_points(2), 60),
+    # even degrees have weight 0, so many wave values are exactly 0.0
+    "chentsov d=3": lambda: (SimulationConfig(Chentsov(d=3), ShiftedZeta(2.0), L=1, seed=0),
+                             few_points(3), 60),
     "circle": lambda: (SimulationConfig(SequenceCovariance([0.5, 0.3, 0.2], d=1),
                                         FiniteDegrees([0.4, 0.3, 0.3]), L=1, seed=0),
                        few_points(1), 60),
@@ -875,15 +892,18 @@ def test_tile_shape_does_not_change_bits(case):
     assert_array_equal(batch, np.array(single))
 
 
-@pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2",
+@pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2", "chentsov d=3",
                                   "nb d=2 latlon:200x300", "bivariate nb d=2 latlon:100x200"])
 def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
     # _wave_sums adds one wave at a time over point tiles on many points and
-    # sweeps bands of rows on few; no output may move a bit when the tiles,
-    # and with them the form, change.  The grids span several default tiles
-    # and take tabulated rows
+    # sweeps bands of rows on few; no output may move a bit, the sign of a
+    # zero included, when the tiles, and with them the form, change.  The
+    # grids span several default tiles and take tabulated rows.  The
+    # Chentsov case's L = 2 field and ensembles hold many exact zeros: both
+    # waves of a realization often have even degree and so weight 0
     config, points, M = SAME_WAVE_CASES[case]()
-    config = SimulationConfig(config.model, config.degrees, L=20, seed=4)
+    config = SimulationConfig(config.model, config.degrees, L=2 if case == "chentsov d=3" else 20,
+                              seed=4)
     npts = points.shape[0]
     if npts > simulator.POINT_BLOCK:
         degrees = simulator._draw_plan(config).degrees
@@ -891,12 +911,15 @@ def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
     waves = single_wave_values(config, points, M, np.random.default_rng(5))
     field = simulate(config, points).values
     ensemble = simulate_ensemble(config, points, 2, np.random.default_rng(6))
+    if case == "chentsov d=3":
+        assert np.all(field == 0.0) and np.mean(waves == 0.0) > 0.5 and np.any(ensemble == 0.0)
     for block in (1, 7, 64) if npts < 100 else (64, 7001):
         monkeypatch.setattr(simulator, "POINT_BLOCK", block)
-        assert_array_equal(single_wave_values(config, points, M, np.random.default_rng(5)), waves)
-        assert_array_equal(simulate(config, points).values, field)
-        assert_array_equal(simulate_ensemble(config, points, 2, np.random.default_rng(6)),
-                           ensemble)
+        assert_array_equal(single_wave_values(config, points, M, np.random.default_rng(5))
+                           .view(np.int64), waves.view(np.int64))
+        assert_array_equal(simulate(config, points).values.view(np.int64), field.view(np.int64))
+        assert_array_equal(simulate_ensemble(config, points, 2, np.random.default_rng(6))
+                           .view(np.int64), ensemble.view(np.int64))
 
 
 def test_heavy_exact_wave_keeps_no_per_degree_state():
