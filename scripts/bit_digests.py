@@ -64,6 +64,14 @@ Cases:
     `WAVE_GROUP` waves and one partial group, one wave at a time over point
     tiles: nb d = 2 and bivariate nb d = 2, seeds 2**70 + 0-2, n_threads
     None and 2;
+  - grids whose points pair up as exact antipodes on few points, where
+    `_wave_sums` evaluates exact, series and closed-form rows at one point
+    of each pair: a `simulate_ensemble` of nb d = 2 under zeta:2 on
+    latlon:8x16 (L = 100, 20 realizations, rng seeds 0-2), `simulate` of nb
+    d = 5 and bivariate nb d = 5 on section:5:16x32 (L = 70, seeds 2**70 +
+    0-2, n_threads None and 2), and 60 `single_wave_values` rows of nb d = 2
+    and of bivariate nb d = 2 on latlon:6x10 at rng seeds 0-5 (the
+    ensemble lines above and the validate workload run on latlon:8x16 too);
   - rows either side of the series cap, SERIES_MAX_DEGREE = 2 * POINT_BLOCK
     = 32,768: F d = 2 waves of degree 32,768 (series) and 32,769 (exact
     recurrence) on 5 points, three poles and signs each, one
@@ -347,6 +355,28 @@ def group_lines():
             yield from simulate_lines(f"{name}-20000pts-L200", config, points)
 
 
+def symmetric_lines():
+    points = build_grid(parse_grid("latlon:8x16")).points
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), ShiftedZeta(2.0), L=100, seed=0)
+    for seed in range(3):
+        values = simulate_ensemble(config, points, 20, np.random.default_rng(seed))
+        yield f"ensemble nb-d2-zeta2 latlon:8x16 rng={seed} {digest(values.tobytes())}", values
+    points = build_grid(parse_grid("section:5:16x32")).points
+    for name, model in (("nb-d5", NegativeBinomial(0.5, d=5)),
+                        ("bivariate-nb-d5",
+                         BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6, d=5))):
+        for seed in EXTRA_SEEDS:
+            config = SimulationConfig(model, GeometricDegrees(0.05), L=70, seed=seed)
+            yield from simulate_lines(f"{name}-section:5:16x32", config, points)
+    points = build_grid(parse_grid("latlon:6x10")).points
+    for name, model in (("nb-d2", NegativeBinomial(0.5, d=2)),
+                        ("bivariate-nb-d2", BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6))):
+        config = SimulationConfig(model, GeometricDegrees(0.05), L=1, seed=0)
+        for seed in range(6):
+            waves = single_wave_values(config, points, 60, np.random.default_rng(seed))
+            yield f"{name} latlon:6x10 batch rng={seed} {digest(waves.tobytes())}", waves
+
+
 def cap_lines():
     config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=2), ShiftedZeta(1.5), L=1, seed=0)
     rng = np.random.default_rng(32_768)
@@ -419,7 +449,7 @@ def cases():
     """(line, values) of every case, in print order."""
     for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(),
                   ensemble_lines(), last_tile_lines(), switch_lines(), zero_weight_lines(),
-                  affine_lines(), group_lines(), workload_lines(), csv_lines()):
+                  affine_lines(), group_lines(), symmetric_lines(), workload_lines(), csv_lines()):
         yield from lines
 
 

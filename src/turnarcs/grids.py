@@ -4,7 +4,8 @@ Grid kinds: a colatitude/longitude grid of face centers on the 2-sphere, a
 3-sphere slice at fixed fourth coordinate (a scaled 2-sphere), a d-sphere
 section with the last d-2 coordinates pinned to zero, and an explicit point
 list read from a file.  Points are emitted row-major with colatitude varying
-slowest.
+slowest.  With an even longitude count, the face centers pair up as exact
+antipodes: the later of each pair is the negation of the earlier.
 """
 
 from dataclasses import dataclass
@@ -84,6 +85,14 @@ class Grid:
 
 
 def _latlon_faces(n_colat: int, n_lon: int):
+    """Colatitudes, longitudes and unit points of the face centers.
+
+    With an even longitude count the center (i, j) and the center
+    (n_colat-1-i, j + n_lon/2 mod n_lon) are antipodes; the later of each
+    pair in row-major order (the southern one, or on an equator ring the one
+    of larger longitude) is written as the exact negation of the earlier,
+    which separate sin/cos calls do not give, so the points pair up as exact
+    antipodes (see simulator._antipodal_pairs)."""
     if n_colat < 1 or n_lon < 1:
         raise GridError("face counts must be >= 1")
     colat = (np.arange(n_colat) + 0.5) * np.pi / n_colat
@@ -94,6 +103,11 @@ def _latlon_faces(n_colat: int, n_lon: int):
     xyz = np.column_stack(
         [np.sin(cc) * np.cos(ll), np.sin(cc) * np.sin(ll), np.cos(cc)]
     )
+    if n_lon % 2 == 0:
+        index = np.arange(cc.size)
+        antipode = np.roll(index.reshape(n_colat, n_lon)[::-1], -(n_lon // 2), axis=1).ravel()
+        later = antipode < index
+        xyz[later] = -xyz[antipode[later]]
     return cc, ll, xyz
 
 

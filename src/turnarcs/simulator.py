@@ -27,7 +27,12 @@ included.  The point count picks the form of the rest, one wave at a
 time over point tiles or degree-sorted sweeps (recurrence or series) of many
 waves on few points; a wave's doubles and the order of the sums do not
 depend on it.  _wave_sums alone cuts point tiles: a row function is
-elementwise on the tile it gets.
+elementwise on the tile it gets.  On few points that pair up as exact
+antipodes (the face centres of a lat-lon grid with an even longitude count,
+its section grids and its slice3 grids at w = 0), G_n(-t) = (-1)^n G_n(t)
+halves the work: each exact, series or closed-form row of non-zero weight
+is evaluated at one point of each pair and written to the other times
+(-1)^n, which moves no output bit.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -686,24 +691,28 @@ def _affine_bound(n, d: int, k: int) -> float:
 # in float64, exact integers or halves below 2^53 wherever two can tie (npts
 # below 9e7).  A row function does its per-wave work (a table) once; its t
 # function is elementwise, so a wave may be evaluated whole or tile by tile
-# with the same doubles.  A row's method code is its index here.
-_Method = namedtuple("_Method", "name row cost bound")
+# with the same doubles.  A row function mirrors when it is exactly odd or
+# even, f(-t) = (-1)^n f(t) in doubles (see _few_point_profiles): the exact
+# recurrence, the closed form and the series do; table rows do not, as
+# arccos(-t) is not pi - arccos(t) in doubles.  A row's method code is its
+# index here.
+_Method = namedtuple("_Method", "name row cost bound mirrors")
 AFFINE, CIRCLE, EXACT, TABLE, CLOSED, SERIES = range(6)
 _METHODS = (
-    _Method("affine", None, None, _affine_bound),
+    _Method("affine", None, None, _affine_bound, False),
     # (1.5 pi n + 1.5) eps <= 5 eps (n+1) of |w|: arccos within one ulp moves
     # n theta by up to pi n eps and its rounding by pi n eps / 2; cos and the
     # weight round within eps and eps / 2 (measured about 2 eps (n+1) up to
     # n = 1e9).  From n = 2^53 on, where n itself rounds, the bound exceeds 2
     _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t)), None,
-            lambda n, *_: 5.0 * np.finfo(float).eps * np.add(n, 1.0)),
+            lambda n, *_: 5.0 * np.finfo(float).eps * np.add(n, 1.0), False),
     _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0],
-            lambda lam, n, npts: np.add(n, 1.0) * npts, _quadratic_bound),
+            lambda lam, n, npts: np.add(n, 1.0) * npts, _quadratic_bound, True),
     _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w)),
-            _table_cost, lambda n, *_: PROFILE_ERROR_BOUND),
+            _table_cost, lambda n, *_: PROFILE_ERROR_BOUND, False),
     _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w),
-            _closed_cost, lambda n, *_: CHEBYSHEV_ERROR_BOUND),
-    _Method("series", _series_row, _series_cost, _quadratic_bound),
+            _closed_cost, lambda n, *_: CHEBYSHEV_ERROR_BOUND, True),
+    _Method("series", _series_row, _series_cost, _quadratic_bound, True),
 )
 
 
@@ -731,6 +740,38 @@ def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
     doubles of points @ pole, clipped to [-1, 1]."""
     t = np.matmul(points, poles[:, :, None])[:, :, 0]
     return np.clip(t, -1.0, 1.0, out=t)
+
+
+# points as exact antipodal pairs: near (npts/2,) indexes the earlier point
+# of each pair, ascending, and point q is flip[q] * points[near[source[q]]],
+# flip[q] -1.0 on the later point of its pair and 1.0 on the earlier
+_Pairs = namedtuple("_Pairs", "near source flip")
+
+
+def _antipodal_pairs(points: np.ndarray) -> _Pairs | None:
+    """The checked points as exact antipodal pairs, or None when they do
+    not pair up so.  Antipodes tie in |x . r| for a fixed r (the product
+    negates exactly), so one sort of that key puts every pair side by
+    side; the pairing is then checked coordinate by coordinate, x == -y.
+    Zeros' signs may differ within a pair: they move no projection but an
+    exact zero one, which _wave_sums does not mirror.  A tie of the key
+    between two pairs can only make the check fail."""
+    npts = points.shape[0]
+    if npts % 2:
+        return None
+    key = np.abs(points @ (1.0 / (np.arange(points.shape[1]) + np.pi)))
+    order = np.argsort(key)
+    a, b = order[0::2], order[1::2]
+    if not np.array_equal(points[a], -points[b]):
+        return None
+    partner = np.empty(npts, dtype=np.intp)
+    partner[a], partner[b] = b, a
+    near = np.flatnonzero(partner > np.arange(npts))
+    source = np.empty(npts, dtype=np.intp)
+    source[near] = source[partner[near]] = np.arange(near.size)
+    flip = np.ones(npts)
+    flip[partner[near]] = -1.0
+    return _Pairs(near, source, flip)
 
 
 def _affine_slope(d: int) -> float:
@@ -778,6 +819,73 @@ def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndar
         sums[runs[lo : lo + height]] += product
 
 
+def _few_point_profiles(lam: float, codes: np.ndarray, degrees: np.ndarray, points: np.ndarray,
+                        poles: np.ndarray, signed: np.ndarray, rows: np.ndarray, pairs):
+    """(band, values) for the given rows, none affine, on few points, values
+    of shape (band size, npts).  Two or more exact rows share a
+    degree-sorted recurrence over bands of POINT_BLOCK // k rows, k the
+    points evaluated, its rows dropped at their own distinct degrees, and
+    two or more series rows share _clenshaw over bands of one parity, its
+    rows joining at their own K; each band is projected when its sweep
+    reaches it.  Every other row is projected and evaluated alone.
+
+    With pairs, the _antipodal_pairs of the points, every band is projected
+    onto and evaluated at the earlier point of each pair only, and the
+    later point takes (-1)^n times that value: the projection, the clip
+    and each exact, series and closed-form step negate exactly under
+    t -> -t, so those rows keep their doubles.  A band with an exact zero
+    among those projections is evaluated at all the points instead, as the
+    zero's sign at the later point is not the negation's."""
+    npts = points.shape[0]
+    evaluated = points if pairs is None else points[pairs.near]
+    height = POINT_BLOCK // evaluated.shape[0]
+
+    def project(band):
+        t = _project(evaluated, poles[band])
+        return t if pairs is None or t.all() else _project(points, poles[band])
+
+    def spread(n, values):          # rows of degree n's parity at the evaluated points
+        if values.shape[-1] == npts:
+            return values
+        values = values.take(pairs.source, axis=-1)
+        if n % 2:
+            values *= pairs.flip
+        return values
+
+    exact, series = (rows[codes[rows] == code] for code in (EXACT, SERIES))
+    shared = [code for code, group in ((EXACT, exact), (SERIES, series)) if group.size > 1]
+    alone = np.ones(len(_METHODS), dtype=bool)
+    alone[shared] = False
+    rest = rows[alone[codes[rows]]]
+    for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
+                             signed[rest].tolist()):
+        yield i, spread(n, _METHODS[code].row(lam, n, w)(project([i])[0]))
+    if EXACT in shared:
+        order = exact[np.argsort(degrees[exact])[::-1]]
+        for r0 in range(0, exact.size, height):
+            band = order[r0 : r0 + height]
+            kb = degrees[band]                              # non-increasing
+            cuts = [0, *(np.flatnonzero(kb[1:] != kb[:-1]) + 1).tolist(), band.size]
+            # (n, lo, hi) by ascending degree n: band[lo:hi] end at degree n,
+            # and from degree n + 1 on the recurrence keeps the leading lo rows
+            ends = [(int(kb[lo]), lo, hi) for lo, hi in reversed(list(pairwise(cuts)))]
+            sweep = _recurrence(lam, project(band), signed[band, None],
+                                {n + 1: lo for n, lo, _ in ends})
+            k = -1
+            for n, lo, hi in ends:
+                yield band[lo:hi], spread(n, next(islice(sweep, n - k - 1, None))[lo:hi])
+                k = n
+    if SERIES in shared:
+        # even degrees first, each parity by non-increasing degree
+        order = series[np.lexsort((-degrees[series], degrees[series] % 2))]
+        even = np.count_nonzero(degrees[series] % 2 == 0)
+        for part in (order[:even], order[even:]):
+            for r0 in range(0, part.size, height):
+                band = part[r0 : r0 + height]
+                yield band, spread(degrees[band[0]], _clenshaw(
+                    _series_coefficients(lam, degrees[band], signed[band]), project(band)))
+
+
 def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
                signed: np.ndarray, factors, run: int, first: int = 0) -> np.ndarray:
     """Sums of consecutive runs of `run` waves, shape (m // run, p, npts):
@@ -794,13 +902,14 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
 
     Above POINT_BLOCK // 2 points, one wave at a time: projected into one
     npts buffer, evaluated, checked, multiplied by its factor row and added
-    over POINT_BLOCK tiles.  Else the (m, npts) profiles come first: two or
-    more exact rows share a degree-sorted recurrence over bands of
-    POINT_BLOCK // npts rows, its rows dropped at their own distinct
-    degrees, and two or more series rows share _clenshaw over bands of one
-    parity, its rows joining at their own K; each band is projected when its
-    sweep reaches it and written once.  Every other row is projected and
-    evaluated alone, and the affine rows' values are -0.0.  A run starts
+    over POINT_BLOCK tiles.  Else the (m, npts) profiles come first, in
+    bands and sweeps (_few_point_profiles), and the affine rows' values are
+    -0.0.  When the points pair up as exact antipodes (_antipodal_pairs,
+    searched once per call), the exact, series and closed-form rows of
+    non-zero weight are evaluated at one point of each pair, with the
+    doubles of evaluating both; a zero weight's row has zeros whose signs
+    follow t's, not the degree's parity, so it is evaluated at every point,
+    as are table and circle rows.  A run starts
     from the values at its first position (a run of one wave in place, a
     longer one in its own array), then adds its map and each later position
     that is not affine in every run.  A run whose sum is not finite is then
@@ -832,38 +941,15 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
         return sums
 
     out = np.empty((m, npts))
-    height = POINT_BLOCK // npts
-    exact, series = (np.flatnonzero(codes == code) for code in (EXACT, SERIES))
-    shared = [code for code, rows in ((EXACT, exact), (SERIES, series)) if rows.size > 1]
     out[affine] = -0.0
-    rest = np.flatnonzero(~np.isin(codes, [AFFINE, *shared]))
-    for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
-                             signed[rest].tolist()):
-        out[i] = _METHODS[code].row(lam, n, w)(_project(points, poles[i : i + 1])[0])
-    if EXACT in shared:
-        order = exact[np.argsort(degrees[exact])[::-1]]
-        for r0 in range(0, exact.size, height):
-            band = order[r0 : r0 + height]
-            kb = degrees[band]                              # non-increasing
-            cuts = [0, *(np.flatnonzero(kb[1:] != kb[:-1]) + 1).tolist(), band.size]
-            # (n, lo, hi) by ascending degree n: band[lo:hi] end at degree n,
-            # and from degree n + 1 on the recurrence keeps the leading lo rows
-            ends = [(int(kb[lo]), lo, hi) for lo, hi in reversed(list(pairwise(cuts)))]
-            sweep = _recurrence(lam, _project(points, poles[band]), signed[band, None],
-                                {n + 1: lo for n, lo, _ in ends})
-            k = -1
-            for n, lo, hi in ends:
-                out[band[lo:hi]] = next(islice(sweep, n - k - 1, None))[lo:hi]
-                k = n
-    if SERIES in shared:
-        # even degrees first, each parity by non-increasing degree
-        order = series[np.lexsort((-degrees[series], degrees[series] % 2))]
-        even = np.count_nonzero(degrees[series] % 2 == 0)
-        for part in (order[:even], order[even:]):
-            for r0 in range(0, part.size, height):
-                band = part[r0 : r0 + height]
-                out[band] = _clenshaw(_series_coefficients(lam, degrees[band], signed[band]),
-                                      _project(points, poles[band]))
+    mirror = np.array([method.mirrors for method in _METHODS])[codes] & (signed != 0.0)
+    pairs = _antipodal_pairs(points) if mirror.any() else None
+    if pairs is None:
+        mirror[:] = False
+    for rows, paired in ((~affine & ~mirror, None), (mirror, pairs)):
+        for band, values in _few_point_profiles(lam, codes, degrees, points, poles, signed,
+                                                np.flatnonzero(rows), paired):
+            out[band] = values
     values = out[:, None, :] if factors is None else factors[:, :, None] * out[:, None, :]
     values[affine] = -0.0               # again: f * -0.0 is +0.0 for f < 0
     parts = values.reshape(m // run, run, p, npts)
@@ -977,12 +1063,14 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     L = config.L
     plan = _draw_plan(config)
     signed, factors = _wave_coefficients(config, plan)
+    errstate = np.geterr()          # a worker thread starts from numpy's defaults
 
     def group_sum(lo):
         group = slice(lo, lo + WAVE_GROUP)
-        return _wave_sums(config.d, plan.degrees[group], points, plan.poles[group],
-                          signed[group], None if factors is None else factors[group],
-                          min(WAVE_GROUP, L - lo), lo)[0]
+        with np.errstate(**errstate):
+            return _wave_sums(config.d, plan.degrees[group], points, plan.poles[group],
+                              signed[group], None if factors is None else factors[group],
+                              min(WAVE_GROUP, L - lo), lo)[0]
 
     values = np.zeros((config.p, npts))
     with ThreadPoolExecutor(n_threads) if (n_threads or 0) > 1 else nullcontext() as pool:

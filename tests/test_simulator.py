@@ -808,6 +808,8 @@ SAME_WAVE_CASES = {
         SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
                          GeometricDegrees(0.02), L=1, seed=0),
         build_grid(LatLonGrid(100, 200)).points, 6),
+    # antipodal pairs: exact and series rows are evaluated on half the points
+    "nb d=2 latlon:6x10": lambda: (nb_d2_config(0.05), build_grid(LatLonGrid(6, 10)).points, 60),
 }
 
 
@@ -893,12 +895,14 @@ def test_tile_shape_does_not_change_bits(case):
 
 
 @pytest.mark.parametrize("case", ["nb d=2", "f d=3", "bivariate nb d=2", "chentsov d=3",
-                                  "nb d=2 latlon:200x300", "bivariate nb d=2 latlon:100x200"])
+                                  "nb d=2 latlon:200x300", "bivariate nb d=2 latlon:100x200",
+                                  "nb d=2 latlon:6x10"])
 def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
     # _wave_sums adds one wave at a time over point tiles on many points and
     # sweeps bands of rows on few; no output may move a bit, the sign of a
     # zero included, when the tiles, and with them the form, change.  The
-    # grids span several default tiles and take tabulated rows.  The
+    # large grids span several default tiles and take tabulated rows; the
+    # lat-lon 6x10 grid pairs up as antipodes, which only the sweeps use.  The
     # Chentsov case's L = 2 field and ensembles hold many exact zeros: both
     # waves of a realization often have even degree and so weight 0
     config, points, M = SAME_WAVE_CASES[case]()
@@ -920,6 +924,148 @@ def test_outputs_do_not_depend_on_point_block(monkeypatch, case):
         assert_array_equal(simulate(config, points).values.view(np.int64), field.view(np.int64))
         assert_array_equal(simulate_ensemble(config, points, 2, np.random.default_rng(6))
                            .view(np.int64), ensemble.view(np.int64))
+
+
+@pytest.mark.parametrize("spec, paired", [
+    ("latlon:8x16", True), ("latlon:7x10", True), ("latlon:1x2", True), ("latlon:6x10", True),
+    ("section:5:16x32", True), ("section:4:5x6", True), ("slice3:0:8x16", True),
+    ("slice3:-0:7x12", True), ("latlon:8x15", False), ("latlon:1x1", False),
+    ("section:5:4x9", False), ("slice3:0.25:8x16", False), ("slice3:0:9x7", False)])
+def test_pair_search_on_grids(spec, paired):
+    # with an even longitude count every face center's antipode is a face
+    # center, written as its exact negation, so the search pairs them all;
+    # the grid's colat and lon columns and its unit norms stay as they were
+    grid = build_grid(parse_grid(spec))
+    points = grid.points
+    pairs = simulator._antipodal_pairs(points)
+    assert (pairs is not None) == paired
+    if paired:
+        near = pairs.near
+        assert near.size == points.shape[0] // 2 and np.all(np.diff(near) > 0)
+        assert np.all(pairs.flip[near] == 1.0)
+        assert np.all(pairs.flip * points[near][pairs.source].T == points.T)
+        # the earlier point of each pair is the grid's first half
+        assert_array_equal(near, np.arange(near.size))
+    n_colat, n_lon = (int(n) for n in spec.rsplit(":", 1)[1].split("x"))
+    assert_array_equal(grid.coords[:, 0],
+                       np.repeat((np.arange(n_colat) + 0.5) * np.pi / n_colat, n_lon))
+    assert_array_equal(grid.coords[:, 1],
+                       np.tile((np.arange(n_lon) + 0.5) * 2.0 * np.pi / n_lon, n_colat))
+    assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-12
+
+
+def test_pair_search_rejects_what_does_not_pair_exactly():
+    points = build_grid(LatLonGrid(8, 16)).points
+    assert simulator._antipodal_pairs(points) is not None
+    moved = points.copy()
+    moved[-5, 0] = np.nextafter(moved[-5, 0], np.inf)         # one southern point, one ulp
+    assert simulator._antipodal_pairs(moved) is None
+    assert simulator._antipodal_pairs(points[:-1]) is None       # odd point count
+    assert simulator._antipodal_pairs(np.vstack([points, points[:1]])) is None
+    doubled = np.vstack([points[:2], points[:2]])                # x, y, x, y: no antipodes
+    assert simulator._antipodal_pairs(doubled) is None
+    for d, npts in ((2, 2), (2, 128), (3, 500), (8, 64)):
+        random = sample_pole(d, np.random.default_rng(npts), size=npts)
+        assert simulator._antipodal_pairs(random) is None
+        # the same points with their negations pair up, in any order
+        both = np.vstack([random, -random])[np.random.default_rng(d).permutation(2 * npts)]
+        pairs = simulator._antipodal_pairs(both)
+        assert np.all(pairs.flip * both[pairs.near][pairs.source].T == both.T)
+
+
+# case: (config, grid spec); every grid pairs up as antipodes
+MIRROR_CASES = {
+    "nb d=2 latlon:8x16": (lambda: SimulationConfig(
+        NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=100, seed=4), "latlon:8x16"),
+    "bivariate nb d=2 latlon:7x10": (lambda: SimulationConfig(
+        BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6), GeometricDegrees(0.05), L=70,
+        seed=5), "latlon:7x10"),
+    "bivariate nb d=5 section:5:16x32": (lambda: SimulationConfig(
+        BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6, d=5), GeometricDegrees(0.05), L=70,
+        seed=6), "section:5:16x32"),
+    # even degrees have weight 0: those rows are not mirrored
+    "chentsov d=3 slice3:0:8x16": (lambda: SimulationConfig(
+        Chentsov(d=3), ShiftedZeta(2.0), L=300, seed=7), "slice3:0:8x16"),
+    # heavy rows on the 3-sphere take the closed form
+    "f d=3 slice3:-0:6x8": (lambda: SimulationConfig(
+        GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(1.2), L=200, seed=8), "slice3:-0:6x8"),
+    # 8,192 points, the most of the sweeps: bands of 4 rows, and table rows
+    # (not mirrored) next to mirrored ones
+    "nb d=2 latlon:64x128": (lambda: SimulationConfig(
+        NegativeBinomial(0.5, d=2), GeometricDegrees(0.02), L=64, seed=9), "latlon:64x128"),
+}
+
+
+def mirror_outputs(config, points):
+    """Each entry point's output on few points: simulate, an ensemble,
+    single waves and wave_eval_* of the plan's first 40 waves."""
+    plan = simulator._draw_plan(config)
+    replay = []
+    for i in range(40):
+        component = None if plan.components is None else int(plan.components[i])
+        wave = WaveParams(int(plan.signs[i]), plan.poles[i], int(plan.degrees[i]), component)
+        replay.append(wave_eval_scalar(wave, config, points) if config.p == 1
+                      else wave_eval_vector(wave, config, points))
+    return (simulate(config, points).values,
+            simulate_ensemble(config, points, 3, np.random.default_rng(1)),
+            single_wave_values(config, points, 150, np.random.default_rng(2)),
+            np.array(replay))
+
+
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_mirror_keeps_every_bit(monkeypatch, case):
+    # evaluating one point of each antipodal pair and writing its partner as
+    # (-1)^n times the value gives the doubles of evaluating both, the sign
+    # of a zero included, on every entry point
+    make, spec = MIRROR_CASES[case]
+    config, points = make(), build_grid(parse_grid(spec)).points
+    assert points.shape[0] <= simulator.POINT_BLOCK // 2
+    assert simulator._antipodal_pairs(points) is not None
+    mirrored = mirror_outputs(config, points)
+    monkeypatch.setattr(simulator, "_antipodal_pairs", lambda points: None)
+    for direct, value in zip(mirror_outputs(config, points), mirrored):
+        assert_array_equal(value.view(np.int64), direct.view(np.int64))
+
+
+def test_mirror_cases_take_every_mirrored_method():
+    # the cases above cover exact, series and closed-form rows, table rows
+    # and rows of weight zero
+    codes, zero = set(), False
+    for make, spec in MIRROR_CASES.values():
+        config, points = make(), build_grid(parse_grid(spec)).points
+        plan = simulator._draw_plan(config)
+        codes |= set(simulator._profile_methods(config.d, plan.degrees, points.shape[0]).tolist())
+        signed, _ = simulator._wave_coefficients(config, plan)
+        zero |= bool(np.any((signed == 0.0) & (plan.degrees >= 2)))
+    assert {simulator.EXACT, simulator.SERIES, simulator.CLOSED, simulator.TABLE} <= codes
+    assert zero
+
+
+@pytest.mark.parametrize("degree, code", [(2, simulator.EXACT), (5, simulator.EXACT),
+                                          (12, simulator.SERIES), (1001, simulator.CLOSED)])
+def test_mirror_skips_a_band_with_an_exact_zero_projection(monkeypatch, degree, code):
+    # on slice3:0 the pole e_3 projects every point to an exact zero, whose
+    # sign at a point's antipode is not the negation's: such a wave is
+    # evaluated at every point, with the doubles of no pairing at all
+    config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(1.2), L=1, seed=0)
+    points = build_grid(parse_grid("slice3:0:6x8")).points
+    assert simulator._profile_methods(3, [degree], points.shape[0]).tolist() == [code]
+    poles = np.vstack([np.eye(4)[3], sample_pole(3, np.random.default_rng(degree), size=2)])
+    plan = simulator._Plan(np.array([1, -1, 1]), poles, np.full(3, degree), None)
+    signed, _ = simulator._wave_coefficients(config, plan)
+    one_by_one = [simulator._wave_sums(3, plan.degrees[i : i + 1], points, poles[i : i + 1],
+                                       signed[i : i + 1], None, 1) for i in range(3)]
+    batch = simulator._wave_sums(3, plan.degrees, points, poles, signed, None, 1)
+    pairs = simulator._antipodal_pairs(points)
+    monkeypatch.setattr(simulator, "_antipodal_pairs", lambda points: None)
+    direct = simulator._wave_sums(3, plan.degrees, points, poles, signed, None, 1)
+    if degree % 2:
+        # here the mirror would move bits: the antipode's value is not the negation
+        values = direct[0, 0]
+        mirrored = pairs.flip * values[pairs.near][pairs.source]
+        assert not np.array_equal(mirrored.view(np.int64), values.view(np.int64))
+    for value in (batch, np.concatenate(one_by_one)):
+        assert_array_equal(value.view(np.int64), direct.view(np.int64))
 
 
 def test_heavy_exact_wave_keeps_no_per_degree_state():
@@ -1457,6 +1603,26 @@ def test_simulate_names_the_global_index_in_a_later_group(monkeypatch, npts):
         with pytest.raises(SimulationError, match="non-finite wave values at wave index 100$"):
             simulate(config, points, n_threads=threads)
     assert calls == []
+
+
+def test_threaded_groups_keep_the_callers_errstate(monkeypatch):
+    # a group summed on a worker thread runs under the caller's np.errstate,
+    # as a sequential one does: wave 122, of degree 5 in the second group,
+    # takes a finite weight whose profile overflows at its pole only, and
+    # under over="ignore" the run stops with the wave's index, not with
+    # numpy's overflow warning from the worker
+    config = SimulationConfig(GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(2.0), L=130, seed=5)
+    plan = simulator._draw_plan(config)
+    idx = 122
+    degree, pole = int(plan.degrees[idx]), plan.poles[idx]
+    assert idx >= WAVE_GROUP and degree == 5
+    ring = np.linalg.svd(pole[None, :])[2][1:]        # orthonormal, orthogonal to pole
+    points = np.vstack([ring, pole])
+    poison_weight(monkeypatch, idx, 1.7e308 / (degree + 1) * 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for threads in (None, 2):
+            with pytest.raises(SimulationError, match=f"at wave index {idx}$"):
+                simulate(config, points, n_threads=threads)
 
 
 def test_single_wave_zero_mean():
