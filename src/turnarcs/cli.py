@@ -295,7 +295,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"grid is on the {grid.d}-sphere but the model has d={model.d}")
     degrees, extra = resolve_degrees(args, model)
     config = SimulationConfig(model, degrees, L=args.L, seed=args.seed)
-    realization = simulate(config, grid.points, n_threads=args.threads)
+    realization = simulate(config, grid.points)
     with open(args.out, "w") as stream:
         write_realization(stream, grid, grid_spec.describe(), realization, extra)
     return EXIT_OK
@@ -484,8 +484,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--grid", required=True,
                      help="latlon:NCxNL | slice3:W:NCxNL | section:D:NCxNL | points:FILE")
     sim.add_argument("--out", required=True)
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads; output is bit-identical to sequential")
     sim.set_defaults(func=cmd_simulate)
 
     coeffs = commands.add_parser("coeffs", help="dump Schoenberg coefficients as CSV")

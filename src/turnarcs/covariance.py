@@ -78,7 +78,6 @@ class Covariance:
 
     p = 1
     odd_support = False
-    closed_form_covariance = True
 
     def validate(self) -> list[str]:
         raise NotImplementedError
@@ -167,33 +166,22 @@ def _gegenbauer_series(coeffs: np.ndarray, d: int, theta: np.ndarray) -> np.ndar
 
 
 def _series_truncation(model: "Covariance", tol: float) -> int:
-    """First N whose bound on sum_{n>N} b_n G_n(1) falls below tol."""
-    kind, value = model.decay()
-    if kind == "finite":
-        return int(value)
+    """First N whose bound on sum_{n>N} b_n G_n(1) falls below tol, for a
+    model whose coefficients decay as ('poly', t)."""
+    _, value = model.decay()
     d = model.d
-    if kind == "geometric":
-        # terms ~ b_n G_n(1) <= C r^n n^(d-2); geometric ratio bound
-        r = value
-        n = max(64, int(np.ceil(np.log(tol) / np.log(r))) if r > 0 else 1)
-    else:
-        s = value - (d - 2)  # effective exponent of b_n G_n(1)
-        if s <= 1.0:
-            raise ModelError(
-                "covariance series does not converge: coefficient decay "
-                f"n^-{value:g} is too slow against G_n(1) growth on d={d}"
-            )
-        n = 64
+    s = value - (d - 2)  # effective exponent of b_n G_n(1)
+    if s <= 1.0:
+        raise ModelError(
+            "covariance series does not converge: coefficient decay "
+            f"n^-{value:g} is too slow against G_n(1) growth on d={d}"
+        )
+    n = 64
     while True:
         term = model.schoenberg_coeff(n) * float(
             np.exp(gegenbauer_log_at_one(_lam(d), n)) if d >= 2 else 1.0
         )
-        if kind == "geometric":
-            q = value * (1.0 + 1.0 / n) ** max(d - 2, 0)
-            bound = term * q / (1.0 - q) if q < 1.0 else np.inf
-        else:
-            s = value - (d - 2)
-            bound = term * n / (s - 1.0)
+        bound = term * n / (s - 1.0)
         if bound < tol:
             return n
         n *= 2
@@ -286,8 +274,6 @@ def _sm_log_normalizer(alpha: float, nu: float) -> float:
 class SpectralMatern(Covariance):
     """Normalized power-law Schoenberg sequence (n^2+alpha^2)^(-nu-1/2)."""
 
-    closed_form_covariance = False
-
     def __init__(self, alpha: float, nu: float, d: int = 2):
         self.alpha = float(alpha)
         self.nu = float(nu)
@@ -321,8 +307,6 @@ class SpectralMatern(Covariance):
 
 class GeneralizedF(Covariance):
     """Beta/Pochhammer Schoenberg sequence with algebraic decay n^-(nu+1)."""
-
-    closed_form_covariance = False
 
     def __init__(self, alpha: float, nu: float, tau: float, d: int = 2):
         self.alpha = float(alpha)
@@ -435,9 +419,6 @@ class Chentsov(Covariance):
         theta = _check_theta(theta)
         return 1.0 - 2.0 * theta / np.pi
 
-    def variance(self):
-        return 1.0
-
     def describe(self) -> str:
         return f"chentsov(d={self.d})"
 
@@ -518,9 +499,6 @@ class Exponential(Covariance):
     def covariance(self, theta):
         theta = _check_theta(theta)
         return np.exp(-self.nu * theta)
-
-    def variance(self):
-        return 1.0
 
     def describe(self) -> str:
         return f"exponential(nu={self.nu:g}, d={self.d})"
@@ -635,7 +613,6 @@ class MultiCovariance:
     immutable, and valid once built (its constructor calls require_valid)."""
 
     odd_support = False
-    closed_form_covariance = True
 
     def validate(self) -> list[str]:
         raise NotImplementedError
@@ -657,9 +634,6 @@ class MultiCovariance:
     def _matrices(self, n: np.ndarray) -> np.ndarray:
         """B_n for an int array of nonnegative degrees, shape n.shape + (p, p)."""
         raise NotImplementedError
-
-    def coeff_table(self, n_max: int) -> np.ndarray:
-        return self.schoenberg_matrix(np.arange(n_max + 1))
 
     def magnitude(self, degrees):
         """Largest absolute entry of B_n at the degrees (support bookkeeping)."""
@@ -772,8 +746,6 @@ class BivariateSpectralMatern(_BivariateFromScalars):
     violate it; the per-degree semidefiniteness check still applies either
     way and will reject degrees where the waived parameters break down.
     """
-
-    closed_form_covariance = False
 
     def __init__(self, alpha: float, nu11: float, nu12: float, nu22: float,
                  rho: float, d: int = 2, allow_unverified_cross: bool = False):
@@ -911,23 +883,3 @@ def factor_schoenberg_matrix(B, *, degree: int = 0) -> SchoenbergFactor:
     if recon_err > _round_off(B):
         raise ModelError(f"factorization round-trip error {recon_err:g} too large")
     return SchoenbergFactor(degree=degree, matrix=gamma)
-
-
-def _factor_schoenberg_matrices(matrices, degrees) -> np.ndarray:
-    """factor_schoenberg_matrix(B, degree=n).matrix for each matrix B of a
-    stack and its degree n, shape (k, p, p).  A stack whose matrices all pass
-    the symmetry check, the Cholesky factorization and the round-trip check
-    takes one Cholesky call, the doubles of one call per matrix; otherwise
-    every matrix goes through factor_schoenberg_matrix, with its eigh
-    fallback and its errors."""
-    B = np.asarray(matrices, dtype=float)
-    if _symmetric(B).all():
-        try:
-            gamma = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if np.all(np.abs(gamma @ gamma.swapaxes(1, 2) - B) <= _round_off(B)[:, None, None]):
-                return gamma
-    return np.stack([factor_schoenberg_matrix(b, degree=n).matrix
-                     for b, n in zip(B, degrees)])

@@ -17,7 +17,7 @@ from scipy.special import gammaln, ndtr, roots_gegenbauer
 from .covariance import QuadratureError
 from .degree_sampling import mu3_converges, theta_prime_max
 from .gegenbauer import gegenbauer_eval
-from .simulator import Realization, _wave_weights, sample_pole
+from .simulator import Realization, _require_support, _wave_weights, sample_pole
 
 __all__ = [
     "XI",
@@ -47,7 +47,6 @@ _REL_TOL = 1e-4   # largest relative tail of a truncated mu3 sum that gives a KS
 class CovarianceEstimate:
     """Binned lag estimates; estimate/se have shape (nbins, p, p)."""
 
-    bin_edges: np.ndarray
     bin_centers: np.ndarray
     counts: np.ndarray          # pairs falling in each bin
     estimate: np.ndarray
@@ -125,7 +124,7 @@ def empirical_covariance(realizations, pairs, bins=20, points=None) -> Covarianc
     empty = [b for b in range(nbins) if counts[b] == 0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     return CovarianceEstimate(
-        bin_edges=edges, bin_centers=centers, counts=counts,
+        bin_centers=centers, counts=counts,
         estimate=estimate, se=se, empty_bins=empty, lags=lags, pair_bins=idx,
     )
 
@@ -204,7 +203,9 @@ class Mu3Result:
 
     @property
     def relative_tail(self) -> float:
-        return self.tail_bound / self.value if self.value > 0 else 0.0
+        if self.value > 0:
+            return self.tail_bound / self.value
+        return np.inf if self.tail_bound > 0 else 0.0
 
 
 def _mu3_series(spec, dist, n_last: int):
@@ -270,12 +271,12 @@ def mu3_wave(spec, dist, n_max: int | None = None) -> Mu3Result:
     while True:
         degrees, terms = _mu3_series(spec, dist, n_trunc)
         total = float(np.sum(terms))
-        # anchor the envelope on the last nonzero term: the law may load
-        # degrees where the model coefficient vanishes (e.g. even degrees of
-        # an odd-only model), and those say nothing about the tail
-        nonzero = np.flatnonzero(terms)
+        # anchor the envelope on the last nonzero term of degree >= 1 (none:
+        # no bound): the law may load degrees where the model coefficient
+        # vanishes (e.g. even degrees of an odd-only model), as may degree 0
+        nonzero = np.flatnonzero((terms != 0.0) & (degrees >= 1))
         bound = (tail_bound(int(degrees[nonzero[-1]]), float(terms[nonzero[-1]]))
-                 if nonzero.size else 0.0)
+                 if nonzero.size else np.inf)
         if not auto or bound <= _REL_TOL * total or n_trunc >= 1024:
             return Mu3Result(value=total, tail_bound=float(bound),
                              n_max=n_trunc, finite=True)
@@ -301,7 +302,9 @@ class BerryEsseenReport:
 def berry_esseen_report(spec, dist, L: int, n_max: int | None = None) -> BerryEsseenReport:
     """mu3_wave and the KS bound built on it.  The bound is inf (not
     established) when the series diverges or the truncated sum, only a lower
-    bound on mu3, leaves a relative tail above _REL_TOL."""
+    bound on mu3, leaves a relative tail above _REL_TOL.  A law that cannot
+    simulate the model raises SimulationError, as SimulationConfig does."""
+    _require_support(spec, dist)
     mu3 = mu3_wave(spec, dist, n_max=n_max)
     sigma = float(np.sqrt(spec.variance()))
     established = mu3.finite and mu3.relative_tail <= _REL_TOL

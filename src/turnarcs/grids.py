@@ -77,7 +77,6 @@ class PointListGrid:
 
 @dataclass
 class Grid:
-    kind: str
     d: int
     points: np.ndarray        # (npts, d+1) unit vectors
     coords: np.ndarray        # leading output columns per point
@@ -115,7 +114,7 @@ def build_grid(spec) -> Grid:
     """Materialize a grid spec into unit points plus plot-ready coordinates."""
     if isinstance(spec, LatLonGrid):
         cc, ll, xyz = _latlon_faces(spec.n_colat, spec.n_lon)
-        return Grid("latlon", 2, xyz, np.column_stack([cc, ll]), ["colat", "lon"])
+        return Grid(2, xyz, np.column_stack([cc, ll]), ["colat", "lon"])
     if isinstance(spec, Slice3Grid):
         if not -1.0 < spec.w < 1.0:
             raise GridError(f"slice coordinate must satisfy |w| < 1, got {spec.w}")
@@ -123,18 +122,18 @@ def build_grid(spec) -> Grid:
         scale = np.sqrt(1.0 - spec.w * spec.w)
         points = np.column_stack([scale * xyz, np.full(cc.size, spec.w)])
         coords = np.column_stack([cc, ll, np.full(cc.size, spec.w)])
-        return Grid("slice3", 3, points, coords, ["colat", "lon", "w"])
+        return Grid(3, points, coords, ["colat", "lon", "w"])
     if isinstance(spec, SectionGrid):
         if spec.d < 3:
             raise GridError("section grids need sphere dimension >= 3")
         cc, ll, xyz = _latlon_faces(spec.n_colat, spec.n_lon)
         points = np.zeros((cc.size, spec.d + 1))
         points[:, :3] = xyz
-        return Grid("section", spec.d, points, np.column_stack([cc, ll]), ["colat", "lon"])
+        return Grid(spec.d, points, np.column_stack([cc, ll]), ["colat", "lon"])
     if isinstance(spec, PointListGrid):
         points = _read_point_list(spec.path, spec.d)
         names = [f"x{i}" for i in range(points.shape[1])]
-        return Grid("points", points.shape[1] - 1, points, points.copy(), names)
+        return Grid(points.shape[1] - 1, points, points.copy(), names)
     raise GridError(f"unknown grid spec {spec!r}")
 
 

@@ -52,7 +52,7 @@ from itertools import islice, pairwise
 import numpy as np
 from scipy import fft
 
-from .covariance import _factor_schoenberg_matrices, factor_schoenberg_matrix
+from .covariance import factor_schoenberg_matrix
 from .degree_sampling import support_covers
 from .gegenbauer import _recurrence
 
@@ -153,6 +153,15 @@ def _as_index(value) -> int:
         return -1
 
 
+def _require_support(model, degrees) -> None:
+    """Raise SimulationError when the degree law assigns no mass to a degree
+    up to SUPPORT_CHECK_MAX that the model loads."""
+    uncovered = support_covers(degrees, model, SUPPORT_CHECK_MAX)
+    if uncovered is not None:
+        raise SimulationError(
+            f"degree law assigns no mass to degree {uncovered}, which the model loads")
+
+
 class SimulationConfig:
     """Validated bundle of model, degree law, wave count and master seed."""
 
@@ -164,12 +173,7 @@ class SimulationConfig:
             seed = operator.index(seed)
         except TypeError:
             raise SimulationError(f"seed must be an integer, got {seed!r}") from None
-        uncovered = support_covers(degrees, model, SUPPORT_CHECK_MAX)
-        if uncovered is not None:
-            raise SimulationError(
-                f"degree law assigns no mass to degree {uncovered}, which the "
-                "model loads"
-            )
+        _require_support(model, degrees)
         self.model = model
         self.degrees = degrees
         self.L = count
@@ -979,7 +983,7 @@ def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) ->
     coefficient that overflows (c w of a degree-1 row, where w is finite,
     and w or c w times the factor row), raises with its wave index counted
     from first, before any point work.  Each distinct degree's matrix is
-    built once, and all of them are factored together."""
+    built once and factored once."""
     with np.errstate(over="ignore"):
         signed = plan.signs * _wave_weights(config.model, config.degrees, plan.degrees)
         coef = signed * np.where(plan.degrees == 1, _affine_slope(config.d), 1.0)
@@ -988,7 +992,8 @@ def _wave_coefficients(config: SimulationConfig, plan: _Plan, first: int = 0) ->
         return signed, None
     distinct, inverse = np.unique(plan.degrees, return_inverse=True)
     matrices = config.model.schoenberg_matrix(distinct)
-    columns = _factor_schoenberg_matrices(matrices, distinct).swapaxes(1, 2)
+    columns = np.stack([factor_schoenberg_matrix(B, degree=n).matrix.T
+                        for B, n in zip(matrices, distinct)])
     factors = columns[inverse, plan.components]
     with np.errstate(over="ignore"):
         _raise_first_non_finite(np.where(plan.degrees[:, None] <= 1, coef[:, None] * factors, 0.0),

@@ -12,12 +12,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from turnarcs import cli, simulator
 from turnarcs.cli import CSV_CHUNK_ROWS, main, read_realization_csv
-from turnarcs.covariance import NegativeBinomial
+from turnarcs.covariance import Exponential, GeneralizedF, NegativeBinomial, SequenceCovariance
 from turnarcs.degree_sampling import (
     FiniteDegrees,
     GeometricDegrees,
     OddShiftedZeta,
     ShiftedZeta,
+    recommend_distribution,
 )
 from turnarcs.grids import (
     Grid,
@@ -184,14 +185,6 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_threads_byte_identical(tmp_path):
-    seq = tmp_path / "seq.csv"
-    par = tmp_path / "par.csv"
-    assert main(SIM_ARGS + ["--out", str(seq)]) == 0
-    assert main(SIM_ARGS + ["--threads", "3", "--out", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_simulate_csv_round_trip(tmp_path):
     out = tmp_path / "r.csv"
     assert main(SIM_ARGS + ["--out", str(out)]) == 0
@@ -285,19 +278,19 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []
 
-    def recording(config, points, n_threads=None):
-        seen.append((config.L, config.seed, n_threads, type(config.degrees)))
-        return simulate(config, points, n_threads=n_threads)
+    def recording(config, points):
+        seen.append((config.L, config.seed, type(config.degrees)))
+        return simulate(config, points)
 
     monkeypatch.setattr(cli, "simulate", recording)
     small = ["simulate", "--model", "nb", "--delta", "0.5", "--grid", "latlon:2x3"]
-    assert main(small + ["--L", "7", "--seed", "11", "--threads", "2",
-                         "--degree-dist", "zeta:2", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(small + ["--L", "7", "--seed", "11", "--degree-dist", "zeta:2",
+                         "--out", str(tmp_path / "a.csv")]) == 0
     assert main(["coeffs", "--model", "nb", "--delta", "0.3", "--n-max", "3",
                  "--out", str(tmp_path / "c.csv")]) == 0
     assert main(small + ["--out", str(tmp_path / "b.csv")]) == 0
-    assert seen[0] == (7, 11, 2, ShiftedZeta)
-    assert seen[1][:3] == (1500, 0, None) and seen[1][3] is not ShiftedZeta
+    assert seen[0] == (7, 11, ShiftedZeta)
+    assert seen[1][:2] == (1500, 0) and seen[1][2] is not ShiftedZeta
     assert len((tmp_path / "c.csv").read_text().splitlines()) > 3
 
 
@@ -312,6 +305,18 @@ def test_simulate_auto_degree_header(tmp_path):
     header, _, _ = read_realization_csv(str(out))
     assert header["degrees"] == "zeta:2"
     assert header["auto-degree: case"] == "3"
+
+
+def test_simulate_auto_degree_header_records_the_warning(tmp_path):
+    # Chentsov on d = 4 has an empty admissible zeta interval, so the chosen
+    # law carries the Berry-Esseen warning into the header
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--model", "chentsov", "--d", "4", "--L", "5", "--seed", "1",
+                 "--grid", "section:4:2x2", "--out", str(out)]) == 0
+    header, _, data = read_realization_csv(str(out))
+    assert header["degrees"] == "oddzeta:2"
+    assert header["auto-degree: warning"] == "Berry-Esseen bound not guaranteed finite"
+    assert data.shape == (4, 3)
 
 
 def test_simulate_defaults_to_auto_degree(tmp_path):
@@ -363,6 +368,17 @@ def test_coeffs_to_file(tmp_path):
     assert out.read_text().splitlines() == ["n,b_n", "0,0.5", "1,0.25", "2,0.125"]
 
 
+@pytest.mark.parametrize("flags, model", [
+    (["--model", "exponential", "--d", "3", "--nu", "2"], Exponential(2.0, d=3)),
+    (["--model", "sequence", "--d", "2", "--coeffs", "0.5,0,0.5"],
+     SequenceCovariance([0.5, 0.0, 0.5], d=2)),
+])
+def test_coeffs_match_the_library(flags, model, capsys):
+    assert main(["coeffs", *flags, "--n-max", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["n,b_n"] + [f"{n},{b:.17g}" for n, b in enumerate(model.coeff_table(4))]
+
+
 # ---------------------------------------------------------------------- mu3
 
 def test_mu3_matches_library(capsys):
@@ -390,6 +406,49 @@ def test_mu3_truncated_sum_gives_no_bound(capsys):
     out = capsys.readouterr().out
     assert "tail bound inf relative" in out
     assert "ks-bound = not established" in out
+
+
+def test_mu3_doubles_its_truncation_until_the_tail_is_small(capsys):
+    # the auto-degree law's sum to degree 64 and to 128 leaves a relative
+    # tail above 1e-4 (the d = 3 polynomial envelope); the sum to 256 does not
+    model = GeneralizedF(1.0, 3.5, 2.0, d=3)
+    assert main(["mu3", "--model", "f", "--d", "3", "--alpha", "1", "--nu", "3.5",
+                 "--tau", "2"]) == 0
+    out = capsys.readouterr().out
+    from turnarcs.diagnostics import berry_esseen_report
+
+    report = berry_esseen_report(model, recommend_distribution(model).distribution, 1500)
+    assert report.mu3.n_max == 256 and 0.0 < report.mu3.relative_tail <= 1e-4
+    assert f"mu3 = {report.mu3.value!r} (truncated at degree 256," in out
+    assert f"ks-bound = {report.bound!r}" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "nb", "--delta", "0.5"],
+    ["--model", "sm", "--alpha", "1", "--nu", "0.75"],
+    ["--model", "f", "--d", "3", "--alpha", "1", "--nu", "3.5", "--tau", "2"],
+    ["--model", "chentsov", "--d", "3"],
+])
+def test_mu3_sum_to_degree_zero_gives_no_bound(flags, capsys):
+    # no term of degree >= 1 anchors a tail envelope, so the tail of the sum
+    # to degree 0 is unbounded; Chentsov's sum is 0.0 there
+    assert main(["mu3", *flags, "--n-max", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "(truncated at degree 0, tail bound inf relative)" in out
+    assert "ks-bound = not established" in out
+
+
+def test_mu3_rejects_a_law_that_cannot_simulate_the_model(tmp_path, capsys):
+    # the law finite:0.5,0.5 leaves out degree 2, which nb loads: mu3 gives
+    # the error simulate gives, not a bound for a run that cannot happen
+    flags = ["--model", "nb", "--delta", "0.5", "--degree-dist", "finite:0.5,0.5"]
+    assert main(["mu3", *flags]) == 1
+    assert main(["simulate", *flags, "--grid", "latlon:2x2",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 2 * ("turnarcs: degree law assigns no mass to degree 2, "
+                                "which the model loads\n")
 
 
 def test_mu3_divergent_prints_flag(capsys):
@@ -433,6 +492,25 @@ def test_validate_passes_and_reports(tmp_path, capsys):
     assert "wall-time-seconds" in out
     text = report_path.read_text()
     assert "bin,center,count,i,j,estimate,theoretical,se,ok" in text
+
+
+def test_validate_subsamples_pairs_and_reports_empty_bins(capsys):
+    # 528 pairs on latlon:4x8 are cut to 100; the grid's few distinct lags
+    # leave most of 40 bins empty
+    code = main([
+        "validate", "--model", "nb", "--delta", "0.5",
+        "--degree-dist", "geometric:0.2", "--L", "40", "--M", "200",
+        "--grid", "latlon:4x8", "--bins", "40", "--max-pairs", "100", "--seed", "11",
+    ])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit()]
+    assert code == 0
+    empty = [row for row in rows if row[-1] == "empty"]
+    assert len(empty) >= 20
+    assert all(row[2:8] == ["0", "", "", "", "", ""] for row in empty)
+    filled = {row[0]: int(row[2]) for row in rows if row[-1] != "empty"}
+    assert len(filled) + len(empty) == 40
+    assert sum(filled.values()) == 100
 
 
 def test_validate_failure_exits_two(monkeypatch, capsys):
@@ -532,7 +610,7 @@ def csv_grids(draw, kind, rows):
         # no coordinate repeats a value
         v = rng.normal(size=(rows, draw(st.integers(2, 4))))
         points = v / np.linalg.norm(v, axis=1)[:, None]
-        return Grid("points", points.shape[1] - 1, points, points.copy(),
+        return Grid(points.shape[1] - 1, points, points.copy(),
                     [f"x{i}" for i in range(points.shape[1])])
     # hand-built: signed zeros and subnormals repeated in one column, with a
     # value first seen in the last row, which may be past the first chunk;
@@ -540,7 +618,7 @@ def csv_grids(draw, kind, rows):
     signed = np.resize(rng.permutation(SIGNED_ZEROS), rows)
     signed[-1] = -2.5
     coords = np.column_stack([signed, np.arange(rows) * 0.1])
-    return Grid("hand", 2, np.zeros((rows, 3)), coords, ["a", "b"])
+    return Grid(2, np.zeros((rows, 3)), coords, ["a", "b"])
 
 
 @pytest.mark.parametrize("p", [1, 2])

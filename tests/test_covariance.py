@@ -22,7 +22,6 @@ from turnarcs.covariance import (
     SequenceMultiCovariance,
     SpectralMatern,
     _STIRLING_MIN,
-    _factor_schoenberg_matrices,
     _log_gamma_shift,
     chentsov_coeff_direct,
     factor_schoenberg_matrix,
@@ -175,12 +174,6 @@ def test_covariance_domain():
         NegativeBinomial(0.5).covariance(-0.1)
     with pytest.raises(ValueError):
         NegativeBinomial(0.5).covariance(np.pi + 0.1)
-
-
-def test_series_covariance_flagged():
-    assert not SpectralMatern(1.0, 0.75).closed_form_covariance
-    assert not GeneralizedF(1.0, 3.5, 2.0, d=3).closed_form_covariance
-    assert NegativeBinomial(0.5).closed_form_covariance
 
 
 def test_sm_series_covariance_at_zero_is_normalized():
@@ -610,6 +603,10 @@ def test_sequence_multi_covariance():
     assert_allclose(spec.schoenberg_matrix(5), np.zeros((2, 2)))
     K0 = spec.covariance(0.0)
     assert_allclose(K0, [[1.5, 0.2], [0.2, 1.5]], atol=1e-14)
+    assert spec.describe() == "matrix-sequence(p=2, degrees=0..1, d=2)"
+    assert spec.decay() == ("finite", 1)
+    # trailing zero matrices do not count towards the last degree
+    assert SequenceMultiCovariance(mats + [np.zeros((2, 2))], d=2).decay() == ("finite", 1)
 
 
 # -------------------------------------------------------------- factorization
@@ -637,41 +634,6 @@ def test_factor_semidefinite_fallback():
 def test_factor_rejects_indefinite():
     with pytest.raises(ModelError):
         factor_schoenberg_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def random_pd_stack(k, p, seed):
-    a = np.random.default_rng(seed).normal(size=(k, p, p + 2))
-    return a @ a.swapaxes(1, 2)
-
-
-@pytest.mark.parametrize("model, count", [
-    (BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6), 43),
-    (SequenceMultiCovariance(random_pd_stack(30, 3, 4), d=2), 30),
-])
-def test_stacked_factors_equal_one_call_per_matrix(model, count):
-    # one Cholesky call on the stack gives each matrix the doubles of its
-    # own factor_schoenberg_matrix call
-    degrees = list(range(count))
-    matrices = np.stack([model.schoenberg_matrix(n) for n in degrees])
-    got = _factor_schoenberg_matrices(matrices, degrees)
-    for B, n, gamma in zip(matrices, degrees, got):
-        assert_array_equal(gamma, factor_schoenberg_matrix(B, degree=n).matrix)
-
-
-def test_stacked_factors_keep_the_per_matrix_fallback_and_errors():
-    # a semidefinite matrix makes the stacked Cholesky call fail: every
-    # matrix then takes factor_schoenberg_matrix, eigh square root included;
-    # an indefinite one raises its own error, naming its degree
-    good = np.array([[0.8, 0.48], [0.48, 0.3]])
-    flat = np.array([[1.0, 1.0], [1.0, 1.0]])
-    got = _factor_schoenberg_matrices([good, flat], [3, 5])
-    assert_array_equal(got[0], factor_schoenberg_matrix(good).matrix)
-    assert_array_equal(got[1], factor_schoenberg_matrix(flat).matrix)
-    assert got[1, 0, 1] != 0.0                          # the symmetric square root
-    with pytest.raises(ModelError, match="at degree 7 is not positive semidefinite"):
-        _factor_schoenberg_matrices([good, np.array([[1.0, 2.0], [2.0, 1.0]])], [3, 7])
-    with pytest.raises(ModelError, match="symmetric"):
-        _factor_schoenberg_matrices([good, np.array([[1.0, 0.5], [0.0, 1.0]])], [3, 7])
 
 
 def test_factor_columns():

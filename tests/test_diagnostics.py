@@ -15,8 +15,10 @@ from turnarcs.degree_sampling import (
     OddShiftedZeta,
     ShiftedZeta,
 )
+from turnarcs import diagnostics
 from turnarcs.diagnostics import (
     XI,
+    Mu3Result,
     berry_esseen_bound,
     berry_esseen_report,
     duplication_check,
@@ -27,7 +29,7 @@ from turnarcs.diagnostics import (
     mu3_wave,
 )
 from turnarcs.gegenbauer import gegenbauer_at_one
-from turnarcs.simulator import Realization, SimulationConfig, simulate_ensemble
+from turnarcs.simulator import Realization, SimulationConfig, SimulationError, simulate_ensemble
 
 
 def meridian_points(d, thetas):
@@ -179,6 +181,23 @@ def test_bound_scale_invariance():
         assert berry_esseen_bound(c**3 * 2.0, c * 1.3, 77) == pytest.approx(
             berry_esseen_bound(2.0, 1.3, 77), rel=1e-13
         )
+
+
+def test_zero_sum_with_a_tail_has_an_infinite_relative_tail():
+    assert Mu3Result(value=0.0, tail_bound=np.inf, n_max=0, finite=True).relative_tail == np.inf
+    assert Mu3Result(value=0.0, tail_bound=0.0, n_max=0, finite=True).relative_tail == 0.0
+    assert Mu3Result(value=2.0, tail_bound=1.0, n_max=9, finite=True).relative_tail == 0.5
+
+
+def test_report_rejects_a_law_that_cannot_simulate_the_model(monkeypatch):
+    # SimulationConfig's check, before any quadrature; mu3_wave itself still
+    # sums such pairs (test_mu3_wave_matches_log_space_terms)
+    monkeypatch.setattr(diagnostics, "mu3_wave", None)
+    monkeypatch.setattr(diagnostics, "mu3_gegenbauer", None)
+    with pytest.raises(SimulationError, match="no mass to degree 2, which the model loads"):
+        berry_esseen_report(NegativeBinomial(0.5, d=2), FiniteDegrees([0.5, 0.5]), L=1500)
+    with pytest.raises(SimulationError, match="no mass to degree 0"):
+        berry_esseen_report(NegativeBinomial(0.5, d=2), OddShiftedZeta(2.0), L=1500)
 
 
 def test_report_builder():
