@@ -86,7 +86,14 @@ Cases:
     of METHOD_POINTS.  The degrees cover every threshold of the method rule
     on those point counts: the series' limits 8 and 32,768, the Fourier column
     limit (36,905 at most, on 600,000 points) and each break-even between two
-    methods.
+    methods;
+  - `turnarcs validate` reports without their wall time, seeds 0-2: nb
+    d = 2 on latlon:20x40 with `--max-pairs 2000` (its 320,400 pairs are
+    subsampled), and the spectral-Matern model d = 2 under zeta:2 with
+    M = 10, whose 131,072-term covariance series sets the theory column;
+  - `covariance` values at one angle and at 50 angles drawn at rng seeds
+    0-2: sequence models on d = 1 and 2, a three-variate matrix sequence,
+    the spectral-Matern model on d = 2 and 3 and the F model on d = 2 and 3.
 
 A d = 3 line also names the number of drawn waves above the Fourier column
 limit (`heavy=`); their profiles come from the closed form
@@ -117,7 +124,7 @@ import workloads  # noqa: E402
 from turnarcs import cli, simulator  # noqa: E402
 from turnarcs.covariance import (  # noqa: E402
     BivariateNegativeBinomial, BivariateSpectralMatern, Chentsov, GeneralizedF, NegativeBinomial,
-    SequenceCovariance, SequenceMultiCovariance)
+    SequenceCovariance, SequenceMultiCovariance, SpectralMatern)
 from turnarcs.degree_sampling import (  # noqa: E402
     FiniteDegrees, GeometricDegrees, OddShiftedZeta, ShiftedZeta)
 from turnarcs.grids import build_grid, parse_grid  # noqa: E402
@@ -196,11 +203,7 @@ def workload_lines():
         inputs = workloads.setup(workload)
         if workload.command == "validate":
             for seed in SEEDS:
-                report = io.StringIO()
-                with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(["validate", *workload.flags, "--seed", str(seed)])
-                body = [line for line in report.getvalue().splitlines()
-                        if not line.startswith("# wall-time-seconds")]
+                code, body = validate_report([*workload.flags, "--seed", str(seed)])
                 yield f"{name} seed={seed} exit={code} {digest(chr(10).join(body))}", numbers(body)
             continue
         for seed in SEEDS:
@@ -423,6 +426,52 @@ def law_lines():
         yield f"pole d={d} {digest(pole.tobytes(), rng.bit_generator.state)}", pole
 
 
+VALIDATE_CASES = {
+    "nb-latlon:20x40-max-pairs2000": (
+        "--model", "nb", "--delta", "0.5", "--degree-dist", "geometric:0.05", "--L", "100",
+        "--M", "20", "--grid", "latlon:20x40", "--max-pairs", "2000"),
+    "sm-d2-M10": ("--model", "sm", "--alpha", "1", "--nu", "0.75", "--degree-dist", "zeta:2",
+                  "--L", "100", "--M", "10", "--grid", "latlon:8x16"),
+}
+COVARIANCE_CASES = {
+    "sequence-d1": SequenceCovariance([0.2, 0.5, 0.3], d=1),
+    "sequence-d2": SequenceCovariance([0.1, 0.0, 0.4, 0.5], d=2),
+    "sequence-p3": EXTRA_CASES["sequence-p3-finite"][0],
+    "sm-d2": SpectralMatern(1.0, 0.75, d=2),
+    "sm-d3": SpectralMatern(2.5, 2.0, d=3),
+    "f-d2": GeneralizedF(1.0, 3.5, 2.0, d=2),
+    "f-d3": GeneralizedF(1.0, 3.5, 2.0, d=3),
+}
+
+
+def validate_report(argv) -> tuple:
+    """(exit code, the report lines of one `turnarcs validate` run without
+    its wall time)."""
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["validate", *argv])
+    return code, [line for line in report.getvalue().splitlines()
+                  if not line.startswith("# wall-time-seconds")]
+
+
+def validate_lines():
+    for name, flags in VALIDATE_CASES.items():
+        for seed in range(3):
+            code, body = validate_report([*flags, "--seed", str(seed)])
+            yield (f"validate {name} seed={seed} exit={code} {digest(chr(10).join(body))}",
+                   numbers(body))
+
+
+def covariance_lines():
+    for name, model in COVARIANCE_CASES.items():
+        for seed in range(3):
+            theta = np.random.default_rng(seed).uniform(0.0, np.pi, size=50)
+            for label, angles in (("scalar", theta[0]), ("array", theta)):
+                values = np.asarray(model.covariance(angles), dtype=float)
+                yield (f"covariance {name} {label} rng={seed} {digest(values.tobytes())}",
+                       values)
+
+
 DIGEST = re.compile(r" [0-9a-f]{64}")
 
 
@@ -449,7 +498,8 @@ def cases():
     """(line, values) of every case, in print order."""
     for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(),
                   ensemble_lines(), last_tile_lines(), switch_lines(), zero_weight_lines(),
-                  affine_lines(), group_lines(), symmetric_lines(), workload_lines(), csv_lines()):
+                  affine_lines(), group_lines(), symmetric_lines(), workload_lines(), csv_lines(),
+                  validate_lines(), covariance_lines()):
         yield from lines
 
 

@@ -318,18 +318,29 @@ def cmd_coeffs(args) -> int:
 
 def _theory_by_bin(model, p, lags, idx, nbins):
     """Per-bin mean of the model covariance over the actual pair lags, which
-    is the unbiased target for the binned estimates."""
+    is the unbiased target for the binned estimates; the model is evaluated
+    once, over the lags of every pair in a bin."""
     theory = np.full((nbins, p, p), np.nan)
+    K = model.covariance(lags[idx >= 0]).reshape(p, p, -1)
+    idx = idx[idx >= 0]
     for b in range(nbins):
         sel = idx == b
-        if not np.any(sel):
-            continue
-        K = np.asarray(model.covariance(lags[sel]))
-        if p == 1:
-            theory[b, 0, 0] = K.mean()
-        else:
-            theory[b] = K.mean(axis=-1)
+        if np.any(sel):  # compress copies contiguously: summed as a per-bin call would be
+            theory[b] = np.compress(sel, K, axis=-1).mean(axis=-1)
     return theory
+
+
+def _pair_indices(npts: int, max_pairs: int, seed: int) -> np.ndarray:
+    """The point pairs i <= j that validate compares, in row-major order: all
+    of them, or max_pairs drawn as flat upper-triangle indices and mapped back
+    through the row starts i npts - i(i-1)/2, with no array of all pairs."""
+    total = npts * (npts + 1) // 2
+    flat = (np.sort(np.random.default_rng(seed).choice(total, size=max_pairs, replace=False))
+            if total > max_pairs else np.arange(total))
+    rows = np.arange(npts)
+    starts = rows * npts - rows * (rows - 1) // 2
+    i = np.searchsorted(starts, flat, side="right") - 1
+    return np.column_stack([i, i + flat - starts[i]])
 
 
 def cmd_validate(args) -> int:
@@ -341,14 +352,7 @@ def cmd_validate(args) -> int:
     degrees, _ = resolve_degrees(args, model)
     config = SimulationConfig(model, degrees, L=args.L, seed=args.seed)
     points = grid.points
-    npts = points.shape[0]
-
-    pairs = np.column_stack(np.triu_indices(npts))
-    if pairs.shape[0] > args.max_pairs:
-        keep = np.random.default_rng(args.seed).choice(
-            pairs.shape[0], size=args.max_pairs, replace=False
-        )
-        pairs = pairs[np.sort(keep)]
+    pairs = _pair_indices(points.shape[0], args.max_pairs, args.seed)
 
     started = time.perf_counter()
     values = simulate_ensemble(config, points, args.M, np.random.default_rng(args.seed))

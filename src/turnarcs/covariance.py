@@ -152,30 +152,31 @@ def _check_theta(theta):
     return theta
 
 
-def _gegenbauer_series(coeffs: np.ndarray, d: int, theta: np.ndarray) -> np.ndarray:
+def _schoenberg_series(coeffs: np.ndarray, d: int, theta):
     """sum_n c_n G_n^((d-1)/2)(cos theta), or sum_n c_n cos(n theta) on the
-    circle; one term at a time, O(1) memory in n."""
+    circle, for coefficients c of shape (N,) + S and angles of any shape:
+    shape S + theta.shape, a float when both are scalar.  One term at a
+    time, in degree order, so each entry has the bits of its own series."""
+    theta = _check_theta(theta)
+    t = np.atleast_1d(theta)
     if d == 1:
-        terms = (np.cos(n * theta) for n in range(len(coeffs)))
+        terms = (np.cos(n * t) for n in range(coeffs.shape[0]))
     else:
-        terms = _recurrence(_lam(d), np.cos(theta))
-    acc = np.zeros_like(theta)
-    for c, g in zip(coeffs, terms):
+        terms = _recurrence(_lam(d), np.cos(t))
+    acc = np.zeros(coeffs.shape[1:] + t.shape)
+    for c, g in zip(coeffs.reshape(coeffs.shape + (1,) * t.ndim), terms):
         acc += c * g
-    return acc
+    out = acc.reshape(coeffs.shape[1:] + theta.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def _series_truncation(model: "Covariance", tol: float) -> int:
+def _series_truncation(model: "Covariance", tol: float = 1e-8) -> int:
     """First N whose bound on sum_{n>N} b_n G_n(1) falls below tol, for a
-    model whose coefficients decay as ('poly', t)."""
+    model whose coefficients decay as ('poly', t) with t > d - 1 (its validate
+    makes sure of that), so that b_n G_n(1) ~ n^-(t-d+2) is summable."""
     _, value = model.decay()
     d = model.d
     s = value - (d - 2)  # effective exponent of b_n G_n(1)
-    if s <= 1.0:
-        raise ModelError(
-            "covariance series does not converge: coefficient decay "
-            f"n^-{value:g} is too slow against G_n(1) growth on d={d}"
-        )
     n = 64
     while True:
         term = model.schoenberg_coeff(n) * float(
@@ -187,15 +188,6 @@ def _series_truncation(model: "Covariance", tol: float) -> int:
         n *= 2
         if n > 2**22:
             raise ModelError("covariance series truncation did not converge")
-
-
-def _series_covariance(model: "Covariance", theta, tol: float = 1e-8):
-    theta = _check_theta(theta)
-    n = _series_truncation(model, tol)
-    coeffs = model.coeff_table(n)
-    scalar = theta.ndim == 0
-    out = _gegenbauer_series(coeffs, model.d, np.atleast_1d(theta))
-    return float(out[0]) if scalar else out
 
 
 class NegativeBinomial(Covariance):
@@ -271,6 +263,20 @@ def _sm_log_normalizer(alpha: float, nu: float) -> float:
     return float(np.log(cur))
 
 
+def _sm_nu_violations(d: int, **nus) -> list[str]:
+    """What is wrong with each named spectral-Matern exponent on the d-sphere:
+    it must be positive and, as b_n G_n(1) ~ n^-(2 nu + 3 - d), exceed (d-2)/2
+    for the variance series to converge."""
+    out = []
+    for name, nu in nus.items():
+        if not nu > 0.0:
+            out.append(f"{name} must be positive, got {nu}")
+        elif not nu > 0.5 * (d - 2):
+            out.append(f"{name} must exceed (d-2)/2 = {0.5 * (d - 2):g} for the coefficient "
+                       f"series to converge, got {name} = {nu}")
+    return out
+
+
 class SpectralMatern(Covariance):
     """Normalized power-law Schoenberg sequence (n^2+alpha^2)^(-nu-1/2)."""
 
@@ -284,8 +290,7 @@ class SpectralMatern(Covariance):
         out = []
         if not self.alpha > 0.0:
             out.append(f"alpha must be positive, got {self.alpha}")
-        if not self.nu > 0.0:
-            out.append(f"nu must be positive, got {self.nu}")
+        out += _sm_nu_violations(self.d, nu=self.nu)
         if self.d < 1:
             out.append(f"sphere dimension must be >= 1, got {self.d}")
         return out
@@ -296,7 +301,7 @@ class SpectralMatern(Covariance):
         return -s * np.log(n * n + self.alpha**2) - _sm_log_normalizer(self.alpha, self.nu)
 
     def covariance(self, theta):
-        return _series_covariance(self, theta)
+        return _schoenberg_series(self.coeff_table(_series_truncation(self)), self.d, theta)
 
     def describe(self) -> str:
         return f"sm(alpha={self.alpha:g}, nu={self.nu:g}, d={self.d})"
@@ -346,7 +351,7 @@ class GeneralizedF(Covariance):
         )
 
     def covariance(self, theta):
-        return _series_covariance(self, theta)
+        return _schoenberg_series(self.coeff_table(_series_truncation(self)), self.d, theta)
 
     def describe(self) -> str:
         return f"f(alpha={self.alpha:g}, nu={self.nu:g}, tau={self.tau:g}, d={self.d})"
@@ -538,10 +543,7 @@ class SequenceCovariance(Covariance):
         return out
 
     def covariance(self, theta):
-        theta = _check_theta(theta)
-        scalar = theta.ndim == 0
-        out = _gegenbauer_series(self.coeffs, self.d, np.atleast_1d(theta))
-        return float(out[0]) if scalar else out
+        return _schoenberg_series(self.coeffs, self.d, theta)
 
     def describe(self) -> str:
         body = ",".join(f"{c:g}" for c in self.coeffs)
@@ -762,10 +764,7 @@ class BivariateSpectralMatern(_BivariateFromScalars):
         out = []
         if not self.alpha > 0.0:
             out.append(f"alpha must be positive, got {self.alpha}")
-        for name in ("nu11", "nu12", "nu22"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                out.append(f"{name} must be positive, got {v}")
+        out += _sm_nu_violations(self.d, nu11=self.nu11, nu12=self.nu12, nu22=self.nu22)
         if self.d < 1:
             out.append(f"sphere dimension must be >= 1, got {self.d}")
         if out or self.allow_unverified_cross:
@@ -830,13 +829,8 @@ class SequenceMultiCovariance(MultiCovariance):
         return np.where((n <= last)[..., None, None], self.matrices[np.minimum(n, last)], 0.0)
 
     def covariance(self, theta):
-        theta = np.atleast_1d(_check_theta(theta))
-        p = self.p
-        out = np.empty((p, p) + theta.shape)
-        for i in range(p):
-            for j in range(p):
-                out[i, j] = _gegenbauer_series(self.matrices[:, i, j], self.d, theta)
-        return out[..., 0] if out.shape[-1] == 1 else out
+        """Shape (p, p) + theta.shape."""
+        return _schoenberg_series(self.matrices, self.d, theta)
 
     def describe(self) -> str:
         return f"matrix-sequence(p={self.p}, degrees=0..{self.matrices.shape[0] - 1}, d={self.d})"

@@ -698,6 +698,90 @@ def test_out_of_range_count_flag_exits_one(argv, flag, capsys):
     assert f"argument {flag}: must be at least" in captured.err
 
 
+USAGE_ERRORS = [
+    (["--model", "nb"], "--delta is required for this model"),
+    (["--model", "nb", "--delta", "0.5,0.6"], "--delta takes one value here, got 2"),
+    (["--model", "nb", "--p", "2", "--delta", "0.5", "--rho", "0.1"],
+     "--delta needs three values (11, 12, 22), got 1"),
+    (["--model", "sm", "--alpha", "1"], "--nu is required for this model"),
+    (["--model", "sm", "--nu", "0.75"], "--alpha is required for this model"),
+    (["--model", "sm", "--alpha", "1", "--p", "2", "--nu", "1,2", "--rho", "0.1"],
+     "--nu needs three values (11, 12, 22), got 2"),
+    (["--model", "f", "--alpha", "1", "--nu", "3"], "--tau is required for this model"),
+    (["--model", "f", "--alpha", "1", "--nu", "3", "--tau", "1,2"],
+     "--tau takes one value here, got 2"),
+    (["--model", "exponential"], "--nu is required for this model"),
+    (["--model", "nb", "--p", "2", "--delta", "0.2,0.2,0.7"],
+     "--rho is required for bivariate models"),
+    (["--model", "sm", "--p", "2", "--alpha", "1", "--nu", "2,1.375,0.75"],
+     "--rho is required for bivariate models"),
+    (["--model", "f", "--p", "2", "--alpha", "1", "--nu", "3", "--tau", "1"],
+     "the generalized-F model is univariate"),
+    (["--model", "chentsov", "--p", "2"], "the chentsov model is univariate"),
+    (["--model", "exponential", "--p", "2", "--nu", "1"], "the exponential model is univariate"),
+    (["--model", "sequence", "--p", "2", "--coeffs", "1,2"],
+     "sequence models are univariate on the CLI"),
+    (["--model", "nb", "--p", "3", "--delta", "0.5"],
+     "p must be 1 or 2 (matrix models can be supplied via the library)"),
+    (["--model", "sequence"], "--coeffs is required for sequence models"),
+    (["--model", "nb", "--delta", "0.1,x"], "expected comma-separated numbers, got '0.1,x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((["recommend", *flags], message) for flags, message in USAGE_ERRORS),
+    (["mu3", "--model", "nb", "--delta", "0.5", "--degree-dist", "zeta:abc"],
+     "malformed degree law 'zeta:abc': could not convert string to float: 'abc'"),
+    (["mu3", "--model", "nb", "--delta", "0.5", "--degree-dist", "poisson:1"],
+     "unknown degree law 'poisson:1' (expected geometric:P, zeta:T, oddzeta:T, finite:P0,P1,...)"),
+    (["coeffs", "--model", "nb", "--p", "2", "--delta", "0.2,0.2,0.7", "--rho", "0.6",
+      "--n-max", "3"], "coefficient dumps are defined for univariate models"),
+    (["validate", "--model", "nb", "--d", "3", "--delta", "0.5", "--grid", "latlon:2x2"],
+     "grid is on the 2-sphere but the model has d=3"),
+])
+def test_usage_error_exits_one_naming_the_flag_or_value(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"turnarcs: usage error: {message}\n"
+
+
+@pytest.mark.parametrize("command, flags", [("simulate", ["--out", "x.csv"]),
+                                            ("validate", ["--M", "4"])])
+def test_divergent_sm_series_exits_one_before_any_wave(tmp_path, monkeypatch, capsys,
+                                                       command, flags):
+    # nu = 0.25 <= (d-2)/2 on the 3-sphere: the variance series diverges,
+    # and simulate used to write a field of infinite variance
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a wave was drawn")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate", unreachable)
+    monkeypatch.setattr(cli, "simulate_ensemble", unreachable)
+    code = main([command, "--model", "sm", "--d", "3", "--alpha", "1", "--nu", "0.25",
+                 "--degree-dist", "zeta:2", "--L", "10", "--grid", "section:3:2x4", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == ("turnarcs: nu must exceed (d-2)/2 = 0.5 for the "
+                                       "coefficient series to converge, got nu = 0.25\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("npts, max_pairs, seed", [
+    (1, 1, 0), (1, 20_000, 3), (2, 3, 0), (5, 15, 1), (5, 14, 1), (8, 1, 2), (40, 100, 7),
+    (128, 20_000, 0), (300, 2000, 11), (301, 45_150, 5),
+])
+def test_validate_pairs_are_the_subsampled_upper_triangle(npts, max_pairs, seed):
+    # the pairs are drawn as flat upper-triangle indices, with the draw the
+    # all-pairs array used to be subsampled by
+    pairs = np.column_stack(np.triu_indices(npts))
+    if pairs.shape[0] > max_pairs:
+        keep = np.random.default_rng(seed).choice(pairs.shape[0], size=max_pairs, replace=False)
+        pairs = pairs[np.sort(keep)]
+    got = cli._pair_indices(npts, max_pairs, seed)
+    assert got.dtype == pairs.dtype
+    assert_array_equal(got, pairs)
+
+
 def test_grid_model_dimension_mismatch(tmp_path):
     code = main([
         "simulate", "--model", "nb", "--d", "3", "--delta", "0.5",

@@ -61,6 +61,29 @@ def test_validate_f_needs_nu_above_d_minus_2():
         GeneralizedF(1.0, 0.5, 2.0, d=3)
 
 
+def test_sm_needs_nu_above_half_d_minus_2():
+    # b_n G_n(1) ~ n^-(2 nu + 3 - d): at nu <= (d-2)/2 the variance series
+    # diverges, and the model used to be built and simulated anyway
+    assert SpectralMatern(1.0, 0.51, d=3).validate() == []
+    for nu, d in ((0.25, 3), (0.5, 3), (1.0, 4)):
+        with pytest.raises(ModelError) as caught:
+            SpectralMatern(1.0, nu, d=d)
+        assert str(caught.value) == (f"nu must exceed (d-2)/2 = {0.5 * (d - 2):g} for the "
+                                     f"coefficient series to converge, got nu = {nu}")
+
+
+@pytest.mark.parametrize("waived", [False, True])
+@pytest.mark.parametrize("name", ["nu11", "nu12", "nu22"])
+@pytest.mark.parametrize("nu", [0.5, 0.3])
+def test_bivariate_sm_needs_each_nu_above_half_d_minus_2(name, nu, waived):
+    nus = {"nu11": 2.0, "nu12": 2.0, "nu22": 2.0, name: nu}
+    with pytest.raises(ModelError) as caught:
+        BivariateSpectralMatern(1.0, nus["nu11"], nus["nu12"], nus["nu22"], rho=0.1, d=3,
+                                allow_unverified_cross=waived)
+    assert (f"{name} must exceed (d-2)/2 = 0.5 for the coefficient series to converge, "
+            f"got {name} = {nu}") in str(caught.value).split("; ")
+
+
 INVALID = [
     (NegativeBinomial, (1.5,), {"d": 0},
      "delta must lie in the open interval (0, 1), got 1.5; sphere dimension must be >= 1, got 0"),
@@ -178,6 +201,18 @@ def test_covariance_domain():
 
 def test_sm_series_covariance_at_zero_is_normalized():
     assert SpectralMatern(1.0, 0.75, d=2).covariance(0.0) == pytest.approx(1.0, abs=2e-8)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+def test_nb_circle_covariance_matches_its_coefficient_series(delta):
+    # the closed form on the circle against sum_{n<=N} (1-delta) delta^n
+    # cos(n theta), whose tail is at most delta^(N+1)
+    spec = NegativeBinomial(delta, d=1)
+    theta = np.linspace(0.0, np.pi, 41)
+    n_max = 60
+    series = covariance._schoenberg_series(spec.coeff_table(n_max), 1, theta)
+    assert_allclose(spec.covariance(theta), series, rtol=0.0,
+                    atol=delta ** (n_max + 1) + 1e-14)
 
 
 def test_sequence_covariance_cosine_series():
@@ -607,6 +642,26 @@ def test_sequence_multi_covariance():
     assert spec.decay() == ("finite", 1)
     # trailing zero matrices do not count towards the last degree
     assert SequenceMultiCovariance(mats + [np.zeros((2, 2))], d=2).decay() == ("finite", 1)
+
+
+MULTI_MATRICES = [[[1.0, 0.2, 0.1], [0.2, 0.8, 0.3], [0.1, 0.3, 0.6]],
+                  [[0.5, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.4]],
+                  [[0.2, 0.05, 0.05], [0.05, 0.1, 0.05], [0.05, 0.05, 0.3]]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.7, [0.7], np.linspace(0.0, np.pi, 6).reshape(2, 3)],
+                         ids=["scalar", "one-element", "2-d"])
+def test_sequence_multi_covariance_is_its_entries_sequence_covariances(d, theta):
+    # each entry is the scalar sequence model of its coefficients, bit for
+    # bit, and the shape is (p, p) + theta.shape: a 1-element theta used to
+    # give (p, p)
+    spec = SequenceMultiCovariance(MULTI_MATRICES, d=d)
+    got = spec.covariance(theta)
+    assert got.shape == (3, 3) + np.shape(theta)
+    entries = np.array([[SequenceCovariance(spec.matrices[:, i, j], d=d).covariance(theta)
+                         for j in range(3)] for i in range(3)])
+    assert got.tobytes() == entries.tobytes()
 
 
 # -------------------------------------------------------------- factorization

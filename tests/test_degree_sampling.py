@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import zeta as hurwitz_zeta
 from scipy.stats import chi2
 
@@ -391,17 +391,23 @@ def bivariate_nb(draw):
     return BivariateNegativeBinomial(d11, d12, d22, rho=v * bound, d=draw(D))
 
 
+def sm_nu(d):
+    """Spectral-Matern exponents above (d-2)/2, where the series converges."""
+    return st.floats(0.5 * d - 0.95, 0.5 * d + 4.0)
+
+
 @st.composite
 def bivariate_sm(draw):
-    alpha, nu11, nu22 = draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)
+    d = draw(D)
+    alpha, nu11, nu22 = draw(POSITIVE), draw(sm_nu(d)), draw(sm_nu(d))
     nu12 = 0.5 * (nu11 + nu22) + draw(UNIT)
     bound = min(1.0, alpha ** (2.0 * nu12 - nu11 - nu22))
-    return BivariateSpectralMatern(alpha, nu11, nu12, nu22, rho=draw(UNIT) * bound, d=draw(D))
+    return BivariateSpectralMatern(alpha, nu11, nu12, nu22, rho=draw(UNIT) * bound, d=d)
 
 
 CATALOG = st.one_of(
     st.builds(NegativeBinomial, NB_DELTA, d=D),
-    st.builds(SpectralMatern, POSITIVE, POSITIVE, d=D),
+    D.flatmap(lambda d: st.builds(SpectralMatern, POSITIVE, sm_nu(d), d=st.just(d))),
     D.flatmap(lambda d: st.builds(GeneralizedF, POSITIVE, st.floats(d - 1.95, d + 3.0),
                                   POSITIVE, d=st.just(d))),
     st.builds(Chentsov, d=D),
@@ -424,6 +430,16 @@ def test_recommended_law_has_finite_mu3_unless_warned(model):
     components = [model] if model.p == 1 else [model.component(i) for i in range(model.p)]
     finite = all(mu3_wave(c, rec.distribution, n_max=8).finite for c in components)
     assert finite == (rec.warning is None)
+
+
+def test_recommend_matrix_sequence_weights_degrees_by_largest_entry():
+    # the finite case reads a multivariate model through magnitude: the
+    # largest |B_n| entry times G_n(1) = n + 1 on the 3-sphere
+    model = SequenceMultiCovariance([np.eye(2), np.zeros((2, 2)),
+                                     [[0.25, -0.5], [-0.5, 1.0]]], d=3)
+    rec = recommend_distribution(model)
+    assert rec.case == 1 and rec.warning is None
+    assert_allclose(rec.distribution.pmf(np.arange(4)), [0.25, 0.0, 0.75, 0.0], rtol=1e-15)
 
 
 def test_theta_prime_max_branches():
