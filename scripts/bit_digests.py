@@ -93,7 +93,10 @@ Cases:
     M = 10, whose 131,072-term covariance series sets the theory column;
   - `covariance` values at one angle and at 50 angles drawn at rng seeds
     0-2: sequence models on d = 1 and 2, a three-variate matrix sequence,
-    the spectral-Matern model on d = 2 and 3 and the F model on d = 2 and 3.
+    the spectral-Matern model on d = 2 and 3 and the F model on d = 2 and 3;
+  - the bin index `pair_lag_bins` gives every point pair i <= j of
+    latlon:20x40 and latlon:10x20 at 8, 16 and 20 bins, whose meridian
+    pairs put lags on bin edges.
 
 A d = 3 line also names the number of drawn waves above the Fourier column
 limit (`heavy=`); their profiles come from the closed form
@@ -121,7 +124,7 @@ import numpy as np  # noqa: E402
 from scipy import fft  # noqa: E402
 
 import workloads  # noqa: E402
-from turnarcs import cli, simulator  # noqa: E402
+from turnarcs import cli, diagnostics, simulator  # noqa: E402
 from turnarcs.covariance import (  # noqa: E402
     BivariateNegativeBinomial, BivariateSpectralMatern, Chentsov, GeneralizedF, NegativeBinomial,
     SequenceCovariance, SequenceMultiCovariance, SpectralMatern)
@@ -472,6 +475,15 @@ def covariance_lines():
                        values)
 
 
+def bin_lines():
+    for spec in ("latlon:20x40", "latlon:10x20"):
+        points = build_grid(parse_grid(spec)).points
+        pairs = np.column_stack(np.triu_indices(points.shape[0]))
+        for bins in (8, 16, 20):
+            _, idx = diagnostics.pair_lag_bins(points, pairs, bins)
+            yield f"bins {spec} bins={bins} {digest(idx.tobytes())}", idx
+
+
 DIGEST = re.compile(r" [0-9a-f]{64}")
 
 
@@ -499,7 +511,7 @@ def cases():
     for lines in (method_table_lines(), law_lines(), cap_lines(), extra_lines(), method_lines(),
                   ensemble_lines(), last_tile_lines(), switch_lines(), zero_weight_lines(),
                   affine_lines(), group_lines(), symmetric_lines(), workload_lines(), csv_lines(),
-                  validate_lines(), covariance_lines()):
+                  validate_lines(), covariance_lines(), bin_lines()):
         yield from lines
 
 

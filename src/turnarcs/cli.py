@@ -34,7 +34,7 @@ from .degree_sampling import (
     ShiftedZeta,
     recommend_distribution,
 )
-from .diagnostics import berry_esseen_report, empirical_covariance
+from .diagnostics import berry_esseen_report, empirical_covariance, pair_lag_bins
 from .grids import GridError, build_grid, parse_grid
 from .simulator import (
     SimulationConfig,
@@ -319,10 +319,9 @@ def cmd_coeffs(args) -> int:
 def _theory_by_bin(model, p, lags, idx, nbins):
     """Per-bin mean of the model covariance over the actual pair lags, which
     is the unbiased target for the binned estimates; the model is evaluated
-    once, over the lags of every pair in a bin."""
+    once, over the lags of every pair."""
     theory = np.full((nbins, p, p), np.nan)
-    K = model.covariance(lags[idx >= 0]).reshape(p, p, -1)
-    idx = idx[idx >= 0]
+    K = model.covariance(lags).reshape(p, p, -1)
     for b in range(nbins):
         sel = idx == b
         if np.any(sel):  # compress copies contiguously: summed as a per-bin call would be
@@ -353,15 +352,13 @@ def cmd_validate(args) -> int:
     config = SimulationConfig(model, degrees, L=args.L, seed=args.seed)
     points = grid.points
     pairs = _pair_indices(points.shape[0], args.max_pairs, args.seed)
+    p = config.p
+    theory = _theory_by_bin(model, p, *pair_lag_bins(points, pairs, args.bins), args.bins)
 
     started = time.perf_counter()
     values = simulate_ensemble(config, points, args.M, np.random.default_rng(args.seed))
-    est = empirical_covariance(values, pairs, bins=args.bins, points=points)
+    est = empirical_covariance(values, pairs, args.bins, points)
     elapsed = time.perf_counter() - started
-
-    nbins = est.bin_centers.size
-    p = config.p
-    theory = _theory_by_bin(model, p, est.lags, est.pair_bins, nbins)
 
     lines = [
         f"# validation report: model={model.describe()} degrees={degrees.spec_string()}",
@@ -371,8 +368,8 @@ def cmd_validate(args) -> int:
     ]
     worst = 0.0
     failures = 0
-    for b in range(nbins):
-        if b in est.empty_bins:
+    for b in range(args.bins):
+        if est.counts[b] == 0:
             lines.append(f"{b},{_fmt(est.bin_centers[b])},0,,,,,,empty")
             continue
         for i in range(p):

@@ -14,7 +14,7 @@ Each constructor ends with require_valid, so a model that exists is valid.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import betaln, gammaln, loggamma
@@ -558,16 +558,20 @@ class SequenceCovariance(Covariance):
 # inversion-formula quadrature (the independent oracle for every closed form)
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@cache
+def _gauss_legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_integral(f, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
+def _panel_nodes(edges: np.ndarray, order: int):
+    """Nodes and weights of composite Gauss-Legendre of the given order on
+    the panels between consecutive edges."""
+    x, w = _gauss_legendre(order)
+    half = 0.5 * np.diff(edges)
     centers = edges[:-1] + half
-    x = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    vals = f(x).reshape(panels, -1)
-    return float(half * np.sum(vals @ _GL_WEIGHTS))
+    nodes = (centers[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def schoenberg_coeff_quadrature(K, n: int, d: int, *, abs_tol: float = 1e-10) -> float:
@@ -590,12 +594,16 @@ def schoenberg_coeff_quadrature(K, n: int, d: int, *, abs_tol: float = 1e-10) ->
             * np.asarray(K(theta), dtype=float)
         )
 
+    def integral(panels):
+        nodes, weights = _panel_nodes(np.linspace(0.0, np.pi, panels + 1), 16)
+        return float(np.sum(integrand(nodes) * weights)) / norm
+
     panels = max(8, n + 4)
-    prev = _panel_integral(integrand, 0.0, np.pi, panels) / norm
+    prev = integral(panels)
     err = np.inf
     for _ in range(8):
         panels *= 2
-        cur = _panel_integral(integrand, 0.0, np.pi, panels) / norm
+        cur = integral(panels)
         err = abs(cur - prev)
         if err <= abs_tol:
             return cur

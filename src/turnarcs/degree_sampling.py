@@ -69,8 +69,8 @@ class DegreeDistribution:
     def _row_degrees(self, rows):
         """(degrees, accepted) of draw attempts, one per row of uniforms of
         shape (m, _row_width).  sample(rng) reads one row per attempt from
-        the stream and takes its degree from here (the batch sample(rng,
-        size) shares the arithmetic), so a caller that reads the same rows
+        the stream and takes its degree by this arithmetic (the batch
+        sample(rng, size) shares it), so a caller that reads the same rows
         gets sample's degrees bit for bit.  A rejected row holds a degree
         within int64."""
         raise NotImplementedError
@@ -219,12 +219,9 @@ class _ZetaLaw(DegreeDistribution):
         return self._from_draws(draws), accepted
 
     def sample(self, rng, size=None):
-        if size is not None:
-            return self._from_draws(_devroye_zeta(self.theta, rng, int(size)))
-        while True:
-            degrees, accepted = self._row_degrees(rng.random((1, self._row_width)))
-            if accepted[0]:
-                return int(degrees[0])
+        if size is None:
+            return int(self._from_draws(_devroye_zeta(self.theta, rng, 1))[0])
+        return self._from_draws(_devroye_zeta(self.theta, rng, int(size)))
 
 
 class ShiftedZeta(_ZetaLaw):

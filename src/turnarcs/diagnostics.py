@@ -9,20 +9,21 @@ for the inequality constant (the lower end is 0.4097).
 """
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ndtr, roots_gegenbauer
 
-from .covariance import QuadratureError
+from .covariance import QuadratureError, _panel_nodes
 from .degree_sampling import mu3_converges, theta_prime_max
 from .gegenbauer import gegenbauer_eval
-from .simulator import Realization, _require_support, _wave_weights, sample_pole
+from .simulator import _require_support, _wave_weights, sample_pole
 
 __all__ = [
     "XI",
     "CovarianceEstimate",
     "empirical_covariance",
+    "pair_lag_bins",
     "mu3_gegenbauer",
     "gegenbauer_abs_moment",
     "Mu3Result",
@@ -51,101 +52,57 @@ class CovarianceEstimate:
     counts: np.ndarray          # pairs falling in each bin
     estimate: np.ndarray
     se: np.ndarray
-    empty_bins: list
-    lags: np.ndarray            # geodesic lag of each pair
-    pair_bins: np.ndarray       # bin index of each pair, -1 outside the edges
 
 
-def _stack_realizations(realizations, points):
-    if isinstance(realizations, np.ndarray):
-        if points is None:
-            raise ValueError("points are required when passing a value array")
-        values = realizations
-        if values.ndim == 2:
-            values = values[:, :, None]
-        return np.asarray(points, float), values
-    seq = list(realizations)
-    if not seq:
-        raise ValueError("need at least one realization")
-    if not all(isinstance(r, Realization) for r in seq):
-        raise TypeError("expected Realization objects or a value array")
-    points = seq[0].points
-    values = np.stack([r.values for r in seq])
-    return points, values
+def pair_lag_bins(points, pairs, bins: int):
+    """Geodesic lag of each point pair and its bin among `bins` equal-width
+    bins on [0, pi].  Bins are half-open except the last, which holds pi; a
+    lag within 1e-12 below an edge counts as on it, so pairs whose exact lag
+    is an edge do not fall a bin short by the last bits of arccos."""
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"bins must be a positive count of lag bins, got {bins!r}")
+    pairs = np.atleast_2d(np.asarray(pairs, dtype=int))
+    if pairs.shape[1] != 2 or np.any(pairs < 0) or np.any(pairs >= points.shape[0]):
+        raise ValueError("pairs must be valid point-index pairs")
+    dots = np.clip(np.sum(points[pairs[:, 0]] * points[pairs[:, 1]], axis=1), -1.0, 1.0)
+    lags = np.arccos(dots)
+    edges = np.linspace(0.0, np.pi, bins + 1)
+    idx = np.searchsorted(edges, lags + 1e-12, side="right") - 1
+    return lags, np.minimum(idx, bins - 1)
 
 
-def empirical_covariance(realizations, pairs, bins=20, points=None) -> CovarianceEstimate:
+def empirical_covariance(values, pairs, bins, points) -> CovarianceEstimate:
     """Average of Z_i(x) Z_j(y) over realizations, binned by geodesic lag.
 
-    realizations: sequence of Realization sharing one point set, or an
-    (M, npts, p) array together with `points`.  pairs: (npairs, 2) point
-    indices.  bins: a count (equal-width on [0, pi]) or explicit strictly
-    increasing edges within [0, pi]; bins are half-open except the last,
-    which holds its upper edge, and pairs outside the edges count in no bin.
-    Standard errors come from the spread of per-realization bin means, so at
-    least two realizations are required.
+    values: (M, npts, p) realizations at the points; pairs: (npairs, 2)
+    point indices; bins: a count, binned as pair_lag_bins does.  Standard
+    errors come from the spread of per-realization bin means, so at least
+    two realizations are required.
     """
-    pts, values = _stack_realizations(realizations, points)
     M, npts, p = values.shape
     if M < 2:
         raise ValueError("need at least two realizations for standard errors")
     pairs = np.atleast_2d(np.asarray(pairs, dtype=int))
-    if pairs.shape[1] != 2 or np.any(pairs < 0) or np.any(pairs >= npts):
-        raise ValueError("pairs must be valid point-index pairs")
+    _, idx = pair_lag_bins(points, pairs, bins)
 
-    if np.isscalar(bins):
-        if bins < 1:
-            raise ValueError(f"need at least one lag bin, got {bins}")
-        edges = np.linspace(0.0, np.pi, bins + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if (edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0)
-                or not 0.0 <= edges[0] <= edges[-1] <= np.pi):
-            raise ValueError("bin edges must be strictly increasing within [0, pi]")
-    nbins = edges.size - 1
-    dots = np.clip(np.sum(pts[pairs[:, 0]] * pts[pairs[:, 1]], axis=1), -1.0, 1.0)
-    lags = np.arccos(dots)
-    idx = np.searchsorted(edges, lags, side="right") - 1
-    idx[lags == edges[-1]] = nbins - 1
-    idx[idx >= nbins] = -1
-
-    counts = np.bincount(idx[idx >= 0], minlength=nbins)
-    per_real = np.full((M, nbins, p, p), np.nan)
-    for b in range(nbins):
-        rows = np.nonzero(idx == b)[0]
-        if rows.size == 0:
-            continue
+    counts = np.bincount(idx, minlength=bins)
+    per_real = np.full((M, bins, p, p), np.nan)
+    for b in np.flatnonzero(counts):
+        rows = np.flatnonzero(idx == b)
         vx = values[:, pairs[rows, 0], :]
         vy = values[:, pairs[rows, 1], :]
         prod = np.einsum("mri,mrj->mij", vx, vy) / rows.size
         per_real[:, b] = 0.5 * (prod + np.transpose(prod, (0, 2, 1)))
-    estimate = per_real.mean(axis=0)
-    se = per_real.std(axis=0, ddof=1) / np.sqrt(M)
-    empty = [b for b in range(nbins) if counts[b] == 0]
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    edges = np.linspace(0.0, np.pi, bins + 1)
     return CovarianceEstimate(
-        bin_centers=centers, counts=counts,
-        estimate=estimate, se=se, empty_bins=empty, lags=lags, pair_bins=idx,
+        bin_centers=0.5 * (edges[:-1] + edges[1:]), counts=counts,
+        estimate=per_real.mean(axis=0), se=per_real.std(axis=0, ddof=1) / np.sqrt(M),
     )
 
 
 # ---------------------------------------------------------------------------
 # third absolute moment of a Gegenbauer wave profile
 # ---------------------------------------------------------------------------
-
-@cache
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _panel_nodes(edges: np.ndarray, order: int):
-    x, w = _gauss_legendre(order)
-    half = 0.5 * np.diff(edges)
-    centers = edges[:-1] + half
-    nodes = (centers[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
 
 @lru_cache(maxsize=None)
 def gegenbauer_abs_moment(n: int, d: int, power: int = 3) -> float:

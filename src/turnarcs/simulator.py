@@ -330,9 +330,11 @@ def _column_limit(npts: int) -> int:
 
 
 def _recurrence_tail(lam: float, degree: int, weight, t: np.ndarray, count: int) -> np.ndarray:
-    """weight * G_k(t) for the last count degrees k <= degree, shape
+    """weight * G_k(t) for the last count <= 2 degrees k <= degree, shape
     (count, npts), by the recurrence over tiles of POINT_BLOCK points; it
-    keeps no per-degree state, so a heavy degree costs no memory."""
+    keeps no per-degree state, so a heavy degree costs no memory.  A larger
+    count would read rows that _recurrence has overwritten: it reuses each
+    yielded buffer two steps later."""
     out = np.empty((count, t.size))
     for s in range(0, t.size, POINT_BLOCK):
         block = slice(s, s + POINT_BLOCK)
@@ -1120,32 +1122,15 @@ def _wave_count(M) -> int:
     return count
 
 
-def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
-    """M independent single waves evaluated at the points, shape (M, npts, p).
-
-    Same law as M runs of simulate with L=1 but vectorized across waves;
-    meant for moment checks, where the caller owns the stream.
-    """
-    M = _wave_count(M)
-    points = check_points(points, config.d)
-    plan = _draw_waves(config, M, rng)
-    signed, factors = _wave_coefficients(config, plan)
-    return _wave_sums(config.d, plan.degrees, points, plan.poles, signed, factors,
-                      1).transpose(0, 2, 1)
-
-
-def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
-    """M independent realizations of the L-wave ensemble, shape (M, npts, p).
-
-    Statistically identical to M calls of simulate with fresh seeds, with the
-    draws of single_wave_values; a realization is one run of L waves of
-    _wave_sums.  Draws come in chunks capped by ENSEMBLE_BUDGET value doubles
-    and ENSEMBLE_WAVE_CAP waves, summed in pieces of ENSEMBLE_PIECE doubles.
-    """
+def _ensemble_sums(config: SimulationConfig, points, M: int, L: int, rng) -> np.ndarray:
+    """M independent sums of L waves each at the points, shape (M, npts, p),
+    with the draws of _draw_waves from the caller's stream; a sum is one run
+    of L waves of _wave_sums.  Draws come in chunks capped by ENSEMBLE_BUDGET
+    value doubles and ENSEMBLE_WAVE_CAP waves, summed in pieces of
+    ENSEMBLE_PIECE doubles."""
     M = _wave_count(M)
     points = check_points(points, config.d)
     npts = points.shape[0]
-    L = config.L
     chunk = max(1, min(ENSEMBLE_BUDGET // max(1, L * npts * config.p), ENSEMBLE_WAVE_CAP // L))
     piece = max(1, ENSEMBLE_PIECE // max(1, L * npts * config.p))
     out = np.empty((M, npts, config.p))
@@ -1160,7 +1145,26 @@ def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarr
                               None if factors is None else factors[w], L, done * L + w.start)
             out[done + lo : done + lo + sums.shape[0]] = sums.transpose(0, 2, 1)
         done += m
-    out *= 1.0 / np.sqrt(L)
+    return out
+
+
+def single_wave_values(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
+    """M independent single waves evaluated at the points, shape (M, npts, p).
+
+    Same law as M runs of simulate with L=1 but vectorized across waves;
+    meant for moment checks, where the caller owns the stream.
+    """
+    return _ensemble_sums(config, points, M, 1, rng)
+
+
+def simulate_ensemble(config: SimulationConfig, points, M: int, rng) -> np.ndarray:
+    """M independent realizations of the L-wave ensemble, shape (M, npts, p).
+
+    Statistically identical to M calls of simulate with fresh seeds, with the
+    draws of single_wave_values (_ensemble_sums with L waves a realization).
+    """
+    out = _ensemble_sums(config, points, M, config.L, rng)
+    out *= 1.0 / np.sqrt(config.L)
     return out
 
 

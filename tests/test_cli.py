@@ -92,6 +92,44 @@ def test_point_list_rejects_non_finite(tmp_path, row):
         build_grid(PointListGrid(str(path)))
 
 
+@pytest.mark.parametrize("spec, message", [
+    (LatLonGrid(0, 4), "face counts must be >= 1"),
+    (Slice3Grid(1.0, 2, 2), "slice coordinate must satisfy |w| < 1, got 1.0"),
+    (SectionGrid(2, 2, 2), "section grids need sphere dimension >= 3"),
+    ("latlon:2x2", "unknown grid spec 'latlon:2x2'"),
+], ids=["latlon-faces", "slice3-w", "section-d", "text"])
+def test_build_grid_rejects_a_spec_it_cannot_build(spec, message):
+    with pytest.raises(GridError) as caught:
+        build_grid(spec)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, d, message", [
+    (None, None, "cannot open point list {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("1,0,0\n0,1\n", None, "{path}:2: expected 3 coordinates, got 2"),
+    ("# a comment only\n\n", None, "{path}: no points found"),
+    ("1,0,0\n0,1,0\n", 3, "{path}: rows have 3 coordinates, expected 4"),
+], ids=["missing", "ragged", "empty", "wrong-d"])
+def test_point_list_errors_name_the_file(tmp_path, text, d, message):
+    path = tmp_path / "pts.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(GridError) as caught:
+        build_grid(PointListGrid(str(path), d))
+    assert str(caught.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("points:", "points grid needs a file path"),
+    ("latlon:ax2", "malformed grid spec 'latlon:ax2': invalid literal for int() with base 10: 'a'"),
+    ("slice3:w:2x2", "malformed grid spec 'slice3:w:2x2': could not convert string to float: 'w'"),
+], ids=["points-no-path", "latlon-faces", "slice3-w"])
+def test_parse_grid_rejects_a_malformed_spec(text, message):
+    with pytest.raises(GridError) as caught:
+        parse_grid(text)
+    assert str(caught.value) == message
+
+
 def test_parse_grid_strings():
     assert parse_grid("latlon:100x50") == LatLonGrid(100, 50)
     assert parse_grid("slice3:0.75:10x20") == Slice3Grid(0.75, 10, 20)
@@ -394,6 +432,27 @@ def test_mu3_matches_library(capsys):
     )
     assert f"mu3 = {report.mu3.value!r}" in out
     assert f"ks-bound = {report.bound!r}" in out
+
+
+def test_mu3_reports_each_component_of_a_bivariate_model(capsys):
+    assert main([
+        "mu3", "--model", "nb", "--p", "2", "--delta", "0.2,0.2,0.7", "--rho", "0.6",
+        "--degree-dist", "geometric:0.05", "--L", "300",
+    ]) == 0
+    out = capsys.readouterr().out
+    from turnarcs.covariance import BivariateNegativeBinomial
+    from turnarcs.diagnostics import berry_esseen_report
+
+    model = BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6)
+    lines = []
+    for i in range(2):
+        report = berry_esseen_report(model.component(i), GeometricDegrees(0.05), 300)
+        lines += [f"component {i + 1}: mu3 = {report.mu3.value!r} (truncated at degree "
+                  f"{report.mu3.n_max}, tail bound {report.mu3.relative_tail:.3g} relative)",
+                  f"component {i + 1}: sigma = {report.sigma!r}",
+                  f"component {i + 1}: L = 300",
+                  f"component {i + 1}: ks-bound = {report.bound!r}"]
+    assert out.splitlines() == lines
 
 
 def test_mu3_truncated_sum_gives_no_bound(capsys):
@@ -738,6 +797,8 @@ USAGE_ERRORS = [
       "--n-max", "3"], "coefficient dumps are defined for univariate models"),
     (["validate", "--model", "nb", "--d", "3", "--delta", "0.5", "--grid", "latlon:2x2"],
      "grid is on the 2-sphere but the model has d=3"),
+    (["recommend", "--model", "nb", "--p", "2", "--rho", "0.6"],
+     "--delta is required for this model"),
 ])
 def test_usage_error_exits_one_naming_the_flag_or_value(argv, message, capsys):
     assert main(argv) == 1
@@ -746,10 +807,22 @@ def test_usage_error_exits_one_naming_the_flag_or_value(argv, message, capsys):
     assert captured.err == f"turnarcs: usage error: {message}\n"
 
 
-@pytest.mark.parametrize("command, flags", [("simulate", ["--out", "x.csv"]),
-                                            ("validate", ["--M", "4"])])
+NU_BOUND = ("turnarcs: nu must exceed (d-2)/2 = 0.5 for the coefficient series to converge, "
+            "got nu = 0.25\n")
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param("simulate", ["--out", "x.csv"], NU_BOUND, id="simulate-flags0"),
+    pytest.param("validate", ["--M", "4"], NU_BOUND, id="validate-flags1"),
+    # just inside the bound the model builds, but its covariance series
+    # cannot be summed: validate sums it before the ensemble
+    pytest.param("validate", ["--nu", "0.75", "--L", "50", "--M", "20",
+                              "--grid", "section:3:8x16"],
+                 "turnarcs: covariance series truncation did not converge\n",
+                 id="validate-near-bound"),
+])
 def test_divergent_sm_series_exits_one_before_any_wave(tmp_path, monkeypatch, capsys,
-                                                       command, flags):
+                                                       command, flags, message):
     # nu = 0.25 <= (d-2)/2 on the 3-sphere: the variance series diverges,
     # and simulate used to write a field of infinite variance
     def unreachable(*args, **kwargs):
@@ -761,8 +834,7 @@ def test_divergent_sm_series_exits_one_before_any_wave(tmp_path, monkeypatch, ca
     code = main([command, "--model", "sm", "--d", "3", "--alpha", "1", "--nu", "0.25",
                  "--degree-dist", "zeta:2", "--L", "10", "--grid", "section:3:2x4", *flags])
     assert code == 1
-    assert capsys.readouterr().err == ("turnarcs: nu must exceed (d-2)/2 = 0.5 for the "
-                                       "coefficient series to converge, got nu = 0.25\n")
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -112,8 +112,43 @@ INVALID = [
 ]
 
 
-@pytest.mark.parametrize("make, args, kwargs, message", INVALID,
-                         ids=[make.__name__ for make, *_ in INVALID])
+# the constraints the cases above leave unchecked, by id
+MORE_INVALID = {
+    "SpectralMatern-d": (SpectralMatern, (1.0, 1.0), {"d": 0},
+                         "sphere dimension must be >= 1, got 0"),
+    "GeneralizedF-alpha-nu-d": (GeneralizedF, (0.0, -1.0, 1.0), {"d": 0},
+                                "alpha must be positive, got 0.0; nu must be positive, got -1.0; "
+                                "sphere dimension must be >= 1, got 0"),
+    "SequenceCovariance-empty": (SequenceCovariance, ([],), {"d": 2},
+                                 "coefficient sequence must be a nonempty vector"),
+    "SequenceCovariance-nan-d": (SequenceCovariance, ([1.0, np.nan],), {"d": 0},
+                                 "coefficients must be finite; sphere dimension must be >= 1, "
+                                 "got 0"),
+    "BivariateNegativeBinomial-d": (BivariateNegativeBinomial, (0.2, 0.2, 0.7),
+                                    {"rho": 0.1, "d": 0}, "sphere dimension must be >= 1, got 0"),
+    "BivariateNegativeBinomial-delta12": (BivariateNegativeBinomial, (0.2, 0.3, 0.7),
+                                          {"rho": 0.1},
+                                          "delta12 must not exceed min(delta11, delta22): "
+                                          "0.3 > 0.2"),
+    "BivariateSpectralMatern-alpha-d": (BivariateSpectralMatern, (0.0, 2.0, 2.0, 2.0),
+                                        {"rho": 0.1, "d": 0},
+                                        "alpha must be positive, got 0.0; "
+                                        "sphere dimension must be >= 1, got 0"),
+    "BivariateSpectralMatern-rho": (BivariateSpectralMatern, (0.5, 1.0, 1.5, 1.0),
+                                    {"rho": 0.6},
+                                    "|rho| must not exceed min(1, alpha^(2 nu12 - nu11 - nu22)) "
+                                    "= 0.5, got 0.6"),
+    "SequenceMultiCovariance-empty": (SequenceMultiCovariance, (np.zeros((0, 2, 2)),), {"d": 2},
+                                      "matrices must be a nonempty stack of square matrices"),
+    "SequenceMultiCovariance-nan": (SequenceMultiCovariance, ([[[1.0, np.nan], [np.nan, 1.0]]],),
+                                    {"d": 2}, "matrix entries must be finite"),
+    "SequenceMultiCovariance-d": (SequenceMultiCovariance, ([np.eye(2)],), {"d": 0},
+                                  "sphere dimension must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("make, args, kwargs, message", INVALID + list(MORE_INVALID.values()),
+                         ids=[make.__name__ for make, *_ in INVALID] + list(MORE_INVALID))
 def test_constructor_raises_every_violation(make, args, kwargs, message):
     # a catalog model checks itself when built: the error joins every
     # constraint its validate() list names
@@ -223,6 +258,23 @@ def test_sequence_covariance_cosine_series():
 
 
 # ----------------------------------------------------------------- quadrature
+
+@pytest.mark.parametrize("n, d, message", [
+    (2, 1, "quadrature inversion requires sphere dimension >= 2"),
+    (-1, 2, "degree must be nonnegative"),
+])
+def test_quadrature_rejects_the_circle_and_negative_degrees(n, d, message):
+    with pytest.raises(ValueError) as caught:
+        schoenberg_coeff_quadrature(lambda theta: np.cos(theta), n, d)
+    assert str(caught.value) == message
+
+
+def test_chentsov_direct_needs_d_2_and_vanishes_at_even_degrees():
+    with pytest.raises(ModelError) as caught:
+        chentsov_coeff_direct(1, 3)
+    assert str(caught.value) == "closed-form coefficients require sphere dimension >= 2"
+    assert chentsov_coeff_direct(3, 4) == 0.0
+
 
 def test_quadrature_recovers_nb_closed_form():
     spec = NegativeBinomial(0.3, d=2)
@@ -684,6 +736,17 @@ def test_factor_semidefinite_fallback():
     factor = factor_schoenberg_matrix(B)
     assert np.max(np.abs(factor.matrix @ factor.matrix.T - B)) <= 1e-12
     assert_allclose(factor.matrix, factor.matrix.T, atol=1e-14)
+
+
+@pytest.mark.parametrize("B, message", [
+    (np.ones((2, 3)), "factorization needs a square matrix"),
+    (np.ones(4), "factorization needs a square matrix"),
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), "factorization needs a symmetric matrix"),
+], ids=["2x3", "vector", "asymmetric"])
+def test_factor_rejects_a_matrix_that_is_not_square_and_symmetric(B, message):
+    with pytest.raises(ModelError) as caught:
+        factor_schoenberg_matrix(B)
+    assert str(caught.value) == message
 
 
 def test_factor_rejects_indefinite():

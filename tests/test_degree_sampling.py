@@ -119,6 +119,24 @@ def test_law_array_call_equals_scalar_calls_bit_for_bit(law, degrees):
         assert method(np.array(degrees)).tobytes() == np.array(singles).tobytes()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: FiniteDegrees([]), "pmf must be a nonempty vector"),
+    (lambda: FiniteDegrees([[0.5, 0.5]]), "pmf must be a nonempty vector"),
+    (lambda: FiniteDegrees([1.5, -0.5]), "pmf entries must be finite and nonnegative"),
+    (lambda: FiniteDegrees([np.nan, 1.0]), "pmf entries must be finite and nonnegative"),
+    (lambda: GeometricDegrees(1.0), "success probability must lie in (0, 1), got 1.0"),
+    (lambda: ShiftedZeta(1.0), "zeta exponent must exceed 1, got 1.0"),
+    (lambda: OddShiftedZeta(0.5), "zeta exponent must exceed 1, got 0.5"),
+    (lambda: support_covers(GeometricDegrees(0.5), NegativeBinomial(0.5), -1),
+     "n_max must be nonnegative"),
+], ids=["finite-empty", "finite-2d", "finite-negative", "finite-nan", "geometric-p",
+        "zeta-theta", "oddzeta-theta", "support-n-max"])
+def test_law_parameter_checks_name_the_parameter(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_finite_pmf_must_normalize():
     with pytest.raises(ValueError):
         FiniteDegrees([0.5, 0.4])

@@ -27,9 +27,11 @@ from turnarcs.diagnostics import (
     ks_normality,
     mu3_gegenbauer,
     mu3_wave,
+    pair_lag_bins,
 )
 from turnarcs.gegenbauer import gegenbauer_at_one
-from turnarcs.simulator import Realization, SimulationConfig, SimulationError, simulate_ensemble
+from turnarcs.grids import build_grid, parse_grid
+from turnarcs.simulator import SimulationConfig, SimulationError, simulate_ensemble
 
 
 def meridian_points(d, thetas):
@@ -273,7 +275,7 @@ def test_constant_field_estimate():
     pairs = [(0, 0), (0, 1), (0, 2), (1, 2)]
     est = empirical_covariance(values, pairs, bins=6, points=points)
     for b in range(6):
-        if b in est.empty_bins:
+        if est.counts[b] == 0:
             continue
         # the degree-0 field has identical products in every realization,
         # so the SE is exactly zero; allow rounding
@@ -290,7 +292,7 @@ def test_empirical_covariance_matches_model():
     pairs = [(0, j) for j in range(9)]
     est = empirical_covariance(values, pairs, bins=18, points=points)
     for b in range(18):
-        if b in est.empty_bins:
+        if est.counts[b] == 0:
             continue
         theory = spec.covariance(est.bin_centers[b])
         # bin center vs true pair lag differs by up to half a bin; widen via SE
@@ -311,53 +313,41 @@ def test_empirical_covariance_symmetries():
         )
 
 
-def test_empirical_covariance_accepts_realizations():
-    points = meridian_points(2, [0.0, 1.0])
-    rng = np.random.default_rng(4)
-    vals = rng.normal(size=(30, 2, 1))
-    reals = [Realization(points=points, values=v) for v in vals]
-    a = empirical_covariance(reals, [(0, 1)], bins=5)
-    b = empirical_covariance(vals, [(0, 1)], bins=5, points=points)
-    np.testing.assert_array_equal(
-        a.estimate[~np.isnan(a.estimate)], b.estimate[~np.isnan(b.estimate)]
-    )
-    assert a.empty_bins == b.empty_bins
-
-
-def test_empirical_covariance_explicit_edges():
-    rng = np.random.default_rng(6)
-    points = meridian_points(2, [0.2, 1.0, 2.0])
-    values = rng.normal(size=(40, 3, 1))
-    edges = np.array([0.0, 0.5, 1.5, np.pi])
-    est = empirical_covariance(values, [(0, 1), (0, 2), (1, 2)], bins=edges,
-                               points=points)
-    assert est.bin_centers.size == 3
-    assert est.counts.sum() == 3
-
-
-def test_empirical_covariance_leaves_pairs_outside_the_edges_out():
+def test_empirical_covariance_bin_estimate_ignores_the_other_bins():
     rng = np.random.default_rng(7)
     points = meridian_points(2, [0.0, 0.3, 1.8])
     values = rng.normal(size=(20, 3, 1))
-    est = empirical_covariance(values, [(0, 1), (0, 2)], bins=[0.0, 0.5, 1.0],
-                               points=points)
-    # the pair at lag 1.8 lies beyond the last edge and counts in no bin
-    assert est.counts.tolist() == [1, 0]
-    assert est.empty_bins == [1]
-    assert est.pair_bins.tolist() == [0, -1]
-    np.testing.assert_allclose(est.lags, [0.3, 1.8], rtol=1e-14)
-    only = empirical_covariance(values, [(0, 1)], bins=[0.0, 0.5, 1.0], points=points)
+    est = empirical_covariance(values, [(0, 1), (0, 2)], 2, points)
+    assert est.counts.tolist() == [1, 1]
+    only = empirical_covariance(values, [(0, 1)], 2, points)
+    assert only.counts.tolist() == [1, 0]
+    assert np.isnan(only.estimate[1]).all()
     np.testing.assert_array_equal(est.estimate[0], only.estimate[0])
 
 
 def test_empirical_covariance_last_edge_closes_the_last_bin():
     points = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     values = np.random.default_rng(8).normal(size=(10, 3, 1))
-    est = empirical_covariance(values, [(0, 1), (0, 2)], bins=[0.0, 1.0, np.pi],
-                               points=points)
-    assert est.lags[0] == np.pi
-    assert est.pair_bins.tolist() == [1, 1]
+    lags, idx = pair_lag_bins(points, [(0, 1), (0, 2)], 2)
+    assert lags.tolist() == [np.pi, 0.5 * np.pi]
+    assert idx.tolist() == [1, 1]
+    est = empirical_covariance(values, [(0, 1), (0, 2)], bins=2, points=points)
     assert est.counts.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("n, bins, below", [(20, 20, 38), (40, 20, 95), (10, 20, 13),
+                                            (20, 8, 2), (40, 16, 16)])
+def test_meridian_pair_lags_bin_by_exact_grid_geometry(n, bins, below):
+    # pairs k rows apart on one meridian of latlon:n x 4 lie k pi / n apart,
+    # so their bin is floor(k bins / n); arccos puts `below` of their lags
+    # up to 1e-15 under an edge, which used to drop them a bin
+    points = build_grid(parse_grid(f"latlon:{n}x4")).points[::4]
+    i, j = np.triu_indices(n)
+    lags, idx = pair_lag_bins(points, np.column_stack([i, j]), bins)
+    exact = (j - i) * bins // n
+    edges = np.linspace(0.0, np.pi, bins + 1)
+    assert np.count_nonzero(lags < edges[exact]) == below
+    np.testing.assert_array_equal(idx, exact)
 
 
 @pytest.mark.parametrize("bins", [
@@ -370,12 +360,37 @@ def test_empirical_covariance_last_edge_closes_the_last_bin():
     [0.0, np.nan, 1.0],
 ])
 def test_empirical_covariance_rejects_bad_bins(bins):
+    # bins is a count of equal-width bins; edge lists are not accepted
     points = meridian_points(2, [0.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bins must be a positive count of lag bins, got "):
         empirical_covariance(np.zeros((3, 2, 1)), [(0, 1)], bins=bins, points=points)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 2)], [(-1, 0)], [(0, 1, 1)]])
+def test_pair_lag_bins_rejects_pairs_off_the_points(pairs):
+    points = meridian_points(2, [0.0, 1.0])
+    with pytest.raises(ValueError, match="^pairs must be valid point-index pairs$"):
+        pair_lag_bins(points, pairs, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gegenbauer_abs_moment(3, 1), "sphere dimension must be >= 2"),
+    (lambda: gegenbauer_abs_moment(-1, 2), "degree must be nonnegative"),
+    (lambda: berry_esseen_bound(0.0, 1.0, 10), "need mu3 > 0, sigma > 0 and L >= 1"),
+    (lambda: berry_esseen_bound(1.0, 1.0, 0), "need mu3 > 0, sigma > 0 and L >= 1"),
+    (lambda: duplication_check(1, 1, 1, [1.0, 0.0], [0.0, 1.0], 10_000,
+                               np.random.default_rng(0)), "sphere dimension must be >= 2"),
+    (lambda: duplication_check(1, 1, 2, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 9_999,
+                               np.random.default_rng(0)), "need at least 1e4 pole draws"),
+], ids=["abs-moment-sphere", "abs-moment-degree", "bound-mu3", "bound-L",
+        "duplication-sphere", "duplication-draws"])
+def test_moment_and_identity_checks_name_the_argument(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_empirical_covariance_needs_two_realizations():
     points = meridian_points(2, [0.0, 1.0])
     with pytest.raises(ValueError):
-        empirical_covariance(np.zeros((1, 2, 1)), [(0, 1)], points=points)
+        empirical_covariance(np.zeros((1, 2, 1)), [(0, 1)], bins=5, points=points)

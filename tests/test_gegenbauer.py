@@ -121,6 +121,21 @@ def test_argument_domain(bad):
         gegenbauer_eval(0.5, 3, bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: gegenbauer_eval_table(0.5, -1, 0.3), "max_degree must be nonnegative"),
+    (lambda: gegenbauer_eval_weighted(0.5, -1, 0.3, 2.0), "degree must be nonnegative"),
+    (lambda: gegenbauer_log_at_one(0.0, 3), "lambda must be positive, got 0.0"),
+    (lambda: gegenbauer_norm_sq(0, 1), "sphere dimension must be >= 1"),
+    (lambda: gegenbauer_norm_sq(2, -1), "degree must be nonnegative"),
+    (lambda: gegenbauer_norm_sq(1, 0), "norm formula on the circle is undefined at degree 0"),
+], ids=["table-degree", "weighted-degree", "log-at-one-lambda", "norm-sphere", "norm-degree",
+        "norm-circle-degree-0"])
+def test_degree_lambda_and_sphere_checks_name_the_argument(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_lambda_domain():
     with pytest.raises(ValueError):
         gegenbauer_eval(0.0, 3, 0.5)

@@ -1706,3 +1706,36 @@ def test_clt_marginal_samples_shape_and_scale():
     samples = clt_marginal_samples(config, [1.0, 0.0, 0.0], 4000, rng)
     assert samples.shape == (4000,)
     assert abs(samples.var(ddof=1) - 1.0) < 0.15
+
+
+def test_factor_columns_are_the_factor_rows_of_the_drawn_waves():
+    # the benchmark oracle weights each wave by factor_columns(degree)[:, component]
+    config = SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                              GeometricDegrees(0.05), L=60, seed=3)
+    plan = simulator._draw_plan(config)
+    _, factors = simulator._wave_coefficients(config, plan)
+    for row, degree, component in zip(factors, plan.degrees, plan.components):
+        assert_array_equal(config.factor_columns(int(degree))[:, component], row)
+
+
+SCALAR_CONFIG = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=4, seed=0)
+VECTOR_CONFIG = SimulationConfig(BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6),
+                                 GeometricDegrees(0.05), L=4, seed=0)
+NORTH = WaveParams(epsilon=1, pole=np.array([0.0, 0.0, 1.0]), degree=2, component=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sample_pole(0, np.random.default_rng(0)), ValueError,
+     "sphere dimension must be >= 1"),
+    (lambda: wave_eval_scalar(NORTH, VECTOR_CONFIG, meridian_points(2, [0.1])),
+     SimulationError, "scalar wave evaluation requires a univariate model"),
+    (lambda: wave_eval_vector(NORTH, SCALAR_CONFIG, meridian_points(2, [0.1])),
+     SimulationError, "vector wave evaluation requires a multivariate model"),
+    (lambda: clt_marginal_samples(VECTOR_CONFIG, [1.0, 0.0, 0.0], 10,
+                                  np.random.default_rng(0)),
+     SimulationError, "marginal sampling is defined for scalar models"),
+], ids=["sample_pole", "wave_eval_scalar", "wave_eval_vector", "clt_marginal_samples"])
+def test_entry_points_reject_a_model_or_sphere_they_do_not_serve(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
