@@ -64,14 +64,18 @@ Cases:
     `WAVE_GROUP` waves and one partial group, one wave at a time over point
     tiles: nb d = 2 and bivariate nb d = 2, seeds 2**70 + 0-2, n_threads
     None and 2;
-  - grids whose points pair up as exact antipodes on few points, where
-    `_wave_sums` evaluates exact, series and closed-form rows at one point
-    of each pair: a `simulate_ensemble` of nb d = 2 under zeta:2 on
-    latlon:8x16 (L = 100, 20 realizations, rng seeds 0-2), `simulate` of nb
-    d = 5 and bivariate nb d = 5 on section:5:16x32 (L = 70, seeds 2**70 +
-    0-2, n_threads None and 2), and 60 `single_wave_values` rows of nb d = 2
-    and of bivariate nb d = 2 on latlon:6x10 at rng seeds 0-5 (the
-    ensemble lines above and the validate workload run on latlon:8x16 too);
+  - point sets that pair up as exact antipodes, where `_wave_sums`
+    evaluates every row at one point of each pair: a `simulate_ensemble` of
+    nb d = 2 under zeta:2 on latlon:8x16 (L = 100, 20 realizations, rng
+    seeds 0-2), `simulate` of nb d = 5 and bivariate nb d = 5 on
+    section:5:16x32 (L = 70, seeds 2**70 + 0-2, n_threads None and 2), 60
+    `single_wave_values` rows of nb d = 2 and of bivariate nb d = 2 on
+    latlon:6x10 at rng seeds 0-5, and circle rows: nb d = 1 under
+    geometric:0.1 on 64 points of the circle, the later 32 the negations
+    of the earlier, `simulate` (L = 300, seeds 2**70 + 0-2, n_threads None
+    and 2) and 60 `single_wave_values` rows at rng seeds 0-5 (the ensemble
+    lines above, the validate workload and the workloads on latlon:250x250
+    and latlon:100x200 pair up too);
   - rows either side of the series cap, SERIES_MAX_DEGREE = 2 * POINT_BLOCK
     = 32,768: F d = 2 waves of degree 32,768 (series) and 32,769 (exact
     recurrence) on 5 points, three poles and signs each, one
@@ -381,6 +385,17 @@ def symmetric_lines():
         for seed in range(6):
             waves = single_wave_values(config, points, 60, np.random.default_rng(seed))
             yield f"{name} latlon:6x10 batch rng={seed} {digest(waves.tobytes())}", waves
+    angles = (np.arange(32) + 0.5) * np.pi / 32
+    half = np.column_stack([np.cos(angles), np.sin(angles)])
+    points = np.vstack([half, -half])
+    model, law = NegativeBinomial(0.8, d=1), GeometricDegrees(0.1)
+    for seed in EXTRA_SEEDS:
+        yield from simulate_lines("nb-d1-circle64", SimulationConfig(model, law, L=300, seed=seed),
+                                  points)
+    config = SimulationConfig(model, law, L=1, seed=0)
+    for seed in range(6):
+        waves = single_wave_values(config, points, 60, np.random.default_rng(seed))
+        yield f"nb-d1-circle64 batch rng={seed} {digest(waves.tobytes())}", waves
 
 
 def cap_lines():

@@ -480,7 +480,7 @@ def build_parser() -> _Parser:
     sim = commands.add_parser("simulate", help="write one realization as CSV")
     _add_model_flags(sim)
     _add_degree_flags(sim)
-    sim.add_argument("--L", type=int, default=1500, help="number of waves")
+    sim.add_argument("--L", type=_at_least(1), default=1500, help="number of waves")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--grid", required=True,
                      help="latlon:NCxNL | slice3:W:NCxNL | section:D:NCxNL | points:FILE")
@@ -504,7 +504,7 @@ def build_parser() -> _Parser:
     )
     _add_model_flags(val)
     _add_degree_flags(val)
-    val.add_argument("--L", type=int, default=100)
+    val.add_argument("--L", type=_at_least(1), default=100)
     val.add_argument("--M", type=_at_least(2), default=200, help="independent realizations")
     val.add_argument("--grid", default="latlon:8x16")
     val.add_argument("--bins", type=_at_least(1), default=20)
@@ -516,7 +516,7 @@ def build_parser() -> _Parser:
     mu3 = commands.add_parser("mu3", help="wave third moment and the KS bound")
     _add_model_flags(mu3)
     _add_degree_flags(mu3)
-    mu3.add_argument("--L", type=int, default=1500)
+    mu3.add_argument("--L", type=_at_least(1), default=1500)
     mu3.add_argument("--n-max", type=_at_least(0), default=None)
     mu3.set_defaults(func=cmd_mu3)
 

@@ -17,7 +17,7 @@ from scipy.special import gammaln, ndtr, roots_gegenbauer
 from .covariance import QuadratureError, _panel_nodes
 from .degree_sampling import mu3_converges, theta_prime_max
 from .gegenbauer import gegenbauer_eval
-from .simulator import _require_support, _wave_weights, sample_pole
+from .simulator import _require_support, _wave_total, _wave_weights, sample_pole
 
 __all__ = [
     "XI",
@@ -259,8 +259,10 @@ class BerryEsseenReport:
 def berry_esseen_report(spec, dist, L: int, n_max: int | None = None) -> BerryEsseenReport:
     """mu3_wave and the KS bound built on it.  The bound is inf (not
     established) when the series diverges or the truncated sum, only a lower
-    bound on mu3, leaves a relative tail above _REL_TOL.  A law that cannot
-    simulate the model raises SimulationError, as SimulationConfig does."""
+    bound on mu3, leaves a relative tail above _REL_TOL.  A wave count L
+    that is no integer >= 1, or a law that cannot simulate the model, raises
+    SimulationError before any quadrature, as SimulationConfig does."""
+    L = _wave_total(L)
     _require_support(spec, dist)
     mu3 = mu3_wave(spec, dist, n_max=n_max)
     sigma = float(np.sqrt(spec.variance()))

@@ -23,16 +23,13 @@ affine function A + x V of the point x (G_0 = 1, G_1(t) = 2 lam t, or t on
 the circle), evaluated by one product over all points.  Every run's sum
 starts from -0.0, adds that map if the run has one, then adds its other
 waves in wave order; x + (-0.0) is x for every double x, zeros' signs
-included.  The point count picks the form of the rest, one wave at a
-time over point tiles or degree-sorted sweeps (recurrence or series) of many
+included, and a wave of weight zero adds nothing.  The point count picks
+the form of the rest, one wave at a time or degree-sorted sweeps of many
 waves on few points; a wave's doubles and the order of the sums do not
-depend on it.  _wave_sums alone cuts point tiles: a row function is
-elementwise on the tile it gets.  On few points that pair up as exact
-antipodes (the face centres of a lat-lon grid with an even longitude count,
-its section grids and its slice3 grids at w = 0), G_n(-t) = (-1)^n G_n(t)
-halves the work: each exact, series or closed-form row of non-zero weight
-is evaluated at one point of each pair and written to the other times
-(-1)^n, which moves no output bit.
+depend on it.  Every row function is elementwise and keeps G_n(-t) =
+(-1)^n G_n(t) bit for bit, so on points that pair up as exact antipodes
+(lat-lon face centres with an even longitude count, their sections and
+slices at w = 0) every row is evaluated at one point of each pair.
 
 Reproducibility contract: every wave draws from its own counter-based stream
 keyed by (master seed, wave index), and waves are accumulated in fixed groups
@@ -162,13 +159,19 @@ def _require_support(model, degrees) -> None:
             f"degree law assigns no mass to degree {uncovered}, which the model loads")
 
 
+def _wave_total(L) -> int:
+    """L read through _as_index: an integer >= 1, else SimulationError."""
+    count = _as_index(L)
+    if count < 1:
+        raise SimulationError(f"wave count must be an integer >= 1, got {L!r}")
+    return count
+
+
 class SimulationConfig:
     """Validated bundle of model, degree law, wave count and master seed."""
 
     def __init__(self, model, degrees, L: int, seed: int):
-        count = _as_index(L)
-        if count < 1:
-            raise SimulationError(f"wave count must be an integer >= 1, got {L!r}")
+        count = _wave_total(L)
         try:
             seed = operator.index(seed)
         except TypeError:
@@ -426,45 +429,43 @@ def _fourier_nodes(lam: float, degree: int, weight: float, m: int
     return f, d1, d2
 
 
-def _profile_table(lam: float, degree: int, weight: float) -> np.ndarray:
-    """Quintic Hermite coefficients of weight * G_degree(cos theta) on m
-    uniform intervals of [0, pi], shape (6, m + 1), lowest power first in
-    the local coordinate u in [0, 1).  The last column is the constant
-    f(pi), so theta = pi needs no clamp.
+def _profile_table(lam: float, degree: int, weight: float) -> tuple[np.ndarray, float]:
+    """Quintic Hermite coefficients of weight * G_degree(cos theta) on the
+    first m // 2 + 1 of m uniform intervals of [0, pi], all theta <= pi/2
+    reaches, lowest power first in the local coordinate u in [0, 1), and
+    the scale m / pi from theta to u.
 
     For lam <= FOURIER_MAX_LAM (d <= 3) the node values come from the
     Fourier series, O(n log n), on m = _fourier_node_count(n) >= 16n
     intervals.  Above it they come from the exact recurrence, O(n^2), on
-    m = 16n: all Fourier coefficients are positive, so the transforms'
-    rounding is relative to the amplitude G_n(1), which outgrows the
-    wave's RMS with the dimension (2.3e-7 of it at d = 4, 3.6e-3 at d = 8,
-    n = 1000)."""
+    m = 16n (the nodes those intervals need): all Fourier coefficients are
+    positive, so the transforms' rounding is relative to the amplitude
+    G_n(1), which outgrows the wave's RMS with the dimension (2.3e-7 of it
+    at d = 4, 3.6e-3 at d = 8, n = 1000)."""
     if lam <= FOURIER_MAX_LAM:
         m = _fourier_node_count(degree)
         f, d1, d2 = _fourier_nodes(lam, degree, weight, m)
     else:
         m = NODES_PER_DEGREE * degree
-        f, d1, d2 = _profile_nodes(lam, degree, weight, np.linspace(0.0, np.pi, m + 1))
+        theta = np.linspace(0.0, np.pi, m + 1)[: m // 2 + 2]
+        f, d1, d2 = _profile_nodes(lam, degree, weight, theta)
+    k = m // 2 + 1
     h = np.pi / m
-    f0, f1 = f[:-1], f[1:]
-    D0, D1 = h * d1[:-1], h * d1[1:]
-    E0, E1 = (h * h) * d2[:-1], (h * h) * d2[1:]
-    c = np.zeros((6, m + 1))
-    c[0] = f
-    c[1, :m] = D0
-    c[2, :m] = 0.5 * E0
-    c[3, :m] = 10.0 * (f1 - f0) - 6.0 * D0 - 4.0 * D1 - 1.5 * E0 + 0.5 * E1
-    c[4, :m] = 15.0 * (f0 - f1) + 8.0 * D0 + 7.0 * D1 + 1.5 * E0 - E1
-    c[5, :m] = 6.0 * (f1 - f0) - 3.0 * (D0 + D1) - 0.5 * (E0 - E1)
-    return c
+    f0, f1 = f[:k], f[1 : k + 1]
+    D0, D1 = h * d1[:k], h * d1[1 : k + 1]
+    E0, E1 = (h * h) * d2[:k], (h * h) * d2[1 : k + 1]
+    return np.stack([f0, D0, 0.5 * E0,
+                     10.0 * (f1 - f0) - 6.0 * D0 - 4.0 * D1 - 1.5 * E0 + 0.5 * E1,
+                     15.0 * (f0 - f1) + 8.0 * D0 + 7.0 * D1 + 1.5 * E0 - E1,
+                     6.0 * (f1 - f0) - 3.0 * (D0 + D1) - 0.5 * (E0 - E1)]), m / np.pi
 
 
-def _interpolate(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate a _profile_table at theta = arccos(t) by Horner's rule.
-    Interval indices of t in [-1, 1] lie in [0, m]; clip mode only skips the
-    bounds check."""
+def _interpolate(table: np.ndarray, scale: float, t: np.ndarray) -> np.ndarray:
+    """Evaluate a _profile_table at theta = arccos(t) for t in [0, 1] (the
+    table row folds t to |t|) by Horner's rule.  Interval indices lie in
+    [0, m // 2]; clip mode only skips the bounds check."""
     u = np.arccos(t)
-    u *= (table.shape[1] - 1) / np.pi
+    u *= scale
     j = u.astype(np.intp)
     u -= j
     out = table[5].take(j, mode="clip")
@@ -496,13 +497,24 @@ def _wave_weights(model, law, degrees) -> np.ndarray:
     return np.exp(0.5 * log_w2)
 
 
+def _fold(degree: int, profile, t: np.ndarray) -> np.ndarray:
+    """A row f(t) = (-1)^degree f(-t) from its profile on [0, 1]:
+    profile(|t|), negated where t < 0 for an odd degree.  Negation is exact,
+    so the row keeps that parity bit for bit for t != 0 (t = -0.0 reads
+    profile(0)), whatever the profile rounds."""
+    x = profile(np.abs(t))
+    if degree % 2:
+        np.negative(x, out=x, where=t < 0.0)
+    return x
+
+
 def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.ndarray:
-    """The profile weight * G_degree^1(t) on the 3-sphere (lam = 1) from the
-    closed form G_n^1(cos theta) = U_n(cos theta) = sin((n+1) theta) /
-    sin(theta): O(npts) at any degree, with no table and no recurrence.  t
-    is folded to |t| by U_n(-x) = (-1)^n U_n(x), so theta = arccos|t| <= pi/2
-    and the rounding of (n+1) theta is never divided by a small sin(theta)
-    next to t = -1; where sin(theta) = 0 the value is the limit n + 1.
+    """The profile weight * G_degree^1(t) on the 3-sphere (lam = 1) for t in
+    [0, 1] (the row _fold-s t to |t|), from the closed form G_n^1(cos theta)
+    = U_n(cos theta) = sin((n+1) theta) / sin(theta): O(npts) at any degree,
+    with no table and no recurrence.  As theta <= pi/2, the rounding of
+    (n+1) theta is never divided by a small sin(theta) next to t = -1;
+    where sin(theta) = 0 the value is the limit n + 1.
 
     Error, relative to the amplitude (n+1) |weight|, with every elementary
     function within one ulp: an arccos error of eps theta moves U_n by up
@@ -511,8 +523,7 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
     each, the division and the weight by eps/2 each: 5.4 eps in all, so
     CHEBYSHEV_ERROR_BOUND = 6 eps."""
     k1 = degree + 1.0
-    w_odd = -weight if degree % 2 else weight       # (-1)^n w
-    theta = np.arccos(np.abs(t))
+    theta = np.arccos(t)
     sin = np.sin(theta)
     x = np.sin(theta * k1)
     pole = sin == 0.0
@@ -520,7 +531,7 @@ def _chebyshev_row(lam: float, degree: int, weight: float, t: np.ndarray) -> np.
         sin[pole] = 1.0
         x[pole] = k1
     x /= sin
-    x *= np.where(t < 0.0, w_odd, weight)
+    x *= weight
     return x
 
 
@@ -697,28 +708,29 @@ def _affine_bound(n, d: int, k: int) -> float:
 # in float64, exact integers or halves below 2^53 wherever two can tie (npts
 # below 9e7).  A row function does its per-wave work (a table) once; its t
 # function is elementwise, so a wave may be evaluated whole or tile by tile
-# with the same doubles.  A row function mirrors when it is exactly odd or
-# even, f(-t) = (-1)^n f(t) in doubles (see _few_point_profiles): the exact
-# recurrence, the closed form and the series do; table rows do not, as
-# arccos(-t) is not pi - arccos(t) in doubles.  A row's method code is its
-# index here.
-_Method = namedtuple("_Method", "name row cost bound mirrors")
+# with the same doubles.  Every row function is exactly odd or even, f(-t) =
+# (-1)^n f(t) in doubles for t != 0, so a row may be mirrored (see
+# _profiles): the exact recurrence and the series negate exactly under
+# t -> -t, and the circle, table and closed-form rows are _fold-ed.  A
+# row's method code is its index here.
+_Method = namedtuple("_Method", "name row cost bound")
 AFFINE, CIRCLE, EXACT, TABLE, CLOSED, SERIES = range(6)
 _METHODS = (
-    _Method("affine", None, None, _affine_bound, False),
+    _Method("affine", None, None, _affine_bound),
     # (1.5 pi n + 1.5) eps <= 5 eps (n+1) of |w|: arccos within one ulp moves
     # n theta by up to pi n eps and its rounding by pi n eps / 2; cos and the
     # weight round within eps and eps / 2 (measured about 2 eps (n+1) up to
     # n = 1e9).  From n = 2^53 on, where n itself rounds, the bound exceeds 2
-    _Method("circle", lambda lam, n, w: lambda t: w * np.cos(n * np.arccos(t)), None,
-            lambda n, *_: 5.0 * np.finfo(float).eps * np.add(n, 1.0), False),
+    _Method("circle", lambda lam, n, w: partial(_fold, n, lambda t: w * np.cos(n * np.arccos(t))),
+            None, lambda n, *_: 5.0 * np.finfo(float).eps * np.add(n, 1.0)),
     _Method("exact", lambda lam, n, w: lambda t: _recurrence_tail(lam, n, w, t, 1)[0],
-            lambda lam, n, npts: np.add(n, 1.0) * npts, _quadratic_bound, True),
-    _Method("table", lambda lam, n, w: partial(_interpolate, _profile_table(lam, n, w)),
-            _table_cost, lambda n, *_: PROFILE_ERROR_BOUND, False),
-    _Method("closed", lambda lam, n, w: partial(_chebyshev_row, lam, n, w),
-            _closed_cost, lambda n, *_: CHEBYSHEV_ERROR_BOUND, True),
-    _Method("series", _series_row, _series_cost, _quadratic_bound, True),
+            lambda lam, n, npts: np.add(n, 1.0) * npts, _quadratic_bound),
+    _Method("table", lambda lam, n, w: partial(
+        _fold, n, partial(_interpolate, *_profile_table(lam, n, w))),
+            _table_cost, lambda n, *_: PROFILE_ERROR_BOUND),
+    _Method("closed", lambda lam, n, w: partial(_fold, n, partial(_chebyshev_row, lam, n, w)),
+            _closed_cost, lambda n, *_: CHEBYSHEV_ERROR_BOUND),
+    _Method("series", _series_row, _series_cost, _quadratic_bound),
 )
 
 
@@ -741,10 +753,10 @@ def _profile_methods(d: int, degrees, npts: int) -> np.ndarray:
 
 
 def _project(points: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """Clipped projections points . pole of each pole, shape (len(poles),
-    npts): one matrix-vector product per pole over all the points, the
+    """Clipped projections points . pole of each pole, shape poles.shape[:-1]
+    + (npts,): one matrix-vector product per pole over all the points, the
     doubles of points @ pole, clipped to [-1, 1]."""
-    t = np.matmul(points, poles[:, :, None])[:, :, 0]
+    t = np.matmul(points, poles[..., None])[..., 0]
     return np.clip(t, -1.0, 1.0, out=t)
 
 
@@ -756,19 +768,19 @@ _Pairs = namedtuple("_Pairs", "near source flip")
 
 def _antipodal_pairs(points: np.ndarray) -> _Pairs | None:
     """The checked points as exact antipodal pairs, or None when they do
-    not pair up so.  Antipodes tie in |x . r| for a fixed r (the product
-    negates exactly), so one sort of that key puts every pair side by
-    side; the pairing is then checked coordinate by coordinate, x == -y.
-    Zeros' signs may differ within a pair: they move no projection but an
-    exact zero one, which _wave_sums does not mirror.  A tie of the key
-    between two pairs can only make the check fail."""
+    not pair up so: an odd count, or a column whose max is not exactly
+    -min, fails before any sort.  Antipodes tie in |x . r| for a fixed r
+    (the product negates exactly), so one sort of that key puts every pair
+    side by side; the pairing is then checked coordinate by coordinate,
+    x == -y.  Zeros' signs may differ within a pair: they move no
+    projection but an exact zero one, which _profiles does not mirror.  A
+    tie of the key between two pairs can only make the check fail."""
     npts = points.shape[0]
-    if npts % 2:
+    if npts % 2 or any(x.max() != -x.min() for x in points.T[::-1]):  # slices fix the last one
         return None
-    key = np.abs(points @ (1.0 / (np.arange(points.shape[1]) + np.pi)))
-    order = np.argsort(key)
+    order = np.argsort(np.abs(points @ (1.0 / (np.arange(points.shape[1]) + np.pi))))
     a, b = order[0::2], order[1::2]
-    if not np.array_equal(points[a], -points[b]):
+    if not all(np.array_equal(x[a], -x[b]) for x in points.T):     # column by column: faster
         return None
     partner = np.empty(npts, dtype=np.intp)
     partner[a], partner[b] = b, a
@@ -788,7 +800,7 @@ def _affine_slope(d: int) -> float:
 def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
                  signed: np.ndarray, factors, run: int, sums: np.ndarray) -> None:
     """Add to each run's sums[r], shape (p, npts), the affine map its rows of
-    degree 0 and 1 add up to; a run without such rows is left as it is.
+    degree 0 and 1 and non-zero weight add up to, if it has any.
 
     At the point x the rows sum to A + x V: A (p) sums signed_i f_i over the
     degree-0 rows and V (d+1 by p) c signed_i pole_i f_i over the degree-1
@@ -802,7 +814,8 @@ def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndar
     buffer the size of sums is made.  Both forms of
     _wave_sums call this, so a run's map depends neither on the form nor on
     the tiles."""
-    one, zero = degrees == 1, degrees == 0
+    live = signed != 0.0
+    one, zero = (degrees == 1) & live, (degrees == 0) & live
     runs = np.flatnonzero((one | zero).reshape(-1, run).any(axis=1))
     slope = (signed * np.where(one, _affine_slope(d), 0.0))[:, None]
     level = (signed * zero)[:, None]
@@ -825,23 +838,25 @@ def _affine_maps(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndar
         sums[runs[lo : lo + height]] += product
 
 
-def _few_point_profiles(lam: float, codes: np.ndarray, degrees: np.ndarray, points: np.ndarray,
-                        poles: np.ndarray, signed: np.ndarray, rows: np.ndarray, pairs):
-    """(band, values) for the given rows, none affine, on few points, values
-    of shape (band size, npts).  Two or more exact rows share a
-    degree-sorted recurrence over bands of POINT_BLOCK // k rows, k the
-    points evaluated, its rows dropped at their own distinct degrees, and
-    two or more series rows share _clenshaw over bands of one parity, its
-    rows joining at their own K; each band is projected when its sweep
-    reaches it.  Every other row is projected and evaluated alone.
+def _profiles(lam: float, codes: np.ndarray, degrees: np.ndarray, points: np.ndarray,
+              poles: np.ndarray, signed: np.ndarray, rows: np.ndarray, pairs):
+    """(band, values) for the given rows, none affine, values of shape
+    (band size, npts), or (row, values) of shape (npts,) for a row
+    evaluated alone.  On at most POINT_BLOCK // 2 points, two or more exact
+    rows share a degree-sorted recurrence over bands of POINT_BLOCK // k
+    rows, k the points evaluated, its rows dropped at their own distinct
+    degrees, and two or more series rows share _clenshaw over bands of one
+    parity, its rows joining at their own K; each band is projected when
+    its sweep reaches it.  Every other row, and on more points every row in
+    row order, is projected and evaluated alone over POINT_BLOCK tiles.
 
-    With pairs, the _antipodal_pairs of the points, every band is projected
+    With pairs, the _antipodal_pairs of the points, a band is projected
     onto and evaluated at the earlier point of each pair only, and the
-    later point takes (-1)^n times that value: the projection, the clip
-    and each exact, series and closed-form step negate exactly under
-    t -> -t, so those rows keep their doubles.  A band with an exact zero
-    among those projections is evaluated at all the points instead, as the
-    zero's sign at the later point is not the negation's."""
+    later point takes (-1)^n times that value, the doubles of evaluating
+    it: the projection, the clip and every row function negate exactly
+    under t -> -t.  A band with an exact zero among those projections,
+    whose sign at the later point is not the negation's, is evaluated at
+    all the points instead."""
     npts = points.shape[0]
     evaluated = points if pairs is None else points[pairs.near]
     height = POINT_BLOCK // evaluated.shape[0]
@@ -859,13 +874,16 @@ def _few_point_profiles(lam: float, codes: np.ndarray, degrees: np.ndarray, poin
         return values
 
     exact, series = (rows[codes[rows] == code] for code in (EXACT, SERIES))
-    shared = [code for code, group in ((EXACT, exact), (SERIES, series)) if group.size > 1]
+    shared = [code for code, group in ((EXACT, exact), (SERIES, series))
+              if group.size > 1 and npts <= POINT_BLOCK // 2]
     alone = np.ones(len(_METHODS), dtype=bool)
     alone[shared] = False
     rest = rows[alone[codes[rows]]]
     for i, code, n, w in zip(rest.tolist(), codes[rest].tolist(), degrees[rest].tolist(),
                              signed[rest].tolist()):
-        yield i, spread(n, _METHODS[code].row(lam, n, w)(project([i])[0]))
+        t, row = project(i), _METHODS[code].row(lam, n, w)
+        tiles = [row(t[s : s + POINT_BLOCK]) for s in range(0, t.size, POINT_BLOCK)]
+        yield i, spread(n, tiles[0] if len(tiles) == 1 else np.concatenate(tiles))
     if EXACT in shared:
         order = exact[np.argsort(degrees[exact])[::-1]]
         for r0 in range(0, exact.size, height):
@@ -893,7 +911,7 @@ def _few_point_profiles(lam: float, codes: np.ndarray, degrees: np.ndarray, poin
 
 
 def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarray,
-               signed: np.ndarray, factors, run: int, first: int = 0) -> np.ndarray:
+               signed: np.ndarray, factors, run: int, first: int = 0, pairs=None) -> np.ndarray:
     """Sums of consecutive runs of `run` waves, shape (m // run, p, npts):
     wave i is signed_i * G_{degrees_i}^((d-1)/2)(t_i) at the projections t_i
     of checked points onto poles[i], times its factor row when factors is
@@ -902,67 +920,43 @@ def _wave_sums(d: int, degrees: np.ndarray, points: np.ndarray, poles: np.ndarra
     its other waves in wave order, each by its _METHODS row function at the
     clipped t_i, whatever the form below or the tiles.  As x + (-0.0) is x
     for every double x, a run's sum has the doubles of its map or its first
-    wave followed by the rest, zeros' signs included.  A non-finite wave
-    value raises with its index counted from first.  (_wave_coefficients
-    checks the affine rows' coefficients before any point work.)
+    wave followed by the rest, zeros' signs included.  A wave of weight
+    zero adds nothing: it is neither evaluated nor part of its run's map.
+    A non-finite wave value raises with its index counted from first
+    (_wave_coefficients checks the affine rows' before any point work).
 
-    Above POINT_BLOCK // 2 points, one wave at a time: projected into one
-    npts buffer, evaluated, checked, multiplied by its factor row and added
-    over POINT_BLOCK tiles.  Else the (m, npts) profiles come first, in
-    bands and sweeps (_few_point_profiles), and the affine rows' values are
-    -0.0.  When the points pair up as exact antipodes (_antipodal_pairs,
-    searched once per call), the exact, series and closed-form rows of
-    non-zero weight are evaluated at one point of each pair, with the
-    doubles of evaluating both; a zero weight's row has zeros whose signs
-    follow t's, not the degree's parity, so it is evaluated at every point,
-    as are table and circle rows.  A run starts
-    from the values at its first position (a run of one wave in place, a
-    longer one in its own array), then adds its map and each later position
-    that is not affine in every run.  A run whose sum is not finite is then
-    searched for its first bad wave."""
+    The other rows' values come from _profiles, mirrored when pairs (the
+    points' _antipodal_pairs) is given: above POINT_BLOCK // 2 points one
+    at a time, each checked, times its factor row and added to its run's
+    sum; else all first, -0.0 for the idle rows, and a run starts from its
+    first position (in place for a run of one wave), adds its map and each
+    later position not idle in every run, and is then checked."""
     m, npts = degrees.size, points.shape[0]
     p = 1 if factors is None else factors.shape[1]
-    lam = 0.5 * (d - 1)
     codes = _profile_methods(d, degrees, npts)
-    affine = codes == AFFINE
+    idle = (codes == AFFINE) | (signed == 0.0)
+    rows = _profiles(0.5 * (d - 1), codes, degrees, points, poles, signed, np.flatnonzero(~idle),
+                     pairs)
     if npts > POINT_BLOCK // 2:
         sums = np.full((m // run, p, npts), -0.0)
         _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
-        t = np.empty(npts)
-        rows = sums if factors is not None else sums[:, 0]     # p = 1 adds 1-D tiles
-        tiles = [(t[s : s + POINT_BLOCK], rows[..., s : s + POINT_BLOCK])
-                 for s in range(0, npts, POINT_BLOCK)]
-        other = np.flatnonzero(~affine)
-        for i, code, n, w in zip(other.tolist(), codes[other].tolist(), degrees[other].tolist(),
-                                 signed[other].tolist()):
-            np.matmul(points, poles[i], out=t)
-            np.clip(t, -1.0, 1.0, out=t)
-            profile = _METHODS[code].row(lam, n, w)
-            for t_tile, tile_sums in tiles:
-                vals = profile(t_tile)
-                if factors is not None:
-                    vals = factors[i, :, None] * vals
-                _raise_first_non_finite(vals[None], first + i)
-                tile_sums[i // run] += vals
+        for i, vals in rows:
+            vals = vals if factors is None else factors[i, :, None] * vals
+            _raise_first_non_finite(vals[None], first + i)
+            sums[i // run] += vals
         return sums
 
     out = np.empty((m, npts))
-    out[affine] = -0.0
-    mirror = np.array([method.mirrors for method in _METHODS])[codes] & (signed != 0.0)
-    pairs = _antipodal_pairs(points) if mirror.any() else None
-    if pairs is None:
-        mirror[:] = False
-    for rows, paired in ((~affine & ~mirror, None), (mirror, pairs)):
-        for band, values in _few_point_profiles(lam, codes, degrees, points, poles, signed,
-                                                np.flatnonzero(rows), paired):
-            out[band] = values
+    out[idle] = -0.0
+    for band, values in rows:
+        out[band] = values
     values = out[:, None, :] if factors is None else factors[:, :, None] * out[:, None, :]
-    values[affine] = -0.0               # again: f * -0.0 is +0.0 for f < 0
+    values[idle] = -0.0                 # again: f * -0.0 is +0.0 for f < 0
     parts = values.reshape(m // run, run, p, npts)
     sums = parts[:, 0] if run == 1 else parts[:, 0].copy()
     _affine_maps(d, degrees, points, poles, signed, factors, run, sums)
-    # positions that hold an affine row in every run add -0.0 only
-    for j in np.flatnonzero(~affine.reshape(-1, run)[:, 1:].all(axis=0)).tolist():
+    # positions that hold an idle row in every run add -0.0 only
+    for j in np.flatnonzero(~idle.reshape(-1, run)[:, 1:].all(axis=0)).tolist():
         sums += parts[:, j + 1]
     if not np.isfinite(sums).all():
         _raise_first_non_finite(values, first)  # a non-finite wave makes its run's sum so
@@ -1070,6 +1064,7 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
     L = config.L
     plan = _draw_plan(config)
     signed, factors = _wave_coefficients(config, plan)
+    pairs = _antipodal_pairs(points)
     errstate = np.geterr()          # a worker thread starts from numpy's defaults
 
     def group_sum(lo):
@@ -1077,7 +1072,7 @@ def simulate(config: SimulationConfig, points, n_threads: int | None = None) -> 
         with np.errstate(**errstate):
             return _wave_sums(config.d, plan.degrees[group], points, plan.poles[group],
                               signed[group], None if factors is None else factors[group],
-                              min(WAVE_GROUP, L - lo), lo)[0]
+                              min(WAVE_GROUP, L - lo), lo, pairs)[0]
 
     values = np.zeros((config.p, npts))
     with ThreadPoolExecutor(n_threads) if (n_threads or 0) > 1 else nullcontext() as pool:
@@ -1131,6 +1126,7 @@ def _ensemble_sums(config: SimulationConfig, points, M: int, L: int, rng) -> np.
     M = _wave_count(M)
     points = check_points(points, config.d)
     npts = points.shape[0]
+    pairs = _antipodal_pairs(points)
     chunk = max(1, min(ENSEMBLE_BUDGET // max(1, L * npts * config.p), ENSEMBLE_WAVE_CAP // L))
     piece = max(1, ENSEMBLE_PIECE // max(1, L * npts * config.p))
     out = np.empty((M, npts, config.p))
@@ -1142,7 +1138,8 @@ def _ensemble_sums(config: SimulationConfig, points, M: int, L: int, rng) -> np.
         for lo in range(0, m, piece):
             w = slice(lo * L, min(lo + piece, m) * L)
             sums = _wave_sums(config.d, plan.degrees[w], points, plan.poles[w], signed[w],
-                              None if factors is None else factors[w], L, done * L + w.start)
+                              None if factors is None else factors[w], L, done * L + w.start,
+                              pairs)
             out[done + lo : done + lo + sums.shape[0]] = sums.transpose(0, 2, 1)
         done += m
     return out

@@ -749,6 +749,11 @@ def test_degree_beyond_int64_exits_one(tmp_path, monkeypatch, capsys, command, f
     (["mu3", "--model", "nb", "--delta", "0.5", "--n-max", "-2"], "--n-max"),
     # numpy's default_rng used to reject it after the grid and model were built
     (["validate", "--model", "nb", "--delta", "0.5", "--seed", "-1"], "--seed"),
+    # mu3 used to report L = 0 and exit 0
+    (["simulate", "--model", "nb", "--delta", "0.5", "--L", "0"], "--L"),
+    (["validate", "--model", "nb", "--delta", "0.5", "--L", "0"], "--L"),
+    (["mu3", "--model", "nb", "--delta", "0.5", "--degree-dist", "geometric:0.9", "--L", "0"],
+     "--L"),
 ])
 def test_out_of_range_count_flag_exits_one(argv, flag, capsys):
     assert main(argv) == 1

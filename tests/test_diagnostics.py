@@ -202,6 +202,18 @@ def test_report_rejects_a_law_that_cannot_simulate_the_model(monkeypatch):
         berry_esseen_report(NegativeBinomial(0.5, d=2), OddShiftedZeta(2.0), L=1500)
 
 
+@pytest.mark.parametrize("L", [0, -4, 2.5, "3", None])
+def test_report_rejects_a_wave_count_below_one_before_any_quadrature(monkeypatch, L):
+    # SimulationConfig's count rule, with its message, before mu3 is summed:
+    # the law's series converges, so the report used to come back with L = 0
+    monkeypatch.setattr(diagnostics, "mu3_wave", None)
+    monkeypatch.setattr(diagnostics, "mu3_gegenbauer", None)
+    with pytest.raises(SimulationError, match="wave count must be an integer >= 1"):
+        berry_esseen_report(NegativeBinomial(0.5), GeometricDegrees(0.9), L)
+    with pytest.raises(SimulationError, match="wave count must be an integer >= 1"):
+        SimulationConfig(NegativeBinomial(0.5), GeometricDegrees(0.9), L, seed=0)
+
+
 def test_report_builder():
     spec = NegativeBinomial(0.5, d=2)
     report = berry_esseen_report(spec, GeometricDegrees(0.01), L=1500)

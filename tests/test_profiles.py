@@ -45,11 +45,9 @@ from turnarcs.simulator import (
     TABLE_STEP_COST,
     SimulationConfig,
     _METHODS,
-    _chebyshev_row,
     _column_limit,
     _fourier_node_count,
     _fourier_nodes,
-    _interpolate,
     _profile_methods,
     _profile_nodes,
     _profile_table,
@@ -101,7 +99,7 @@ def test_tabulated_profile_within_bound(lam, n, log_amp, sign, extra):
     amp = 10.0**log_amp
     weight = sign * amp * np.exp(-gegenbauer_log_at_one(lam, n))
     t = probe_points(n, extra)
-    got = _interpolate(_profile_table(lam, n, weight), t)
+    got = _METHODS[TABLE].row(lam, n, weight)(t)
     tol = tolerance(lam, n) * amp
     exact = gegenbauer_eval_weighted(lam, n, t, weight)
     assert np.max(np.abs(got - exact)) <= tol
@@ -109,11 +107,42 @@ def test_tabulated_profile_within_bound(lam, n, log_amp, sign, extra):
     assert np.max(np.abs(got - scipy_ref)) <= tol
 
 
+# the dimensions on which each method takes rows
+PARITY_DIMENSIONS = {CIRCLE: (1,), EXACT: (2, 3, 4, 5), TABLE: (2, 3, 4, 5), CLOSED: (3,),
+                     SERIES: (2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    code=st.sampled_from(sorted(PARITY_DIMENSIONS)),
+    n=st.integers(2, 300),
+    log_amp=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    t=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=50),
+)
+@example(data=None, code=CLOSED, n=9_310_498, log_amp=0.0, sign=-1.0, t=[0.3])
+@example(data=None, code=TABLE, n=299, log_amp=0.0, sign=1.0, t=[1e-300, 0.5])
+@example(data=None, code=CIRCLE, n=7, log_amp=1.0, sign=-1.0, t=[np.cos(np.pi / 14)])
+def test_every_row_keeps_its_parity_bit_for_bit(data, code, n, log_amp, sign, t):
+    # row(-t) is (-1)^n row(t) in bit patterns, t = 1 included, for either
+    # weight sign: what lets _profiles mirror any row on antipodal points
+    # (t = 0 is left out: a zero projection is evaluated at every point)
+    d = PARITY_DIMENSIONS[code][0] if data is None else data.draw(
+        st.sampled_from(PARITY_DIMENSIONS[code]))
+    n = max(n, SERIES_MIN_DEGREE) if code == SERIES else n
+    t = np.array([1.0, *t])
+    row = _METHODS[code].row(0.5 * (d - 1), n, sign * 10.0**log_amp)
+    at, opposite = row(t), row(-t)
+    expected = -at if n % 2 else at
+    assert_array_equal(opposite.view(np.int64), expected.view(np.int64))
+
+
 def test_bound_is_sharp_at_degree_one():
     # f = 2 lam w cos(theta) has |f^(6)| = |f|, so the Hermite remainder
     # reaches the bound mid-interval next to the poles
     t = np.cos(np.linspace(0.0, np.pi, 100_001))
-    got = _interpolate(_profile_table(1.0, 1, 0.5), t)
+    got = _METHODS[TABLE].row(1.0, 1, 0.5)(t)
     err = np.max(np.abs(got - t))
     assert 0.9 * PROFILE_ERROR_BOUND < err <= PROFILE_ERROR_BOUND
 
@@ -304,16 +333,18 @@ def test_fourier_nodes_within_rounding_bound(d, n, log_amp, sign, seed):
 
 def test_recurrence_tables_above_the_fourier_range():
     # d = 4 keeps the recurrence nodes on exactly 16n intervals; d <= 3 pads
-    # 16n = 15952 (= 16 * 997) to the 5-smooth 16000
+    # 16n = 15952 (= 16 * 997) to the 5-smooth 16000.  Either table keeps
+    # the intervals j = 0 .. m // 2 that theta = arccos|t| <= pi / 2 reaches
     n, weight = 997, 0.7
-    recurrence = _profile_table(1.5, n, weight)
-    assert recurrence.shape == (6, NODES_PER_DEGREE * n + 1)
-    f = _profile_nodes(1.5, n, weight, np.linspace(0.0, np.pi, NODES_PER_DEGREE * n + 1))[0]
-    assert_array_equal(recurrence[0], f)
+    m = NODES_PER_DEGREE * n
+    recurrence, scale = _profile_table(1.5, n, weight)
+    assert recurrence.shape == (6, m // 2 + 1) and scale == m / np.pi
+    f = _profile_nodes(1.5, n, weight, np.linspace(0.0, np.pi, m + 1))[0]
+    assert_array_equal(recurrence[0], f[: m // 2 + 1])
     for lam in (0.5, 1.0):
-        fourier = _profile_table(lam, n, weight)
-        assert fourier.shape == (6, 16_001)
-        assert_array_equal(fourier[0], _fourier_nodes(lam, n, weight, 16_000)[0])
+        fourier, scale = _profile_table(lam, n, weight)
+        assert fourier.shape == (6, 8_001) and scale == 16_000 / np.pi
+        assert_array_equal(fourier[0], _fourier_nodes(lam, n, weight, 16_000)[0][:8_001])
 
 
 def chebyshev_oracle(n, weight, t):
@@ -352,7 +383,7 @@ def test_chebyshev_profiles_within_bound(n, log_amp, sign, extra):
     amp = 10.0**log_amp
     weight = sign * amp / (n + 1)
     t = chebyshev_probes(n, extra)
-    got = _chebyshev_row(1.0, n, weight, t)
+    got = _METHODS[CLOSED].row(1.0, n, weight)(t)
     assert np.all(np.isfinite(got))
     err = np.abs(got.astype(LD) - chebyshev_oracle(n, weight, t))
     assert np.max(err) <= CHEBYSHEV_ERROR_BOUND * amp
@@ -369,7 +400,7 @@ def test_chebyshev_profiles_match_scipy(n, seed):
     # its own bound
     t = chebyshev_probes(n, np.random.default_rng(seed).uniform(-1.0, 1.0, 500))
     weight = 0.7 / (n + 1)
-    got = _chebyshev_row(1.0, n, weight, t)
+    got = _METHODS[CLOSED].row(1.0, n, weight)(t)
     allowed = CHEBYSHEV_ERROR_BOUND + 2.0 * EPS * n * (n + 2.0) / 3.0
     assert np.max(np.abs(got - weight * eval_gegenbauer(n, 1.0, t))) <= allowed * 0.7
 
@@ -468,12 +499,12 @@ def test_column_limit_rows_keep_their_paths():
     degrees = np.array([3, 607, 608, 9_310_498, 40, 1001, 12])
     weights = np.array([0.3, -0.2, 0.1, 1e-6, -0.5, 0.05, 0.9])
     got = wave_profiles(3, degrees, points, poles, weights)
-    assert_array_equal(got[1], _interpolate(_profile_table(1.0, 607, -0.2), t))
-    assert_array_equal(got[4], _interpolate(_profile_table(1.0, 40, -0.5), t))
+    assert_array_equal(got[1], _METHODS[TABLE].row(1.0, 607, -0.2)(t))
+    assert_array_equal(got[4], _METHODS[TABLE].row(1.0, 40, -0.5)(t))
     assert_array_equal(got[0], gegenbauer_eval_weighted(1.0, 3, t, weights[0]))
     assert_array_equal(got[6], _series_row(1.0, 12, weights[6])(t))
     for i in (2, 3, 5):
-        assert_array_equal(got[i], _chebyshev_row(1.0, int(degrees[i]), weights[i], t))
+        assert_array_equal(got[i], _METHODS[CLOSED].row(1.0, int(degrees[i]), weights[i])(t))
         assert_array_equal(got[i], wave_profiles(3, degrees[i : i + 1], points, poles[:1],
                                                  weights[i : i + 1])[0])
     # and a batch of closed-form rows on few points
@@ -481,7 +512,7 @@ def test_column_limit_rows_keep_their_paths():
     heavy = np.full(7, 5000)
     batch = wave_profiles(3, heavy, *great_circle(few, 7), weights)
     for i in range(7):
-        assert_array_equal(batch[i], _chebyshev_row(1.0, 5000, weights[i], few))
+        assert_array_equal(batch[i], _METHODS[CLOSED].row(1.0, 5000, weights[i])(few))
 
 
 def recurrence_oracle(lam, n, weight, t):

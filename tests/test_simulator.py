@@ -954,7 +954,7 @@ def test_pair_search_on_grids(spec, paired):
     assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-12
 
 
-def test_pair_search_rejects_what_does_not_pair_exactly():
+def test_pair_search_rejects_what_does_not_pair_exactly(monkeypatch):
     points = build_grid(LatLonGrid(8, 16)).points
     assert simulator._antipodal_pairs(points) is not None
     moved = points.copy()
@@ -971,9 +971,25 @@ def test_pair_search_rejects_what_does_not_pair_exactly():
         both = np.vstack([random, -random])[np.random.default_rng(d).permutation(2 * npts)]
         pairs = simulator._antipodal_pairs(both)
         assert np.all(pairs.flip * both[pairs.near][pairs.source].T == both.T)
+    # a set with a column whose max is not exactly -min is rejected before
+    # any sort: a slice of the 3-sphere off its equator, and the grid with
+    # one point moved to the south pole
+    polar = points.copy()
+    polar[-1] = [0.0, 0.0, -1.0]
+    monkeypatch.setattr(np, "argsort", None)
+    for rejected in (build_grid(parse_grid("slice3:0.25:8x16")).points, polar):
+        assert simulator._antipodal_pairs(rejected) is None
 
 
-# case: (config, grid spec); every grid pairs up as antipodes
+def circle_pairs(npts):
+    """npts points on the circle, the later half the exact negation of the
+    earlier half."""
+    angles = (np.arange(npts // 2) + 0.5) * np.pi / (npts // 2)
+    half = np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.vstack([half, -half])
+
+
+# case: (config, grid spec or points); every point set pairs up as antipodes
 MIRROR_CASES = {
     "nb d=2 latlon:8x16": (lambda: SimulationConfig(
         NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=100, seed=4), "latlon:8x16"),
@@ -983,25 +999,41 @@ MIRROR_CASES = {
     "bivariate nb d=5 section:5:16x32": (lambda: SimulationConfig(
         BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6, d=5), GeometricDegrees(0.05), L=70,
         seed=6), "section:5:16x32"),
-    # even degrees have weight 0: those rows are not mirrored
+    # even degrees have weight 0: those rows add nothing
     "chentsov d=3 slice3:0:8x16": (lambda: SimulationConfig(
         Chentsov(d=3), ShiftedZeta(2.0), L=300, seed=7), "slice3:0:8x16"),
     # heavy rows on the 3-sphere take the closed form
     "f d=3 slice3:-0:6x8": (lambda: SimulationConfig(
         GeneralizedF(1.0, 3.5, 2.0, d=3), ShiftedZeta(1.2), L=200, seed=8), "slice3:-0:6x8"),
     # 8,192 points, the most of the sweeps: bands of 4 rows, and table rows
-    # (not mirrored) next to mirrored ones
     "nb d=2 latlon:64x128": (lambda: SimulationConfig(
         NegativeBinomial(0.5, d=2), GeometricDegrees(0.02), L=64, seed=9), "latlon:64x128"),
+    # 20,000 and 10,000 points, one wave at a time: table rows, the CLI
+    # workload's bivariate config, and rows of weight zero
+    "nb d=2 latlon:100x200": (lambda: SimulationConfig(
+        NegativeBinomial(0.5, d=2), GeometricDegrees(0.01), L=20, seed=10), "latlon:100x200"),
+    "bivariate nb d=2 latlon:100x200": (lambda: SimulationConfig(
+        BivariateNegativeBinomial(0.2, 0.2, 0.7, rho=0.6), GeometricDegrees(0.01), L=15,
+        seed=11), "latlon:100x200"),
+    "chentsov d=3 slice3:0:100x100": (lambda: SimulationConfig(
+        Chentsov(d=3), ShiftedZeta(2.0), L=100, seed=12), "slice3:0:100x100"),
+    # circle rows
+    "nb d=1 circle:64": (lambda: SimulationConfig(
+        NegativeBinomial(0.8, d=1), GeometricDegrees(0.1), L=100, seed=13), circle_pairs(64)),
 }
 
 
+def mirror_points(spec):
+    """A MIRROR_CASES point set: a grid spec's points, or the points given."""
+    return build_grid(parse_grid(spec)).points if isinstance(spec, str) else spec
+
+
 def mirror_outputs(config, points):
-    """Each entry point's output on few points: simulate, an ensemble,
-    single waves and wave_eval_* of the plan's first 40 waves."""
+    """Each entry point's output: simulate, an ensemble, single waves and
+    wave_eval_* of the plan's first 40 waves."""
     plan = simulator._draw_plan(config)
     replay = []
-    for i in range(40):
+    for i in range(min(40, config.L)):
         component = None if plan.components is None else int(plan.components[i])
         wave = WaveParams(int(plan.signs[i]), plan.poles[i], int(plan.degrees[i]), component)
         replay.append(wave_eval_scalar(wave, config, points) if config.p == 1
@@ -1016,10 +1048,9 @@ def mirror_outputs(config, points):
 def test_mirror_keeps_every_bit(monkeypatch, case):
     # evaluating one point of each antipodal pair and writing its partner as
     # (-1)^n times the value gives the doubles of evaluating both, the sign
-    # of a zero included, on every entry point
+    # of a zero included, on every entry point and either form
     make, spec = MIRROR_CASES[case]
-    config, points = make(), build_grid(parse_grid(spec)).points
-    assert points.shape[0] <= simulator.POINT_BLOCK // 2
+    config, points = make(), mirror_points(spec)
     assert simulator._antipodal_pairs(points) is not None
     mirrored = mirror_outputs(config, points)
     monkeypatch.setattr(simulator, "_antipodal_pairs", lambda points: None)
@@ -1028,22 +1059,24 @@ def test_mirror_keeps_every_bit(monkeypatch, case):
 
 
 def test_mirror_cases_take_every_mirrored_method():
-    # the cases above cover exact, series and closed-form rows, table rows
-    # and rows of weight zero
-    codes, zero = set(), False
+    # the cases above cover exact, series, closed-form, table and circle
+    # rows, rows of weight zero, and both forms of _wave_sums
+    codes, zero, npts = set(), False, set()
     for make, spec in MIRROR_CASES.values():
-        config, points = make(), build_grid(parse_grid(spec)).points
+        config, points = make(), mirror_points(spec)
+        npts.add(points.shape[0] > simulator.POINT_BLOCK // 2)
         plan = simulator._draw_plan(config)
         codes |= set(simulator._profile_methods(config.d, plan.degrees, points.shape[0]).tolist())
         signed, _ = simulator._wave_coefficients(config, plan)
         zero |= bool(np.any((signed == 0.0) & (plan.degrees >= 2)))
-    assert {simulator.EXACT, simulator.SERIES, simulator.CLOSED, simulator.TABLE} <= codes
-    assert zero
+    assert {simulator.EXACT, simulator.SERIES, simulator.CLOSED, simulator.TABLE,
+            simulator.CIRCLE} <= codes
+    assert zero and npts == {False, True}
 
 
 @pytest.mark.parametrize("degree, code", [(2, simulator.EXACT), (5, simulator.EXACT),
                                           (12, simulator.SERIES), (1001, simulator.CLOSED)])
-def test_mirror_skips_a_band_with_an_exact_zero_projection(monkeypatch, degree, code):
+def test_mirror_skips_a_band_with_an_exact_zero_projection(degree, code):
     # on slice3:0 the pole e_3 projects every point to an exact zero, whose
     # sign at a point's antipode is not the negation's: such a wave is
     # evaluated at every point, with the doubles of no pairing at all
@@ -1053,11 +1086,10 @@ def test_mirror_skips_a_band_with_an_exact_zero_projection(monkeypatch, degree, 
     poles = np.vstack([np.eye(4)[3], sample_pole(3, np.random.default_rng(degree), size=2)])
     plan = simulator._Plan(np.array([1, -1, 1]), poles, np.full(3, degree), None)
     signed, _ = simulator._wave_coefficients(config, plan)
-    one_by_one = [simulator._wave_sums(3, plan.degrees[i : i + 1], points, poles[i : i + 1],
-                                       signed[i : i + 1], None, 1) for i in range(3)]
-    batch = simulator._wave_sums(3, plan.degrees, points, poles, signed, None, 1)
     pairs = simulator._antipodal_pairs(points)
-    monkeypatch.setattr(simulator, "_antipodal_pairs", lambda points: None)
+    one_by_one = [simulator._wave_sums(3, plan.degrees[i : i + 1], points, poles[i : i + 1],
+                                       signed[i : i + 1], None, 1, 0, pairs) for i in range(3)]
+    batch = simulator._wave_sums(3, plan.degrees, points, poles, signed, None, 1, 0, pairs)
     direct = simulator._wave_sums(3, plan.degrees, points, poles, signed, None, 1)
     if degree % 2:
         # here the mirror would move bits: the antipode's value is not the negation
@@ -1066,6 +1098,29 @@ def test_mirror_skips_a_band_with_an_exact_zero_projection(monkeypatch, degree, 
         assert not np.array_equal(mirrored.view(np.int64), values.view(np.int64))
     for value in (batch, np.concatenate(one_by_one)):
         assert_array_equal(value.view(np.int64), direct.view(np.int64))
+
+
+def test_pair_search_runs_once_per_call(monkeypatch):
+    # simulate searches once for all its groups and threads, an ensemble or
+    # a batch of single waves once for all its chunks and pieces, and
+    # wave_eval_* not at all
+    calls = []
+    real = simulator._antipodal_pairs
+    monkeypatch.setattr(simulator, "_antipodal_pairs", lambda points: calls.append(1) or
+                        real(points))
+    monkeypatch.setattr(simulator, "ENSEMBLE_BUDGET", 20 * 128)
+    monkeypatch.setattr(simulator, "ENSEMBLE_PIECE", 5 * 128)
+    config = SimulationConfig(NegativeBinomial(0.5, d=2), GeometricDegrees(0.05), L=200, seed=0)
+    points = build_grid(parse_grid("latlon:8x16")).points
+    for call in (lambda: simulate(config, points), lambda: simulate(config, points, n_threads=2),
+                 lambda: simulate_ensemble(config, points, 3, np.random.default_rng(0)),
+                 lambda: single_wave_values(config, points, 50, np.random.default_rng(1))):
+        calls.clear()
+        call()
+        assert calls == [1]
+    calls.clear()
+    wave_eval_scalar(WaveParams(1, points[0], 7), config, points)
+    assert calls == []
 
 
 def test_heavy_exact_wave_keeps_no_per_degree_state():
